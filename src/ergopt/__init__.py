@@ -52,7 +52,6 @@ from .potential import (
     truncate,
 )
 from .subactions import (
-    BoundaryData,
     ContactSet,
     GapReport,
     SeparatingCertificate,
@@ -74,7 +73,6 @@ from .symbolic import (
     build_sft,
     lasso_distance,
     lasso_shift,
-    lift,
     lift_to,
     lift_values,
     node_of,

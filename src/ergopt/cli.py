@@ -157,7 +157,7 @@ def cmd_separate(args) -> int:
     try:
         sub, cert = separating_subaction(
             bundle.graph, bundle.weights, bundle.abar, bundle.crit,
-            depth, gamma=args.gamma, h=bundle.barriers.h,
+            depth, bundle.barriers.h, gamma=args.gamma,
         )
     except BudgetExceeded as exc:
         residual = ", ".join(format_word(w, s) for w in (exc.residual_words or ()))

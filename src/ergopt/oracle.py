@@ -333,7 +333,7 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
                 candidates.append(cum[t])
     if delta == 0:
         phi = mane_matrix(graph, weights, abar)
-        matrix = phi if kind == "mane" else peierls_matrix(graph, weights, abar, phi, crit)
+        matrix = phi if kind == "mane" else peierls_matrix(phi, crit)
         start = graph.node_index(expand[pre : pre + r])
         assert start == graph.node_index(expand[pre + cyc : pre + cyc + r])
         candidates.append(cum[pre] + matrix[start][node_of(y, graph)])

@@ -17,7 +17,6 @@ from .tropical import (
     CriticalStructure,
     ErgodicSummary,
     calibrated_fixed_point,
-    critical_structure,
     mane_matrix,
     minimizing_value,
     peierls_matrix,
@@ -33,12 +32,15 @@ class SolveBundle:
     weights: tuple
     summary: ErgodicSummary
     barriers: BarrierMatrices
-    crit: CriticalStructure
     fixed_point: tuple
 
     @property
     def abar(self):
         return self.summary.abar
+
+    @property
+    def crit(self) -> CriticalStructure:
+        return self.summary.crit
 
 
 def solve_potential(sft, potential, order=None, node_budget=DEFAULT_NODE_BUDGET):
@@ -56,10 +58,9 @@ def solve_potential(sft, potential, order=None, node_budget=DEFAULT_NODE_BUDGET)
     weights = compile_weights(potential, graph)
     summary = minimizing_value(graph, weights)
     phi = mane_matrix(graph, weights, summary.abar)
-    crit = critical_structure(graph, weights, summary.abar, phi)
-    h = peierls_matrix(graph, weights, summary.abar, phi, crit)
+    h = peierls_matrix(phi, summary.crit)
     barriers = BarrierMatrices(phi=phi, h=h)
-    fixed_point = calibrated_fixed_point(graph, weights, summary.abar, crit, h=h)
+    fixed_point = calibrated_fixed_point(summary.crit, h)
     return SolveBundle(
         sft=sft,
         potential=potential,
@@ -68,7 +69,6 @@ def solve_potential(sft, potential, order=None, node_budget=DEFAULT_NODE_BUDGET)
         weights=weights,
         summary=summary,
         barriers=barriers,
-        crit=crit,
         fixed_point=fixed_point,
     )
 

@@ -20,11 +20,9 @@ from .errors import (
 from .symbolic import DeBruijnGraph, Word, lift_to, lift_values
 from .tropical import (
     CriticalStructure,
+    _path_minima,
     calibrated_fixed_point,
-    constraint_polytope,
     lax_oleinik_step,
-    mane_matrix,
-    peierls_matrix,
 )
 
 
@@ -42,11 +40,6 @@ class ContactSet:
     depth: int
     tight_edges: tuple[int, ...]
     tight_words: tuple[Word, ...]
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    values: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ def calibrated_from_boundary(bd, crit: CriticalStructure,
     u_j - u_i <= h(rep_i, rep_j); then u extends it, is calibrated, and
     restricting back to the representatives returns the data unchanged.
     """
-    values = tuple(Fraction(v) for v in getattr(bd, "values", bd))
+    values = tuple(Fraction(v) for v in bd)
     reps = crit.representatives
     if len(values) != len(reps):
         raise ValueError(f"expected {len(reps)} boundary values, got {len(values)}")
@@ -212,52 +205,6 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
 
 
-def _phi_row(graph, weights: Sequence[Fraction], source: int) -> list[Fraction]:
-    """Minimum weight of a nonempty path from source to each node."""
-    dist: list[Fraction | None] = [None] * graph.n_nodes
-    for k in graph.out_edges[source]:
-        e = graph.edges[k]
-        if dist[e.head] is None or weights[k] < dist[e.head]:
-            dist[e.head] = weights[k]
-    for _ in range(graph.n_nodes):
-        changed = False
-        for k, e in enumerate(graph.edges):
-            d = dist[e.tail]
-            if d is None:
-                continue
-            cand = d + weights[k]
-            if dist[e.head] is None or cand < dist[e.head]:
-                dist[e.head] = cand
-                changed = True
-        if not changed:
-            break
-    assert all(d is not None for d in dist)
-    return dist  # type: ignore[return-value]
-
-
-def _phi_col(graph, weights: Sequence[Fraction], target: int) -> list[Fraction]:
-    """Minimum weight of a nonempty path from each node into target."""
-    dist: list[Fraction | None] = [None] * graph.n_nodes
-    for k in graph.in_edges[target]:
-        e = graph.edges[k]
-        if dist[e.tail] is None or weights[k] < dist[e.tail]:
-            dist[e.tail] = weights[k]
-    for _ in range(graph.n_nodes):
-        changed = False
-        for k, e in enumerate(graph.edges):
-            d = dist[e.head]
-            if d is None:
-                continue
-            cand = weights[k] + d
-            if dist[e.tail] is None or cand < dist[e.tail]:
-                dist[e.tail] = cand
-                changed = True
-        if not changed:
-            break
-    assert all(d is not None for d in dist)
-    return dist  # type: ignore[return-value]
-
-
 def _lifted_representative(lifted: DeBruijnGraph, crit: CriticalStructure,
                            comp_index: int) -> int:
     for n, word in enumerate(lifted.node_words):
@@ -268,8 +215,8 @@ def _lifted_representative(lifted: DeBruijnGraph, crit: CriticalStructure,
 
 def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
                          crit: CriticalStructure, depth_budget: int,
+                         h: Sequence[Sequence[Fraction]],
                          gamma: Fraction = Fraction(1, 2),
-                         h: Sequence[Sequence[Fraction]] | None = None
                          ) -> tuple[SubAction, SeparatingCertificate]:
     """Finite-depth separating sub-action by perturb-and-average.
 
@@ -290,12 +237,14 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
         raise ValueError(
             f"depth budget {depth_budget} is below the graph order {graph.order}"
         )
-    v = calibrated_fixed_point(graph, weights, abar, crit, h)
+    v = calibrated_fixed_point(crit, h)
     lifted, lw = lift_to(graph, weights, depth_budget)
     u = lift_values(v, graph, lifted)
     reps = [
         _lifted_representative(lifted, crit, c.index) for c in crit.components
     ]
+    arcs = [(e.tail, e.head) for e in lifted.edges]
+    back = [(e.head, e.tail) for e in lifted.edges]
     max_passes = lifted.n_edges + 4
     prev_zero: frozenset[int] | None = None
     passes = 0
@@ -335,8 +284,11 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
             ]
             family.append((-1, list(wj)))
         for rep in reps:
-            family.append((+1, _phi_row(lifted, slacks, rep)))
-            family.append((-1, _phi_col(lifted, slacks, rep)))
+            row = _path_minima(arcs, slacks, lifted.out_edges[rep], lifted.n_nodes)
+            col = _path_minima(back, slacks, lifted.in_edges[rep], lifted.n_nodes)
+            assert None not in row and None not in col
+            family.append((+1, row))
+            family.append((-1, col))
         step = gamma / len(family)
         u = tuple(
             u[x] + step * sum(sign * g[x] for sign, g in family)

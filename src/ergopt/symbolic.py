@@ -293,24 +293,14 @@ def refine(sft: SftSystem, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> De
     return DeBruijnGraph(sft, r, node_budget)
 
 
-def lift(graph: DeBruijnGraph, weights: Sequence[Fraction],
-         node_budget: int = DEFAULT_NODE_BUDGET):
-    """One refinement step: order r -> r+1, weights carried by prefix.
-
-    The lifted graph is the line graph of the original, and the weight
-    of a lifted edge is the weight of the base edge it starts with, so
-    path sums (and hence cycle means and everything downstream) are
-    preserved.
-    """
-    lifted = DeBruijnGraph(graph.sft, graph.order + 1, node_budget)
-    r = graph.order
-    lifted_weights = tuple(weights[graph.edge_index(e.word[: r + 1])] for e in lifted.edges)
-    return lifted, lifted_weights
-
-
 def lift_to(graph: DeBruijnGraph, weights: Sequence[Fraction], order: int,
             node_budget: int = DEFAULT_NODE_BUDGET):
-    """Refine straight to the requested order, carrying weights by prefix."""
+    """Refine straight to the requested order, carrying weights by prefix.
+
+    The weight of a lifted edge is the weight of the base edge it starts
+    with, so path sums (and hence cycle means and everything downstream)
+    are preserved.
+    """
     if order < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {order}")
     if order == graph.order:

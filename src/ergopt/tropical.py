@@ -8,7 +8,7 @@ comes from ascending index order in every tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,12 +39,6 @@ class SimpleDigraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class ErgodicSummary:
-    abar: Fraction
-    witness_cycle: tuple[int, ...]  # edge indices, in cycle order
 
 
 @dataclass(frozen=True)
@@ -86,36 +80,58 @@ class CriticalStructure:
         return tuple(c.representative for c in self.components)
 
 
-def _shortest_path_potentials(graph, reduced: Sequence[Fraction]) -> list[Fraction]:
-    """Bellman-Ford distances from node 0; requires no negative cycle."""
-    n = graph.n_nodes
-    dist: list[Fraction | None] = [None] * n
-    dist[0] = Fraction(0)
-    for _ in range(n):
+@dataclass(frozen=True)
+class ErgodicSummary:
+    abar: Fraction
+    witness_cycle: tuple[int, ...]  # edge indices, in cycle order
+    crit: CriticalStructure = field(compare=False, repr=False)
+
+
+def _relax(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
+           dist: list) -> bool:
+    """Bellman-Ford in place: lower dist[head] to dist[tail] + cost along
+    every arc (tail, head) until nothing moves; None stands for +infinity.
+
+    True when dist settled within len(dist) rounds, which it always does
+    unless a negative cycle is reachable from the seeded nodes.
+    """
+    for _ in range(len(dist)):
         changed = False
-        for k, e in enumerate(graph.edges):
-            d = dist[e.tail]
+        for (tail, head), c in zip(arcs, costs):
+            d = dist[tail]
             if d is None:
                 continue
-            cand = d + reduced[k]
-            if dist[e.head] is None or cand < dist[e.head]:
-                dist[e.head] = cand
+            cand = d + c
+            if dist[head] is None or cand < dist[head]:
+                dist[head] = cand
                 changed = True
         if not changed:
-            break
-    else:
-        raise AssertionError("negative cycle under normalized weights")
-    if any(d is None for d in dist):
-        raise ValueError("graph is not strongly connected from node 0")
-    return dist  # type: ignore[return-value]
+            return True
+    return False
+
+
+def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
+                 first: Sequence[int], n: int) -> list:
+    """Minimum cost of a nonempty path along `arcs` that begins with one
+    of the arcs indexed by `first`, to every node; None where none exists.
+
+    With a node's out-arcs this is its phi row; with its in-arcs and the
+    arcs reversed it is its phi column.
+    """
+    dist: list[Fraction | None] = [None] * n
+    for k in first:
+        head = arcs[k][1]
+        if dist[head] is None or costs[k] < dist[head]:
+            dist[head] = costs[k]
+    _relax(arcs, costs, dist)
+    return dist
 
 
 def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     """Minimum cycle mean by Karp's formula, with a zero-cycle witness.
 
-    The witness is extracted from the subgraph of edges whose reduced
-    weight (after shortest-path reweighting) is exactly zero: the
-    shortest such cycle through the smallest node that lies on one.
+    The witness is the shortest cycle through the representative of the
+    first critical component, found inside that component.
     """
     n = graph.n_nodes
     weights = [Fraction(w) for w in weights]
@@ -152,26 +168,8 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     if abar is None:
         raise AssertionError("no cycle found in a strongly connected graph")
 
-    normalized = [w - abar for w in weights]
-    pot = _shortest_path_potentials(graph, normalized)
-    reduced = [normalized[k] + pot[e.tail] - pot[e.head] for k, e in enumerate(graph.edges)]
-    assert all(r >= 0 for r in reduced)
-    zero_succ: list[list[int]] = [[] for _ in range(n)]
-    for k, e in enumerate(graph.edges):
-        if reduced[k] == 0:
-            zero_succ[e.tail].append(e.head)
-    sccs = strongly_connected_components(zero_succ)
-    node_scc = [0] * n
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            node_scc[v] = ci
-    cyclic = set()
-    for k, e in enumerate(graph.edges):
-        if reduced[k] == 0 and node_scc[e.tail] == node_scc[e.head]:
-            cyclic.add(node_scc[e.tail])
-    start = min(min(sccs[ci]) for ci in cyclic)
-    home = node_scc[start]
-
+    crit = critical_structure(graph, weights, abar)
+    start = crit.components[0].representative
     parent: dict[int, tuple[int, int]] = {}  # node -> (previous node, edge index)
     queue = [start]
     seen = {start}
@@ -181,16 +179,16 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
         nxt: list[int] = []
         for u in queue:
             for k in graph.out_edges[u]:
-                e = graph.edges[k]
-                if reduced[k] != 0 or node_scc[e.head] != home:
+                if crit.edge_component.get(k) != 0:
                     continue
-                if e.head == start:
+                head = graph.edges[k].head
+                if head == start:
                     closing, last = k, u
                     break
-                if e.head not in seen:
-                    seen.add(e.head)
-                    parent[e.head] = (u, k)
-                    nxt.append(e.head)
+                if head not in seen:
+                    seen.add(head)
+                    parent[head] = (u, k)
+                    nxt.append(head)
             if closing is not None:
                 break
         queue = nxt
@@ -204,7 +202,7 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     witness = tuple(reversed(chain))
     total = sum(weights[k] for k in witness)
     assert total == abar * len(witness), "witness cycle mean disagrees with abar"
-    return ErgodicSummary(abar, witness)
+    return ErgodicSummary(abar, witness, crit)
 
 
 def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tuple[Fraction, ...], ...]:
@@ -215,61 +213,53 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tup
     """
     n = graph.n_nodes
     normalized = [Fraction(w) - abar for w in weights]
+    arcs = [(e.tail, e.head) for e in graph.edges]
     rows: list[tuple[Fraction, ...]] = []
     for i in range(n):
-        dist: list[Fraction | None] = [None] * n
-        for k in graph.out_edges[i]:
-            e = graph.edges[k]
-            cand = normalized[k]
-            if dist[e.head] is None or cand < dist[e.head]:
-                dist[e.head] = cand
-        for _ in range(n):
-            changed = False
-            for k, e in enumerate(graph.edges):
-                d = dist[e.tail]
-                if d is None:
-                    continue
-                cand = d + normalized[k]
-                if dist[e.head] is None or cand < dist[e.head]:
-                    dist[e.head] = cand
-                    changed = True
-            if not changed:
-                break
+        dist = _path_minima(arcs, normalized, graph.out_edges[i], n)
         if any(d is None for d in dist):
             raise ValueError("graph is not strongly connected")
-        rows.append(tuple(dist))  # type: ignore[arg-type]
+        rows.append(tuple(dist))
     return tuple(rows)
 
 
-def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction,
-                       phi: Sequence[Sequence[Fraction]]) -> CriticalStructure:
-    """Critical edges by the exact round-trip test, components by SCC.
+def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> CriticalStructure:
+    """Critical edges and their components from one zero-cycle pass.
 
-    An edge is critical iff (w - abar) + phi[head][tail] == 0, i.e. it
-    closes into a zero-mean cycle. Components are the strongly connected
-    pieces of the critical subgraph that contain at least one edge,
-    ordered by smallest node; that node is the representative.
+    Shortest-path potentials from node 0 reweight the normalized costs
+    w - abar to reduced costs that are nonnegative and keep every cycle
+    sum (Johnson's reweighting). An edge lies on a zero-mean cycle
+    exactly when its reduced cost is zero and both ends share a strongly
+    connected component of the zero-cost subgraph. Components are those
+    SCCs that contain a critical edge, ordered by smallest node; that
+    node is the representative.
     """
     n = graph.n_nodes
     weights = tuple(Fraction(w) for w in weights)
-    critical = tuple(
-        k for k, e in enumerate(graph.edges)
-        if (weights[k] - abar) + phi[e.head][e.tail] == 0
-    )
+    normalized = [w - abar for w in weights]
+    arcs = [(e.tail, e.head) for e in graph.edges]
+    pot: list[Fraction | None] = [None] * n
+    pot[0] = Fraction(0)
+    if not _relax(arcs, normalized, pot):
+        raise AssertionError("negative cycle under normalized weights")
+    if any(d is None for d in pot):
+        raise ValueError("graph is not strongly connected from node 0")
+    reduced = [c + pot[tail] - pot[head] for (tail, head), c in zip(arcs, normalized)]
+    assert all(r >= 0 for r in reduced)
+    zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
-    for k in critical:
-        e = graph.edges[k]
-        succ[e.tail].append(e.head)
+    for k in zero:
+        tail, head = arcs[k]
+        succ[tail].append(head)
     sccs = strongly_connected_components(succ)
     node_scc = [0] * n
     for ci, comp in enumerate(sccs):
         for v in comp:
             node_scc[v] = ci
+    critical = tuple(k for k in zero if node_scc[arcs[k][0]] == node_scc[arcs[k][1]])
     edges_by_scc: dict[int, list[int]] = {}
     for k in critical:
-        e = graph.edges[k]
-        assert node_scc[e.tail] == node_scc[e.head], "critical edge crosses components"
-        edges_by_scc.setdefault(node_scc[e.tail], []).append(k)
+        edges_by_scc.setdefault(node_scc[arcs[k][0]], []).append(k)
     raw = [(min(sccs[ci]), sccs[ci], sorted(ks)) for ci, ks in edges_by_scc.items()]
     raw.sort()
     components: list[Component] = []
@@ -301,8 +291,7 @@ def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction,
     )
 
 
-def peierls_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
-                   phi: Sequence[Sequence[Fraction]],
+def peierls_matrix(phi: Sequence[Sequence[Fraction]],
                    crit: CriticalStructure) -> tuple[tuple[Fraction, ...], ...]:
     """h[i][j] = min over critical z of phi[i][z] + phi[z][j].
 
@@ -312,7 +301,7 @@ def peierls_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
     """
     if not crit.critical_nodes:
         raise AssertionError("no critical node: witness cycle must produce one")
-    n = graph.n_nodes
+    n = len(phi)
     rows = []
     for i in range(n):
         rows.append(tuple(
@@ -334,16 +323,12 @@ def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],
     return tuple(out)
 
 
-def calibrated_fixed_point(graph, weights: Sequence[Fraction], abar: Fraction,
-                           crit: CriticalStructure,
-                           h: Sequence[Sequence[Fraction]] | None = None) -> tuple[Fraction, ...]:
+def calibrated_fixed_point(crit: CriticalStructure,
+                           h: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """The pointwise minimum of the barrier rows of the component
     representatives: an exact fixed point of lax_oleinik_step."""
-    if h is None:
-        phi = mane_matrix(graph, weights, abar)
-        h = peierls_matrix(graph, weights, abar, phi, crit)
     reps = crit.representatives
-    return tuple(min(h[r][j] for r in reps) for j in range(graph.n_nodes))
+    return tuple(min(h[r][j] for r in reps) for j in range(len(h)))
 
 
 @dataclass(frozen=True)
@@ -364,8 +349,8 @@ class ConstraintPolytope:
         )
 
 
-def constraint_polytope(crit: CriticalStructure, h: Sequence[Sequence[Fraction]],
-                        representatives: Sequence[int] | None = None) -> ConstraintPolytope:
-    reps = tuple(representatives) if representatives is not None else crit.representatives
+def constraint_polytope(crit: CriticalStructure,
+                        h: Sequence[Sequence[Fraction]]) -> ConstraintPolytope:
+    reps = crit.representatives
     matrix = tuple(tuple(h[a][b] for b in reps) for a in reps)
     return ConstraintPolytope(reps, matrix)

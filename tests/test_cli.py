@@ -13,6 +13,7 @@ from ergopt.instances import read_matrix_csv, read_subaction_csv
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
 GOLDEN = str(INSTANCE_DIR / "golden_mean.json")
+TWO_SIDED = str(INSTANCE_DIR / "two_sided.json")
 
 E1_SOLVE = """\
 alphabet size: 2
@@ -262,6 +263,14 @@ class TestOracle:
         res = run_cli("oracle", "--instance", str(path))
         assert res.returncode == 0
         assert res.stdout.endswith("check holonomic: ok\n")
+
+    def test_two_sided_instance_file(self):
+        res = run_cli("oracle", "--instance", TWO_SIDED)
+        assert res.returncode == 0
+        assert res.stdout == (
+            "check abar: ok\ncheck phi: ok\ncheck h: ok\ncheck calibration: ok\n"
+            "check holonomic: ok\n"
+        )
 
     def test_seeded_batch(self):
         res = run_cli("oracle", "--seed", "7")

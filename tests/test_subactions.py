@@ -151,12 +151,14 @@ class TestSeparating:
         for gamma in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
             with pytest.raises(ValueError):
                 separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                     e1_bundle.abar, e1_bundle.crit, 2, gamma=gamma)
+                                     e1_bundle.abar, e1_bundle.crit, 2,
+                                     h=e1_bundle.barriers.h, gamma=gamma)
 
     def test_depth_validation(self, e1_bundle):
         with pytest.raises(ValueError):
             separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                 e1_bundle.abar, e1_bundle.crit, 0)
+                                 e1_bundle.abar, e1_bundle.crit, 0,
+                                 h=e1_bundle.barriers.h)
 
     def test_gamma_scales_values_not_tightness(self, e2_bundle):
         args = (e2_bundle.graph, e2_bundle.weights, e2_bundle.abar, e2_bundle.crit)

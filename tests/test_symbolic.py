@@ -18,7 +18,6 @@ from ergopt.symbolic import (
     build_sft,
     lasso_distance,
     lasso_shift,
-    lift,
     lift_to,
     lift_values,
     node_of,
@@ -226,7 +225,7 @@ class TestLift:
     def test_lifted_weights_follow_prefix(self):
         g = refine(GOLDEN, 1)
         weights = tuple(Fraction(i) for i in range(g.n_edges))
-        lifted, lw = lift(g, weights)
+        lifted, lw = lift_to(g, weights, 2)
         assert lifted.order == 2
         for e, w in zip(lifted.edges, lw):
             assert w == weights[g.edge_index(e.word[:2])]
@@ -234,8 +233,8 @@ class TestLift:
     def test_lift_to_matches_iterated_lift(self):
         g = refine(FULL2, 1)
         weights = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-        once, w_once = lift(g, weights)
-        twice, w_twice = lift(once, w_once)
+        once, w_once = lift_to(g, weights, 2)
+        twice, w_twice = lift_to(once, w_once, 3)
         direct, w_direct = lift_to(g, weights, 3)
         assert direct.node_words == twice.node_words
         assert w_direct == w_twice

@@ -14,6 +14,7 @@ from ergopt.subactions import calibrated_from_boundary
 from ergopt.symbolic import build_sft, refine
 from ergopt.tropical import (
     SimpleDigraph,
+    _path_minima,
     calibrated_fixed_point,
     constraint_polytope,
     critical_structure,
@@ -115,11 +116,28 @@ class TestCriticalStructure:
         graph = refine(sft, 1)
         weights = compile_weights(pot, graph)
         summary = minimizing_value(graph, weights)
-        phi = mane_matrix(graph, weights, summary.abar)
-        crit = critical_structure(graph, weights, summary.abar, phi)
+        crit = critical_structure(graph, weights, summary.abar)
+        assert crit.critical_edges == summary.crit.critical_edges
         assert len(crit.critical_edges) == graph.n_edges
         assert len(crit.components) == 1
         assert crit.components[0].nodes == (0, 1)
+
+    def test_round_trip_definition_on_corpus(self, corpus_bundles, two_sided_corpus):
+        # an edge is critical exactly when it closes into a zero-mean
+        # cycle: (w - abar) + phi[head][tail] == 0; and the relaxation
+        # kernel on reversed arcs yields the columns of phi
+        bundles = corpus_bundles + [solve_instance(inst) for inst in two_sided_corpus]
+        for b in bundles:
+            phi, g = b.barriers.phi, b.graph
+            assert b.crit.critical_edges == tuple(
+                k for k, e in enumerate(g.edges)
+                if (b.weights[k] - b.abar) + phi[e.head][e.tail] == 0
+            )
+            normalized = [w - b.abar for w in b.weights]
+            back = [(e.head, e.tail) for e in g.edges]
+            for j in range(g.n_nodes):
+                col = _path_minima(back, normalized, g.in_edges[j], g.n_nodes)
+                assert col == [phi[i][j] for i in range(g.n_nodes)]
 
     def test_pairwise_component_test_on_corpus(self, corpus_bundles):
         # two critical nodes share a component exactly when their
@@ -202,10 +220,9 @@ class TestRelayFormula:
     def test_recomputation_matches_bundle(self, golden_bundle):
         b = golden_bundle
         phi = mane_matrix(b.graph, b.weights, b.abar)
-        crit = critical_structure(b.graph, b.weights, b.abar, phi)
-        h = peierls_matrix(b.graph, b.weights, b.abar, phi, crit)
+        crit = critical_structure(b.graph, b.weights, b.abar)
+        h = peierls_matrix(phi, crit)
         assert rows(phi) == rows(b.barriers.phi)
+        assert crit.critical_edges == b.crit.critical_edges
         assert rows(h) == rows(b.barriers.h)
-        assert calibrated_fixed_point(b.graph, b.weights, b.abar, crit, h=h) == (
-            b.fixed_point
-        )
+        assert calibrated_fixed_point(crit, h) == b.fixed_point
