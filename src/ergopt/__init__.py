@@ -12,7 +12,6 @@ from .errors import (
     IncompatibleOrder,
     InstanceFormatError,
     LambdaOutOfRange,
-    NoAdmissiblePast,
     NoPathExists,
     NotASubAction,
     NotCalibrated,

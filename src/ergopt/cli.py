@@ -19,6 +19,7 @@ from .instances import (
     format_word,
     load_instance,
     matrix_csv_text,
+    parse_fraction,
     random_instance,
     read_subaction_csv,
     subaction_csv_text,
@@ -33,24 +34,19 @@ from .subactions import (
     separating_subaction,
     verify,
 )
-from .symbolic import DEFAULT_NODE_BUDGET, lift_to, refine
+from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, lift_to, refine
 from .tropical import constraint_polytope, lax_oleinik_step
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, where: str = "value") -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return parse_fraction(text, where)
+    except InstanceFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _boundary(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            "boundary must be comma-separated rationals"
-        ) from exc
+    return tuple(_fraction(part, "boundary value") for part in text.split(","))
 
 
 def _dominant(text: str) -> tuple[int, Fraction]:
@@ -58,8 +54,8 @@ def _dominant(text: str) -> tuple[int, Fraction]:
     try:
         if not sep:
             raise ValueError
-        return int(head), Fraction(tail)
-    except (ValueError, ZeroDivisionError) as exc:
+        return int(head), parse_fraction(tail)
+    except (ValueError, InstanceFormatError) as exc:
         raise argparse.ArgumentTypeError(
             "expected COMPONENT,VALUE (1-based index, rational value)"
         ) from exc
@@ -154,6 +150,8 @@ def cmd_separate(args) -> int:
     bundle = solve_instance(inst, node_budget=args.max_nodes)
     s = inst.sft.alphabet_size
     depth = args.depth if args.depth is not None else bundle.graph.order
+    # the lifted graph's nodes, checked against --max-nodes up front
+    node_words = admissible_words(inst.sft, depth, args.max_nodes)
     try:
         sub, cert = separating_subaction(
             bundle.graph, bundle.weights, bundle.abar, bundle.crit,
@@ -166,9 +164,7 @@ def cmd_separate(args) -> int:
     tight = ", ".join(format_word(w, s) for w in cert.tight_words)
     print(f"certificate: OK; tight words: {tight}")
     if args.out:
-        lifted, _ = lift_to(bundle.graph, bundle.weights, sub.depth,
-                            node_budget=args.max_nodes)
-        text = subaction_csv_text(lifted.node_words, sub.values, s)
+        text = subaction_csv_text(node_words, sub.values, s)
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
@@ -340,22 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception type -> exit code; the first entry the error is an instance
+# of wins, so subclasses come before ErgoptError.
+_EXIT_CODES = {
+    InstanceFormatError: 2,
+    OSError: 2,
+    BudgetExceeded: 4,
+    OracleMismatch: 5,
+    ErgoptError: 3,
+    ValueError: 3,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OracleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ErgoptError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -43,13 +43,6 @@ class NotInConstraintSet(ErgoptError):
     """Boundary data violates the pairwise barrier inequalities."""
 
 
-class NoAdmissiblePast(ErgoptError):
-    """A two-sided evaluation found no admissible chain of past symbols."""
-
-    # Unreachable for irreducible transition matrices, but the reduction
-    # guards against it anyway rather than producing min() of nothing.
-
-
 class NoPathExists(ErgoptError):
     """No admissible path realizes the requested endpoints and length."""
 

@@ -31,7 +31,13 @@ class Instance:
     potential: OneSidedPotential | TwoSidedPotential
 
 
+# Python's default limit on the digits of an integer string; a larger
+# decimal exponent would make Fraction build a power of ten that long.
+MAX_EXPONENT = 4300
+
+
 def parse_fraction(value, where: str = "value") -> Fraction:
+    """The one path from instance, CSV or command-line text to a rational."""
     if isinstance(value, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(value, int):
@@ -41,7 +47,12 @@ def parse_fraction(value, where: str = "value") -> Fraction:
             f"{where}: write non-integer numbers as strings like \"1/2\" or \"0.25\""
         )
     if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
         try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise InstanceFormatError(
+                    f"{where}: exponent beyond {MAX_EXPONENT} in magnitude: {value!r}"
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"{where}: not a rational: {value!r}") from exc
@@ -90,8 +101,6 @@ def parse_instance(data: dict) -> Instance:
     lam = parse_fraction(_require(data, "lambda", "instance"), "lambda")
     try:
         sft = build_sft(size, matrix, lam)
-    except ErgoptError:
-        raise
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"transition: {exc}") from exc
 
@@ -149,20 +158,16 @@ def dump_instance(instance: Instance) -> dict:
         "transition": [list(row) for row in sft.transition],
         "lambda": format_fraction(sft.lam),
     }
-    if isinstance(pot, OneSidedPotential):
-        declared = pot.declared_range
-        entries = {}
-        for w in admissible_words(sft, declared):
-            if declared == pot.range:
-                value = pot.table[w]
-            else:
-                # promoted tables are constant across extensions
-                ext = w
-                while len(ext) < pot.range:
-                    ext = ext + (sft.successors[ext[-1]][0],)
-                value = pot.table[ext]
-            entries[format_word(w, sft.alphabet_size)] = format_fraction(value)
-        data["potential"] = {"side": "one", "range": declared, "entries": entries}
+    one_sided = isinstance(pot, OneSidedPotential)
+    # A range-1 table is kept promoted to range 2, constant across the
+    # extensions of each 1-word, so keys are cut back to the declared range.
+    width = pot.declared_range if one_sided else pot.past_depth + pot.future_depth
+    entries = {
+        format_word(w[:width], sft.alphabet_size): format_fraction(v)
+        for w, v in sorted(pot.table.items())
+    }
+    if one_sided:
+        data["potential"] = {"side": "one", "range": width, "entries": entries}
         if pot.holder_theta is not None or pot.holder_const is not None:
             data["holder"] = {}
             if pot.holder_theta is not None:
@@ -170,10 +175,6 @@ def dump_instance(instance: Instance) -> dict:
             if pot.holder_const is not None:
                 data["holder"]["const"] = format_fraction(pot.holder_const)
     else:
-        entries = {
-            format_word(w, sft.alphabet_size): format_fraction(v)
-            for w, v in sorted(pot.table.items())
-        }
         data["potential"] = {
             "side": "two",
             "past_depth": pot.past_depth,
@@ -230,20 +231,25 @@ def read_subaction_csv(path) -> tuple[list[Word], list[Fraction]]:
     return words, values
 
 
+def _random_sft(rng: random.Random) -> SftSystem:
+    """Irreducible system on 2 or 3 symbols with lambda 1/2, redrawn
+    until the matrix is valid."""
+    while True:
+        s = rng.choice((2, 3))
+        matrix = [[1 if rng.random() < 0.6 else 0 for _ in range(s)] for _ in range(s)]
+        try:
+            return build_sft(s, matrix, Fraction(1, 2))
+        except ErgoptError:
+            continue
+
+
 def random_instance(rng: random.Random) -> Instance:
     """Small irreducible system with a one-sided integer table.
 
     Alphabet 2 or 3, range 1 or 2, weights 0..4, lambda 1/2: the scale
     every brute-force oracle handles comfortably.
     """
-    while True:
-        s = rng.choice((2, 3))
-        matrix = [[1 if rng.random() < 0.6 else 0 for _ in range(s)] for _ in range(s)]
-        try:
-            sft = build_sft(s, matrix, Fraction(1, 2))
-        except ErgoptError:
-            continue
-        break
+    sft = _random_sft(rng)
     m = rng.choice((1, 2))
     entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, m)}
     return Instance(sft, build_one_sided(sft, m, entries))
@@ -251,13 +257,6 @@ def random_instance(rng: random.Random) -> Instance:
 
 def random_two_sided(rng: random.Random) -> Instance:
     """Depth-(1,1) two-sided table on a random small system."""
-    while True:
-        s = rng.choice((2, 3))
-        matrix = [[1 if rng.random() < 0.6 else 0 for _ in range(s)] for _ in range(s)]
-        try:
-            sft = build_sft(s, matrix, Fraction(1, 2))
-        except ErgoptError:
-            continue
-        break
+    sft = _random_sft(rng)
     entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, 2)}
     return Instance(sft, build_two_sided(sft, 1, 1, entries))

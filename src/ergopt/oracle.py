@@ -18,12 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NoPathExists, TooLarge
-from .potential import (
-    OneSidedPotential,
-    TwoSidedPotential,
-    admissible_pasts,
-    admissible_words,
-)
+from .potential import OneSidedPotential, TwoSidedPotential, admissible_words
 from .symbolic import DeBruijnGraph, LassoPoint, SftSystem, lasso_shift, node_of
 from .tropical import CriticalStructure, mane_matrix, peierls_matrix
 
@@ -179,10 +174,10 @@ def _step_table(potential, sft: SftSystem) -> tuple[int, Mapping]:
         return potential.range, potential.table
     if isinstance(potential, TwoSidedPotential):
         q = potential.future_depth
+        pasts = admissible_words(sft, potential.past_depth)
         table = {}
         for w in admissible_words(sft, q):
-            pasts = admissible_pasts(sft, potential.past_depth, w[0])
-            table[w] = min(potential.table[y + w] for y in pasts)
+            table[w] = min(potential.table[y + w] for y in pasts if sft.allows(y[-1], w[0]))
         return q, table
     raise TypeError(f"not a potential: {type(potential).__name__}")
 

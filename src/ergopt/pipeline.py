@@ -43,18 +43,16 @@ class SolveBundle:
         return self.summary.crit
 
 
-def solve_potential(sft, potential, order=None, node_budget=DEFAULT_NODE_BUDGET):
+def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
     """Refine, weight, and solve; returns everything downstream needs.
 
     A two-sided table is first reduced to its one-sided envelope. The
-    working order defaults to the smallest one carrying the weights.
+    working order is the smallest one carrying the weights.
     """
     source = potential
     if isinstance(potential, TwoSidedPotential):
         potential = reduce_two_sided(potential, sft)
-    if order is None:
-        order = max(potential.range - 1, 1)
-    graph = refine(sft, order, node_budget=node_budget)
+    graph = refine(sft, max(potential.range - 1, 1), node_budget=node_budget)
     weights = compile_weights(potential, graph)
     summary = minimizing_value(graph, weights)
     phi = mane_matrix(graph, weights, summary.abar)
@@ -73,7 +71,5 @@ def solve_potential(sft, potential, order=None, node_budget=DEFAULT_NODE_BUDGET)
     )
 
 
-def solve_instance(instance: Instance, order=None, node_budget=DEFAULT_NODE_BUDGET):
-    return solve_potential(
-        instance.sft, instance.potential, order=order, node_budget=node_budget
-    )
+def solve_instance(instance: Instance, node_budget=DEFAULT_NODE_BUDGET):
+    return solve_potential(instance.sft, instance.potential, node_budget=node_budget)

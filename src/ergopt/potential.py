@@ -9,15 +9,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import IncompatibleOrder, NoAdmissiblePast, NotASubAction
-from .symbolic import DeBruijnGraph, SftSystem, Word
+from .errors import IncompatibleOrder, NotASubAction
+from .symbolic import DeBruijnGraph, SftSystem, Word, admissible_words, count_words
 
 
-def admissible_words(sft: SftSystem, length: int) -> list[Word]:
-    words: list[Word] = [(a,) for a in range(sft.alphabet_size)]
-    for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in sft.successors[w[-1]]]
-    return words
+def _table(sft: SftSystem, length: int, entries: Mapping) -> dict[Word, Fraction]:
+    """Rational values on exactly the admissible words of `length`.
+
+    Every key is checked to be an admissible word of that length and to
+    appear once, so the table is complete exactly when its size equals
+    the count of admissible words; no word list is built.
+    """
+    table: dict[Word, Fraction] = {}
+    for key, val in entries.items():
+        word = tuple(int(s) for s in key)
+        if len(word) != length:
+            raise ValueError(f"table word {word} does not have length {length}")
+        if not sft.admissible(word):
+            raise ValueError(f"table word {word} is not admissible")
+        if word in table:
+            raise ValueError(f"duplicate table word {word}")
+        table[word] = Fraction(val)
+    if count_words(sft, length, len(table)) != len(table):
+        raise ValueError(
+            f"table is missing admissible words of length {length}: "
+            f"it has only {len(table)}"
+        )
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +71,7 @@ def build_one_sided(sft: SftSystem, m: int, entries: Mapping, *,
     """Validate a range-m table: exactly the admissible m-words, rational values."""
     if m < 1:
         raise ValueError(f"potential range must be >= 1, got {m}")
-    table: dict[Word, Fraction] = {}
-    for key, val in entries.items():
-        word = tuple(int(s) for s in key)
-        if len(word) != m:
-            raise ValueError(f"table word {word} does not have length {m}")
-        if not sft.admissible(word):
-            raise ValueError(f"table word {word} is not admissible")
-        if word in table:
-            raise ValueError(f"duplicate table word {word}")
-        table[word] = Fraction(val)
-    missing = [w for w in admissible_words(sft, m) if w not in table]
-    if missing:
-        raise ValueError(f"table is missing admissible words, first: {missing[0]}")
+    table = _table(sft, m, entries)
     declared = m
     if m == 1:
         table = {w: table[w[:1]] for w in admissible_words(sft, 2)}
@@ -95,28 +101,7 @@ class TwoSidedPotential:
 def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping) -> TwoSidedPotential:
     if p < 1 or q < 1:
         raise ValueError("past and future depths must both be >= 1")
-    table: dict[Word, Fraction] = {}
-    for key, val in entries.items():
-        word = tuple(int(s) for s in key)
-        if len(word) != p + q:
-            raise ValueError(f"table word {word} does not have length {p + q}")
-        if not sft.admissible(word):
-            raise ValueError(f"table word {word} is not admissible")
-        if word in table:
-            raise ValueError(f"duplicate table word {word}")
-        table[word] = Fraction(val)
-    missing = [w for w in admissible_words(sft, p + q) if w not in table]
-    if missing:
-        raise ValueError(f"table is missing admissible words, first: {missing[0]}")
-    return TwoSidedPotential(sft, p, q, table)
-
-
-def admissible_pasts(sft: SftSystem, p: int, anchor: int) -> list[Word]:
-    """All admissible p-words y_p...y_1 that can precede the symbol `anchor`."""
-    chains: list[Word] = [(y,) for y in sft.predecessors[anchor]]
-    for _ in range(p - 1):
-        chains = [(y,) + c for c in chains for y in sft.predecessors[c[0]]]
-    return chains
+    return TwoSidedPotential(sft, p, q, _table(sft, p + q, entries))
 
 
 def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotential:
@@ -125,15 +110,16 @@ def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotenti
     The minimizing value of the result equals the holonomic minimizing
     value of ahat: every length-k path of the two-sided model picks its
     pasts freely step by step, so minimizing per step loses nothing.
+    The table keys are exactly the admissible words y + w, so one pass
+    over them meets every past of every w.
     """
-    p, q = ahat.past_depth, ahat.future_depth
+    p = ahat.past_depth
     reduced: dict[Word, Fraction] = {}
-    for w in admissible_words(sft, q):
-        pasts = admissible_pasts(sft, p, w[0])
-        if not pasts:
-            raise NoAdmissiblePast(f"no admissible past of depth {p} before {w}")
-        reduced[w] = min(ahat.table[y + w] for y in pasts)
-    return build_one_sided(sft, q, reduced)
+    for word, val in ahat.table.items():
+        w = word[p:]
+        if w not in reduced or val < reduced[w]:
+            reduced[w] = val
+    return build_one_sided(sft, ahat.future_depth, reduced)
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,6 +149,38 @@ def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSy
     return SftSystem(alphabet_size, transition, lam, successors, predecessors)
 
 
+def count_words(sft: SftSystem, length: int, cap: int) -> int:
+    """The number of admissible words of `length`, or some number above
+    `cap` once the count passes it. No word is built; every symbol has a
+    successor, so the count never falls as the length grows.
+    """
+    ending = [1] * sft.alphabet_size
+    total = sft.alphabet_size
+    for _ in range(length - 1):
+        if total > cap:
+            break
+        ending = [sum(ending[a] for a in sft.predecessors[b]) for b in range(sft.alphabet_size)]
+        total = sum(ending)
+    return total
+
+
+def admissible_words(sft: SftSystem, length: int,
+                     node_budget: int = DEFAULT_NODE_BUDGET) -> list[Word]:
+    """The admissible words of `length` in lexicographic order.
+
+    The words are counted first, so a request past `node_budget` raises
+    BudgetExceeded before any list is built.
+    """
+    if count_words(sft, length, node_budget) > node_budget:
+        raise BudgetExceeded(
+            f"admissible {length}-words exceed the node budget of {node_budget}"
+        )
+    words: list[Word] = [(a,) for a in range(sft.alphabet_size)]
+    for _ in range(length - 1):
+        words = [w + (b,) for w in words for b in sft.successors[w[-1]]]
+    return words
+
+
 @dataclass(frozen=True)
 class LassoPoint:
     """Eventually periodic point, preperiod + repeating cycle.
@@ -241,17 +273,7 @@ class DeBruijnGraph:
             raise ValueError(f"graph order must be >= 1, got {order}")
         self.sft = sft
         self.order = order
-        words: list[Word] = [(a,) for a in range(sft.alphabet_size)]
-        if len(words) > node_budget:
-            raise BudgetExceeded(
-                f"order-{order} refinement exceeds the node budget of {node_budget}"
-            )
-        for _ in range(order - 1):
-            words = [w + (b,) for w in words for b in sft.successors[w[-1]]]
-            if len(words) > node_budget:
-                raise BudgetExceeded(
-                    f"order-{order} refinement exceeds the node budget of {node_budget}"
-                )
+        words = admissible_words(sft, order, node_budget)
         self.node_words: tuple[Word, ...] = tuple(words)
         self._node_index = {w: i for i, w in enumerate(words)}
         edges: list[Edge] = []

@@ -116,14 +116,16 @@ def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
     of the arcs indexed by `first`, to every node; None where none exists.
 
     With a node's out-arcs this is its phi row; with its in-arcs and the
-    arcs reversed it is its phi column.
+    arcs reversed it is its phi column. A negative cycle within reach
+    has no minimum and raises ValueError.
     """
     dist: list[Fraction | None] = [None] * n
     for k in first:
         head = arcs[k][1]
         if dist[head] is None or costs[k] < dist[head]:
             dist[head] = costs[k]
-    _relax(arcs, costs, dist)
+    if not _relax(arcs, costs, dist):
+        raise ValueError("a negative cycle is reachable: path minima do not exist")
     return dist
 
 
@@ -208,8 +210,10 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
 def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     """phi[i][j] = minimum over nonempty paths i -> j of sum(w - abar).
 
-    Normalized weights have no negative cycle, so walk minima are path
-    minima and the per-source relaxation settles within n rounds.
+    When abar is the minimum cycle mean, normalized weights have no
+    negative cycle, so walk minima are path minima and the per-source
+    relaxation settles within n rounds. A larger abar leaves a negative
+    cycle and raises ValueError.
     """
     n = graph.n_nodes
     normalized = [Fraction(w) - abar for w in weights]
@@ -298,14 +302,19 @@ def peierls_matrix(phi: Sequence[Sequence[Fraction]],
     Long minimizing paths can idle inside the critical graph at zero
     cost, so the liminf over path lengths relays through some critical
     node; the oracle checks this identity against fixed-length minima.
+    One node per critical component suffices: for z and the
+    representative r of its component, phi[z][r] + phi[r][z] = 0, so
+    phi[i][r] + phi[r][j] <= phi[i][z] + phi[z][j] and relaying through
+    z never beats relaying through r.
     """
-    if not crit.critical_nodes:
+    reps = crit.representatives
+    if not reps:
         raise AssertionError("no critical node: witness cycle must produce one")
     n = len(phi)
     rows = []
     for i in range(n):
         rows.append(tuple(
-            min(phi[i][z] + phi[z][j] for z in crit.critical_nodes)
+            min(phi[i][r] + phi[r][j] for r in reps)
             for j in range(n)
         ))
     return tuple(rows)

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
 GOLDEN = str(INSTANCE_DIR / "golden_mean.json")
 TWO_SIDED = str(INSTANCE_DIR / "two_sided.json")
+HUGE = "1e999999999"  # Fraction would build a billion-digit power of ten
 
 E1_SOLVE = """\
 alphabet size: 2
@@ -69,10 +72,10 @@ holder const: 2
 """
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ergopt", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -339,6 +342,64 @@ class TestExitCodes:
         res = run_cli("solve", "--instance", E2, "--max-nodes", "2")
         assert res.returncode == 4
         assert "budget" in res.stderr
+
+    def test_huge_exponent_entry(self, tmp_path):
+        path = tmp_path / "x.json"
+        data = json.loads(Path(E1).read_text(encoding="utf-8"))
+        data["potential"]["entries"]["1"] = HUGE
+        path.write_text(json.dumps(data), encoding="utf-8")
+        res = run_cli("solve", "--instance", str(path), timeout=30)
+        assert res.returncode == 2
+        assert "entry '1'" in res.stderr
+
+    def test_huge_exponent_gamma(self):
+        res = run_cli("separate", "--instance", E1, "--gamma", HUGE, timeout=30)
+        assert res.returncode == 2
+
+    def test_huge_exponent_subaction_cell(self, tmp_path):
+        out = tmp_path / "u.csv"
+        out.write_text(f"word,value\n0,0\n1,{HUGE}\n", encoding="utf-8")
+        res = run_cli("verify", "--instance", E1, "--subaction", str(out), timeout=30)
+        assert res.returncode == 2
+
+    def test_range_far_past_the_table(self, tmp_path, capsys):
+        # listing the 4**10 admissible words to check completeness
+        # would take about 150 MiB
+        path = tmp_path / "x.json"
+        data = {
+            "alphabet_size": 4, "transition": [[1] * 4] * 4, "lambda": "1/2",
+            "potential": {"side": "one", "range": 10, "entries": {"0" * 10: 0}},
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["solve", "--instance", str(path)]) == 2
+            assert time.perf_counter() - start < 1
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert "missing" in capsys.readouterr().err
+
+    def test_missing_subaction_file(self, tmp_path):
+        res = run_cli("verify", "--instance", E1,
+                      "--subaction", str(tmp_path / "nope.csv"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+
+    def test_out_under_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        res = run_cli("barrier", "--instance", E2, "--out", str(blocker / "dir"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+
+    def test_separate_depth_past_the_node_budget(self):
+        res = run_cli("separate", "--instance", E1, "--depth", "11",
+                      "--max-nodes", "100")
+        assert res.returncode == 4
+        assert "budget" in res.stderr
+        assert res.stdout == ""
 
     def test_missing_instance_flag(self):
         assert run_cli("solve").returncode == 2

@@ -50,6 +50,13 @@ class TestParseFraction:
         with pytest.raises(InstanceFormatError):
             parse_fraction(bad)
 
+    def test_exponent_bound(self):
+        assert parse_fraction("1e4300") == 10**4300
+        assert parse_fraction("1E-4300") == Fraction(1, 10**4300)
+        for bad in ("1e4301", "2.5E-4301", "1e999999999"):
+            with pytest.raises(InstanceFormatError, match="entry '0'.*exponent"):
+                parse_fraction(bad, "entry '0'")
+
     def test_formatting(self):
         assert format_fraction(Fraction(1, 2)) == "1/2"
         assert format_fraction(Fraction(6, 2)) == "3"

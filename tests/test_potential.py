@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ergopt.errors import IncompatibleOrder, NotASubAction
+from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction
 from ergopt.instances import random_instance
 from ergopt.potential import (
     admissible_words,
@@ -16,7 +16,7 @@ from ergopt.potential import (
     truncate,
 )
 from ergopt.subactions import SubAction
-from ergopt.symbolic import build_sft, refine
+from ergopt.symbolic import build_sft, count_words, refine
 from ergopt.tropical import minimizing_value
 
 HALF = Fraction(1, 2)
@@ -37,6 +37,19 @@ class TestAdmissibleWords:
     def test_lexicographic(self):
         words = admissible_words(FULL2, 3)
         assert words == sorted(words)
+
+    def test_count_matches_the_list(self):
+        for length in range(1, 8):
+            n = len(admissible_words(GOLDEN, length))
+            assert count_words(GOLDEN, length, n) == n
+            assert count_words(GOLDEN, length, n - 1) > n - 1
+
+    def test_counted_before_built(self):
+        full4 = build_sft(4, [[1] * 4] * 4, HALF)
+        with pytest.raises(BudgetExceeded):
+            admissible_words(full4, 40, node_budget=1000)
+        with pytest.raises(ValueError, match="missing"):
+            one_sided(full4, 40, {(0,) * 40: 0})
 
 
 class TestBuildOneSided:

@@ -68,6 +68,14 @@ class TestMinimizingValue:
 
 
 class TestBarrierMatrices:
+    def test_abar_above_the_minimum_has_no_mane_matrix(self):
+        # abar 3 > 2 leaves the negative cycle 1 -> 1, so no row settles
+        g = SimpleDigraph(2, [(0, 1), (1, 0), (1, 1)])
+        weights = (Fraction(1), Fraction(3), Fraction(3))
+        assert mane_matrix(g, weights, Fraction(2)) == ((0, -1), (1, 0))
+        with pytest.raises(ValueError):
+            mane_matrix(g, weights, Fraction(3))
+
     def test_e1(self, e1_bundle):
         assert rows(e1_bundle.barriers.phi) == ((0, 0), (1, 1))
         assert rows(e1_bundle.barriers.h) == ((0, 0), (1, 1))
