@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
             f" edges {','.join(fmt(g.edges[k].word) for k in comp.edges)}"
         )
     if len(crit.components) >= 2:
-        poly = constraint_polytope(crit, bundle.barriers.h)
+        poly = constraint_polytope(crit)
         print("constraint matrix H:")
         for row in poly.matrix:
             print(",".join(format_fraction(v) for v in row))
@@ -125,16 +125,16 @@ def cmd_barrier(args) -> int:
 def cmd_calibrate(args) -> int:
     inst = load_instance(args.instance)
     bundle = solve_instance(inst, node_budget=args.max_nodes)
-    crit, h = bundle.crit, bundle.barriers.h
+    crit = bundle.crit
     if args.boundary is not None:
-        sub = calibrated_from_boundary(args.boundary, crit, h)
+        sub = calibrated_from_boundary(args.boundary, crit)
     elif args.dominant is not None:
         index, value = args.dominant
         if not 1 <= index <= len(crit.components):
             raise ValueError(
                 f"component index {index} out of range 1..{len(crit.components)}"
             )
-        sub = dominant_calibrated(index - 1, value, crit, h)
+        sub = dominant_calibrated(index - 1, value, crit)
     else:
         sub = SubAction(bundle.graph.order, bundle.fixed_point, "calibrated-from-boundary")
     print("node values: " + ",".join(format_fraction(v) for v in sub.values))
@@ -155,7 +155,7 @@ def cmd_separate(args) -> int:
     try:
         sub, cert = separating_subaction(
             bundle.graph, bundle.weights, bundle.abar, bundle.crit,
-            depth, bundle.barriers.h, gamma=args.gamma,
+            depth, gamma=args.gamma,
         )
     except BudgetExceeded as exc:
         residual = ", ".join(format_word(w, s) for w in (exc.residual_words or ()))
@@ -341,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {
     InstanceFormatError: 2,
     OSError: 2,
+    UnicodeDecodeError: 2,
     BudgetExceeded: 4,
     OracleMismatch: 5,
     ErgoptError: 3,

@@ -119,6 +119,8 @@ def parse_instance(data: dict) -> Instance:
         if side == "one":
             m = _require(pot_data, "range", "potential")
             holder = data.get("holder") or {}
+            if not isinstance(holder, dict):
+                raise InstanceFormatError("holder must be a JSON object")
             theta = holder.get("theta")
             const = holder.get("const")
             potential = build_one_sided(

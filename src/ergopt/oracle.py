@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import NoPathExists, TooLarge
 from .potential import OneSidedPotential, TwoSidedPotential, admissible_words
 from .symbolic import DeBruijnGraph, LassoPoint, SftSystem, lasso_shift, node_of
-from .tropical import CriticalStructure, mane_matrix, peierls_matrix
+from .tropical import CriticalStructure
 
 BRUTE_NODE_LIMIT = 10
 SYMBOL_BUDGET = 24
@@ -290,8 +290,7 @@ def s_epsilon(query: SEpsilonQuery, potential, sft: SftSystem) -> Fraction:
 
 
 def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
-                  weights: Sequence[Fraction], abar: Fraction,
-                  crit: CriticalStructure):
+                  weights: Sequence[Fraction], abar: Fraction):
     """Mane potential or Peierls barrier between two lasso points.
 
     Deepening the agreement with x forces any path to ride x's own
@@ -301,6 +300,10 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
     (the returned value) when x's cycle is critical, +infinity when the
     cycle accumulates positive cost. Landing exactly on y's orbit skips
     the matrix term and survives at every depth, Mane case only.
+
+    On a critical cycle the break point is critical, so its h and phi
+    rows agree: walks of 1..n steps reach the minimum, as a longer walk
+    repeats a node after its first step and can drop that cycle.
     """
     if kind not in ("mane", "peierls"):
         raise ValueError(f"kind must be 'mane' or 'peierls', got {kind!r}")
@@ -327,11 +330,12 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
             if z == y:
                 candidates.append(cum[t])
     if delta == 0:
-        phi = mane_matrix(graph, weights, abar)
-        matrix = phi if kind == "mane" else peierls_matrix(phi, crit)
         start = graph.node_index(expand[pre : pre + r])
         assert start == graph.node_index(expand[pre + cyc : pre + cyc + r])
-        candidates.append(cum[pre] + matrix[start][node_of(y, graph)])
+        target = node_of(y, graph)
+        rows = path_min_table(graph, weights, abar, start, graph.n_nodes)[1:]
+        candidates.append(cum[pre] + min(row[target] for row in rows
+                                         if row[target] is not None))
     if not candidates:
         return math.inf
     return min(candidates)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .instances import Instance
 from .potential import (
@@ -31,7 +32,6 @@ class SolveBundle:
     graph: DeBruijnGraph
     weights: tuple
     summary: ErgodicSummary
-    barriers: BarrierMatrices
     fixed_point: tuple
 
     @property
@@ -41,6 +41,12 @@ class SolveBundle:
     @property
     def crit(self) -> CriticalStructure:
         return self.summary.crit
+
+    @cached_property
+    def barriers(self) -> BarrierMatrices:
+        """The dense phi and h over all nodes, built on first access."""
+        phi = mane_matrix(self.graph, self.weights, self.abar, range(self.graph.n_nodes))
+        return BarrierMatrices(phi=phi, h=peierls_matrix(phi, self.crit))
 
 
 def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
@@ -55,10 +61,6 @@ def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
     graph = refine(sft, max(potential.range - 1, 1), node_budget=node_budget)
     weights = compile_weights(potential, graph)
     summary = minimizing_value(graph, weights)
-    phi = mane_matrix(graph, weights, summary.abar)
-    h = peierls_matrix(phi, summary.crit)
-    barriers = BarrierMatrices(phi=phi, h=h)
-    fixed_point = calibrated_fixed_point(summary.crit, h)
     return SolveBundle(
         sft=sft,
         potential=potential,
@@ -66,8 +68,7 @@ def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
         graph=graph,
         weights=weights,
         summary=summary,
-        barriers=barriers,
-        fixed_point=fixed_point,
+        fixed_point=calibrated_fixed_point(summary.crit),
     )
 
 

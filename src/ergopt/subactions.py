@@ -107,8 +107,7 @@ def _slacks(values: Sequence[Fraction], graph, weights: Sequence[Fraction],
     ]
 
 
-def calibrated_from_boundary(bd, crit: CriticalStructure,
-                             h: Sequence[Sequence[Fraction]]) -> SubAction:
+def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
     """u(x) = min over components i of [u_i + h(rep_i, x)].
 
     Boundary data must satisfy the pairwise constraints
@@ -116,43 +115,40 @@ def calibrated_from_boundary(bd, crit: CriticalStructure,
     restricting back to the representatives returns the data unchanged.
     """
     values = tuple(Fraction(v) for v in bd)
-    reps = crit.representatives
+    reps, rows = crit.representatives, crit.rows
     if len(values) != len(reps):
         raise ValueError(f"expected {len(reps)} boundary values, got {len(values)}")
     for i in range(len(reps)):
         for j in range(len(reps)):
-            if values[j] - values[i] > h[reps[i]][reps[j]]:
+            if values[j] - values[i] > rows[i][reps[j]]:
                 raise NotInConstraintSet(
                     f"boundary data violates u[{j}] - u[{i}] <= h(rep {i}, rep {j}) "
-                    f"= {h[reps[i]][reps[j]]}"
+                    f"= {rows[i][reps[j]]}"
                 )
     n = crit.graph.n_nodes
     u = tuple(
-        min(values[i] + h[reps[i]][x] for i in range(len(reps)))
+        min(values[i] + rows[i][x] for i in range(len(reps)))
         for x in range(n)
     )
     return SubAction(crit.graph.order, u, "calibrated-from-boundary")
 
 
-def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure,
-                        h: Sequence[Sequence[Fraction]]) -> SubAction:
+def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure) -> SubAction:
     """The unique calibrated sub-action whose boundary data is induced
     by component i0: u = u_i0 + h(rep_i0, .)."""
-    reps = crit.representatives
+    reps, rows = crit.representatives, crit.rows
     if not 0 <= i0 < len(reps):
         raise ValueError(f"component index {i0} out of range 0..{len(reps) - 1}")
-    if not crit.node_disjoint:
-        raise ValueError("dominant construction requires node-disjoint components")
     u_i0 = Fraction(u_i0)
-    bd = tuple(u_i0 + h[reps[i0]][reps[j]] for j in range(len(reps)))
-    direct = tuple(u_i0 + h[reps[i0]][x] for x in range(crit.graph.n_nodes))
-    rebuilt = calibrated_from_boundary(bd, crit, h)
+    bd = tuple(u_i0 + rows[i0][r] for r in reps)
+    direct = tuple(u_i0 + v for v in rows[i0])
+    rebuilt = calibrated_from_boundary(bd, crit)
     if rebuilt.values != direct:
         raise AssertionError("dominant row disagrees with its boundary reconstruction")
     for i1 in range(len(reps)):
         if i1 == i0:
             continue
-        if all(bd[j] == bd[i1] + h[reps[i1]][reps[j]] for j in range(len(reps))):
+        if all(bd[j] == bd[i1] + rows[i1][reps[j]] for j in range(len(reps))):
             raise AssertionError(
                 f"component {i1} also reproduces the dominant boundary data; "
                 "components cannot be disjoint"
@@ -215,7 +211,6 @@ def _lifted_representative(lifted: DeBruijnGraph, crit: CriticalStructure,
 
 def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
                          crit: CriticalStructure, depth_budget: int,
-                         h: Sequence[Sequence[Fraction]],
                          gamma: Fraction = Fraction(1, 2),
                          ) -> tuple[SubAction, SeparatingCertificate]:
     """Finite-depth separating sub-action by perturb-and-average.
@@ -237,7 +232,7 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
         raise ValueError(
             f"depth budget {depth_budget} is below the graph order {graph.order}"
         )
-    v = calibrated_fixed_point(crit, h)
+    v = calibrated_fixed_point(crit)
     lifted, lw = lift_to(graph, weights, depth_budget)
     u = lift_values(v, graph, lifted)
     reps = [

@@ -58,11 +58,11 @@ class Component:
 @dataclass(frozen=True, eq=False)
 class CriticalStructure:
     """Critical edges (those on a zero-mean cycle of normalized weight),
-    their strongly connected components, and the inputs they came from.
+    their strongly connected components (node-disjoint, as SCCs partition
+    nodes), the inputs they came from, and rows[i] = h(rep_i, .).
 
-    The components of the critical subgraph are node-disjoint by
-    construction (SCCs partition nodes, and a critical edge always joins
-    nodes of the same SCC); node_disjoint records the verified fact.
+    On a critical r, phi(r, r) = 0 gives h(r, .) <= phi(r, .); a relay
+    r -> z -> j is itself a path from r, so h(r, .) >= phi(r, .).
     """
 
     graph: object
@@ -73,7 +73,7 @@ class CriticalStructure:
     components: tuple[Component, ...]
     node_component: tuple[int | None, ...]
     edge_component: dict
-    node_disjoint: bool
+    rows: tuple[tuple[Fraction, ...], ...]
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -207,8 +207,10 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     return ErgodicSummary(abar, witness, crit)
 
 
-def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """phi[i][j] = minimum over nonempty paths i -> j of sum(w - abar).
+def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
+                sources: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows phi[i] of the sources i, in order, where phi[i][j] is the
+    minimum over nonempty paths i -> j of sum(w - abar).
 
     When abar is the minimum cycle mean, normalized weights have no
     negative cycle, so walk minima are path minima and the per-source
@@ -219,7 +221,7 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tup
     normalized = [Fraction(w) - abar for w in weights]
     arcs = [(e.tail, e.head) for e in graph.edges]
     rows: list[tuple[Fraction, ...]] = []
-    for i in range(n):
+    for i in sources:
         dist = _path_minima(arcs, normalized, graph.out_edges[i], n)
         if any(d is None for d in dist):
             raise ValueError("graph is not strongly connected")
@@ -269,29 +271,22 @@ def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> Cr
     components: list[Component] = []
     node_component: list[int | None] = [None] * n
     edge_component: dict[int, int] = {}
-    seen_nodes: set[int] = set()
-    disjoint = True
     for idx, (rep, nodes, ks) in enumerate(raw):
-        comp = Component(idx, tuple(nodes), tuple(ks), rep)
-        components.append(comp)
+        components.append(Component(idx, tuple(nodes), tuple(ks), rep))
         for v in nodes:
-            if v in seen_nodes:
-                disjoint = False
-            seen_nodes.add(v)
             node_component[v] = idx
         for k in ks:
             edge_component[k] = idx
-    critical_nodes = tuple(sorted(seen_nodes))
     return CriticalStructure(
         graph=graph,
         weights=weights,
         abar=Fraction(abar),
         critical_edges=critical,
-        critical_nodes=critical_nodes,
+        critical_nodes=tuple(v for v in range(n) if node_component[v] is not None),
         components=tuple(components),
         node_component=tuple(node_component),
         edge_component=edge_component,
-        node_disjoint=disjoint,
+        rows=mane_matrix(graph, weights, abar, [c.representative for c in components]),
     )
 
 
@@ -332,12 +327,10 @@ def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],
     return tuple(out)
 
 
-def calibrated_fixed_point(crit: CriticalStructure,
-                           h: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+def calibrated_fixed_point(crit: CriticalStructure) -> tuple[Fraction, ...]:
     """The pointwise minimum of the barrier rows of the component
     representatives: an exact fixed point of lax_oleinik_step."""
-    reps = crit.representatives
-    return tuple(min(h[r][j] for r in reps) for j in range(len(h)))
+    return tuple(min(column) for column in zip(*crit.rows))
 
 
 @dataclass(frozen=True)
@@ -358,8 +351,7 @@ class ConstraintPolytope:
         )
 
 
-def constraint_polytope(crit: CriticalStructure,
-                        h: Sequence[Sequence[Fraction]]) -> ConstraintPolytope:
+def constraint_polytope(crit: CriticalStructure) -> ConstraintPolytope:
     reps = crit.representatives
-    matrix = tuple(tuple(h[a][b] for b in reps) for a in reps)
+    matrix = tuple(tuple(row[b] for b in reps) for row in crit.rows)
     return ConstraintPolytope(reps, matrix)

@@ -52,6 +52,11 @@ def two_sided_corpus():
     return [random_two_sided(rng) for _ in range(N_TWO_SIDED)]
 
 
+@pytest.fixture(scope="session")
+def two_sided_bundles(two_sided_corpus):
+    return [solve_instance(inst) for inst in two_sided_corpus]
+
+
 def periodic_lassos(sft, max_period):
     """All purely periodic admissible lassos with cycle length <= max_period.
 

@@ -43,7 +43,7 @@ GOLDEN = str(INSTANCE_DIR / "golden_mean.json")
 def spanned_boundary(bundle, rng):
     """Boundary data inside the constraint set, as a min-plus combination
     of the matrix rows."""
-    poly = constraint_polytope(bundle.crit, bundle.barriers.h)
+    poly = constraint_polytope(bundle.crit)
     r = len(poly.representatives)
     c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
     return tuple(min(c[l] + poly.matrix[l][i] for l in range(r)) for i in range(r))
@@ -119,20 +119,19 @@ def test_ac3_calibration(corpus_bundles, e1_bundle, e2_bundle, golden_bundle):
     closures = 0
     for b in list(corpus_bundles) + [e1_bundle, e2_bundle, golden_bundle]:
         candidates = [
-            calibrated_from_boundary(spanned_boundary(b, rng), b.crit,
-                                     b.barriers.h).values,
+            calibrated_from_boundary(spanned_boundary(b, rng), b.crit).values,
             b.fixed_point,
         ]
         for i0 in range(len(b.crit.components)):
             candidates.append(
-                dominant_calibrated(i0, Fraction(0), b.crit, b.barriers.h).values
+                dominant_calibrated(i0, Fraction(0), b.crit).values
             )
         reps = b.crit.representatives
         for u in candidates:
             assert lax_oleinik_step(u, b.graph, b.weights, b.abar) == u
             fixed_points += 1
             restriction = tuple(u[i] for i in reps)
-            rebuilt = calibrated_from_boundary(restriction, b.crit, b.barriers.h)
+            rebuilt = calibrated_from_boundary(restriction, b.crit)
             assert rebuilt.values == u
             closures += 1
     print(f"AC-3 PASS: {fixed_points} calibrated outputs are exact "
@@ -145,11 +144,10 @@ def test_ac4_dominant(corpus_bundles, e2_bundle):
     assert multi, "corpus lost its multi-component instances"
     checked = 0
     for b in multi:
-        assert b.crit.node_disjoint
         reps = b.crit.representatives
         h = b.barriers.h
         for i0 in range(len(reps)):
-            u = dominant_calibrated(i0, Fraction(2), b.crit, h)
+            u = dominant_calibrated(i0, Fraction(2), b.crit)
             direct = tuple(Fraction(2) + h[reps[i0]][x]
                            for x in range(b.graph.n_nodes))
             assert u.values == direct
@@ -162,8 +160,8 @@ def test_ac4_dominant(corpus_bundles, e2_bundle):
                 )
                 assert reproduces == (i1 == i0)
             checked += 1
-    a = dominant_calibrated(0, Fraction(0), e2_bundle.crit, e2_bundle.barriers.h)
-    c = dominant_calibrated(1, Fraction(0), e2_bundle.crit, e2_bundle.barriers.h)
+    a = dominant_calibrated(0, Fraction(0), e2_bundle.crit)
+    c = dominant_calibrated(1, Fraction(0), e2_bundle.crit)
     assert a.values == (0, 1, 1) and c.values == (1, 1, 0)
     print(f"AC-4 PASS: dominant rows verified on {len(multi)} "
           f"multi-component systems ({checked} components), "
@@ -172,8 +170,7 @@ def test_ac4_dominant(corpus_bundles, e2_bundle):
 
 def test_ac5_separating(corpus_bundles, e1_bundle, e2_bundle):
     for b, want in ((e1_bundle, {(0, 0, 0)}), (e2_bundle, {(0, 0, 0), (2, 2, 2)})):
-        _, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2,
-                                       h=b.barriers.h)
+        _, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
         assert cert.ok
         assert set(cert.tight_words) == want == critical_words_at(b, 2)
 
@@ -183,7 +180,7 @@ def test_ac5_separating(corpus_bundles, e1_bundle, e2_bundle):
         depth = b.graph.n_nodes + 2
         try:
             sub, cert = separating_subaction(b.graph, b.weights, b.abar,
-                                             b.crit, depth, h=b.barriers.h)
+                                             b.crit, depth)
         except BudgetExceeded as exc:
             failures += 1
             assert exc.residual_words, "failure must name residual words"
@@ -209,11 +206,10 @@ def test_ac6_gap_analysis(corpus_bundles, e1_bundle, e2_bundle):
         fixed = SubAction(b.graph.order, b.fixed_point, "user-supplied")
         calibrated = [
             fixed,
-            calibrated_from_boundary(spanned_boundary(b, rng), b.crit,
-                                     b.barriers.h),
+            calibrated_from_boundary(spanned_boundary(b, rng), b.crit),
         ]
         sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit,
-                                      b.graph.order, h=b.barriers.h)
+                                      b.graph.order)
         others = [
             fixed,  # zero sub-action once the system is normalized
             sep,
@@ -226,8 +222,7 @@ def test_ac6_gap_analysis(corpus_bundles, e1_bundle, e2_bundle):
                 pairs += 1
 
     for b in (e1_bundle, e2_bundle):
-        sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2,
-                                      h=b.barriers.h)
+        sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
         lifted, _ = lift_to(b.graph, b.weights, 2)
         u = SubAction(2, lift_values(b.fixed_point, b.graph, lifted),
                       "user-supplied")

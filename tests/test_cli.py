@@ -297,6 +297,33 @@ class TestOracle:
         assert "error: forced" in capsys.readouterr().err
 
 
+class TestDenseMatricesOnDemand:
+    def test_only_barrier_builds_h(self, tmp_path, monkeypatch):
+        import ergopt.cli as cli
+        import ergopt.pipeline as pipeline
+
+        def no_h(*args):
+            raise AssertionError("the dense h was built")
+
+        bundles = []
+
+        def solve(*args, **kwargs):
+            bundles.append(pipeline.solve_instance(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(pipeline, "peierls_matrix", no_h)
+        monkeypatch.setattr(cli, "solve_instance", solve)
+        u = tmp_path / "u.csv"
+        for argv in (["solve"], ["calibrate", "--out", str(u)],
+                     ["calibrate", "--boundary", "0,1"], ["calibrate", "--dominant", "2,0"],
+                     ["separate", "--depth", "2"], ["verify", "--subaction", str(u)]):
+            assert main([*argv, "--instance", E2]) == 0, argv
+        assert len(bundles) == 6
+        assert all("barriers" not in vars(b) for b in bundles)
+        with pytest.raises(AssertionError, match="dense h"):
+            main(["barrier", "--instance", E2])
+
+
 class TestInfo:
     def test_golden(self):
         res = run_cli("info", "--instance", GOLDEN)
@@ -400,6 +427,29 @@ class TestExitCodes:
         assert res.returncode == 4
         assert "budget" in res.stderr
         assert res.stdout == ""
+
+    def test_holder_not_an_object(self, tmp_path):
+        path = tmp_path / "x.json"
+        data = json.loads(Path(E1).read_text(encoding="utf-8"))
+        data["holder"] = [1]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        res = run_cli("info", "--instance", str(path))
+        assert res.returncode == 2
+        assert res.stderr == "error: holder must be a JSON object\n"
+
+    def test_undecodable_instance(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b"\xff\xfe{}")
+        res = run_cli("solve", "--instance", str(path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+
+    def test_undecodable_subaction_cell(self, tmp_path):
+        out = tmp_path / "u.csv"
+        out.write_bytes(b"word,value\n0,0\n1,\xff\n")
+        res = run_cli("verify", "--instance", E1, "--subaction", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
 
     def test_missing_instance_flag(self):
         assert run_cli("solve").returncode == 2

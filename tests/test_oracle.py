@@ -21,7 +21,7 @@ from ergopt.oracle import (
 )
 from ergopt.pipeline import solve_instance, solve_potential
 from ergopt.potential import build_one_sided, build_two_sided
-from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to
+from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to, node_of
 from ergopt.tropical import SimpleDigraph
 
 HALF = Fraction(1, 2)
@@ -235,14 +235,13 @@ class TestSEpsilon:
                     continue
             assert min(got) == want
             direct = point_barrier(x, y, "mane", e1_bundle.graph,
-                                   e1_bundle.weights, e1_bundle.abar,
-                                   e1_bundle.crit)
+                                   e1_bundle.weights, e1_bundle.abar)
             assert direct == want
 
 
 class TestPointBarrier:
     def args(self, b):
-        return b.graph, b.weights, b.abar, b.crit
+        return b.graph, b.weights, b.abar
 
     def test_e1_values(self, e1_bundle):
         a = self.args(e1_bundle)
@@ -284,6 +283,20 @@ class TestPointBarrier:
                     back = point_barrier(z, x, "mane", *self.args(b))
                     assert out + back == whole
 
+    def test_critical_periodic_points_match_the_solver_h(self, e1_bundle, e2_bundle,
+                                                          golden_bundle):
+        # from a periodic point on a critical cycle the Peierls barrier is
+        # the node-level h, which the oracle computes without the solver
+        for b in (e1_bundle, e2_bundle, golden_bundle):
+            h, points = b.barriers.h, periodic_lassos(b.sft, 3)
+            critical = [x for x in points
+                        if point_barrier(x, x, "peierls", *self.args(b)) == 0]
+            assert critical
+            for x in critical:
+                for y in points:
+                    want = h[node_of(x, b.graph)][node_of(y, b.graph)]
+                    assert point_barrier(x, y, "peierls", *self.args(b)) == want
+
 
 class TestIsNonwandering:
     def test_e1_verdicts(self, e1_bundle):
@@ -324,8 +337,7 @@ class TestIsNonwandering:
         for b in (e1_bundle, e2_bundle, golden_bundle):
             for x in periodic_lassos(b.sft, 4):
                 rep = is_nonwandering(x, b.potential, b.sft, b.crit)
-                pb = point_barrier(x, x, "peierls", b.graph, b.weights,
-                                   b.abar, b.crit)
+                pb = point_barrier(x, x, "peierls", b.graph, b.weights, b.abar)
                 assert rep.exact == (pb == 0)
 
 

@@ -25,25 +25,23 @@ def fixed_sub(bundle):
 
 class TestCalibratedFromBoundary:
     def test_e2_zero_boundary(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(0)),
-                                     e2_bundle.crit, e2_bundle.barriers.h)
+        u = calibrated_from_boundary((Fraction(0), Fraction(0)), e2_bundle.crit)
         assert u.values == (0, 1, 0)
         assert u.provenance == "calibrated-from-boundary"
 
     def test_e2_shifted_boundary(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(1)),
-                                     e2_bundle.crit, e2_bundle.barriers.h)
+        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle.crit)
         assert u.values == (0, 1, 1)
 
     def test_outputs_are_lax_oleinik_fixed_points(self, corpus_bundles):
         rng = random.Random(11)
         for b in corpus_bundles:
-            poly = constraint_polytope(b.crit, b.barriers.h)
+            poly = constraint_polytope(b.crit)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
-            u = calibrated_from_boundary(bd, b.crit, b.barriers.h)
+            u = calibrated_from_boundary(bd, b.crit)
             assert lax_oleinik_step(u.values, b.graph, b.weights, b.abar) == u.values
 
     def test_representation_closure(self, corpus_bundles):
@@ -51,34 +49,35 @@ class TestCalibratedFromBoundary:
         for b in corpus_bundles:
             u = b.fixed_point
             bd = tuple(u[i] for i in b.crit.representatives)
-            rebuilt = calibrated_from_boundary(bd, b.crit, b.barriers.h)
+            rebuilt = calibrated_from_boundary(bd, b.crit)
             assert rebuilt.values == u
 
 
 class TestDominant:
     def test_e2_both_components(self, e2_bundle):
-        crit, h = e2_bundle.crit, e2_bundle.barriers.h
-        assert dominant_calibrated(0, Fraction(0), crit, h).values == (0, 1, 1)
-        assert dominant_calibrated(1, Fraction(0), crit, h).values == (1, 1, 0)
-        assert dominant_calibrated(0, Fraction(2), crit, h).values == (2, 3, 3)
+        crit = e2_bundle.crit
+        assert dominant_calibrated(0, Fraction(0), crit).values == (0, 1, 1)
+        assert dominant_calibrated(1, Fraction(0), crit).values == (1, 1, 0)
+        assert dominant_calibrated(0, Fraction(2), crit).values == (2, 3, 3)
 
     def test_provenance(self, e2_bundle):
-        u = dominant_calibrated(0, Fraction(0), e2_bundle.crit, e2_bundle.barriers.h)
+        u = dominant_calibrated(0, Fraction(0), e2_bundle.crit)
         assert u.provenance == "dominant"
 
     def test_single_component_instance(self, e1_bundle):
-        u = dominant_calibrated(0, Fraction(0), e1_bundle.crit, e1_bundle.barriers.h)
+        u = dominant_calibrated(0, Fraction(0), e1_bundle.crit)
         assert u.values == (0, 0)
 
     def test_matches_boundary_construction_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:60]:
             h = b.barriers.h
             for i0 in range(len(b.crit.components)):
-                direct = dominant_calibrated(i0, Fraction(1), b.crit, h)
+                direct = dominant_calibrated(i0, Fraction(1), b.crit)
                 reps = b.crit.representatives
                 bd = tuple(Fraction(1) + h[reps[i0]][r] for r in reps)
-                assert direct.values == calibrated_from_boundary(
-                    bd, b.crit, h).values
+                assert direct.values == calibrated_from_boundary(bd, b.crit).values
+                # the dense-h formula for the dominant row
+                assert direct.values == tuple(Fraction(1) + v for v in h[reps[i0]])
 
 
 class TestContactLocus:
@@ -117,8 +116,7 @@ class TestVerify:
 
     def test_deeper_subaction(self, e1_bundle):
         sub, _ = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                      e1_bundle.abar, e1_bundle.crit, 2,
-                                      h=e1_bundle.barriers.h)
+                                      e1_bundle.abar, e1_bundle.crit, 2)
         v = verify(sub, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar,
                    e1_bundle.crit)
         assert v.is_subaction and v.separating_certificate and v.critical_containment
@@ -128,8 +126,7 @@ class TestVerify:
 class TestSeparating:
     def test_e1_depth_2(self, e1_bundle):
         sub, cert = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                         e1_bundle.abar, e1_bundle.crit, 2,
-                                         h=e1_bundle.barriers.h)
+                                         e1_bundle.abar, e1_bundle.crit, 2)
         assert cert.ok and cert.depth == 2 and cert.gamma == Fraction(1, 2)
         assert cert.tight_words == ((0, 0, 0),)
         assert cert.residual_words == ()
@@ -137,41 +134,36 @@ class TestSeparating:
 
     def test_e2_depth_2(self, e2_bundle):
         _, cert = separating_subaction(e2_bundle.graph, e2_bundle.weights,
-                                       e2_bundle.abar, e2_bundle.crit, 2,
-                                       h=e2_bundle.barriers.h)
+                                       e2_bundle.abar, e2_bundle.crit, 2)
         assert cert.tight_words == ((0, 0, 0), (2, 2, 2))
 
     def test_golden_depth_2(self, golden_bundle):
         _, cert = separating_subaction(golden_bundle.graph, golden_bundle.weights,
-                                       golden_bundle.abar, golden_bundle.crit, 2,
-                                       h=golden_bundle.barriers.h)
+                                       golden_bundle.abar, golden_bundle.crit, 2)
         assert cert.tight_words == ((0, 1, 0), (1, 0, 1))
 
     def test_gamma_validation(self, e1_bundle):
         for gamma in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
             with pytest.raises(ValueError):
                 separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                     e1_bundle.abar, e1_bundle.crit, 2,
-                                     h=e1_bundle.barriers.h, gamma=gamma)
+                                     e1_bundle.abar, e1_bundle.crit, 2, gamma=gamma)
 
     def test_depth_validation(self, e1_bundle):
         with pytest.raises(ValueError):
             separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                 e1_bundle.abar, e1_bundle.crit, 0,
-                                 h=e1_bundle.barriers.h)
+                                 e1_bundle.abar, e1_bundle.crit, 0)
 
     def test_gamma_scales_values_not_tightness(self, e2_bundle):
         args = (e2_bundle.graph, e2_bundle.weights, e2_bundle.abar, e2_bundle.crit)
-        _, cert_half = separating_subaction(*args, 2, h=e2_bundle.barriers.h)
-        _, cert_tenth = separating_subaction(*args, 2, gamma=Fraction(1, 10),
-                                             h=e2_bundle.barriers.h)
+        _, cert_half = separating_subaction(*args, 2)
+        _, cert_tenth = separating_subaction(*args, 2, gamma=Fraction(1, 10))
         assert cert_half.tight_words == cert_tenth.tight_words
 
     def test_result_is_a_subaction_at_depth(self, corpus_bundles):
         for b in corpus_bundles[:40]:
             n = b.graph.n_nodes
             sub, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit,
-                                             n + 2, h=b.barriers.h)
+                                             n + 2)
             v = verify(sub, b.graph, b.weights, b.abar, b.crit)
             assert v.is_subaction
             assert v.separating_certificate
@@ -208,13 +200,13 @@ class TestConvexCombination:
     def test_tight_set_is_intersection(self, corpus_bundles):
         rng = random.Random(31)
         for b in corpus_bundles[:60]:
-            poly = constraint_polytope(b.crit, b.barriers.h)
+            poly = constraint_polytope(b.crit)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
             u1 = fixed_sub(b)
-            u2 = calibrated_from_boundary(bd, b.crit, b.barriers.h)
+            u2 = calibrated_from_boundary(bd, b.crit)
             mix = convex_combination([u1, u2], [Fraction(1, 3), Fraction(2, 3)])
             t1 = set(contact_locus(u1, b.graph, b.weights, b.abar).tight_edges)
             t2 = set(contact_locus(u2, b.graph, b.weights, b.abar).tight_edges)
@@ -224,8 +216,7 @@ class TestConvexCombination:
 
 class TestGapAnalysis:
     def test_e2_constants_and_location(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(1)),
-                                     e2_bundle.crit, e2_bundle.barriers.h)
+        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle.crit)
         v = fixed_sub(e2_bundle)
         report = gap_analysis(u, v, e2_bundle.graph, e2_bundle.weights,
                               e2_bundle.abar, e2_bundle.crit)
@@ -237,8 +228,7 @@ class TestGapAnalysis:
 
     def test_rejects_uncalibrated_u(self, e1_bundle):
         sep, _ = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                      e1_bundle.abar, e1_bundle.crit, 1,
-                                      h=e1_bundle.barriers.h)
+                                      e1_bundle.abar, e1_bundle.crit, 1)
         with pytest.raises(NotCalibrated):
             gap_analysis(sep, sep, e1_bundle.graph, e1_bundle.weights,
                          e1_bundle.abar, e1_bundle.crit)
@@ -253,20 +243,19 @@ class TestGapAnalysis:
     def test_calibrated_minus_fixed_point_on_corpus(self, corpus_bundles):
         rng = random.Random(47)
         for b in corpus_bundles[:60]:
-            poly = constraint_polytope(b.crit, b.barriers.h)
+            poly = constraint_polytope(b.crit)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
-            u = calibrated_from_boundary(bd, b.crit, b.barriers.h)
+            u = calibrated_from_boundary(bd, b.crit)
             report = gap_analysis(u, fixed_sub(b), b.graph, b.weights, b.abar,
                                   b.crit)
             assert report.min_on_critical == report.minimum
 
     def test_against_lifted_separating_candidate(self, e1_bundle):
         b = e1_bundle
-        sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2,
-                                      h=b.barriers.h)
+        sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
         lifted, _ = lift_to(b.graph, b.weights, 2)
         u = SubAction(2, lift_values(b.fixed_point, b.graph, lifted),
                       "user-supplied")

@@ -72,9 +72,10 @@ class TestBarrierMatrices:
         # abar 3 > 2 leaves the negative cycle 1 -> 1, so no row settles
         g = SimpleDigraph(2, [(0, 1), (1, 0), (1, 1)])
         weights = (Fraction(1), Fraction(3), Fraction(3))
-        assert mane_matrix(g, weights, Fraction(2)) == ((0, -1), (1, 0))
+        assert mane_matrix(g, weights, Fraction(2), range(2)) == ((0, -1), (1, 0))
+        assert mane_matrix(g, weights, Fraction(2), [1]) == ((1, 0),)
         with pytest.raises(ValueError):
-            mane_matrix(g, weights, Fraction(3))
+            mane_matrix(g, weights, Fraction(3), range(2))
 
     def test_e1(self, e1_bundle):
         assert rows(e1_bundle.barriers.phi) == ((0, 0), (1, 1))
@@ -109,7 +110,7 @@ class TestCriticalStructure:
         assert crit.critical_nodes == (0,)
         assert len(crit.components) == 1
         assert crit.representatives == (0,)
-        assert crit.node_disjoint
+        assert crit.rows == ((0, 0),)
 
     def test_e2_two_components(self, e2_bundle):
         crit = e2_bundle.crit
@@ -130,12 +131,11 @@ class TestCriticalStructure:
         assert len(crit.components) == 1
         assert crit.components[0].nodes == (0, 1)
 
-    def test_round_trip_definition_on_corpus(self, corpus_bundles, two_sided_corpus):
+    def test_round_trip_definition_on_corpus(self, corpus_bundles, two_sided_bundles):
         # an edge is critical exactly when it closes into a zero-mean
         # cycle: (w - abar) + phi[head][tail] == 0; and the relaxation
         # kernel on reversed arcs yields the columns of phi
-        bundles = corpus_bundles + [solve_instance(inst) for inst in two_sided_corpus]
-        for b in bundles:
+        for b in corpus_bundles + two_sided_bundles:
             phi, g = b.barriers.phi, b.graph
             assert b.crit.critical_edges == tuple(
                 k for k, e in enumerate(g.edges)
@@ -163,7 +163,6 @@ class TestCriticalStructure:
             for comp in b.crit.components:
                 assert not (seen & set(comp.nodes))
                 seen |= set(comp.nodes)
-            assert b.crit.node_disjoint
 
 
 class TestCalibratedFixedPoint:
@@ -190,22 +189,21 @@ class TestCalibratedFixedPoint:
 
 class TestConstraintPolytope:
     def test_constant_vectors_always_inside(self, e2_bundle):
-        poly = constraint_polytope(e2_bundle.crit, e2_bundle.barriers.h)
+        poly = constraint_polytope(e2_bundle.crit)
         assert poly.matrix == ((0, 1), (1, 0))
         for c in (0, 5, -3):
             assert poly.contains((Fraction(c), Fraction(c)))
 
     def test_violating_vector_outside(self, e2_bundle):
-        poly = constraint_polytope(e2_bundle.crit, e2_bundle.barriers.h)
+        poly = constraint_polytope(e2_bundle.crit)
         assert not poly.contains((Fraction(0), Fraction(2)))
         with pytest.raises(NotInConstraintSet):
-            calibrated_from_boundary((Fraction(0), Fraction(2)),
-                                     e2_bundle.crit, e2_bundle.barriers.h)
+            calibrated_from_boundary((Fraction(0), Fraction(2)), e2_bundle.crit)
 
     def test_min_plus_span_is_inside(self, corpus_bundles):
         rng = random.Random(5)
         for b in corpus_bundles[:40]:
-            poly = constraint_polytope(b.crit, b.barriers.h)
+            poly = constraint_polytope(b.crit)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-4, 4)) for _ in range(r)]
             bd = tuple(
@@ -227,10 +225,32 @@ class TestRelayFormula:
 
     def test_recomputation_matches_bundle(self, golden_bundle):
         b = golden_bundle
-        phi = mane_matrix(b.graph, b.weights, b.abar)
+        n = b.graph.n_nodes
+        phi = mane_matrix(b.graph, b.weights, b.abar, range(n))
         crit = critical_structure(b.graph, b.weights, b.abar)
         h = peierls_matrix(phi, crit)
         assert rows(phi) == rows(b.barriers.phi)
         assert crit.critical_edges == b.crit.critical_edges
         assert rows(h) == rows(b.barriers.h)
-        assert calibrated_fixed_point(crit, h) == b.fixed_point
+        assert calibrated_fixed_point(crit) == b.fixed_point
+        # the dense-h formula for the fixed point
+        assert tuple(min(h[r][j] for r in crit.representatives)
+                     for j in range(n)) == b.fixed_point
+
+
+class TestRepresentativeRows:
+    def test_rows_are_the_dense_barrier_rows(self, corpus_bundles, two_sided_bundles,
+                                             e1_bundle, e2_bundle, golden_bundle):
+        # a critical node's barrier row is its Mane row; the fixed point
+        # and H keep their dense-h formulas as the reference
+        fixtures = [e1_bundle, e2_bundle, golden_bundle]
+        for b in corpus_bundles + two_sided_bundles + fixtures:
+            phi, h = b.barriers.phi, b.barriers.h
+            reps = b.crit.representatives
+            assert len(b.crit.rows) == len(reps)
+            for row, r in zip(b.crit.rows, reps):
+                assert row == phi[r] == h[r]
+            assert b.fixed_point == tuple(
+                min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
+            assert constraint_polytope(b.crit).matrix == tuple(
+                tuple(h[a][c] for c in reps) for a in reps)
