@@ -320,7 +320,8 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
         k = graph.edge_index(expand[t : t + r + 1])
         cum.append(cum[-1] + weights[k] - abar)
     delta = cum[pre + cyc] - cum[pre]
-    assert delta >= 0, "negative cycle in normalized weights"
+    if delta < 0:
+        raise AssertionError("negative cycle in normalized weights")
 
     candidates = []
     if kind == "mane":
@@ -331,7 +332,8 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
                 candidates.append(cum[t])
     if delta == 0:
         start = graph.node_index(expand[pre : pre + r])
-        assert start == graph.node_index(expand[pre + cyc : pre + cyc + r])
+        if start != graph.node_index(expand[pre + cyc : pre + cyc + r]):
+            raise AssertionError("the lasso's cycle does not return to its break point")
         target = node_of(y, graph)
         rows = path_min_table(graph, weights, abar, start, graph.n_nodes)[1:]
         candidates.append(cum[pre] + min(row[target] for row in rows

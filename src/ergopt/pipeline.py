@@ -44,8 +44,12 @@ class SolveBundle:
 
     @cached_property
     def barriers(self) -> BarrierMatrices:
-        """The dense phi and h over all nodes, built on first access."""
-        phi = mane_matrix(self.graph, self.weights, self.abar, range(self.graph.n_nodes))
+        """The dense phi and h over all nodes, built on first access; the
+        representatives' rows come from the critical structure."""
+        known = dict(zip(self.crit.representatives, self.crit.rows))
+        others = [i for i in range(self.graph.n_nodes) if i not in known]
+        known.update(zip(others, mane_matrix(self.graph, self.weights, self.abar, others)))
+        phi = tuple(known[i] for i in range(self.graph.n_nodes))
         return BarrierMatrices(phi=phi, h=peierls_matrix(phi, self.crit))
 
 

@@ -21,6 +21,7 @@ from .symbolic import DeBruijnGraph, Word, lift_to, lift_values
 from .tropical import (
     CriticalStructure,
     _path_minima,
+    _scale,
     calibrated_fixed_point,
     lax_oleinik_step,
 )
@@ -238,14 +239,21 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     reps = [
         _lifted_representative(lifted, crit, c.index) for c in crit.components
     ]
+    n = lifted.n_nodes
     arcs = [(e.tail, e.head) for e in lifted.edges]
     back = [(e.head, e.tail) for e in lifted.edges]
+    heads = [e.head for e in lifted.edges]
+    normalized = [w - abar for w in lw]
     max_passes = lifted.n_edges + 4
     prev_zero: frozenset[int] | None = None
     passes = 0
     while True:
-        slacks = _slacks(u, lifted, lw, abar)
-        assert all(s >= 0 for s in slacks), "perturbation broke the sub-action bound"
+        # u and w - abar over one denominator give integer slacks
+        big, scaled = _scale([*u, *normalized])
+        slacks = [scaled[n + k] - scaled[head] + scaled[tail]
+                  for k, (tail, head) in enumerate(arcs)]
+        if any(s < 0 for s in slacks):
+            raise AssertionError("perturbation broke the sub-action bound")
         zero = frozenset(k for k, s in enumerate(slacks) if s == 0)
         tight_words = tuple(lifted.edges[k].word for k in sorted(zero))
         residual = tuple(
@@ -267,27 +275,28 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
         prev_zero = zero
         passes += 1
 
-        # Perturbation family. Signs make each member a sub-action:
-        # forward minima and potential columns fall along cheap edges
-        # (subtract), barrier rows rise along them (add).
-        family: list[tuple[int, Sequence[Fraction]]] = []
-        wj = [Fraction(0)] * lifted.n_nodes
+        # Perturbation family, in integers over big. Signs make each
+        # member a sub-action: forward minima and potential columns fall
+        # along cheap edges (subtract), barrier rows rise along them (add).
+        family: list[tuple[int, Sequence[int]]] = []
+        wj = [0] * n
         for _ in range(depth_budget):
             wj = [
-                min(slacks[k] + wj[lifted.edges[k].head] for k in lifted.out_edges[x])
-                for x in range(lifted.n_nodes)
+                min(slacks[k] + wj[heads[k]] for k in lifted.out_edges[x])
+                for x in range(n)
             ]
-            family.append((-1, list(wj)))
+            family.append((-1, wj))
         for rep in reps:
-            row = _path_minima(arcs, slacks, lifted.out_edges[rep], lifted.n_nodes)
-            col = _path_minima(back, slacks, lifted.in_edges[rep], lifted.n_nodes)
-            assert None not in row and None not in col
+            row = _path_minima(arcs, slacks, lifted.out_edges[rep], n)
+            col = _path_minima(back, slacks, lifted.in_edges[rep], n)
+            if None in row or None in col:
+                raise AssertionError("lifted graph is not strongly connected")
             family.append((+1, row))
             family.append((-1, col))
-        step = gamma / len(family)
+        step = gamma / (len(family) * big)
         u = tuple(
             u[x] + step * sum(sign * g[x] for sign, g in family)
-            for x in range(lifted.n_nodes)
+            for x in range(n)
         )
 
 
@@ -318,7 +327,8 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
             comp_nodes[c].append(n)
     constants = []
     for c, nodes in enumerate(comp_nodes):
-        assert nodes, f"component {c} has no itinerary node at depth {u.depth}"
+        if not nodes:
+            raise AssertionError(f"component {c} has no itinerary node at depth {u.depth}")
         vals = {diff[n] for n in nodes}
         if len(vals) != 1:
             raise AssertionError(f"u - v is not constant on component {c}")

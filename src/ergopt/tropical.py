@@ -2,12 +2,17 @@
 cycle mean), Mane potential and Peierls barrier matrices, critical
 structure with irreducible components, and calibrated sub-action vectors.
 
-Everything is Fraction arithmetic with exact zero tests; determinism
-comes from ascending index order in every tie-break.
+Inputs and outputs are Fractions. The kernels (Karp's table, every
+Bellman-Ford row, the Peierls relay) run on Python ints: the costs are
+scaled by one common denominator L, so sums and comparisons are exact
+integer operations, and results become Fractions over L only at the
+public boundary. Determinism comes from ascending index order in every
+tie-break.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -87,8 +92,23 @@ class ErgodicSummary:
     crit: CriticalStructure = field(compare=False, repr=False)
 
 
-def _relax(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
-           dist: list) -> bool:
+def _scale(values, shift=0) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of v - shift, and the integers
+    (v - shift) * L, so a sum of the values is an exact sum over L."""
+    # ints and Fractions both carry numerator and denominator
+    shifted = [v - shift for v in values] if shift else values
+    big = math.lcm(*(v.denominator for v in shifted))
+    return big, [v.numerator * (big // v.denominator) for v in shifted]
+
+
+def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Integer rows over big as Fraction rows; each distinct value is
+    converted once."""
+    frac = {d: Fraction(d, big) for d in set().union(*rows)}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
+
+
+def _relax(arcs: Sequence[tuple[int, int]], costs: Sequence, dist: list) -> bool:
     """Bellman-Ford in place: lower dist[head] to dist[tail] + cost along
     every arc (tail, head) until nothing moves; None stands for +infinity.
 
@@ -110,7 +130,7 @@ def _relax(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
     return False
 
 
-def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
+def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence,
                  first: Sequence[int], n: int) -> list:
     """Minimum cost of a nonempty path along `arcs` that begins with one
     of the arcs indexed by `first`, to every node; None where none exists.
@@ -119,7 +139,7 @@ def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence[Fraction],
     arcs reversed it is its phi column. A negative cycle within reach
     has no minimum and raises ValueError.
     """
-    dist: list[Fraction | None] = [None] * n
+    dist: list = [None] * n
     for k in first:
         head = arcs[k][1]
         if dist[head] is None or costs[k] < dist[head]:
@@ -140,35 +160,40 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
 
-    dp: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
-    dp[0][0] = Fraction(0)
+    # Karp's table on integers over D; a ratio is a (numerator,
+    # denominator) pair with positive denominator, compared crosswise.
+    big, costs = _scale(weights)
+    arcs = [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
+    dp: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
+    dp[0][0] = 0
     for k in range(1, n + 1):
         row = dp[k]
         prev = dp[k - 1]
-        for idx, e in enumerate(graph.edges):
-            d = prev[e.tail]
+        for tail, head, c in arcs:
+            d = prev[tail]
             if d is None:
                 continue
-            cand = d + weights[idx]
-            if row[e.head] is None or cand < row[e.head]:
-                row[e.head] = cand
-    abar: Fraction | None = None
+            cand = d + c
+            if row[head] is None or cand < row[head]:
+                row[head] = cand
+    best: tuple[int, int] | None = None
     for v in range(n):
         dnv = dp[n][v]
         if dnv is None:
             continue
-        worst: Fraction | None = None
+        worst: tuple[int, int] | None = None
         for k in range(n):
             dkv = dp[k][v]
             if dkv is None:
                 continue
-            ratio = (dnv - dkv) / (n - k)
-            if worst is None or ratio > worst:
+            ratio = (dnv - dkv, n - k)
+            if worst is None or ratio[0] * worst[1] > worst[0] * ratio[1]:
                 worst = ratio
-        if worst is not None and (abar is None or worst < abar):
-            abar = worst
-    if abar is None:
+        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
+            best = worst
+    if best is None:
         raise AssertionError("no cycle found in a strongly connected graph")
+    abar = Fraction(best[0], best[1] * big)
 
     crit = critical_structure(graph, weights, abar)
     start = crit.components[0].representative
@@ -194,7 +219,8 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
             if closing is not None:
                 break
         queue = nxt
-    assert closing is not None and last is not None
+    if closing is None or last is None:
+        raise AssertionError("critical component has no cycle through its representative")
     chain: list[int] = [closing]
     node = last
     while node != start:
@@ -203,7 +229,8 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
         node = prev
     witness = tuple(reversed(chain))
     total = sum(weights[k] for k in witness)
-    assert total == abar * len(witness), "witness cycle mean disagrees with abar"
+    if total != abar * len(witness):
+        raise AssertionError("witness cycle mean disagrees with abar")
     return ErgodicSummary(abar, witness, crit)
 
 
@@ -218,15 +245,15 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
     cycle and raises ValueError.
     """
     n = graph.n_nodes
-    normalized = [Fraction(w) - abar for w in weights]
+    big, costs = _scale(weights, abar)
     arcs = [(e.tail, e.head) for e in graph.edges]
-    rows: list[tuple[Fraction, ...]] = []
+    rows = []
     for i in sources:
-        dist = _path_minima(arcs, normalized, graph.out_edges[i], n)
+        dist = _path_minima(arcs, costs, graph.out_edges[i], n)
         if any(d is None for d in dist):
             raise ValueError("graph is not strongly connected")
-        rows.append(tuple(dist))
-    return tuple(rows)
+        rows.append(dist)
+    return _unscale(rows, big)
 
 
 def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> CriticalStructure:
@@ -235,23 +262,25 @@ def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> Cr
     Shortest-path potentials from node 0 reweight the normalized costs
     w - abar to reduced costs that are nonnegative and keep every cycle
     sum (Johnson's reweighting). An edge lies on a zero-mean cycle
-    exactly when its reduced cost is zero and both ends share a strongly
+    exactly when its reduced cost (an integer over the common
+    denominator of w - abar) is zero and both ends share a strongly
     connected component of the zero-cost subgraph. Components are those
     SCCs that contain a critical edge, ordered by smallest node; that
     node is the representative.
     """
     n = graph.n_nodes
     weights = tuple(Fraction(w) for w in weights)
-    normalized = [w - abar for w in weights]
+    _, costs = _scale(weights, abar)
     arcs = [(e.tail, e.head) for e in graph.edges]
-    pot: list[Fraction | None] = [None] * n
-    pot[0] = Fraction(0)
-    if not _relax(arcs, normalized, pot):
+    pot: list[int | None] = [None] * n
+    pot[0] = 0
+    if not _relax(arcs, costs, pot):
         raise AssertionError("negative cycle under normalized weights")
     if any(d is None for d in pot):
         raise ValueError("graph is not strongly connected from node 0")
-    reduced = [c + pot[tail] - pot[head] for (tail, head), c in zip(arcs, normalized)]
-    assert all(r >= 0 for r in reduced)
+    reduced = [c + pot[tail] - pot[head] for (tail, head), c in zip(arcs, costs)]
+    if any(r < 0 for r in reduced):
+        raise AssertionError("negative reduced cost after reweighting")
     zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
     for k in zero:
@@ -301,18 +330,26 @@ def peierls_matrix(phi: Sequence[Sequence[Fraction]],
     representative r of its component, phi[z][r] + phi[r][z] = 0, so
     phi[i][r] + phi[r][j] <= phi[i][z] + phi[z][j] and relaying through
     z never beats relaying through r.
+
+    Every phi entry is a path sum of w - abar, so an integer over the
+    common denominator L of those costs; an entry that is not raises
+    ValueError.
     """
     reps = crit.representatives
     if not reps:
         raise AssertionError("no critical node: witness cycle must produce one")
-    n = len(phi)
+    big, _ = _scale(crit.weights, crit.abar)
+    off = next((v for row in phi for v in row if big % v.denominator), None)
+    if off is not None:
+        raise ValueError(f"phi entry {off} is not a multiple of 1/{big}")
+    scaled = [[v.numerator * (big // v.denominator) for v in row] for row in phi]
     rows = []
-    for i in range(n):
-        rows.append(tuple(
-            min(phi[i][r] + phi[r][j] for r in reps)
-            for j in range(n)
-        ))
-    return tuple(rows)
+    for row in scaled:
+        best = [row[reps[0]] + v for v in scaled[reps[0]]]
+        for r in reps[1:]:
+            best = list(map(min, best, [row[r] + v for v in scaled[r]]))
+        rows.append(best)
+    return _unscale(rows, big)
 
 
 def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],

@@ -11,6 +11,8 @@ from conftest import INSTANCE_DIR
 from ergopt.cli import main
 from ergopt.errors import OracleMismatch
 from ergopt.instances import read_matrix_csv, read_subaction_csv
+from ergopt.oracle import brute_cycles
+from ergopt.symbolic import lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -198,6 +200,31 @@ class TestSeparate:
         res = run_cli("separate", "--instance", E1, "--gamma", "3/2")
         assert res.returncode == 3
 
+    def test_gamma_with_a_fresh_prime_denominator(self, tmp_path, e2_bundle):
+        # 13 divides no weight and no abar: the average brings it in, and
+        # the slacks are checked here from the oracle's abar, not the solver's
+        out = tmp_path / "sep.csv"
+        res = run_cli("separate", "--instance", E2, "--depth", "4",
+                      "--gamma", "7/13", "--out", str(out))
+        assert res.returncode == 0
+        assert res.stdout.startswith("certificate: OK; tight words: 00000, 22222\n")
+        check = run_cli("verify", "--instance", E2, "--subaction", str(out))
+        assert check.returncode == 0
+        assert check.stdout == (
+            "sub-action: yes; calibrated: no;"
+            " separating certificate: yes; critical containment: yes\n"
+        )
+        words, values = read_subaction_csv(out)
+        assert any(v.denominator % 13 == 0 for v in values)
+        g = e2_bundle.graph
+        abar = min(m for _, m in brute_cycles(g, e2_bundle.weights))
+        lifted, lw = lift_to(g, e2_bundle.weights, 4)
+        u = dict(zip(words, values))
+        slack = {e.word: w - abar - u[e.word[1:]] + u[e.word[:-1]]
+                 for e, w in zip(lifted.edges, lw)}
+        assert min(slack.values()) == 0
+        assert sorted(w for w, s in slack.items() if s == 0) == [(0,) * 5, (2,) * 5]
+
 
 class TestVerify:
     def test_calibrated_fixed_point(self, tmp_path):
@@ -322,6 +349,27 @@ class TestDenseMatricesOnDemand:
         assert all("barriers" not in vars(b) for b in bundles)
         with pytest.raises(AssertionError, match="dense h"):
             main(["barrier", "--instance", E2])
+
+
+class TestIntegerKernel:
+    def test_relaxation_sees_only_integers(self, tmp_path, monkeypatch):
+        import ergopt.tropical as tropical
+
+        relax, calls = tropical._relax, []
+
+        def int_only(arcs, costs, dist):
+            assert all(type(c) is int for c in costs), "a non-integer cost"
+            assert all(d is None or type(d) is int for d in dist), "a non-integer distance"
+            calls.append(len(dist))
+            return relax(arcs, costs, dist)
+
+        monkeypatch.setattr(tropical, "_relax", int_only)
+        u = tmp_path / "u.csv"
+        for argv in (["solve"], ["barrier"], ["calibrate", "--out", str(u)],
+                     ["separate", "--depth", "3"], ["verify", "--subaction", str(u)]):
+            before = len(calls)
+            assert main([*argv, "--instance", E2]) == 0, argv
+            assert len(calls) > before, argv
 
 
 class TestInfo:

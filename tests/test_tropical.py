@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ergopt.errors import NotInConstraintSet
 from ergopt.instances import random_instance
-from ergopt.oracle import brute_cycles
+from ergopt.oracle import barrier_window, brute_cycles, path_min_table
 from ergopt.pipeline import solve_instance
 from ergopt.potential import build_one_sided, compile_weights
 from ergopt.subactions import calibrated_from_boundary
@@ -254,3 +254,51 @@ class TestRepresentativeRows:
                 min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
             assert constraint_polytope(b.crit).matrix == tuple(
                 tuple(h[a][c] for c in reps) for a in reps)
+
+
+# Weights on the nine edges 00, 01, ..., 22 of the e2 graph. The kernels
+# run on integers over one common denominator L of w - abar: here L is a
+# product of two large primes, or 3 although every weight is an integer
+# (abar = 1/3 comes from the cycle 0 -> 1 -> 2 -> 0).
+SCALING_CASES = {
+    "coprime": [Fraction(n, 9973 if k % 2 else 10007)
+                for k, n in enumerate((41, 17, 29, 23, 53, 11, 37, 19, 47))],
+    "cycle_length": [1, 1, 1, 1, 1, 0, 0, 1, 1],
+}
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("case", sorted(SCALING_CASES))
+    def test_scaled_kernels_match_the_oracle(self, e2_bundle, case):
+        g = e2_bundle.graph
+        weights = [Fraction(w) for w in SCALING_CASES[case]]
+        n = g.n_nodes
+        cycles = brute_cycles(g, weights)
+        abar = min(m for _, m in cycles)
+        summary = minimizing_value(g, weights)
+        assert summary.abar == abar
+        crit = summary.crit
+        assert set(crit.critical_edges) == {
+            k for cycle, m in cycles if m == abar for k in cycle}
+        phi = mane_matrix(g, weights, abar, range(n))
+        h = peierls_matrix(phi, crit)
+        start, stop = barrier_window(g, weights, abar, h)
+        for i in range(n):
+            table = path_min_table(g, weights, abar, i, stop)
+            for j in range(n):
+                assert phi[i][j] == min(table[k][j] for k in range(1, n + 1))
+                assert h[i][j] == min(table[k][j] for k in range(start, stop + 1))
+        assert crit.rows == tuple(phi[r] for r in crit.representatives)
+
+    def test_cycle_length_denominator(self, e2_bundle):
+        weights = SCALING_CASES["cycle_length"]
+        summary = minimizing_value(e2_bundle.graph, weights)
+        assert summary.abar == Fraction(1, 3)
+        assert len(summary.witness_cycle) == 3
+
+    def test_peierls_rejects_an_entry_off_the_common_denominator(self, e2_bundle):
+        phi = [list(row) for row in e2_bundle.barriers.phi]
+        assert peierls_matrix(phi, e2_bundle.crit) == e2_bundle.barriers.h
+        phi[1][2] = Fraction(1, 7)
+        with pytest.raises(ValueError, match="1/7"):
+            peierls_matrix(phi, e2_bundle.crit)
