@@ -40,7 +40,6 @@ from .oracle import (
 )
 from .pipeline import SolveBundle, solve_instance, solve_potential
 from .potential import (
-    NormalizedPotential,
     OneSidedPotential,
     TwoSidedPotential,
     build_one_sided,

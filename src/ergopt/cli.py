@@ -34,7 +34,7 @@ from .subactions import (
     separating_subaction,
     verify,
 )
-from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, lift_to, refine
+from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, refine
 from .tropical import constraint_polytope, lax_oleinik_step
 
 
@@ -181,13 +181,17 @@ def cmd_verify(args) -> int:
         raise InstanceFormatError("sub-action words must all share one length")
     if len(set(words)) != len(words):
         raise InstanceFormatError("duplicate word in sub-action CSV")
-    lifted, _ = lift_to(bundle.graph, bundle.weights, depth, node_budget=args.max_nodes)
-    if sorted(words) != list(lifted.node_words):
+    order = bundle.graph.order
+    if depth < order:
+        raise ValueError(f"cannot lower order {order} to {depth}")
+    # the lifted graph's nodes, checked against --max-nodes up front
+    node_words = admissible_words(inst.sft, depth, args.max_nodes)
+    if sorted(words) != node_words:
         raise InstanceFormatError(
             f"sub-action words do not match the admissible length-{depth} words"
         )
     by_word = dict(zip(words, values))
-    u = SubAction(depth, tuple(by_word[w] for w in lifted.node_words), "user-supplied")
+    u = SubAction(depth, tuple(by_word[w] for w in node_words), "user-supplied")
     v = verify(u, bundle.graph, bundle.weights, bundle.abar, bundle.crit)
     print(
         f"sub-action: {_yn(v.is_subaction)};"

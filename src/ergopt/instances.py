@@ -60,7 +60,7 @@ def parse_fraction(value, where: str = "value") -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def format_word(word: Sequence[int], alphabet_size: int) -> str:

@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 from .errors import IncompatibleOrder, NotASubAction
 from .symbolic import DeBruijnGraph, SftSystem, Word, admissible_words, count_words
+from .tropical import _slacks
 
 
 def _table(sft: SftSystem, length: int, entries: Mapping) -> dict[Word, Fraction]:
@@ -122,26 +123,15 @@ def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotenti
     return build_one_sided(sft, ahat.future_depth, reduced)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedPotential:
-    """Edge slacks of a sub-action: B = w - abar - u(head) + u(tail) >= 0.
-
-    Stored as a potential of range order+1 so it can be compiled onto
-    the same graph (or any finer one) like any other observable.
-    """
-
-    base: OneSidedPotential
-    abar: Fraction
-    subaction_used: object
-
-
-def normalize(b: OneSidedPotential, u, abar, graph: DeBruijnGraph) -> NormalizedPotential:
-    """Normalize by a sub-action given as node values on `graph`.
+def normalize(b: OneSidedPotential, u, abar, graph: DeBruijnGraph) -> OneSidedPotential:
+    """The edge slacks B = w - abar - u(head) + u(tail) >= 0 of a
+    sub-action given as node values on `graph`, as a potential of range
+    order+1, so it compiles onto the same graph (or any finer one) like
+    any other observable.
 
     `u` may be a SubAction or a plain sequence of node values; a depth
     mismatch with the graph order is refused.
     """
-    abar = Fraction(abar)
     values = getattr(u, "values", u)
     depth = getattr(u, "depth", graph.order)
     if depth != graph.order or len(values) != graph.n_nodes:
@@ -149,17 +139,15 @@ def normalize(b: OneSidedPotential, u, abar, graph: DeBruijnGraph) -> Normalized
             f"sub-action depth {depth} with {len(values)} values does not fit "
             f"an order-{graph.order} graph on {graph.n_nodes} nodes"
         )
-    weights = compile_weights(b, graph)
+    big, slacks = _slacks(values, graph, compile_weights(b, graph), Fraction(abar))
     table: dict[Word, Fraction] = {}
-    for e, w in zip(graph.edges, weights):
-        slack = w - abar - values[e.head] + values[e.tail]
-        if slack < 0:
+    for e, s in zip(graph.edges, slacks):
+        if s < 0:
             raise NotASubAction(
-                f"edge {e.word} has negative normalized weight {slack}"
+                f"edge {e.word} has negative normalized weight {Fraction(s, big)}"
             )
-        table[e.word] = slack
-    base = OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
-    return NormalizedPotential(base, abar, u)
+        table[e.word] = Fraction(s, big)
+    return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
 
 
 def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]:

@@ -21,9 +21,8 @@ from .symbolic import DeBruijnGraph, Word, lift_to, lift_values
 from .tropical import (
     CriticalStructure,
     _path_minima,
-    _scale,
+    _slacks,
     calibrated_fixed_point,
-    lax_oleinik_step,
 )
 
 
@@ -100,12 +99,11 @@ def itinerary_component(word: Word, crit: CriticalStructure) -> int | None:
     return comp
 
 
-def _slacks(values: Sequence[Fraction], graph, weights: Sequence[Fraction],
-            abar: Fraction) -> list[Fraction]:
-    return [
-        weights[k] - abar - values[e.head] + values[e.tail]
-        for k, e in enumerate(graph.edges)
-    ]
+def _calibrated(slacks: Sequence[int], graph) -> bool:
+    """Given slacks >= 0, whether u is a Lax-Oleinik fixed point: (Lu)(j)
+    is u(j) plus the least slack into j, so Lu = u exactly when every
+    node has a zero-slack in-edge, a backward step in the contact locus."""
+    return all(any(slacks[k] == 0 for k in ins) for ins in graph.in_edges)
 
 
 def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
@@ -164,10 +162,12 @@ def contact_locus(u: SubAction, graph, weights: Sequence[Fraction],
         raise IncompatibleOrder(
             f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
-    slacks = _slacks(u.values, graph, weights, abar)
+    big, slacks = _slacks(u.values, graph, weights, abar)
     for k, s in enumerate(slacks):
         if s < 0:
-            raise NotASubAction(f"edge {graph.edges[k].word} has negative slack {s}")
+            raise NotASubAction(
+                f"edge {graph.edges[k].word} has negative slack {Fraction(s, big)}"
+            )
     tight = tuple(k for k, s in enumerate(slacks) if s == 0)
     return ContactSet(u.depth, tight, tuple(graph.edges[k].word for k in tight))
 
@@ -185,20 +185,15 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
             f"has {lifted.n_nodes} nodes"
         )
-    slacks = _slacks(u.values, lifted, lw, abar)
+    _, slacks = _slacks(u.values, lifted, lw, abar)
     is_sub = all(s >= 0 for s in slacks)
+    is_cal = is_sub and _calibrated(slacks, lifted)
+    critical = [itinerary_component(e.word, crit) is not None for e in lifted.edges]
     tight = [k for k, s in enumerate(slacks) if s == 0]
     tight_words = tuple(lifted.edges[k].word for k in tight)
-    is_cal = is_sub and lax_oleinik_step(u.values, lifted, lw, abar) == u.values
-    noncritical = tuple(
-        w for w in tight_words if itinerary_component(w, crit) is None
-    )
+    noncritical = tuple(lifted.edges[k].word for k in tight if not critical[k])
     certificate = is_sub and not noncritical
-    containment = all(
-        slacks[k] == 0
-        for k, e in enumerate(lifted.edges)
-        if itinerary_component(e.word, crit) is not None
-    )
+    containment = all(s == 0 for s, c in zip(slacks, critical) if c)
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
 
 
@@ -243,15 +238,11 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     arcs = [(e.tail, e.head) for e in lifted.edges]
     back = [(e.head, e.tail) for e in lifted.edges]
     heads = [e.head for e in lifted.edges]
-    normalized = [w - abar for w in lw]
     max_passes = lifted.n_edges + 4
     prev_zero: frozenset[int] | None = None
     passes = 0
     while True:
-        # u and w - abar over one denominator give integer slacks
-        big, scaled = _scale([*u, *normalized])
-        slacks = [scaled[n + k] - scaled[head] + scaled[tail]
-                  for k, (tail, head) in enumerate(arcs)]
+        big, slacks = _slacks(u, lifted, lw, abar)
         if any(s < 0 for s in slacks):
             raise AssertionError("perturbation broke the sub-action bound")
         zero = frozenset(k for k, s in enumerate(slacks) if s == 0)
@@ -311,12 +302,14 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
     lifted, lw = lift_to(graph, weights, u.depth)
+    slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
         if len(sub.values) != lifted.n_nodes:
             raise IncompatibleOrder(f"{name} does not fit depth {sub.depth}")
-        if any(s < 0 for s in _slacks(sub.values, lifted, lw, abar)):
+        _, slacks[name] = _slacks(sub.values, lifted, lw, abar)
+        if any(s < 0 for s in slacks[name]):
             raise NotASubAction(f"{name} violates the sub-action inequality")
-    if lax_oleinik_step(u.values, lifted, lw, abar) != u.values:
+    if not _calibrated(slacks["u"], lifted):
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
 
     diff = [a - b for a, b in zip(u.values, v.values)]

@@ -3,11 +3,11 @@ cycle mean), Mane potential and Peierls barrier matrices, critical
 structure with irreducible components, and calibrated sub-action vectors.
 
 Inputs and outputs are Fractions. The kernels (Karp's table, every
-Bellman-Ford row, the Peierls relay) run on Python ints: the costs are
-scaled by one common denominator L, so sums and comparisons are exact
-integer operations, and results become Fractions over L only at the
-public boundary. Determinism comes from ascending index order in every
-tie-break.
+Bellman-Ford row, the Peierls relay, the edge slacks of node values)
+run on Python ints: the costs are scaled by one common denominator L,
+so sums and comparisons are exact integer operations, and results
+become Fractions over L only at the public boundary. Determinism comes
+from ascending index order in every tie-break.
 """
 
 from __future__ import annotations
@@ -17,33 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .symbolic import Edge, strongly_connected_components
-
-
-class SimpleDigraph:
-    """Plain indexed digraph with the same adjacency surface as
-    DeBruijnGraph, for raw-graph callers (oracle, tests)."""
-
-    def __init__(self, n_nodes: int, edge_pairs: Sequence[tuple[int, int]]):
-        if n_nodes < 1:
-            raise ValueError("graph needs at least one node")
-        edges: list[Edge] = []
-        out_edges: list[list[int]] = [[] for _ in range(n_nodes)]
-        in_edges: list[list[int]] = [[] for _ in range(n_nodes)]
-        for tail, head in edge_pairs:
-            if not (0 <= tail < n_nodes and 0 <= head < n_nodes):
-                raise ValueError(f"edge ({tail},{head}) out of range")
-            out_edges[tail].append(len(edges))
-            in_edges[head].append(len(edges))
-            edges.append(Edge(tail, head, ()))
-        self.n_nodes = n_nodes
-        self.edges = tuple(edges)
-        self.out_edges = tuple(tuple(v) for v in out_edges)
-        self.in_edges = tuple(tuple(v) for v in in_edges)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+from .symbolic import strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -99,6 +73,20 @@ def _scale(values, shift=0) -> tuple[int, list[int]]:
     shifted = [v - shift for v in values] if shift else values
     big = math.lcm(*(v.denominator for v in shifted))
     return big, [v.numerator * (big // v.denominator) for v in shifted]
+
+
+def _slacks(values, graph, weights, abar) -> tuple[int, list[int]]:
+    """L and the integer slacks (w - abar - u(head) + u(tail)) * L of the
+    edges of `graph`, for node values u and edge weights w.
+
+    L is one common denominator of u, w and abar, so s / L is each slack
+    exactly; it may exceed the lcm of the slacks' own denominators.
+    """
+    n = len(values)
+    big, scaled = _scale([*values, *weights, abar])
+    shift = scaled.pop()
+    return big, [w - shift - scaled[e.head] + scaled[e.tail]
+                 for w, e in zip(scaled[n:], graph.edges)]
 
 
 def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -278,7 +266,8 @@ def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> Cr
         raise AssertionError("negative cycle under normalized weights")
     if any(d is None for d in pot):
         raise ValueError("graph is not strongly connected from node 0")
-    reduced = [c + pot[tail] - pot[head] for (tail, head), c in zip(arcs, costs)]
+    # the reduced costs are the slacks of pot, already integers (L = 1)
+    _, reduced = _slacks(pot, graph, costs, 0)
     if any(r < 0 for r in reduced):
         raise AssertionError("negative reduced cost after reweighting")
     zero = [k for k, r in enumerate(reduced) if r == 0]

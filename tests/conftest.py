@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance
-from ergopt.symbolic import LassoPoint
+from ergopt.symbolic import Edge, LassoPoint
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -86,3 +86,29 @@ def random_lasso(rng, sft, max_preperiod=4):
         for i, s in enumerate(walk[:-1]):
             if s == walk[-1] and i <= max_preperiod:
                 return LassoPoint.make(walk[:i], walk[i:-1])
+
+
+class SimpleDigraph:
+    """Plain indexed digraph with the same adjacency surface as
+    DeBruijnGraph, for tests on raw graphs."""
+
+    def __init__(self, n_nodes, edge_pairs):
+        if n_nodes < 1:
+            raise ValueError("graph needs at least one node")
+        edges = []
+        out_edges = [[] for _ in range(n_nodes)]
+        in_edges = [[] for _ in range(n_nodes)]
+        for tail, head in edge_pairs:
+            if not (0 <= tail < n_nodes and 0 <= head < n_nodes):
+                raise ValueError(f"edge ({tail},{head}) out of range")
+            out_edges[tail].append(len(edges))
+            in_edges[head].append(len(edges))
+            edges.append(Edge(tail, head, ()))
+        self.n_nodes = n_nodes
+        self.edges = tuple(edges)
+        self.out_edges = tuple(tuple(v) for v in out_edges)
+        self.in_edges = tuple(tuple(v) for v in in_edges)
+
+    @property
+    def n_edges(self):
+        return len(self.edges)

@@ -269,6 +269,33 @@ class TestVerify:
         res = run_cli("verify", "--instance", E1, "--subaction", str(out))
         assert res.returncode == 2
 
+    def test_depth_below_the_graph_order(self, tmp_path):
+        # a range-3 potential works on the order-2 graph; a CSV of 1-words
+        # is refused as a domain error whether or not its words match
+        path = tmp_path / "r3.json"
+        data = {
+            "alphabet_size": 2, "transition": [[1, 1], [1, 1]], "lambda": "1/2",
+            "potential": {"side": "one", "range": 3,
+                          "entries": {f"{k:03b}": k % 3 for k in range(8)}},
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "u.csv"
+        for rows in ("0,0\n1,0\n", "0,0\n"):
+            out.write_text("word,value\n" + rows, encoding="utf-8")
+            res = run_cli("verify", "--instance", str(path), "--subaction", str(out))
+            assert res.returncode == 3
+            assert res.stderr == "error: cannot lower order 2 to 1\n"
+
+    def test_depth_past_the_node_budget(self, tmp_path):
+        out = tmp_path / "u.csv"
+        rows = "".join(f"{k:011b},0\n" for k in range(2**11))
+        out.write_text("word,value\n" + rows, encoding="utf-8")
+        res = run_cli("verify", "--instance", E1, "--subaction", str(out),
+                      "--max-nodes", "100")
+        assert res.returncode == 4
+        assert "budget" in res.stderr
+        assert res.stdout == ""
+
 
 class TestOracle:
     def test_fixture_instance(self):

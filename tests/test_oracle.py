@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import periodic_lassos, random_lasso
+from conftest import SimpleDigraph, periodic_lassos, random_lasso
 from ergopt.errors import NoPathExists, TooLarge
 from ergopt.instances import random_instance
 from ergopt.oracle import (
@@ -22,7 +22,7 @@ from ergopt.oracle import (
 from ergopt.pipeline import solve_instance, solve_potential
 from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to, node_of
-from ergopt.tropical import SimpleDigraph
+
 
 HALF = Fraction(1, 2)
 

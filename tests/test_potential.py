@@ -157,10 +157,19 @@ class TestNormalize:
         for bundle in corpus_bundles[:40]:
             u = SubAction(bundle.graph.order, bundle.fixed_point, "user-supplied")
             norm = normalize(bundle.potential, u, bundle.abar, bundle.graph)
-            weights = compile_weights(norm.base, bundle.graph)
+            weights = compile_weights(norm, bundle.graph)
             assert all(w >= 0 for w in weights)
             assert min(weights[k] for k in bundle.crit.critical_edges) == 0
             assert all(weights[k] == 0 for k in bundle.crit.critical_edges)
+
+    def test_weights_are_the_slacks(self, corpus_bundles):
+        for bundle in corpus_bundles[:40]:
+            g, u = bundle.graph, bundle.fixed_point
+            weights = compile_weights(normalize(bundle.potential, u, bundle.abar, g), g)
+            assert weights == tuple(
+                w - bundle.abar - u[e.head] + u[e.tail]
+                for w, e in zip(bundle.weights, g.edges)
+            )
 
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(5)), "user-supplied")

@@ -23,6 +23,20 @@ def fixed_sub(bundle):
     return SubAction(bundle.graph.order, bundle.fixed_point, "user-supplied")
 
 
+def calibrated_family(b, rng):
+    """The fixed point, the dominant member of every component and one
+    member from random boundary data in the constraint polytope."""
+    family = [fixed_sub(b)]
+    for i in range(len(b.crit.components)):
+        family.append(dominant_calibrated(i, Fraction(rng.randint(-3, 3)), b.crit))
+    poly = constraint_polytope(b.crit)
+    r = len(poly.representatives)
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
+    bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r)) for i in range(r))
+    family.append(calibrated_from_boundary(bd, b.crit))
+    return family
+
+
 class TestCalibratedFromBoundary:
     def test_e2_zero_boundary(self, e2_bundle):
         u = calibrated_from_boundary((Fraction(0), Fraction(0)), e2_bundle.crit)
@@ -121,6 +135,59 @@ class TestVerify:
                    e1_bundle.crit)
         assert v.is_subaction and v.separating_certificate and v.critical_containment
         assert v.tight_words == ((0, 0, 0),)
+
+
+class TestCalibration:
+    def test_backward_orbits_reach_the_attaining_component(self, corpus_bundles):
+        # walking back from x along zero-slack in-edges reaches a critical
+        # component i with u(x) = u(x_i) + h(x_i, x)
+        rng = random.Random(53)
+        for b in corpus_bundles:
+            g, crit = b.graph, b.crit
+            for u in calibrated_family(b, rng):
+                tight = set(contact_locus(u, g, b.weights, b.abar).tight_edges)
+                for x in range(g.n_nodes):
+                    y = x
+                    for _ in range(g.n_nodes):
+                        if crit.node_component[y] is not None:
+                            break
+                        y = g.edges[min(k for k in g.in_edges[y] if k in tight)].tail
+                    i = crit.node_component[y]
+                    assert i is not None
+                    rep = crit.components[i].representative
+                    assert u.values[x] == u.values[rep] + crit.rows[i][x]
+
+    def test_zero_in_slack_rule_matches_lax_oleinik(self, corpus_bundles):
+        rng = random.Random(59)
+        seen = set()
+        for b in corpus_bundles[:40]:
+            depth = b.graph.order + 1
+            lifted, lw = lift_to(b.graph, b.weights, depth)
+            family = calibrated_family(b, rng)
+            sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, depth)
+            deep = SubAction(depth, lift_values(b.fixed_point, b.graph, lifted),
+                             "user-supplied")
+            k = next(k for k, e in enumerate(b.graph.edges) if e.tail != e.head)
+            e = b.graph.edges[k]
+            bad = list(b.fixed_point)
+            bad[e.head] = bad[e.tail] + b.weights[k] - b.abar + 1
+            cases = [
+                *family, sep,
+                convex_combination([family[0], family[-1]],
+                                   [Fraction(1, 3), Fraction(2, 3)]),
+                convex_combination([deep, sep], [Fraction(1, 2), Fraction(1, 2)]),
+                SubAction(b.graph.order, tuple(bad), "user-supplied"),
+            ]
+            for u in cases:
+                g, w = (lifted, lw) if u.depth == depth else (b.graph, b.weights)
+                v = verify(u, b.graph, b.weights, b.abar, b.crit)
+                fixed = lax_oleinik_step(u.values, g, w, b.abar) == u.values
+                assert v.is_calibrated == (v.is_subaction and fixed)
+                seen.add((v.is_subaction, v.is_calibrated))
+                if v.is_subaction and not v.is_calibrated:
+                    with pytest.raises(NotCalibrated):
+                        gap_analysis(u, u, b.graph, b.weights, b.abar, b.crit)
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestSeparating:

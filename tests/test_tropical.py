@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import SimpleDigraph
 from ergopt.errors import NotInConstraintSet
 from ergopt.instances import random_instance
 from ergopt.oracle import barrier_window, brute_cycles, path_min_table
@@ -13,7 +14,6 @@ from ergopt.potential import build_one_sided, compile_weights
 from ergopt.subactions import calibrated_from_boundary
 from ergopt.symbolic import build_sft, refine
 from ergopt.tropical import (
-    SimpleDigraph,
     _path_minima,
     calibrated_fixed_point,
     constraint_polytope,
