@@ -8,6 +8,7 @@ bad parameters, size guard), 4 budget exhausted without a certificate,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -282,7 +283,14 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared after that,
+    so callers must not change it.
+
+    Parsing leaves no state behind: each parse makes a fresh Namespace,
+    and help text is formatted when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="ergopt",
         description="Ergodic optimization on subshifts of finite type.",

@@ -104,34 +104,48 @@ def path_min_sums(graph, weights: Sequence[Fraction], abar: Fraction,
     return dist[j]
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm L of the values' denominators, and each value times L."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def path_min_table(graph, weights: Sequence[Fraction], abar: Fraction,
                    i: int, k_max: int) -> list[list[Fraction | None]]:
     """Rows D_k(i, .) of minimal normalized walk sums for k = 0..k_max.
 
-    One relaxation sweep per step; row 0 is the degenerate empty walk
-    and is only meaningful at the source itself.
+    One relaxation sweep per step, on integer sums over the lcm L of the
+    denominators of w - abar; row 0 is the degenerate empty walk and is
+    only meaningful at the source itself.
     """
     n = graph.n_nodes
     if n > BRUTE_NODE_LIMIT:
         raise TooLarge(f"path enumeration is limited to {BRUTE_NODE_LIMIT} nodes")
     if k_max > 5000:
         raise TooLarge(f"path table length {k_max} is past the enumeration cap")
-    normalized = [Fraction(w) - abar for w in weights]
-    cur: list[Fraction | None] = [None] * n
-    cur[i] = Fraction(0)
-    rows = [cur]
+    scale, costs = _over_lcm([Fraction(w) - abar for w in weights])
+    arcs = [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
+    cur: list[int | None] = [None] * n
+    cur[i] = 0
+    sums = [cur]
     for _ in range(k_max):
-        nxt: list[Fraction | None] = [None] * n
-        for idx, e in enumerate(graph.edges):
-            d = cur[e.tail]
+        nxt: list[int | None] = [None] * n
+        for tail, head, c in arcs:
+            d = cur[tail]
             if d is None:
                 continue
-            cand = d + normalized[idx]
-            if nxt[e.head] is None or cand < nxt[e.head]:
-                nxt[e.head] = cand
-        rows.append(nxt)
+            cand = d + c
+            best = nxt[head]
+            if best is None or cand < best:
+                nxt[head] = cand
+        sums.append(nxt)
         cur = nxt
-    return rows
+    exact: dict[int | None, Fraction | None] = {None: None}
+    for row in sums:
+        for v in row:
+            if v not in exact:
+                exact[v] = Fraction(v, scale)
+    return [[exact[v] for v in row] for row in sums]
 
 
 def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction,
@@ -216,28 +230,33 @@ def _pins(x: LassoPoint, y: LassoPoint, k: int, p: int) -> dict[int, int] | None
     return pins
 
 
-def _scan_pinned(sft: SftSystem, window: int, table: Mapping, abar: Fraction,
+def _scaled_costs(table: Mapping, abar: Fraction) -> tuple[int, dict]:
+    """The step costs table - abar as integers over their lcm L."""
+    scale, costs = _over_lcm([table[w] - abar for w in table])
+    return scale, dict(zip(table, costs))
+
+
+def _scan_pinned(sft: SftSystem, window: int, costs: Mapping[tuple, int],
                  pins: dict[int, int], k: int, length: int, collect_all: bool):
     """DP over admissible words of `length` respecting pins, summing the
-    normalized cost of the first k steps.
+    integer step costs of the first k steps.
 
     Returns the minimal sum, or the set of all achievable sums when
     collect_all is set (the sums live on a small lattice, so the set
     stays tiny). None / empty set when no word fits.
     """
     keep = max(window - 1, 1)
-    dp: dict[tuple, object] = {(): {Fraction(0)} if collect_all else Fraction(0)}
+    dp: dict[tuple, object] = {(): {0} if collect_all else 0}
     for t in range(length):
         allowed = (pins[t],) if t in pins else tuple(range(sft.alphabet_size))
+        counted = 0 <= t - window + 1 < k
         nxt: dict[tuple, object] = {}
         for state, acc in dp.items():
             for b in allowed:
                 if state and not sft.allows(state[-1], b):
                     continue
                 word = state + (b,)
-                delta = Fraction(0)
-                if 0 <= t - window + 1 < k:
-                    delta = table[word[-window:]] - abar
+                delta = costs[word[-window:]] if counted else 0
                 ns = word[-keep:]
                 if collect_all:
                     sums = {s + delta for s in acc}
@@ -253,7 +272,7 @@ def _scan_pinned(sft: SftSystem, window: int, table: Mapping, abar: Fraction,
             return set() if collect_all else None
         dp = nxt
     if collect_all:
-        out: set[Fraction] = set()
+        out: set[int] = set()
         for sums in dp.values():
             out |= sums
         return out
@@ -278,15 +297,15 @@ def s_epsilon(query: SEpsilonQuery, potential, sft: SftSystem) -> Fraction:
         raise TooLarge(
             f"p + k + window = {p + k + window} exceeds the budget {SYMBOL_BUDGET}"
         )
-    abar = _brute_abar(sft, window, table)
+    scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
     pins = _pins(x, y, k, p)
     if pins is None:
         raise NoPathExists("endpoint cylinders pin contradictory symbols")
     length = max(k + p, k + window - 1)
-    best = _scan_pinned(sft, window, table, abar, pins, k, length, collect_all=False)
+    best = _scan_pinned(sft, window, costs, pins, k, length, collect_all=False)
     if best is None:
         raise NoPathExists("no admissible word satisfies the endpoint cylinders")
-    return best
+    return Fraction(best, scale)
 
 
 def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
@@ -374,10 +393,10 @@ def is_nonwandering(x: LassoPoint, potential, sft: SftSystem,
     component = comps.pop() if exact and comps else None
 
     window, table = _step_table(potential, sft)
-    abar = _brute_abar(sft, window, table)
+    scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
     found: list[tuple[int, int | None]] = []
     for p in range(1, 5):
-        eps = sft.lam**p
+        bound = sft.lam**p * scale  # |sum| < eps, in units of 1/L
         hit: int | None = None
         k_cap = min(search_budget, SYMBOL_BUDGET - p - window)
         for k in range(1, k_cap + 1):
@@ -385,9 +404,9 @@ def is_nonwandering(x: LassoPoint, potential, sft: SftSystem,
             if pins is None:
                 continue
             length = max(k + p, k + window - 1)
-            sums = _scan_pinned(sft, window, table, abar, pins, k, length,
+            sums = _scan_pinned(sft, window, costs, pins, k, length,
                                 collect_all=True)
-            if any(-eps < s < eps for s in sums):
+            if any(-bound < s < bound for s in sums):
                 hit = k
                 break
         found.append((p, hit))

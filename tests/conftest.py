@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,17 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 CORPUS_SEED = 20260815
 N_ONE_SIDED = 200
 N_TWO_SIDED = 50
+
+# Weights on the nine edges 00, 01, ..., 22 of the e2 graph. The solver
+# kernels and the oracle's walk tables run on integers over one common
+# denominator L of w - abar: here L is a product of two large primes, or
+# 3 although every weight is an integer (abar = 1/3 comes from the cycle
+# 0 -> 1 -> 2 -> 0).
+SCALING_CASES = {
+    "coprime": [Fraction(n, 9973 if k % 2 else 10007)
+                for k, n in enumerate((41, 17, 29, 23, 53, 11, 37, 19, 47))],
+    "cycle_length": [1, 1, 1, 1, 1, 0, 0, 1, 1],
+}
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import INSTANCE_DIR
 from ergopt.cli import main
@@ -397,6 +400,123 @@ class TestIntegerKernel:
             before = len(calls)
             assert main([*argv, "--instance", E2]) == 0, argv
             assert len(calls) > before, argv
+
+
+class TestParserReuse:
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # one parser serves every main() call in a process: flags, defaults,
+        # errors and help must not carry over from one call to the next
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+        gamma, plain = str(tmp_path / "gamma.csv"), str(tmp_path / "plain.csv")
+        sequence = [
+            ("calibrate", "--instance", E2, "--boundary", "0,1"),
+            ("calibrate", "--instance", E2),
+            ("separate", "--instance", E2, "--depth", "3", "--gamma", "7/13",
+             "--out", gamma),
+            ("separate", "--instance", E2, "--depth", "3", "--out", plain),
+            ("calibrate", "--instance", E2, "--dominant", "nope"),
+            ("calibrate", "--instance", E2),
+            ("--help",),
+        ]
+
+        def written(argv):
+            out = argv[-1] if "--out" in argv else None
+            return Path(out).read_text(encoding="utf-8") if out else None
+
+        fresh = {}
+        for argv in dict.fromkeys(sequence):
+            res = run_cli(*argv)
+            fresh[argv] = (res.returncode, res.stdout, res.stderr, written(argv))
+        # each flag changes its output, so a flag carried over would show
+        assert fresh[sequence[0]][1] != fresh[sequence[1]][1]
+        assert fresh[sequence[2]][3] != fresh[sequence[3]][3]
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err, written(argv)) == fresh[argv], argv
+
+
+INSTANCE_FILES = (E1, E2, GOLDEN, TWO_SIDED, str(INSTANCE_DIR / "missing.json"))
+# sub-action CSVs the fuzz may pass to verify, written once per module
+SUBACTION_CSVS = {
+    "flat1.csv": "word,value\n0,0\n1,0\n",
+    "e2.csv": "word,value\n0,0\n1,1\n2,0\n",
+    "sep2.csv": "word,value\n00,0\n01,-1/4\n10,-3/8\n11,-5/8\n",
+    "deep.csv": "word,value\n" + "".join(f"{k:011b},0\n" for k in range(2**11)),
+    "bad.csv": "word,value\n0,x\n1,0\n",
+    "empty.csv": "",
+}
+NUMBER = st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-30, 30))
+HOSTILE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "-1", "0", "1", "1/0", "-0", "nan", "inf", "1e-3", "0x10",
+                     HUGE, "-" + HUGE, "1" * 5000, "1,2", ",", "1/2,", "2,",
+                     "1,1/3", "0,0,0", "1_000", "\x00", "--help"]),
+    NUMBER,
+    st.lists(NUMBER, min_size=1, max_size=3).map(",".join),
+)
+FLAGS = {
+    "solve": {},
+    "barrier": {},
+    "info": {},
+    "calibrate": {
+        "--boundary": st.one_of(st.lists(NUMBER, min_size=1, max_size=3).map(",".join),
+                                HOSTILE),
+        "--dominant": st.one_of(st.builds("{},{}".format, st.integers(-1, 3), NUMBER),
+                                HOSTILE),
+    },
+    "separate": {"--depth": st.one_of(st.integers(-2, 10).map(str), HOSTILE),
+                 "--gamma": st.one_of(NUMBER, HOSTILE)},
+    "verify": {"--subaction": st.sampled_from(sorted(SUBACTION_CSVS) + ["missing.csv"])},
+    "oracle": {"--seed": st.one_of(st.integers(-2, 10**6).map(str), HOSTILE)},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command != "oracle" or draw(st.booleans()):
+        argv += ["--instance", draw(st.sampled_from(INSTANCE_FILES))]
+    flags = FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else ():
+        argv += [flag, draw(flags[flag])]
+    if draw(st.integers(0, 7)) == 0:
+        argv += ["--max-nodes", draw(HOSTILE)]
+    # the last --max-nodes wins: every run stays far below the default budget
+    argv += ["--max-nodes", str(draw(st.integers(-2, 10**4)))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def subaction_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("subactions")
+    for name, text in SUBACTION_CSVS.items():
+        (where / name).write_text(text, encoding="utf-8")
+    return where
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_every_command_line_ends_in_a_documented_code(self, subaction_dir, argv):
+        if "--subaction" in argv:
+            at = argv.index("--subaction") + 1
+            argv[at] = str(subaction_dir / argv[at])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code in (2, 3):
+            assert err.getvalue(), argv
 
 
 class TestInfo:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SimpleDigraph, periodic_lassos, random_lasso
+from conftest import SCALING_CASES, SimpleDigraph, periodic_lassos, random_lasso
 from ergopt.errors import NoPathExists, TooLarge
 from ergopt.instances import random_instance
 from ergopt.oracle import (
@@ -110,7 +110,36 @@ class TestPathMinSums:
             assert rows[k][j] == path_min_sums(b.graph, b.weights, b.abar, i, j, k)
 
 
+def assert_table_matches_sums(graph, weights):
+    """path_min_table against the Fraction reference path_min_sums at
+    every source, length 1..2n^2 and target, None included."""
+    abar = min(m for _, m in brute_cycles(graph, weights))
+    n, k_max = graph.n_nodes, 2 * graph.n_nodes ** 2
+    for i in range(n):
+        rows = path_min_table(graph, weights, abar, i, k_max)
+        assert len(rows) == k_max + 1
+        assert rows[0] == [Fraction(0) if j == i else None for j in range(n)]
+        for k in range(1, k_max + 1):
+            for j in range(n):
+                assert rows[k][j] == path_min_sums(graph, weights, abar, i, j, k), (i, j, k)
+
+
 class TestPathMinTable:
+    @pytest.mark.parametrize("case", sorted(SCALING_CASES))
+    def test_integer_rows_match_the_fraction_reference(self, e2_bundle, case):
+        weights = [Fraction(w) for w in SCALING_CASES[case]]
+        assert_table_matches_sums(e2_bundle.graph, weights)
+
+    def test_missing_walks_stay_none(self):
+        # a bare two-cycle: no walk of odd length returns, and abar brings
+        # both primes and the cycle length 2 into the denominator
+        g = SimpleDigraph(2, [(0, 1), (1, 0)])
+        weights = [Fraction(41, 9973), Fraction(18, 10007)]
+        assert min(m for _, m in brute_cycles(g, weights)).denominator == 2 * 9973 * 10007
+        assert_table_matches_sums(g, weights)
+        rows = path_min_table(g, weights, Fraction(0), 0, 3)
+        assert [row[0] for row in rows] == [0, None, Fraction(589801, 9973 * 10007), None]
+
     def test_row_zero_is_the_empty_walk(self, e2_bundle):
         rows = path_min_table(e2_bundle.graph, e2_bundle.weights,
                               e2_bundle.abar, 1, 3)

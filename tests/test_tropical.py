@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SimpleDigraph
+from conftest import SCALING_CASES, SimpleDigraph
 from ergopt.errors import NotInConstraintSet
 from ergopt.instances import random_instance
 from ergopt.oracle import barrier_window, brute_cycles, path_min_table
@@ -254,17 +254,6 @@ class TestRepresentativeRows:
                 min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
             assert constraint_polytope(b.crit).matrix == tuple(
                 tuple(h[a][c] for c in reps) for a in reps)
-
-
-# Weights on the nine edges 00, 01, ..., 22 of the e2 graph. The kernels
-# run on integers over one common denominator L of w - abar: here L is a
-# product of two large primes, or 3 although every weight is an integer
-# (abar = 1/3 comes from the cycle 0 -> 1 -> 2 -> 0).
-SCALING_CASES = {
-    "coprime": [Fraction(n, 9973 if k % 2 else 10007)
-                for k, n in enumerate((41, 17, 29, 23, 53, 11, 37, 19, 47))],
-    "cycle_length": [1, 1, 1, 1, 1, 0, 0, 1, 1],
-}
 
 
 class TestIntegerKernel:
