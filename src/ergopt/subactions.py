@@ -17,7 +17,7 @@ from .errors import (
     NotCalibrated,
     NotInConstraintSet,
 )
-from .symbolic import DeBruijnGraph, Word, lift_to, lift_values
+from .symbolic import Word, check_budget, lift_to, lift_values
 from .tropical import (
     CriticalStructure,
     _path_minima,
@@ -71,32 +71,30 @@ class GapReport:
     attained_component: int
 
 
-def itinerary_component(word: Word, crit: CriticalStructure) -> int | None:
-    """Component index when every base step of `word` is a critical edge
-    of one component; None otherwise.
+def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
+                  depth: int):
+    """The graph and weights at `depth`, and the critical component of
+    every lifted node and edge (None off the critical words).
 
-    A bare node word (length = base order) is classified by its node.
-    Consecutive critical edges share a node, and components are
-    node-disjoint, so a fully critical word can never mix components;
-    the cross-check stays because it is cheap.
+    One line step per order: a lifted node is an edge one order down and
+    keeps its component; a lifted edge joins two consecutive edges one
+    order down and lies in component c when both do, that is, when every
+    base window of its word is a critical edge of c.
     """
-    graph: DeBruijnGraph = crit.graph
-    r = graph.order
-    if len(word) < r:
-        raise ValueError(f"word {word} is shorter than the graph order {r}")
-    if len(word) == r:
-        return crit.node_component[graph.node_index(word)]
-    comp: int | None = None
-    for i in range(len(word) - r):
-        k = graph.edge_index(word[i : i + r + 1])
-        c = crit.edge_component.get(k)
-        if c is None:
-            return None
-        if comp is None:
-            comp = c
-        elif c != comp:
-            return None
-    return comp
+    if depth < graph.order:
+        raise ValueError(f"cannot lower order {graph.order} to {depth}")
+    if depth > graph.order:
+        check_budget(graph.sft, depth)
+    weights, nodes = tuple(weights), crit.node_component
+    edges = tuple(map(crit.edge_component.get, range(graph.n_edges)))
+    while graph.order < depth:
+        graph, weights = lift_to(graph, weights, graph.order + 1)
+        nodes = edges
+        edges = tuple(
+            nodes[e.tail] if nodes[e.tail] == nodes[e.head] else None
+            for e in graph.edges
+        )
+    return graph, weights, nodes, edges
 
 
 def _calibrated(slacks: Sequence[int], graph) -> bool:
@@ -179,7 +177,7 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     The base graph is lifted to u's depth; nothing raises, the verdicts
     just report.
     """
-    lifted, lw = lift_to(graph, weights, u.depth)
+    lifted, lw, _, edge_comp = lift_critical(graph, weights, crit, u.depth)
     if len(u.values) != lifted.n_nodes:
         raise IncompatibleOrder(
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
@@ -188,21 +186,12 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     _, slacks = _slacks(u.values, lifted, lw, abar)
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
-    critical = [itinerary_component(e.word, crit) is not None for e in lifted.edges]
     tight = [k for k, s in enumerate(slacks) if s == 0]
     tight_words = tuple(lifted.edges[k].word for k in tight)
-    noncritical = tuple(lifted.edges[k].word for k in tight if not critical[k])
+    noncritical = tuple(lifted.edges[k].word for k in tight if edge_comp[k] is None)
     certificate = is_sub and not noncritical
-    containment = all(s == 0 for s, c in zip(slacks, critical) if c)
+    containment = all(s == 0 for s, c in zip(slacks, edge_comp) if c is not None)
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
-
-
-def _lifted_representative(lifted: DeBruijnGraph, crit: CriticalStructure,
-                           comp_index: int) -> int:
-    for n, word in enumerate(lifted.node_words):
-        if itinerary_component(word, crit) == comp_index:
-            return n
-    raise AssertionError(f"component {comp_index} has no itinerary word at this depth")
 
 
 def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
@@ -229,11 +218,9 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
             f"depth budget {depth_budget} is below the graph order {graph.order}"
         )
     v = calibrated_fixed_point(crit)
-    lifted, lw = lift_to(graph, weights, depth_budget)
+    lifted, lw, node_comp, edge_comp = lift_critical(graph, weights, crit, depth_budget)
     u = lift_values(v, graph, lifted)
-    reps = [
-        _lifted_representative(lifted, crit, c.index) for c in crit.components
-    ]
+    reps = [node_comp.index(c.index) for c in crit.components]
     n = lifted.n_nodes
     arcs = [(e.tail, e.head) for e in lifted.edges]
     back = [(e.head, e.tail) for e in lifted.edges]
@@ -246,10 +233,9 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
         if any(s < 0 for s in slacks):
             raise AssertionError("perturbation broke the sub-action bound")
         zero = frozenset(k for k, s in enumerate(slacks) if s == 0)
-        tight_words = tuple(lifted.edges[k].word for k in sorted(zero))
-        residual = tuple(
-            w for w in tight_words if itinerary_component(w, crit) is None
-        )
+        tight = sorted(zero)
+        tight_words = tuple(lifted.edges[k].word for k in tight)
+        residual = tuple(lifted.edges[k].word for k in tight if edge_comp[k] is None)
         if not residual:
             sub = SubAction(depth_budget, tuple(u), "separating")
             return sub, SeparatingCertificate(
@@ -301,7 +287,7 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
     """
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
-    lifted, lw = lift_to(graph, weights, u.depth)
+    lifted, lw, node_comp, _ = lift_critical(graph, weights, crit, u.depth)
     slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
         if len(sub.values) != lifted.n_nodes:
@@ -313,22 +299,15 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
 
     diff = [a - b for a, b in zip(u.values, v.values)]
-    comp_nodes: list[list[int]] = [[] for _ in crit.components]
-    for n, word in enumerate(lifted.node_words):
-        c = itinerary_component(word, crit)
-        if c is not None:
-            comp_nodes[c].append(n)
     constants = []
-    for c, nodes in enumerate(comp_nodes):
-        if not nodes:
-            raise AssertionError(f"component {c} has no itinerary node at depth {u.depth}")
-        vals = {diff[n] for n in nodes}
+    for c in range(len(crit.components)):
+        vals = {d for d, k in zip(diff, node_comp) if k == c}
         if len(vals) != 1:
-            raise AssertionError(f"u - v is not constant on component {c}")
+            raise AssertionError(f"u - v is not one constant on component {c}")
         constants.append(vals.pop())
     minimum = min(diff)
     argmin = tuple(n for n, d in enumerate(diff) if d == minimum)
-    min_critical = min(diff[n] for nodes in comp_nodes for n in nodes)
+    min_critical = min(constants)
     if min_critical != minimum:
         raise AssertionError("minimum of u - v is not attained on a critical word")
     attained = next(c for c, const in enumerate(constants) if const == minimum)

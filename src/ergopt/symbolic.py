@@ -7,10 +7,11 @@ rational parameter lambda, so distance comparisons never round.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -23,6 +24,7 @@ Word = tuple[int, ...]
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_ALPHABET = 64
+MAX_WORD_LENGTH = 1024
 
 
 def strongly_connected_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -152,8 +154,11 @@ def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSy
 def count_words(sft: SftSystem, length: int, cap: int) -> int:
     """The number of admissible words of `length`, or some number above
     `cap` once the count passes it. No word is built; every symbol has a
-    successor, so the count never falls as the length grows.
+    successor, so the count never falls as the length grows. A length
+    past MAX_WORD_LENGTH raises BudgetExceeded whatever the count.
     """
+    if length > MAX_WORD_LENGTH:
+        raise BudgetExceeded(f"word length {length} exceeds the budget of {MAX_WORD_LENGTH}")
     ending = [1] * sft.alphabet_size
     total = sft.alphabet_size
     for _ in range(length - 1):
@@ -164,6 +169,13 @@ def count_words(sft: SftSystem, length: int, cap: int) -> int:
     return total
 
 
+def check_budget(sft: SftSystem, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    """Raise BudgetExceeded unless the admissible `length`-words fit the
+    node budget and the word-length cap."""
+    if count_words(sft, length, node_budget) > node_budget:
+        raise BudgetExceeded(f"admissible {length}-words exceed the node budget of {node_budget}")
+
+
 def admissible_words(sft: SftSystem, length: int,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> list[Word]:
     """The admissible words of `length` in lexicographic order.
@@ -171,10 +183,7 @@ def admissible_words(sft: SftSystem, length: int,
     The words are counted first, so a request past `node_budget` raises
     BudgetExceeded before any list is built.
     """
-    if count_words(sft, length, node_budget) > node_budget:
-        raise BudgetExceeded(
-            f"admissible {length}-words exceed the node budget of {node_budget}"
-        )
+    check_budget(sft, length, node_budget)
     words: list[Word] = [(a,) for a in range(sft.alphabet_size)]
     for _ in range(length - 1):
         words = [w + (b,) for w in words for b in sft.successors[w[-1]]]
@@ -252,8 +261,7 @@ def lasso_distance(x: LassoPoint, y: LassoPoint, sft: SftSystem) -> Fraction:
     raise AssertionError("distinct canonical lassos agree past the periodicity bound")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     tail: int
     head: int
     word: Word
@@ -262,33 +270,55 @@ class Edge:
 class DeBruijnGraph:
     """Order-r refinement of an SFT.
 
-    Nodes are the admissible r-words in lexicographic order; every
-    admissible (r+1)-word is an edge from its length-r prefix to its
-    length-r suffix. Irreducibility of the transition matrix makes the
-    graph strongly connected at every order.
+    Nodes are the admissible r-words and edges the admissible (r+1)-words,
+    each from its length-r prefix to its length-r suffix, both in
+    lexicographic order. Order 1 is the transition matrix; each order
+    above is the line graph of the one below (`line_graph`).
+    Irreducibility makes the graph strongly connected at every order.
     """
 
     def __init__(self, sft: SftSystem, order: int, node_budget: int = DEFAULT_NODE_BUDGET):
         if order < 1:
             raise ValueError(f"graph order must be >= 1, got {order}")
+        check_budget(sft, order, node_budget)
         self.sft = sft
-        self.order = order
-        words = admissible_words(sft, order, node_budget)
-        self.node_words: tuple[Word, ...] = tuple(words)
-        self._node_index = {w: i for i, w in enumerate(words)}
+        self._wire(1, tuple((a,) for a in range(sft.alphabet_size)), sft.successors)
+        while self.order < order:
+            self._wire(*self._line_step())
+
+    def _line_step(self):
+        """Node i one order up is edge i here; its successors are the
+        edges out of edge i's head, so both lists stay lexicographic."""
+        return (self.order + 1, tuple(e.word for e in self.edges),
+                [self.out_edges[e.head] for e in self.edges])
+
+    def _wire(self, order: int, node_words: tuple[Word, ...], successors) -> None:
+        """Nodes, and edges to each node's successors in order; an edge's
+        word is its tail's word and its head's last symbol."""
+        self.order, self.node_words = order, node_words
+        lasts = [w[-1:] for w in node_words]
         edges: list[Edge] = []
-        out_edges: list[list[int]] = [[] for _ in words]
-        in_edges: list[list[int]] = [[] for _ in words]
-        for i, w in enumerate(words):
-            for b in sft.successors[w[-1]]:
-                j = self._node_index[w[1:] + (b,)]
-                out_edges[i].append(len(edges))
+        out_edges = []
+        in_edges: list[list[int]] = [[] for _ in node_words]
+        for i, (word, heads) in enumerate(zip(node_words, successors)):
+            out_edges.append(tuple(range(len(edges), len(edges) + len(heads))))
+            for j in heads:
                 in_edges[j].append(len(edges))
-                edges.append(Edge(i, j, w + (b,)))
+                edges.append(Edge(i, j, word + lasts[j]))
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._edge_index = {e.word: k for k, e in enumerate(edges)}
-        self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in out_edges)
-        self.in_edges: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in in_edges)
+        self.out_edges: tuple[tuple[int, ...], ...] = tuple(out_edges)
+        self.in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
+
+    def line_graph(self) -> DeBruijnGraph:
+        """The graph one order up."""
+        up = DeBruijnGraph.__new__(DeBruijnGraph)
+        up.sft = self.sft
+        up._wire(*self._line_step())
+        return up
+
+    @functools.cached_property
+    def _node_index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.node_words)}
 
     @property
     def n_nodes(self) -> int:
@@ -305,10 +335,13 @@ class DeBruijnGraph:
             raise ValueError(f"not an admissible node word: {tuple(word)}") from None
 
     def edge_index(self, word: Sequence[int]) -> int:
-        try:
-            return self._edge_index[tuple(word)]
-        except KeyError:
-            raise ValueError(f"not an admissible edge word: {tuple(word)}") from None
+        """The out-edge of the word's prefix that ends in its last symbol."""
+        word = tuple(word)
+        tail = self._node_index.get(word[:-1])
+        for k in () if tail is None else self.out_edges[tail]:
+            if self.edges[k].word[-1] == word[-1]:
+                return k
+        raise ValueError(f"not an admissible edge word: {word}")
 
 
 def refine(sft: SftSystem, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DeBruijnGraph:
@@ -317,20 +350,20 @@ def refine(sft: SftSystem, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> De
 
 def lift_to(graph: DeBruijnGraph, weights: Sequence[Fraction], order: int,
             node_budget: int = DEFAULT_NODE_BUDGET):
-    """Refine straight to the requested order, carrying weights by prefix.
-
-    The weight of a lifted edge is the weight of the base edge it starts
-    with, so path sums (and hence cycle means and everything downstream)
-    are preserved.
+    """Refine to `order` by line steps, counting the words first. Each
+    lifted edge takes the weight of its tail one order down, and so, step
+    by step, that of the base edge its word starts with: path sums, cycle
+    means and everything downstream are preserved.
     """
     if order < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {order}")
-    if order == graph.order:
-        return graph, tuple(weights)
-    lifted = DeBruijnGraph(graph.sft, order, node_budget)
-    r = graph.order
-    lifted_weights = tuple(weights[graph.edge_index(e.word[: r + 1])] for e in lifted.edges)
-    return lifted, lifted_weights
+    if order > graph.order:
+        check_budget(graph.sft, order, node_budget)
+    weights = tuple(weights)
+    while graph.order < order:
+        graph = graph.line_graph()
+        weights = tuple(weights[e.tail] for e in graph.edges)
+    return graph, weights
 
 
 def lift_values(values: Sequence[Fraction], graph: DeBruijnGraph,

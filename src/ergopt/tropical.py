@@ -185,36 +185,22 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
 
     crit = critical_structure(graph, weights, abar)
     start = crit.components[0].representative
-    parent: dict[int, tuple[int, int]] = {}  # node -> (previous node, edge index)
+    into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
     queue = [start]
-    seen = {start}
-    closing: int | None = None
-    last: int | None = None
-    while queue and closing is None:
-        nxt: list[int] = []
-        for u in queue:
-            for k in graph.out_edges[u]:
-                if crit.edge_component.get(k) != 0:
-                    continue
-                head = graph.edges[k].head
-                if head == start:
-                    closing, last = k, u
-                    break
-                if head not in seen:
-                    seen.add(head)
-                    parent[head] = (u, k)
-                    nxt.append(head)
-            if closing is not None:
-                break
-        queue = nxt
-    if closing is None or last is None:
+    for u in queue:  # the queue grows while it is walked
+        ks = [k for k in graph.out_edges[u] if crit.edge_component.get(k) == 0]
+        closing = next((k for k in ks if graph.edges[k].head == start), None)
+        if closing is not None:
+            break
+        for k in ks:
+            if graph.edges[k].head not in into:
+                into[graph.edges[k].head] = k
+                queue.append(graph.edges[k].head)
+    else:
         raise AssertionError("critical component has no cycle through its representative")
-    chain: list[int] = [closing]
-    node = last
-    while node != start:
-        prev, k = parent[node]
-        chain.append(k)
-        node = prev
+    chain = [closing]
+    while graph.edges[chain[-1]].tail != start:
+        chain.append(into[graph.edges[chain[-1]].tail])
     witness = tuple(reversed(chain))
     total = sum(weights[k] for k in witness)
     if total != abar * len(witness):

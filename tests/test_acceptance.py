@@ -28,12 +28,11 @@ from ergopt.subactions import (
     convex_combination,
     dominant_calibrated,
     gap_analysis,
-    itinerary_component,
     separating_subaction,
     verify,
 )
 from ergopt.symbolic import lift_to, lift_values
-from ergopt.tropical import constraint_polytope, lax_oleinik_step
+from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -50,11 +49,11 @@ def spanned_boundary(bundle, rng):
 
 
 def critical_words_at(bundle, depth):
-    lifted, _ = lift_to(bundle.graph, bundle.weights, depth)
-    return {
-        e.word for e in lifted.edges
-        if itinerary_component(e.word, bundle.crit) is not None
-    }
+    """The critical edges of the lifted graph, from its own zero-cycle
+    pass rather than from components carried up from the base."""
+    lifted, lw = lift_to(bundle.graph, bundle.weights, depth)
+    crit = critical_structure(lifted, lw, bundle.abar)
+    return {lifted.edges[k].word for k in crit.critical_edges}
 
 
 def test_ac1_barrier_axioms(corpus, e1_bundle, e2_bundle):

@@ -623,6 +623,21 @@ class TestExitCodes:
         assert "budget" in res.stderr
         assert res.stdout == ""
 
+    def test_separate_depth_past_the_word_length_cap(self, tmp_path):
+        # a single cycle has two words at every length, so no node budget
+        # stops it; building words of length 10**6 took hours
+        path = tmp_path / "cycle.json"
+        data = {
+            "alphabet_size": 2, "transition": [[0, 1], [1, 0]], "lambda": "1/2",
+            "potential": {"side": "one", "range": 1, "entries": {"0": 0, "1": 1}},
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        res = run_cli("separate", "--instance", str(path), "--depth", "1000000",
+                      timeout=30)
+        assert res.returncode == 4
+        assert "word length 1000000" in res.stderr
+        assert res.stdout == ""
+
     def test_holder_not_an_object(self, tmp_path):
         path = tmp_path / "x.json"
         data = json.loads(Path(E1).read_text(encoding="utf-8"))

@@ -11,12 +11,12 @@ from ergopt.subactions import (
     convex_combination,
     dominant_calibrated,
     gap_analysis,
-    itinerary_component,
+    lift_critical,
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import lift_to, lift_values
-from ergopt.tropical import constraint_polytope, lax_oleinik_step
+from ergopt.symbolic import count_words, lift_to, lift_values
+from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
 
 
 def fixed_sub(bundle):
@@ -237,18 +237,63 @@ class TestSeparating:
             assert set(cert.tight_words) == set(v.tight_words)
 
 
+def carried(b, depth):
+    """Word -> component of the lifted nodes and of the lifted edges at
+    `depth`, as carried up from the base."""
+    lifted, _, nodes, edges = lift_critical(b.graph, b.weights, b.crit, depth)
+    return (dict(zip(lifted.node_words, nodes)),
+            {e.word: c for e, c in zip(lifted.edges, edges)})
+
+
 class TestItineraryComponent:
+    """A word lies in component c when every base window of it is a
+    critical edge of c; the carried tables say which."""
+
     def test_node_length_words(self, e2_bundle):
-        assert itinerary_component((0,), e2_bundle.crit) == 0
-        assert itinerary_component((1,), e2_bundle.crit) is None
-        assert itinerary_component((2,), e2_bundle.crit) == 1
+        nodes, _ = carried(e2_bundle, 1)
+        assert nodes[(0,)] == 0
+        assert nodes[(1,)] is None
+        assert nodes[(2,)] == 1
 
     def test_longer_words(self, e2_bundle, golden_bundle):
-        assert itinerary_component((0, 0, 0), e2_bundle.crit) == 0
-        assert itinerary_component((2, 2), e2_bundle.crit) == 1
-        assert itinerary_component((0, 2), e2_bundle.crit) is None
-        assert itinerary_component((0, 1, 0), golden_bundle.crit) == 0
-        assert itinerary_component((0, 0, 1), golden_bundle.crit) is None
+        nodes, edges = carried(e2_bundle, 1)
+        assert edges[(2, 2)] == 1
+        assert edges[(0, 2)] is None
+        nodes, _ = carried(e2_bundle, 3)
+        assert nodes[(0, 0, 0)] == 0
+        nodes, _ = carried(golden_bundle, 3)
+        assert nodes[(0, 1, 0)] == 0
+        assert nodes[(0, 0, 1)] is None
+
+
+class TestLiftCritical:
+    def test_matches_the_critical_structure_of_the_lift(
+            self, corpus_bundles, two_sided_bundles, e1_bundle, e2_bundle,
+            golden_bundle):
+        """The carried components equal those of a fresh zero-cycle pass
+        on the lifted graph, index for index."""
+        bundles = [*corpus_bundles, *two_sided_bundles, e1_bundle, e2_bundle,
+                   golden_bundle]
+        lifts = 0
+        for b in bundles:
+            for depth in range(b.graph.order, b.graph.order + 4):
+                if count_words(b.graph.sft, depth, 400) > 400:
+                    break
+                lifted, lw, nodes, edges = lift_critical(b.graph, b.weights,
+                                                         b.crit, depth)
+                fresh = critical_structure(lifted, lw, b.abar)
+                assert nodes == fresh.node_component
+                assert edges == tuple(fresh.edge_component.get(k)
+                                      for k in range(lifted.n_edges))
+                lifts += 1
+        assert lifts > len(bundles)
+
+    def test_rejects_lower_order(self, e2_bundle):
+        b = e2_bundle
+        lifted, lw = lift_to(b.graph, b.weights, 2)
+        crit = critical_structure(lifted, lw, b.abar)
+        with pytest.raises(ValueError, match="cannot lower order 2 to 1"):
+            lift_critical(lifted, lw, crit, 1)
 
 
 class TestConvexCombination:

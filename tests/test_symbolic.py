@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -15,7 +16,9 @@ from ergopt.instances import random_instance
 from ergopt.symbolic import (
     DeBruijnGraph,
     LassoPoint,
+    MAX_WORD_LENGTH,
     build_sft,
+    count_words,
     lasso_distance,
     lasso_shift,
     lift_to,
@@ -32,6 +35,7 @@ HALF = Fraction(1, 2)
 
 FULL2 = build_sft(2, [[1, 1], [1, 1]], HALF)
 GOLDEN = build_sft(2, [[1, 1], [1, 0]], HALF)
+FULL3 = build_sft(3, [[1] * 3] * 3, HALF)
 
 
 class TestBuildSft:
@@ -122,6 +126,35 @@ class TestRefine:
             g.node_index((1, 1))
         with pytest.raises(ValueError):
             g.edge_index((0, 1, 1))
+
+    @pytest.mark.parametrize("word", [(1, 1), (0,), (0, 0, 0), (), (0, 2), (2, 0), (0, -1)])
+    def test_edge_index_rejects_non_edges(self, word):
+        # a forbidden transition, wrong lengths, out-of-range symbols
+        with pytest.raises(ValueError, match="not an admissible edge word"):
+            refine(GOLDEN, 1).edge_index(word)
+
+    def test_edge_index_round_trips(self):
+        for g in (refine(GOLDEN, 3), refine(FULL3, 2)):
+            assert [g.edge_index(e.word) for e in g.edges] == list(range(g.n_edges))
+
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_next_order_is_the_line_graph(self, seed, r):
+        sft = random_instance(random.Random(seed)).sft
+        low, up = refine(sft, r), refine(sft, r + 1)
+        assert up.node_words == tuple(e.word for e in low.edges)
+        for e in up.edges:
+            first, second = low.edges[e.tail], low.edges[e.head]
+            assert first.head == second.tail
+            assert e.word == first.word + second.word[-1:]
+        assert up.n_edges == sum(len(low.out_edges[e.head]) for e in low.edges)
+
+    def test_word_length_cap(self):
+        cycle = build_sft(2, [[0, 1], [1, 0]], HALF)
+        assert count_words(cycle, MAX_WORD_LENGTH, 2) == 2
+        with pytest.raises(BudgetExceeded, match="word length"):
+            count_words(cycle, MAX_WORD_LENGTH + 1, 2)
+        with pytest.raises(BudgetExceeded, match="word length"):
+            refine(cycle, 10**6)
 
     @given(st.integers(0, 10**6), st.integers(1, 3))
     def test_strongly_connected_at_every_order(self, seed, r):
@@ -249,6 +282,15 @@ class TestLift:
         g = refine(FULL2, 2)
         with pytest.raises(ValueError):
             lift_to(g, [Fraction(0)] * g.n_edges, 1)
+
+    def test_lift_to_counts_before_building(self, e2_bundle):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                lift_to(e2_bundle.graph, e2_bundle.weights, 30, node_budget=1000)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_path_sums_preserved(self):
         g = refine(GOLDEN, 1)
