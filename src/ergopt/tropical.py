@@ -2,12 +2,13 @@
 cycle mean), Mane potential and Peierls barrier matrices, critical
 structure with irreducible components, and calibrated sub-action vectors.
 
-Inputs and outputs are Fractions. The kernels (Karp's table, every
-Bellman-Ford row, the Peierls relay, the edge slacks of node values)
-run on Python ints: the costs are scaled by one common denominator L,
-so sums and comparisons are exact integer operations, and results
-become Fractions over L only at the public boundary. Determinism comes
-from ascending index order in every tie-break.
+Inputs and outputs are Fractions. The kernels (the policy iteration that
+gives abar and a potential certifying it, every Bellman-Ford row, the
+Peierls relay, the edge slacks of node values) run on Python ints: the
+costs are scaled by one common denominator L, so sums and comparisons
+are exact integer operations, and results become Fractions over L only
+at the public boundary. Determinism comes from ascending index order in
+every tie-break.
 """
 
 from __future__ import annotations
@@ -137,53 +138,63 @@ def _path_minima(arcs: Sequence[tuple[int, int]], costs: Sequence,
     return dist
 
 
+def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]:
+    """Howard's policy iteration: (S, m, x) with S/m the least cycle mean
+    of the integer costs and x[tail] <= m*c - S + x[head] on every edge,
+    which certifies it; scaling by the cycle length m keeps values ints.
+    A policy is one out-edge per node, at first the cheapest (lowest
+    index on ties). A round takes the policy cycle of least mean (the
+    first found on ties), sets x by a reverse breadth-first search from
+    it, policy edges first, and moves nodes to strictly better edges."""
+    n, heads = graph.n_nodes, [e.head for e in graph.edges]
+    if not all(graph.out_edges):
+        raise ValueError("graph is not strongly connected")
+    policy = [min(ks, key=costs.__getitem__) for ks in graph.out_edges]
+    tried = set()  # a round depends only on the policy it starts from
+    while (key := tuple(policy)) not in tried:
+        tried.add(key)
+        mark, best = [-1] * n, None
+        for start in range(n):
+            v = start
+            while mark[v] < 0:
+                mark[v], v = start, heads[policy[v]]
+            if mark[v] == start:  # this walk closed a cycle at v
+                cycle = [policy[v]]
+                while heads[cycle[-1]] != v:
+                    cycle.append(policy[heads[cycle[-1]]])
+                total = sum(map(costs.__getitem__, cycle))
+                if best is None or total * best[1] < best[0] * len(cycle):
+                    best = (total, len(cycle), v)
+        S, m, root = best
+        seen, order = [v == root for v in range(n)], [root]
+        for any_edge in (False, True):  # the cycle's policy tree, then the rest
+            for v in order:  # the list grows while it is walked
+                for k in graph.in_edges[v]:
+                    t = graph.edges[k].tail
+                    if not seen[t] and (any_edge or policy[t] == k):
+                        seen[t], policy[t] = True, k
+                        order.append(t)
+        if len(order) < n:
+            raise ValueError("graph is not strongly connected")
+        reduced, x = [m * c - S for c in costs], [0] * n
+        for t in order[1:]:
+            x[t] = reduced[policy[t]] + x[heads[policy[t]]]
+        switched = False
+        for t in range(n):
+            for k in graph.out_edges[t]:
+                if reduced[k] + x[heads[k]] < x[t]:
+                    x[t], policy[t], switched = reduced[k] + x[heads[k]], k, True
+        if not switched:
+            return S, m, x
+    raise AssertionError("policy iteration came back to a policy it had left")
+
+
 def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
-    """Minimum cycle mean by Karp's formula, with a zero-cycle witness.
-
-    The witness is the shortest cycle through the representative of the
-    first critical component, found inside that component.
-    """
-    n = graph.n_nodes
-    weights = [Fraction(w) for w in weights]
-    if graph.n_edges == 0:
-        raise ValueError("graph has no edges")
-
-    # Karp's table on integers over D; a ratio is a (numerator,
-    # denominator) pair with positive denominator, compared crosswise.
-    big, costs = _scale(weights)
-    arcs = [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
-    dp: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
-    dp[0][0] = 0
-    for k in range(1, n + 1):
-        row = dp[k]
-        prev = dp[k - 1]
-        for tail, head, c in arcs:
-            d = prev[tail]
-            if d is None:
-                continue
-            cand = d + c
-            if row[head] is None or cand < row[head]:
-                row[head] = cand
-    best: tuple[int, int] | None = None
-    for v in range(n):
-        dnv = dp[n][v]
-        if dnv is None:
-            continue
-        worst: tuple[int, int] | None = None
-        for k in range(n):
-            dkv = dp[k][v]
-            if dkv is None:
-                continue
-            ratio = (dnv - dkv, n - k)
-            if worst is None or ratio[0] * worst[1] > worst[0] * ratio[1]:
-                worst = ratio
-        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
-            best = worst
-    if best is None:
-        raise AssertionError("no cycle found in a strongly connected graph")
-    abar = Fraction(best[0], best[1] * big)
-
-    crit = critical_structure(graph, weights, abar)
+    """Minimum cycle mean, from `critical_structure`, with a zero-cycle
+    witness: the shortest cycle through the representative of the first
+    critical component, found inside that component."""
+    crit = critical_structure(graph, weights)
+    weights, abar = crit.weights, crit.abar
     start = crit.components[0].representative
     into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
     queue = [start]
@@ -230,48 +241,36 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
     return _unscale(rows, big)
 
 
-def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> CriticalStructure:
-    """Critical edges and their components from one zero-cycle pass.
-
-    Shortest-path potentials from node 0 reweight the normalized costs
-    w - abar to reduced costs that are nonnegative and keep every cycle
-    sum (Johnson's reweighting). An edge lies on a zero-mean cycle
-    exactly when its reduced cost (an integer over the common
-    denominator of w - abar) is zero and both ends share a strongly
-    connected component of the zero-cost subgraph. Components are those
-    SCCs that contain a critical edge, ordered by smallest node; that
-    node is the representative.
-    """
+def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
+    """abar, the critical edges and their components from one policy
+    iteration. Its negated values -x are a potential: the reduced costs
+    m*c - S + x(head) - x(tail) are nonnegative and keep every cycle sum,
+    so an edge is on a zero-mean cycle exactly when its reduced cost is
+    zero and both ends share an SCC of the zero-cost subgraph. The SCCs
+    with a critical edge are the components, ordered by smallest node,
+    the representative. A graph that is not strongly connected raises
+    ValueError, here or in the representatives' rows."""
     n = graph.n_nodes
     weights = tuple(Fraction(w) for w in weights)
-    _, costs = _scale(weights, abar)
-    arcs = [(e.tail, e.head) for e in graph.edges]
-    pot: list[int | None] = [None] * n
-    pot[0] = 0
-    if not _relax(arcs, costs, pot):
-        raise AssertionError("negative cycle under normalized weights")
-    if any(d is None for d in pot):
-        raise ValueError("graph is not strongly connected from node 0")
-    # the reduced costs are the slacks of pot, already integers (L = 1)
-    _, reduced = _slacks(pot, graph, costs, 0)
+    big, costs = _scale(weights)
+    S, m, x = _policy_iteration(graph, costs)
+    abar = Fraction(S, m * big)
+    # the reduced costs are the slacks of -x, already integers (L = 1)
+    _, reduced = _slacks([-v for v in x], graph, [m * c for c in costs], S)
     if any(r < 0 for r in reduced):
-        raise AssertionError("negative reduced cost after reweighting")
+        raise AssertionError("negative reduced cost: policy iteration did not converge")
+    arcs = [(e.tail, e.head) for e in graph.edges]
     zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
     for k in zero:
-        tail, head = arcs[k]
-        succ[tail].append(head)
+        succ[arcs[k][0]].append(arcs[k][1])
     sccs = strongly_connected_components(succ)
-    node_scc = [0] * n
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            node_scc[v] = ci
+    node_scc = {v: ci for ci, comp in enumerate(sccs) for v in comp}
     critical = tuple(k for k in zero if node_scc[arcs[k][0]] == node_scc[arcs[k][1]])
     edges_by_scc: dict[int, list[int]] = {}
     for k in critical:
         edges_by_scc.setdefault(node_scc[arcs[k][0]], []).append(k)
-    raw = [(min(sccs[ci]), sccs[ci], sorted(ks)) for ci, ks in edges_by_scc.items()]
-    raw.sort()
+    raw = sorted((min(sccs[ci]), sccs[ci], ks) for ci, ks in edges_by_scc.items())
     components: list[Component] = []
     node_component: list[int | None] = [None] * n
     edge_component: dict[int, int] = {}
@@ -284,7 +283,7 @@ def critical_structure(graph, weights: Sequence[Fraction], abar: Fraction) -> Cr
     return CriticalStructure(
         graph=graph,
         weights=weights,
-        abar=Fraction(abar),
+        abar=abar,
         critical_edges=critical,
         critical_nodes=tuple(v for v in range(n) if node_component[v] is not None),
         components=tuple(components),

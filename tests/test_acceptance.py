@@ -52,7 +52,7 @@ def critical_words_at(bundle, depth):
     """The critical edges of the lifted graph, from its own zero-cycle
     pass rather than from components carried up from the base."""
     lifted, lw = lift_to(bundle.graph, bundle.weights, depth)
-    crit = critical_structure(lifted, lw, bundle.abar)
+    crit = critical_structure(lifted, lw)
     return {lifted.edges[k].word for k in crit.critical_edges}
 
 

@@ -281,7 +281,7 @@ class TestLiftCritical:
                     break
                 lifted, lw, nodes, edges = lift_critical(b.graph, b.weights,
                                                          b.crit, depth)
-                fresh = critical_structure(lifted, lw, b.abar)
+                fresh = critical_structure(lifted, lw)
                 assert nodes == fresh.node_component
                 assert edges == tuple(fresh.edge_component.get(k)
                                       for k in range(lifted.n_edges))
@@ -291,7 +291,7 @@ class TestLiftCritical:
     def test_rejects_lower_order(self, e2_bundle):
         b = e2_bundle
         lifted, lw = lift_to(b.graph, b.weights, 2)
-        crit = critical_structure(lifted, lw, b.abar)
+        crit = critical_structure(lifted, lw)
         with pytest.raises(ValueError, match="cannot lower order 2 to 1"):
             lift_critical(lifted, lw, crit, 1)
 

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import SCALING_CASES, SimpleDigraph
 from ergopt.errors import NotInConstraintSet
@@ -25,6 +26,50 @@ from ergopt.tropical import (
 )
 
 HALF = Fraction(1, 2)
+
+# Graphs that are not strongly connected, by shape: node 2 has no
+# out-edge; the loop at 2 cannot be left; nothing enters 2; the loop at
+# 2 is cut off; the loop 2 <-> 3 cannot get back to 0 <-> 1.
+NOT_STRONGLY_CONNECTED = {
+    "dead_end": (3, [(0, 1), (1, 0), (0, 2)]),
+    "trap_loop": (3, [(0, 1), (1, 0), (0, 2), (2, 2)]),
+    "unreached_source": (3, [(0, 1), (1, 0), (2, 0)]),
+    "island_loop": (3, [(0, 1), (1, 0), (2, 2)]),
+    "one_way_loops": (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]),
+}
+
+
+@st.composite
+def strongly_connected_systems(draw):
+    """A SimpleDigraph of 1-10 nodes made strongly connected by a
+    Hamiltonian cycle, plus extra edges, in a drawn edge order, with
+    weights from {-1, 0, 1, 2}, all zero, or two disjoint planted cycles
+    of mean 0 (one on a single node) among heavier edges."""
+    n = draw(st.integers(1, 10))
+    nodes = draw(st.permutations(range(n)))
+    pairs = {(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
+    node = st.integers(0, n - 1)
+    pairs |= set(draw(st.lists(st.tuples(node, node), max_size=2 * n)))
+    kind = draw(st.sampled_from(["small", "zero", "planted"]))
+    planted: dict = {}
+    if kind == "planted":
+        cut = draw(st.integers(1, max(n - 1, 1)))
+        for loop in filter(None, (nodes[:cut], nodes[cut:])):
+            costs = draw(st.lists(st.integers(-1, 1), min_size=len(loop),
+                                  max_size=len(loop)))
+            costs[-1] = -sum(costs[:-1])
+            for i, c in enumerate(costs):
+                planted[loop[i], loop[(i + 1) % len(loop)]] = c
+        pairs |= set(planted)
+    edges = draw(st.permutations(sorted(pairs)))
+    if kind == "small":
+        weights = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=len(edges),
+                                max_size=len(edges)))
+    elif kind == "zero":
+        weights = [0] * len(edges)
+    else:
+        weights = [planted.get(e, draw(st.integers(1, 2))) for e in edges]
+    return SimpleDigraph(n, edges), [Fraction(w) for w in weights]
 
 
 def rows(matrix):
@@ -65,6 +110,43 @@ class TestMinimizingValue:
         inst = random_instance(random.Random(seed))
         b = solve_instance(inst)
         assert b.abar == min(m for _, m in brute_cycles(b.graph, b.weights))
+
+    @settings(max_examples=300)
+    @given(strongly_connected_systems())
+    def test_policy_iteration_agrees_with_brute_cycles(self, system):
+        g, weights = system
+        cycles = brute_cycles(g, weights)
+        abar = min(m for _, m in cycles)
+        summary = minimizing_value(g, weights)
+        assert summary.abar == abar
+        assert set(summary.crit.critical_edges) == {
+            k for cycle, m in cycles if m == abar for k in cycle}
+        witness = summary.witness_cycle
+        assert sum(weights[k] for k in witness) == abar * len(witness)
+
+    @pytest.mark.parametrize("shape", sorted(NOT_STRONGLY_CONNECTED))
+    def test_rejects_a_graph_that_is_not_strongly_connected(self, shape):
+        n, pairs = NOT_STRONGLY_CONNECTED[shape]
+        g = SimpleDigraph(n, pairs)
+        # every part in turn holds the cheapest cycle
+        for cheap in range(n):
+            weights = [Fraction(0 if tail == cheap else 1) for tail, _ in pairs]
+            for solve in (minimizing_value, critical_structure):
+                with pytest.raises(ValueError, match="graph is not strongly connected"):
+                    solve(g, weights)
+
+    def test_memory_stays_linear_in_the_graph(self):
+        # 1024 nodes; Karp's (n+1) x n table peaked at 14.8 MiB on this graph
+        graph = refine(build_sft(2, [[1, 1], [1, 1]], HALF), 10)
+        rng = random.Random(0)
+        weights = [Fraction(rng.randint(0, 8)) for _ in graph.edges]
+        tracemalloc.start()
+        try:
+            minimizing_value(graph, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBarrierMatrices:
@@ -125,7 +207,7 @@ class TestCriticalStructure:
         graph = refine(sft, 1)
         weights = compile_weights(pot, graph)
         summary = minimizing_value(graph, weights)
-        crit = critical_structure(graph, weights, summary.abar)
+        crit = critical_structure(graph, weights)
         assert crit.critical_edges == summary.crit.critical_edges
         assert len(crit.critical_edges) == graph.n_edges
         assert len(crit.components) == 1
@@ -227,7 +309,7 @@ class TestRelayFormula:
         b = golden_bundle
         n = b.graph.n_nodes
         phi = mane_matrix(b.graph, b.weights, b.abar, range(n))
-        crit = critical_structure(b.graph, b.weights, b.abar)
+        crit = critical_structure(b.graph, b.weights)
         h = peierls_matrix(phi, crit)
         assert rows(phi) == rows(b.barriers.phi)
         assert crit.critical_edges == b.crit.critical_edges
