@@ -6,6 +6,8 @@ contact loci, convex combinations, and the u - v gap analysis.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,11 +19,12 @@ from .errors import (
     NotCalibrated,
     NotInConstraintSet,
 )
-from .symbolic import Word, check_budget, lift_to, lift_values
+from .symbolic import Word, check_budget
 from .tropical import (
     CriticalStructure,
     _path_minima,
     _slacks,
+    _unscale,
     calibrated_fixed_point,
 )
 
@@ -73,13 +76,16 @@ class GapReport:
 
 def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
                   depth: int):
-    """The graph and weights at `depth`, and the critical component of
-    every lifted node and edge (None off the critical words).
+    """The graph and weights at `depth`, the critical component of every
+    lifted node and edge (None off the critical words), and the node of
+    `graph` each lifted node's word begins with.
 
-    One line step per order: a lifted node is an edge one order down and
-    keeps its component; a lifted edge joins two consecutive edges one
-    order down and lies in component c when both do, that is, when every
-    base window of its word is a critical edge of c.
+    One budget check, then one line step per order: a lifted node is an
+    edge one order down, so it keeps that edge's component and its
+    tail's base node, and a lifted edge, weighted as its tail, joins two
+    consecutive edges one order down and lies in component c when both
+    do, that is, when every base window of its word is a critical edge
+    of c.
     """
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
@@ -87,14 +93,15 @@ def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
         check_budget(graph.sft, depth)
     weights, nodes = tuple(weights), crit.node_component
     edges = tuple(map(crit.edge_component.get, range(graph.n_edges)))
+    base = list(range(graph.n_nodes))
     while graph.order < depth:
-        graph, weights = lift_to(graph, weights, graph.order + 1)
+        base = list(map(base.__getitem__, graph.tails))
+        graph = graph.line_graph()
+        weights = tuple(map(weights.__getitem__, graph.tails))
         nodes = edges
-        edges = tuple(
-            nodes[e.tail] if nodes[e.tail] == nodes[e.head] else None
-            for e in graph.edges
-        )
-    return graph, weights, nodes, edges
+        edges = tuple(nodes[t] if nodes[t] == nodes[h] else None
+                      for t, h in zip(graph.tails, graph.heads))
+    return graph, weights, nodes, edges, base
 
 
 def _calibrated(slacks: Sequence[int], graph) -> bool:
@@ -164,10 +171,10 @@ def contact_locus(u: SubAction, graph, weights: Sequence[Fraction],
     for k, s in enumerate(slacks):
         if s < 0:
             raise NotASubAction(
-                f"edge {graph.edges[k].word} has negative slack {Fraction(s, big)}"
+                f"edge {graph.edge_word(k)} has negative slack {Fraction(s, big)}"
             )
     tight = tuple(k for k, s in enumerate(slacks) if s == 0)
-    return ContactSet(u.depth, tight, tuple(graph.edges[k].word for k in tight))
+    return ContactSet(u.depth, tight, tuple(map(graph.edge_word, tight)))
 
 
 def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
@@ -177,7 +184,7 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     The base graph is lifted to u's depth; nothing raises, the verdicts
     just report.
     """
-    lifted, lw, _, edge_comp = lift_critical(graph, weights, crit, u.depth)
+    lifted, lw, _, edge_comp, _ = lift_critical(graph, weights, crit, u.depth)
     if len(u.values) != lifted.n_nodes:
         raise IncompatibleOrder(
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
@@ -187,8 +194,8 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
     tight = [k for k, s in enumerate(slacks) if s == 0]
-    tight_words = tuple(lifted.edges[k].word for k in tight)
-    noncritical = tuple(lifted.edges[k].word for k in tight if edge_comp[k] is None)
+    tight_words = tuple(map(lifted.edge_word, tight))
+    noncritical = tuple(w for w, k in zip(tight_words, tight) if edge_comp[k] is None)
     certificate = is_sub and not noncritical
     containment = all(s == 0 for s, c in zip(slacks, edge_comp) if c is not None)
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
@@ -209,6 +216,12 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     itineraries stay tight under every member, so the tight set shrinks
     toward the critical words; passes repeat until the certificate holds
     or the tight set stops moving.
+
+    The slacks are taken once; then the values and slacks are integers
+    over one running denominator, moved together by each pass and
+    reduced by their gcd. Each pass adds the same rationals whatever
+    that denominator is, so the values are those of the same passes done
+    in Fractions, which are built only for the returned sub-action.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
@@ -217,64 +230,72 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
         raise ValueError(
             f"depth budget {depth_budget} is below the graph order {graph.order}"
         )
+    lifted, lw, node_comp, edge_comp, base = lift_critical(graph, weights, crit,
+                                                           depth_budget)
     v = calibrated_fixed_point(crit)
-    lifted, lw, node_comp, edge_comp = lift_critical(graph, weights, crit, depth_budget)
-    u = lift_values(v, graph, lifted)
+    u = [v[b] for b in base]
+    big, slacks = _slacks(u, lifted, lw, abar)
+    values = [x.numerator * (big // x.denominator) for x in u]
     reps = [node_comp.index(c.index) for c in crit.components]
-    n = lifted.n_nodes
-    arcs = [(e.tail, e.head) for e in lifted.edges]
-    back = [(e.head, e.tail) for e in lifted.edges]
-    heads = [e.head for e in lifted.edges]
+    n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
+    arcs, back = list(zip(tails, heads)), list(zip(heads, tails))
+    ranges = [slice(r.start, r.stop) for r in lifted.out_edges]
     max_passes = lifted.n_edges + 4
-    prev_zero: frozenset[int] | None = None
+    prev_zero: list[int] | None = None
     passes = 0
     while True:
-        big, slacks = _slacks(u, lifted, lw, abar)
-        if any(s < 0 for s in slacks):
+        if min(slacks) < 0:
             raise AssertionError("perturbation broke the sub-action bound")
-        zero = frozenset(k for k, s in enumerate(slacks) if s == 0)
-        tight = sorted(zero)
-        tight_words = tuple(lifted.edges[k].word for k in tight)
-        residual = tuple(lifted.edges[k].word for k in tight if edge_comp[k] is None)
-        if not residual:
-            sub = SubAction(depth_budget, tuple(u), "separating")
-            return sub, SeparatingCertificate(
-                True, depth_budget, gamma, passes, tight_words, ()
-            )
-        if zero == prev_zero or passes >= max_passes:
-            sub = SubAction(depth_budget, tuple(u), "separating")
-            raise BudgetExceeded(
-                f"separating certificate not reached at depth {depth_budget}: "
-                f"{len(residual)} non-critical tight words remain",
-                best=sub,
-                residual_words=residual,
-            )
+        zero = [k for k, s in enumerate(slacks) if s == 0]
+        if (all(edge_comp[k] is not None for k in zero) or zero == prev_zero
+                or passes >= max_passes):
+            break
         prev_zero = zero
         passes += 1
 
         # Perturbation family, in integers over big. Signs make each
         # member a sub-action: forward minima and potential columns fall
         # along cheap edges (subtract), barrier rows rise along them (add).
-        family: list[tuple[int, Sequence[int]]] = []
+        plus: list[list[int]] = []
+        minus: list[list[int]] = []
         wj = [0] * n
         for _ in range(depth_budget):
-            wj = [
-                min(slacks[k] + wj[heads[k]] for k in lifted.out_edges[x])
-                for x in range(n)
-            ]
-            family.append((-1, wj))
+            via = list(map(operator.add, slacks, map(wj.__getitem__, heads)))
+            wj = list(map(min, map(via.__getitem__, ranges)))
+            minus.append(wj)
         for rep in reps:
             row = _path_minima(arcs, slacks, lifted.out_edges[rep], n)
             col = _path_minima(back, slacks, lifted.in_edges[rep], n)
             if None in row or None in col:
                 raise AssertionError("lifted graph is not strongly connected")
-            family.append((+1, row))
-            family.append((-1, col))
-        step = gamma / (len(family) * big)
-        u = tuple(
-            u[x] + step * sum(sign * g[x] for sign, g in family)
-            for x in range(n)
+            plus.append(row)
+            minus.append(col)
+        # u += gamma * (signed sum of the members) / (members * big): over
+        # q * big each value gains its delta, and each slack gains the
+        # delta at its tail and loses the one at its head
+        q = (len(plus) + len(minus)) * gamma.denominator
+        delta = [gamma.numerator * (a - b)
+                 for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
+        values = [q * x + d for x, d in zip(values, delta)]
+        slacks = [q * s - delta[h] + delta[t] for s, t, h in zip(slacks, tails, heads)]
+        big *= q
+        g = math.gcd(big, *values, *slacks)
+        if g > 1:
+            big //= g
+            values = [x // g for x in values]
+            slacks = [s // g for s in slacks]
+
+    tight_words = tuple(map(lifted.edge_word, zero))
+    residual = tuple(w for w, k in zip(tight_words, zero) if edge_comp[k] is None)
+    sub = SubAction(depth_budget, _unscale([values], big)[0], "separating")
+    if residual:
+        raise BudgetExceeded(
+            f"separating certificate not reached at depth {depth_budget}: "
+            f"{len(residual)} non-critical tight words remain",
+            best=sub,
+            residual_words=residual,
         )
+    return sub, SeparatingCertificate(True, depth_budget, gamma, passes, tight_words, ())
 
 
 def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
@@ -287,7 +308,7 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
     """
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
-    lifted, lw, node_comp, _ = lift_critical(graph, weights, crit, u.depth)
+    lifted, lw, node_comp, _, _ = lift_critical(graph, weights, crit, u.depth)
     slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
         if len(sub.values) != lifted.n_nodes:

@@ -8,6 +8,7 @@ rational parameter lambda, so distance comparisons never round.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,12 +269,18 @@ class Edge(NamedTuple):
 
 
 class DeBruijnGraph:
-    """Order-r refinement of an SFT.
+    """Order-r refinement of an SFT, held as int arrays.
 
     Nodes are the admissible r-words and edges the admissible (r+1)-words,
     each from its length-r prefix to its length-r suffix, both in
     lexicographic order. Order 1 is the transition matrix; each order
-    above is the line graph of the one below (`line_graph`).
+    above is the line graph of the one below (`line_graph`): node i one
+    order up is edge i here. Edge k runs from `tails[k]` to `heads[k]`,
+    the out-edges of node v are the index range `out_edges[v]`, and
+    `lasts[v]` is the last symbol of v's word. No word is stored: a
+    node's word is its last symbol preceded by those of the nodes on a
+    backward walk of r - 1 edges, and `node_words`, `edges` and
+    `edge_word` read the words off that walk on demand.
     Irreducibility makes the graph strongly connected at every order.
     """
 
@@ -282,32 +289,28 @@ class DeBruijnGraph:
             raise ValueError(f"graph order must be >= 1, got {order}")
         check_budget(sft, order, node_budget)
         self.sft = sft
-        self._wire(1, tuple((a,) for a in range(sft.alphabet_size)), sft.successors)
+        self._wire(1, list(range(sft.alphabet_size)), sft.successors)
         while self.order < order:
             self._wire(*self._line_step())
 
     def _line_step(self):
-        """Node i one order up is edge i here; its successors are the
-        edges out of edge i's head, so both lists stay lexicographic."""
-        return (self.order + 1, tuple(e.word for e in self.edges),
-                [self.out_edges[e.head] for e in self.edges])
+        """Node i one order up is edge i here, ending in its head's last
+        symbol; its successors are the edges out of that head, so both
+        lists stay lexicographic."""
+        heads = self.heads
+        return (self.order + 1, list(map(self.lasts.__getitem__, heads)),
+                list(map(self.out_edges.__getitem__, heads)))
 
-    def _wire(self, order: int, node_words: tuple[Word, ...], successors) -> None:
-        """Nodes, and edges to each node's successors in order; an edge's
-        word is its tail's word and its head's last symbol."""
-        self.order, self.node_words = order, node_words
-        lasts = [w[-1:] for w in node_words]
-        edges: list[Edge] = []
-        out_edges = []
-        in_edges: list[list[int]] = [[] for _ in node_words]
-        for i, (word, heads) in enumerate(zip(node_words, successors)):
-            out_edges.append(tuple(range(len(edges), len(edges) + len(heads))))
-            for j in heads:
-                in_edges[j].append(len(edges))
-                edges.append(Edge(i, j, word + lasts[j]))
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.out_edges: tuple[tuple[int, ...], ...] = tuple(out_edges)
-        self.in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
+    def _wire(self, order: int, lasts: list[int], successors) -> None:
+        """Nodes, and edges to each node's successors in order, numbered
+        consecutively by tail."""
+        self.order, self.lasts = order, lasts
+        degrees = list(map(len, successors))
+        starts = list(itertools.accumulate(degrees, initial=0))
+        self.heads: list[int] = list(itertools.chain.from_iterable(successors))
+        self.tails: list[int] = list(itertools.chain.from_iterable(
+            map(itertools.repeat, range(len(lasts)), degrees)))
+        self.out_edges: list[range] = list(map(range, starts, starts[1:]))
 
     def line_graph(self) -> DeBruijnGraph:
         """The graph one order up."""
@@ -317,16 +320,47 @@ class DeBruijnGraph:
         return up
 
     @functools.cached_property
+    def in_edges(self) -> tuple[tuple[int, ...], ...]:
+        ins: list[list[int]] = [[] for _ in self.lasts]
+        for k, head in enumerate(self.heads):
+            ins[head].append(k)
+        return tuple(map(tuple, ins))
+
+    @functools.cached_property
+    def node_words(self) -> tuple[Word, ...]:
+        """Every node's word, column by column along one backward walk."""
+        before = [self.tails[ins[0]] for ins in self.in_edges]
+        nodes, columns = range(self.n_nodes), [self.lasts]
+        for _ in range(self.order - 1):
+            nodes = list(map(before.__getitem__, nodes))
+            columns.append(list(map(self.lasts.__getitem__, nodes)))
+        return tuple(zip(*reversed(columns)))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        words, lasts = self.node_words, self.lasts
+        return tuple(map(Edge, self.tails, self.heads,
+                         [words[t] + (lasts[h],) for t, h in zip(self.tails, self.heads)]))
+
+    def edge_word(self, k: int) -> Word:
+        """Edge k's word, read off a backward walk from its head."""
+        symbols, v = [self.lasts[self.heads[k]]], self.tails[k]
+        for _ in range(self.order):
+            symbols.append(self.lasts[v])
+            v = self.tails[self.in_edges[v][0]]
+        return tuple(reversed(symbols))
+
+    @functools.cached_property
     def _node_index(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.node_words)}
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_words)
+        return len(self.lasts)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.heads)
 
     def node_index(self, word: Sequence[int]) -> int:
         try:
@@ -339,7 +373,7 @@ class DeBruijnGraph:
         word = tuple(word)
         tail = self._node_index.get(word[:-1])
         for k in () if tail is None else self.out_edges[tail]:
-            if self.edges[k].word[-1] == word[-1]:
+            if self.lasts[self.heads[k]] == word[-1]:
                 return k
         raise ValueError(f"not an admissible edge word: {word}")
 
@@ -362,7 +396,7 @@ def lift_to(graph: DeBruijnGraph, weights: Sequence[Fraction], order: int,
     weights = tuple(weights)
     while graph.order < order:
         graph = graph.line_graph()
-        weights = tuple(weights[e.tail] for e in graph.edges)
+        weights = tuple(map(weights.__getitem__, graph.tails))
     return graph, weights
 
 

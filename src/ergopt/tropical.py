@@ -86,8 +86,8 @@ def _slacks(values, graph, weights, abar) -> tuple[int, list[int]]:
     n = len(values)
     big, scaled = _scale([*values, *weights, abar])
     shift = scaled.pop()
-    return big, [w - shift - scaled[e.head] + scaled[e.tail]
-                 for w, e in zip(scaled[n:], graph.edges)]
+    return big, [w - shift - scaled[head] + scaled[tail]
+                 for w, tail, head in zip(scaled[n:], graph.tails, graph.heads)]
 
 
 def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -146,7 +146,7 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
     index on ties). A round takes the policy cycle of least mean (the
     first found on ties), sets x by a reverse breadth-first search from
     it, policy edges first, and moves nodes to strictly better edges."""
-    n, heads = graph.n_nodes, [e.head for e in graph.edges]
+    n, tails, heads = graph.n_nodes, graph.tails, graph.heads
     if not all(graph.out_edges):
         raise ValueError("graph is not strongly connected")
     policy = [min(ks, key=costs.__getitem__) for ks in graph.out_edges]
@@ -170,7 +170,7 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
         for any_edge in (False, True):  # the cycle's policy tree, then the rest
             for v in order:  # the list grows while it is walked
                 for k in graph.in_edges[v]:
-                    t = graph.edges[k].tail
+                    t = tails[k]
                     if not seen[t] and (any_edge or policy[t] == k):
                         seen[t], policy[t] = True, k
                         order.append(t)
@@ -195,23 +195,23 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     critical component, found inside that component."""
     crit = critical_structure(graph, weights)
     weights, abar = crit.weights, crit.abar
-    start = crit.components[0].representative
+    start, heads = crit.components[0].representative, graph.heads
     into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
     queue = [start]
     for u in queue:  # the queue grows while it is walked
         ks = [k for k in graph.out_edges[u] if crit.edge_component.get(k) == 0]
-        closing = next((k for k in ks if graph.edges[k].head == start), None)
+        closing = next((k for k in ks if heads[k] == start), None)
         if closing is not None:
             break
         for k in ks:
-            if graph.edges[k].head not in into:
-                into[graph.edges[k].head] = k
-                queue.append(graph.edges[k].head)
+            if heads[k] not in into:
+                into[heads[k]] = k
+                queue.append(heads[k])
     else:
         raise AssertionError("critical component has no cycle through its representative")
     chain = [closing]
-    while graph.edges[chain[-1]].tail != start:
-        chain.append(into[graph.edges[chain[-1]].tail])
+    while graph.tails[chain[-1]] != start:
+        chain.append(into[graph.tails[chain[-1]]])
     witness = tuple(reversed(chain))
     total = sum(weights[k] for k in witness)
     if total != abar * len(witness):
@@ -231,7 +231,7 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
     """
     n = graph.n_nodes
     big, costs = _scale(weights, abar)
-    arcs = [(e.tail, e.head) for e in graph.edges]
+    arcs = list(zip(graph.tails, graph.heads))
     rows = []
     for i in sources:
         dist = _path_minima(arcs, costs, graph.out_edges[i], n)
@@ -259,7 +259,7 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     _, reduced = _slacks([-v for v in x], graph, [m * c for c in costs], S)
     if any(r < 0 for r in reduced):
         raise AssertionError("negative reduced cost: policy iteration did not converge")
-    arcs = [(e.tail, e.head) for e in graph.edges]
+    arcs = list(zip(graph.tails, graph.heads))
     zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
     for k in zero:
@@ -332,7 +332,7 @@ def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],
     out = []
     for j in range(graph.n_nodes):
         out.append(min(
-            u[graph.edges[k].tail] + weights[k] - abar
+            u[graph.tails[k]] + weights[k] - abar
             for k in graph.in_edges[j]
         ))
     return tuple(out)

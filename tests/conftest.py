@@ -118,6 +118,8 @@ class SimpleDigraph:
             edges.append(Edge(tail, head, ()))
         self.n_nodes = n_nodes
         self.edges = tuple(edges)
+        self.tails = [e.tail for e in edges]
+        self.heads = [e.head for e in edges]
         self.out_edges = tuple(tuple(v) for v in out_edges)
         self.in_edges = tuple(tuple(v) for v in in_edges)
 

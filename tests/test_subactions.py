@@ -1,9 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from ergopt import symbolic
 from ergopt.errors import IncompatibleOrder, NotASubAction, NotCalibrated
+from ergopt.instances import random_instance, random_two_sided
+from ergopt.pipeline import solve_instance, solve_potential
+from ergopt.potential import build_one_sided
 from ergopt.subactions import (
     SubAction,
     calibrated_from_boundary,
@@ -15,8 +21,44 @@ from ergopt.subactions import (
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import count_words, lift_to, lift_values
+from ergopt.symbolic import build_sft, count_words, lift_to, lift_values
 from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
+
+
+# SHA-256 of repr((sub.values, cert)) for separating sub-actions that take
+# two passes, recorded when the passes still ran in Fraction arithmetic.
+# Keys are (seed, depth, gamma); the test draws each system from
+# random.Random(seed).
+TWO_PASS_DIGESTS = {
+    (30, 3, "1/2"): "e8f97725c773df6d2adccda348253f8de6c5fcd3b2ef90705cdce93e747a3788",
+    (30, 3, "2/3"): "56c79f854506eee8abb3831708724b67671417bff8eb79d7f85dbefe2ce11696",
+    (30, 4, "1/2"): "7d76023469b6cb218ff6619d605d1bf789df4b8e4b134df1ede5129cfc430b58",
+    (30, 4, "2/3"): "5867e381d02a0d1d39224efd0732aa6eeaba5c1b5ecc8970175c16eab6aac580",
+    (64, 3, "1/2"): "47abb46e3792df5725cfa559fb0483c2aff978571ead71cf5116240ae0e56eea",
+    (64, 3, "2/3"): "4333f5756f879ecea32aa500c42562e5e62d24d35e4136af0b3e1928aafddad4",
+    (64, 4, "1/2"): "2d2a4c99ce29cd09ba1b5bda7db08a7eb0d45e62126bc1fe4db779e0d9e9c411",
+    (64, 4, "2/3"): "b3249d676c05a8af178e62c59a5e47a3f43706fa2155a5cb4cd2eeb75517ec67",
+    (109, 3, "1/2"): "1d37f6f1c69d8c4f04b1964361cc60e86d454f2b8c01b1ea71613e3398622be8",
+    (109, 3, "2/3"): "506ccb7b5ed1be7125efdd60d334af71fd2ed66877f9dbfd9c1add2f58baa126",
+    (109, 4, "1/2"): "42fc82edc8f66a4987b2e452609b3768b959fa34ae48d15c874b434267252e83",
+    (109, 4, "2/3"): "7a6a0cf36230df9f2cf8a3ce129671ed4427eb4b37086d837bd44074f0c5acd2",
+    (134, 3, "1/2"): "8dfca593d6ffe88f1b47f79e711f01e96a495545c2a4651b5c974ae9cd682ac5",
+    (134, 3, "2/3"): "5afb543d00559c45914b0dbfdd23dc9c524e93bd810035728a29f2576b27fe0e",
+    (134, 4, "1/2"): "eaa03020e566c3d21ab81c5f8736ee41ae84ca2839cea460e88a09bfb0ad9f82",
+    (134, 4, "2/3"): "867db8be3b5eb9b5a2bb87f794a744d1c7f0fa2e1ec6bf776f5c5b95ffec8829",
+    (179, 3, "1/2"): "71cf84827c62f99feedd5ed99f6107aaca4f5dc785cac0267c88999ea86d1e00",
+    (179, 3, "2/3"): "1fe6a908a95f6f70933635c638fa88ac26b17a6901ec4432b257a62dd540cd54",
+    (179, 4, "1/2"): "9eb99c0c3a730688f189a6665f138720a401a98e7c1402b558ff4a8dc880b9eb",
+    (179, 4, "2/3"): "233e6ad364aa7ae36d7f54a11797030fabb90da6aa587c9c1ce52e5e94d2eb1a",
+    (185, 3, "1/2"): "9e6752f09895f37a45cdb7d050971eb3cea7c25331b1d7981802411a2a48dadd",
+    (185, 3, "2/3"): "2ab58f28e28d935f08e258f0bbfb0d5168d27244d438c7df20065a4220856a09",
+    (185, 4, "1/2"): "78e74dbd5463b483e40ec5ae7c5e9ead12a0fc9ab8313fb61ee7eb7d5b59159f",
+    (185, 4, "2/3"): "eaabf1668fc3c0b29d8c1a6c992a2a7a68d17128cf034ab7ff214366dac51d4d",
+    (290, 3, "1/2"): "bf5cb2d946409b7d512136327ba6f31aafce0265d168f81260b2cb12c6935e8b",
+    (290, 3, "2/3"): "98198dc76ddb96154d6fd1c3d73681704fe1b7921ce1783be158a8a69b493ddf",
+    (290, 4, "1/2"): "886d60e6e1c0006197ef2ee321eb5d24bcc6e8d7c461db339df1e99f2d9cba3d",
+    (290, 4, "2/3"): "6140c5553216163a620874a835067e2a7b95dfde08be0dc0734782f39dd5cddc",
+}
 
 
 def fixed_sub(bundle):
@@ -226,6 +268,17 @@ class TestSeparating:
         _, cert_tenth = separating_subaction(*args, 2, gamma=Fraction(1, 10))
         assert cert_half.tight_words == cert_tenth.tight_words
 
+    @pytest.mark.parametrize("seed, depth, gamma", sorted(TWO_PASS_DIGESTS))
+    def test_two_pass_outputs_are_pinned(self, seed, depth, gamma):
+        rng = random.Random(seed)
+        inst = (random_two_sided if rng.random() < 0.25 else random_instance)(rng)
+        b = solve_instance(inst)
+        sub, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit, depth,
+                                         Fraction(gamma))
+        assert cert.passes == 2
+        digest = hashlib.sha256(repr((sub.values, cert)).encode()).hexdigest()
+        assert digest == TWO_PASS_DIGESTS[seed, depth, gamma]
+
     def test_result_is_a_subaction_at_depth(self, corpus_bundles):
         for b in corpus_bundles[:40]:
             n = b.graph.n_nodes
@@ -240,7 +293,7 @@ class TestSeparating:
 def carried(b, depth):
     """Word -> component of the lifted nodes and of the lifted edges at
     `depth`, as carried up from the base."""
-    lifted, _, nodes, edges = lift_critical(b.graph, b.weights, b.crit, depth)
+    lifted, _, nodes, edges, _ = lift_critical(b.graph, b.weights, b.crit, depth)
     return (dict(zip(lifted.node_words, nodes)),
             {e.word: c for e, c in zip(lifted.edges, edges)})
 
@@ -279,7 +332,7 @@ class TestLiftCritical:
             for depth in range(b.graph.order, b.graph.order + 4):
                 if count_words(b.graph.sft, depth, 400) > 400:
                     break
-                lifted, lw, nodes, edges = lift_critical(b.graph, b.weights,
+                lifted, lw, nodes, edges, _ = lift_critical(b.graph, b.weights,
                                                          b.crit, depth)
                 fresh = critical_structure(lifted, lw)
                 assert nodes == fresh.node_component
@@ -287,6 +340,29 @@ class TestLiftCritical:
                                       for k in range(lifted.n_edges))
                 lifts += 1
         assert lifts > len(bundles)
+
+    @given(st.integers(0, 10**6), st.integers(0, 3))
+    def test_base_node_of_every_lifted_node(self, seed, extra):
+        b = solve_instance(random_instance(random.Random(seed)))
+        depth = b.graph.order + extra
+        assume(count_words(b.graph.sft, depth, 2000) <= 2000)
+        lifted, _, _, _, base = lift_critical(b.graph, b.weights, b.crit, depth)
+        assert list(base) == [b.graph.node_index(w[:b.graph.order])
+                              for w in lifted.node_words]
+
+    def test_one_budget_check_for_a_deep_lift(self, monkeypatch):
+        # a single cycle has two words at every length; counting them
+        # once per level made the lift quadratic in the depth
+        sft = build_sft(2, [[0, 1], [1, 0]], Fraction(1, 2))
+        b = solve_potential(sft, build_one_sided(sft, 2, {"01": 0, "10": 1}))
+        calls = []
+        count = symbolic.count_words
+        monkeypatch.setattr(symbolic, "count_words",
+                            lambda *args: calls.append(args) or count(*args))
+        lifted, lw, nodes, edges, base = lift_critical(b.graph, b.weights, b.crit, 1024)
+        assert (lifted.order, lifted.n_nodes, lifted.n_edges) == (1024, 2, 2)
+        assert nodes == (0, 0) and edges == (0, 0) and list(base) == [0, 1]
+        assert len(calls) <= 2
 
     def test_rejects_lower_order(self, e2_bundle):
         b = e2_bundle

@@ -15,8 +15,10 @@ from ergopt.errors import (
 from ergopt.instances import random_instance
 from ergopt.symbolic import (
     DeBruijnGraph,
+    Edge,
     LassoPoint,
     MAX_WORD_LENGTH,
+    admissible_words,
     build_sft,
     count_words,
     lasso_distance,
@@ -147,6 +149,24 @@ class TestRefine:
             assert first.head == second.tail
             assert e.word == first.word + second.word[-1:]
         assert up.n_edges == sum(len(low.out_edges[e.head]) for e in low.edges)
+
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_int_arrays_match_the_words(self, seed, r):
+        sft = random_instance(random.Random(seed)).sft
+        g = refine(sft, r)
+        assert g.node_words == tuple(admissible_words(sft, r))
+        assert g.lasts == [w[-1] for w in g.node_words]
+        for k in range(g.n_edges):
+            word = g.edge_word(k)
+            assert g.edges[k] == Edge(g.tails[k], g.heads[k], word)
+            assert word == g.node_words[g.tails[k]] + g.node_words[g.heads[k]][-1:]
+        # out-edges are numbered consecutively by tail
+        assert [k for ks in g.out_edges for k in ks] == list(range(g.n_edges))
+        for v, ks in enumerate(g.out_edges):
+            assert ks == range(ks.start, ks.stop) and ks
+            assert all(g.tails[k] == v for k in ks)
+        for v, ks in enumerate(g.in_edges):
+            assert ks == tuple(k for k in range(g.n_edges) if g.heads[k] == v)
 
     def test_word_length_cap(self):
         cycle = build_sft(2, [[0, 1], [1, 0]], HALF)
