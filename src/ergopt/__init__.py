@@ -72,7 +72,6 @@ from .symbolic import (
     lasso_distance,
     lasso_shift,
     lift_to,
-    lift_values,
     node_of,
     refine,
 )

@@ -151,21 +151,22 @@ def cmd_separate(args) -> int:
     bundle = solve_instance(inst, node_budget=args.max_nodes)
     s = inst.sft.alphabet_size
     depth = args.depth if args.depth is not None else bundle.graph.order
-    # the lifted graph's nodes, checked against --max-nodes up front
-    node_words = admissible_words(inst.sft, depth, args.max_nodes)
     try:
         sub, cert = separating_subaction(
             bundle.graph, bundle.weights, bundle.abar, bundle.crit,
-            depth, gamma=args.gamma,
+            depth, gamma=args.gamma, node_budget=args.max_nodes,
         )
     except BudgetExceeded as exc:
-        residual = ", ".join(format_word(w, s) for w in (exc.residual_words or ()))
+        if exc.residual_words is None:
+            raise
+        residual = ", ".join(format_word(w, s) for w in exc.residual_words)
         print(f"certificate: FAILED; residual words: {residual}")
         return 4
     tight = ", ".join(format_word(w, s) for w in cert.tight_words)
     print(f"certificate: OK; tight words: {tight}")
     if args.out:
-        text = subaction_csv_text(node_words, sub.values, s)
+        text = subaction_csv_text(admissible_words(inst.sft, depth, args.max_nodes),
+                                  sub.values, s)
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
@@ -193,7 +194,7 @@ def cmd_verify(args) -> int:
         )
     by_word = dict(zip(words, values))
     u = SubAction(depth, tuple(by_word[w] for w in node_words), "user-supplied")
-    v = verify(u, bundle.graph, bundle.weights, bundle.abar, bundle.crit)
+    v = verify(u, bundle.graph, bundle.weights, bundle.abar, bundle.crit, args.max_nodes)
     print(
         f"sub-action: {_yn(v.is_subaction)};"
         f" calibrated: {_yn(v.is_calibrated)};"

@@ -64,16 +64,12 @@ def format_fraction(value: Fraction) -> str:
 
 
 def format_word(word: Sequence[int], alphabet_size: int) -> str:
-    if alphabet_size <= 10:
-        return "".join(str(s) for s in word)
-    return ",".join(str(s) for s in word)
+    return ("" if alphabet_size <= 10 else ",").join(map(str, word))
 
 
 def parse_word(text: str, where: str = "word") -> Word:
     try:
-        if "," in text:
-            return tuple(int(part) for part in text.split(","))
-        return tuple(int(ch) for ch in text)
+        return tuple(map(int, text.split(",") if "," in text else text))
     except ValueError as exc:
         raise InstanceFormatError(f"{where}: malformed word {text!r}") from exc
 

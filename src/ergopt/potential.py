@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleOrder, NotASubAction
-from .symbolic import DeBruijnGraph, SftSystem, Word, admissible_words, count_words
+from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
+                       lift_to, refine)
 from .tropical import _slacks
 
 
@@ -140,13 +141,14 @@ def normalize(b: OneSidedPotential, u, abar, graph: DeBruijnGraph) -> OneSidedPo
             f"an order-{graph.order} graph on {graph.n_nodes} nodes"
         )
     big, slacks = _slacks(values, graph, compile_weights(b, graph), Fraction(abar))
+    words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)
     table: dict[Word, Fraction] = {}
-    for e, s in zip(graph.edges, slacks):
+    for word, s in zip(words, slacks):
         if s < 0:
             raise NotASubAction(
-                f"edge {e.word} has negative normalized weight {Fraction(s, big)}"
+                f"edge {word} has negative normalized weight {Fraction(s, big)}"
             )
-        table[e.word] = Fraction(s, big)
+        table[word] = Fraction(s, big)
     return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
 
 
@@ -175,12 +177,23 @@ def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]
 def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fraction, ...]:
     """Edge weight = b on the length-m prefix of the edge word.
 
-    Needs order >= m-1 so every edge word determines the value; on finer
-    graphs path sums agree with the coarsest compatible graph.
+    Needs order >= m-1 so every edge word determines the value. At order
+    m-1 the edges are the admissible m-words in lexicographic order, so
+    the weights are the table's values in sorted-key order; a finer
+    graph takes them up by `lift_to`, which keeps path sums. No word is
+    built.
     """
     m = b.range
     if graph.order < max(m - 1, 1):
         raise IncompatibleOrder(
             f"graph order {graph.order} cannot carry a range-{m} potential"
         )
-    return tuple(b.table[e.word[:m]] for e in graph.edges)
+    weights = tuple(map(b.table.__getitem__, sorted(b.table)))
+    base = graph if graph.order == m - 1 else refine(graph.sft, m - 1, graph.n_nodes)
+    if len(weights) != base.n_edges:
+        raise IncompatibleOrder(
+            f"a range-{m} table needs {base.n_edges} values, it has {len(weights)}"
+        )
+    if base is graph:
+        return weights
+    return lift_to(base, weights, graph.order, graph.n_nodes)[1]

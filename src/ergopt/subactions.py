@@ -19,7 +19,7 @@ from .errors import (
     NotCalibrated,
     NotInConstraintSet,
 )
-from .symbolic import Word, check_budget
+from .symbolic import DEFAULT_NODE_BUDGET, Word, check_budget
 from .tropical import (
     CriticalStructure,
     _path_minima,
@@ -75,22 +75,22 @@ class GapReport:
 
 
 def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
-                  depth: int):
+                  depth: int, node_budget: int = DEFAULT_NODE_BUDGET):
     """The graph and weights at `depth`, the critical component of every
     lifted node and edge (None off the critical words), and the node of
     `graph` each lifted node's word begins with.
 
-    One budget check, then one line step per order: a lifted node is an
-    edge one order down, so it keeps that edge's component and its
-    tail's base node, and a lifted edge, weighted as its tail, joins two
-    consecutive edges one order down and lies in component c when both
-    do, that is, when every base window of its word is a critical edge
-    of c.
+    One check against `node_budget`, then one line step per order: a
+    lifted node is an edge one order down, so it keeps that edge's
+    component and its tail's base node, and a lifted edge, weighted as
+    its tail, joins two consecutive edges one order down and lies in
+    component c when both do, that is, when every base window of its
+    word is a critical edge of c.
     """
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
     if depth > graph.order:
-        check_budget(graph.sft, depth)
+        check_budget(graph.sft, depth, node_budget)
     weights, nodes = tuple(weights), crit.node_component
     edges = tuple(map(crit.edge_component.get, range(graph.n_edges)))
     base = list(range(graph.n_nodes))
@@ -178,13 +178,13 @@ def contact_locus(u: SubAction, graph, weights: Sequence[Fraction],
 
 
 def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
-           crit: CriticalStructure) -> Verdict:
+           crit: CriticalStructure, node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
     """Check the four defining predicates of u against the base system.
 
-    The base graph is lifted to u's depth; nothing raises, the verdicts
-    just report.
+    The base graph is lifted to u's depth, refused past `node_budget`
+    nodes; otherwise nothing raises, the verdicts just report.
     """
-    lifted, lw, _, edge_comp, _ = lift_critical(graph, weights, crit, u.depth)
+    lifted, lw, _, edge_comp, _ = lift_critical(graph, weights, crit, u.depth, node_budget)
     if len(u.values) != lifted.n_nodes:
         raise IncompatibleOrder(
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
@@ -204,6 +204,7 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
 def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
                          crit: CriticalStructure, depth_budget: int,
                          gamma: Fraction = Fraction(1, 2),
+                         node_budget: int = DEFAULT_NODE_BUDGET,
                          ) -> tuple[SubAction, SeparatingCertificate]:
     """Finite-depth separating sub-action by perturb-and-average.
 
@@ -215,7 +216,8 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     sub-action. Tight sets intersect across the family, critical
     itineraries stay tight under every member, so the tight set shrinks
     toward the critical words; passes repeat until the certificate holds
-    or the tight set stops moving.
+    or the tight set stops moving. A lift past `node_budget` nodes is
+    refused by a BudgetExceeded that carries no residual words.
 
     The slacks are taken once; then the values and slacks are integers
     over one running denominator, moved together by each pass and
@@ -231,7 +233,7 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
             f"depth budget {depth_budget} is below the graph order {graph.order}"
         )
     lifted, lw, node_comp, edge_comp, base = lift_critical(graph, weights, crit,
-                                                           depth_budget)
+                                                           depth_budget, node_budget)
     v = calibrated_fixed_point(crit)
     u = [v[b] for b in base]
     big, slacks = _slacks(u, lifted, lw, abar)

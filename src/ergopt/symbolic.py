@@ -277,10 +277,9 @@ class DeBruijnGraph:
     above is the line graph of the one below (`line_graph`): node i one
     order up is edge i here. Edge k runs from `tails[k]` to `heads[k]`,
     the out-edges of node v are the index range `out_edges[v]`, and
-    `lasts[v]` is the last symbol of v's word. No word is stored: a
-    node's word is its last symbol preceded by those of the nodes on a
-    backward walk of r - 1 edges, and `node_words`, `edges` and
-    `edge_word` read the words off that walk on demand.
+    `lasts[v]` is the last symbol of v's word. No word is stored:
+    `node_words` and `edges` take theirs from `admissible_words` on
+    demand, and `edge_word` reads one edge's word off a backward walk.
     Irreducibility makes the graph strongly connected at every order.
     """
 
@@ -328,19 +327,13 @@ class DeBruijnGraph:
 
     @functools.cached_property
     def node_words(self) -> tuple[Word, ...]:
-        """Every node's word, column by column along one backward walk."""
-        before = [self.tails[ins[0]] for ins in self.in_edges]
-        nodes, columns = range(self.n_nodes), [self.lasts]
-        for _ in range(self.order - 1):
-            nodes = list(map(before.__getitem__, nodes))
-            columns.append(list(map(self.lasts.__getitem__, nodes)))
-        return tuple(zip(*reversed(columns)))
+        """Every node's word; the graph's own size is the budget."""
+        return tuple(admissible_words(self.sft, self.order, self.n_nodes))
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
-        words, lasts = self.node_words, self.lasts
         return tuple(map(Edge, self.tails, self.heads,
-                         [words[t] + (lasts[h],) for t, h in zip(self.tails, self.heads)]))
+                         admissible_words(self.sft, self.order + 1, self.n_edges)))
 
     def edge_word(self, k: int) -> Word:
         """Edge k's word, read off a backward walk from its head."""
@@ -398,15 +391,6 @@ def lift_to(graph: DeBruijnGraph, weights: Sequence[Fraction], order: int,
         graph = graph.line_graph()
         weights = tuple(map(weights.__getitem__, graph.tails))
     return graph, weights
-
-
-def lift_values(values: Sequence[Fraction], graph: DeBruijnGraph,
-                lifted: DeBruijnGraph) -> tuple[Fraction, ...]:
-    """Carry a node function to a finer graph: value at the r-prefix."""
-    r = graph.order
-    if lifted.order < r:
-        raise ValueError("target graph is coarser than the source graph")
-    return tuple(values[graph.node_index(w[:r])] for w in lifted.node_words)
 
 
 def node_of(x: LassoPoint, graph: DeBruijnGraph) -> int:

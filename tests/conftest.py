@@ -3,11 +3,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance
-from ergopt.symbolic import Edge, LassoPoint
+from ergopt.symbolic import Edge, LassoPoint, build_sft
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -67,6 +67,21 @@ def two_sided_corpus():
 @pytest.fixture(scope="session")
 def two_sided_bundles(two_sided_corpus):
     return [solve_instance(inst) for inst in two_sided_corpus]
+
+
+@st.composite
+def irreducible_systems(draw):
+    """Irreducible systems on 2-4 symbols, from sparse to full: a cycle
+    through every symbol in a drawn order keeps each one irreducible,
+    and every other transition is drawn with a drawn density."""
+    size = draw(st.integers(2, 4))
+    cycle = draw(st.permutations(range(size)))
+    density = draw(st.sampled_from((0, 1 / 4, 1 / 2, 1)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    matrix = [[int(rng.random() < density) for _ in range(size)] for _ in range(size)]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        matrix[a][b] = 1
+    return build_sft(size, matrix, Fraction(1, 2))
 
 
 def periodic_lassos(sft, max_period):

@@ -28,10 +28,11 @@ from ergopt.subactions import (
     convex_combination,
     dominant_calibrated,
     gap_analysis,
+    lift_critical,
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import lift_to, lift_values
+from ergopt.symbolic import lift_to
 from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
 
 E1 = str(INSTANCE_DIR / "e1.json")
@@ -222,9 +223,8 @@ def test_ac6_gap_analysis(corpus_bundles, e1_bundle, e2_bundle):
 
     for b in (e1_bundle, e2_bundle):
         sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
-        lifted, _ = lift_to(b.graph, b.weights, 2)
-        u = SubAction(2, lift_values(b.fixed_point, b.graph, lifted),
-                      "user-supplied")
+        base = lift_critical(b.graph, b.weights, b.crit, 2)[4]
+        u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
         report = gap_analysis(u, sep, b.graph, b.weights, b.abar, b.crit)
         assert report.min_on_critical == report.minimum
         pairs += 1

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import INSTANCE_DIR
+from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import OracleMismatch
 from ergopt.instances import read_matrix_csv, read_subaction_csv
 from ergopt.oracle import brute_cycles
-from ergopt.symbolic import lift_to
+from ergopt.symbolic import DEFAULT_NODE_BUDGET, lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -198,6 +199,24 @@ class TestSeparate:
             "sub-action: yes; calibrated: no;"
             " separating certificate: yes; critical containment: yes\n"
         )
+
+    def test_max_nodes_above_the_default_reaches_the_lift(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # the lift is checked against --max-nodes, not the library default;
+        # a spy records the budget, so no graph that large is built
+        budget = 2 * DEFAULT_NODE_BUDGET
+        seen = []
+        check = subactions.check_budget
+        monkeypatch.setattr(subactions, "check_budget",
+                            lambda *args: seen.append(args[2]) or check(*args))
+        out = tmp_path / "sep.csv"
+        for argv in (["separate", "--depth", "3", "--out", str(out)],
+                     ["verify", "--subaction", str(out)]):
+            assert main([*argv, "--instance", E2, "--max-nodes", str(budget)]) == 0
+        assert seen == [budget, budget]
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("certificate: OK; tight words: 0000, 2222\n")
+        assert stdout.endswith("separating certificate: yes; critical containment: yes\n")
 
     def test_bad_gamma(self):
         res = run_cli("separate", "--instance", E1, "--gamma", "3/2")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import irreducible_systems
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction
 from ergopt.instances import random_instance
 from ergopt.potential import (
@@ -190,6 +191,27 @@ class TestCompileWeights:
         f = one_sided(FULL2, 3, {w: 0 for w in admissible_words(FULL2, 3)})
         with pytest.raises(IncompatibleOrder):
             compile_weights(f, refine(FULL2, 1))
+
+    @given(irreducible_systems(), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_matches_the_table_read_through_edge_words(self, sft, m, rng):
+        # entries arrive in a shuffled order; each edge takes the value of
+        # its word's length-m prefix, at order m - 1 and on finer graphs
+        words = admissible_words(sft, m)
+        rng.shuffle(words)
+        b = one_sided(sft, m, {w: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                               for w in words})
+        for order in range(b.range - 1, b.range + 3):
+            if count_words(sft, order + 1, 2000) > 2000:
+                break
+            graph = refine(sft, order)
+            assert compile_weights(b, graph) == tuple(
+                b.table[e.word[:b.range]] for e in graph.edges)
+
+    def test_rejects_a_table_of_the_wrong_size(self):
+        f = one_sided(FULL2, 2, {w: 0 for w in admissible_words(FULL2, 2)})
+        g = refine(GOLDEN, 1)
+        with pytest.raises(IncompatibleOrder, match="needs 3 values, it has 4"):
+            compile_weights(f, g)
 
     def test_lifted_graph_same_cycle_values(self):
         f = one_sided(GOLDEN, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 0})

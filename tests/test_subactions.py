@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ergopt import symbolic
-from ergopt.errors import IncompatibleOrder, NotASubAction, NotCalibrated
+from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import random_instance, random_two_sided
 from ergopt.pipeline import solve_instance, solve_potential
 from ergopt.potential import build_one_sided
@@ -21,7 +21,7 @@ from ergopt.subactions import (
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import build_sft, count_words, lift_to, lift_values
+from ergopt.symbolic import build_sft, count_words, lift_to
 from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
 
 
@@ -204,11 +204,10 @@ class TestCalibration:
         seen = set()
         for b in corpus_bundles[:40]:
             depth = b.graph.order + 1
-            lifted, lw = lift_to(b.graph, b.weights, depth)
+            lifted, lw, _, _, base = lift_critical(b.graph, b.weights, b.crit, depth)
             family = calibrated_family(b, rng)
             sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, depth)
-            deep = SubAction(depth, lift_values(b.fixed_point, b.graph, lifted),
-                             "user-supplied")
+            deep = SubAction(depth, tuple(b.fixed_point[i] for i in base), "user-supplied")
             k = next(k for k, e in enumerate(b.graph.edges) if e.tail != e.head)
             e = b.graph.edges[k]
             bad = list(b.fixed_point)
@@ -364,6 +363,32 @@ class TestLiftCritical:
         assert nodes == (0, 0) and edges == (0, 0) and list(base) == [0, 1]
         assert len(calls) <= 2
 
+    def test_base_map_carries_values_by_prefix(self):
+        sft = build_sft(2, [[1, 1], [1, 1]], Fraction(1, 2))
+        b = solve_potential(sft, build_one_sided(sft, 1, {"0": 0, "1": 1}))
+        base = lift_critical(b.graph, b.weights, b.crit, 2)[4]
+        values = (Fraction(5), Fraction(7))
+        assert tuple(values[i] for i in base) == (
+            Fraction(5), Fraction(5), Fraction(7), Fraction(7),
+        )
+
+    def test_node_budget_reaches_the_lift(self, e1_bundle):
+        # 2**11 admissible 11-words on the full 2-shift: the budget is
+        # checked by the lift itself, before any pass runs
+        b = e1_bundle
+        args = (b.graph, b.weights, b.abar, b.crit)
+        assert lift_critical(b.graph, b.weights, b.crit, 11, 2**11)[0].n_nodes == 2**11
+        sep, cert = separating_subaction(*args, 11, node_budget=2**11)
+        assert cert.ok
+        assert verify(sep, *args, node_budget=2**11).separating_certificate
+        for refuse in (
+                lambda: lift_critical(b.graph, b.weights, b.crit, 11, 2**11 - 1),
+                lambda: separating_subaction(*args, 11, node_budget=2**11 - 1),
+                lambda: verify(sep, *args, node_budget=2**11 - 1)):
+            with pytest.raises(BudgetExceeded, match="node budget of 2047") as info:
+                refuse()
+            assert info.value.residual_words is None
+
     def test_rejects_lower_order(self, e2_bundle):
         b = e2_bundle
         lifted, lw = lift_to(b.graph, b.weights, 2)
@@ -444,8 +469,7 @@ class TestGapAnalysis:
     def test_against_lifted_separating_candidate(self, e1_bundle):
         b = e1_bundle
         sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
-        lifted, _ = lift_to(b.graph, b.weights, 2)
-        u = SubAction(2, lift_values(b.fixed_point, b.graph, lifted),
-                      "user-supplied")
+        base = lift_critical(b.graph, b.weights, b.crit, 2)[4]
+        u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
         report = gap_analysis(u, sep, b.graph, b.weights, b.abar, b.crit)
         assert report.min_on_critical == report.minimum

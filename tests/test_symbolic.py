@@ -24,20 +24,33 @@ from ergopt.symbolic import (
     lasso_distance,
     lasso_shift,
     lift_to,
-    lift_values,
     node_of,
     refine,
     strongly_connected_components,
     validate_word,
 )
 
-from conftest import random_lasso
+from conftest import irreducible_systems, random_lasso
 
 HALF = Fraction(1, 2)
 
 FULL2 = build_sft(2, [[1, 1], [1, 1]], HALF)
 GOLDEN = build_sft(2, [[1, 1], [1, 0]], HALF)
 FULL3 = build_sft(3, [[1] * 3] * 3, HALF)
+
+# the corpus generator's systems, and sparse to full ones on up to 4 symbols
+SYSTEMS = st.one_of(
+    st.integers(0, 10**6).map(lambda seed: random_instance(random.Random(seed)).sft),
+    irreducible_systems(),
+)
+
+
+def order_within(sft, r, extra, cap=2200):
+    """The largest order up to r whose admissible (order + extra)-words
+    number at most `cap`, or 1."""
+    while r > 1 and count_words(sft, r + extra, cap) > cap:
+        r -= 1
+    return r
 
 
 class TestBuildSft:
@@ -139,9 +152,9 @@ class TestRefine:
         for g in (refine(GOLDEN, 3), refine(FULL3, 2)):
             assert [g.edge_index(e.word) for e in g.edges] == list(range(g.n_edges))
 
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_next_order_is_the_line_graph(self, seed, r):
-        sft = random_instance(random.Random(seed)).sft
+    @given(SYSTEMS, st.integers(1, 5))
+    def test_next_order_is_the_line_graph(self, sft, r):
+        r = order_within(sft, r, 2)
         low, up = refine(sft, r), refine(sft, r + 1)
         assert up.node_words == tuple(e.word for e in low.edges)
         for e in up.edges:
@@ -150,9 +163,9 @@ class TestRefine:
             assert e.word == first.word + second.word[-1:]
         assert up.n_edges == sum(len(low.out_edges[e.head]) for e in low.edges)
 
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_int_arrays_match_the_words(self, seed, r):
-        sft = random_instance(random.Random(seed)).sft
+    @given(SYSTEMS, st.integers(1, 5))
+    def test_int_arrays_match_the_words(self, sft, r):
+        r = order_within(sft, r, 1)
         g = refine(sft, r)
         assert g.node_words == tuple(admissible_words(sft, r))
         assert g.lasts == [w[-1] for w in g.node_words]
@@ -326,14 +339,6 @@ class TestLift:
         assert upstairs == trimmed
         assert base == trimmed + weights[g.edge_index(word[-3:-1])] + weights[
             g.edge_index(word[-2:])]
-
-    def test_lift_values_by_prefix(self):
-        g = refine(FULL2, 1)
-        lifted = refine(FULL2, 2)
-        values = (Fraction(5), Fraction(7))
-        assert lift_values(values, g, lifted) == (
-            Fraction(5), Fraction(5), Fraction(7), Fraction(7),
-        )
 
     def test_node_of(self):
         g = refine(GOLDEN, 2)
