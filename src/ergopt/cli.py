@@ -105,9 +105,9 @@ def cmd_barrier(args) -> int:
     inst = load_instance(args.instance)
     bundle = solve_instance(inst, node_budget=args.max_nodes)
     s = inst.sft.alphabet_size
-    words = bundle.graph.node_words
-    phi_text = matrix_csv_text(words, bundle.barriers.phi, s)
-    h_text = matrix_csv_text(words, bundle.barriers.h, s)
+    words, barriers = bundle.graph.node_words, bundle.barriers
+    phi_text = matrix_csv_text(words, barriers.phi_ints, s, barriers.big)
+    h_text = matrix_csv_text(words, barriers.h_ints, s, barriers.big)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -175,7 +175,7 @@ def cmd_separate(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     bundle = solve_instance(inst, node_budget=args.max_nodes)
-    words, values = read_subaction_csv(args.subaction)
+    words, values = read_subaction_csv(args.subaction, inst.sft.alphabet_size)
     if not words:
         raise InstanceFormatError("sub-action CSV has no rows")
     depth = len(words[0])

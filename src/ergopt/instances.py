@@ -36,6 +36,11 @@ class Instance:
 MAX_EXPONENT = 4300
 
 
+def _is_digits(text: str) -> bool:
+    """Whether text is one or more of the ASCII digits 0-9."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_fraction(value, where: str = "value") -> Fraction:
     """The one path from instance, CSV or command-line text to a rational."""
     if isinstance(value, bool):
@@ -47,8 +52,12 @@ def parse_fraction(value, where: str = "value") -> Fraction:
             f"{where}: write non-integer numbers as strings like \"1/2\" or \"0.25\""
         )
     if isinstance(value, str):
-        _, e, exponent = value.lower().partition("e")
+        num, slash, den = value.partition("/")
         try:
+            if _is_digits(num.removeprefix("-")) and (not slash or _is_digits(den)):
+                # the common forms, without Fraction's regular expression
+                return Fraction(int(num), int(den) if slash else 1)
+            _, e, exponent = value.lower().partition("e")
             if e and abs(int(exponent)) > MAX_EXPONENT:
                 raise InstanceFormatError(
                     f"{where}: exponent beyond {MAX_EXPONENT} in magnitude: {value!r}"
@@ -67,9 +76,11 @@ def format_word(word: Sequence[int], alphabet_size: int) -> str:
     return ("" if alphabet_size <= 10 else ",").join(map(str, word))
 
 
-def parse_word(text: str, where: str = "word") -> Word:
+def parse_word(text: str, where: str = "word", alphabet_size: int = 10) -> Word:
+    """The word `format_word` wrote: beyond ten symbols it is always
+    comma-separated, even a one-symbol word; up to ten, digits or commas."""
     try:
-        return tuple(map(int, text.split(",") if "," in text else text))
+        return tuple(map(int, text.split(",") if "," in text or alphabet_size > 10 else text))
     except ValueError as exc:
         raise InstanceFormatError(f"{where}: malformed word {text!r}") from exc
 
@@ -108,7 +119,7 @@ def parse_instance(data: dict) -> Instance:
     if not isinstance(raw_entries, dict):
         raise InstanceFormatError("potential entries must be an object")
     entries = {
-        parse_word(key, f"potential entry {key!r}"): parse_fraction(val, f"entry {key!r}")
+        parse_word(key, f"potential entry {key!r}", size): parse_fraction(val, f"entry {key!r}")
         for key, val in raw_entries.items()
     }
     try:
@@ -182,14 +193,15 @@ def dump_instance(instance: Instance) -> dict:
     return data
 
 
-def matrix_csv_text(node_words: Sequence[Word], matrix, alphabet_size: int) -> str:
+def matrix_csv_text(node_words: Sequence[Word], matrix, alphabet_size: int,
+                    big: int) -> str:
+    """The matrix of integers over `big` as word-labelled CSV; each
+    distinct integer is formatted once."""
+    text = {v: format_fraction(Fraction(v, big)) for v in set().union(*matrix)}
     header = "word," + ",".join(format_word(w, alphabet_size) for w in node_words)
     lines = [header]
     for w, row in zip(node_words, matrix):
-        lines.append(
-            format_word(w, alphabet_size) + ","
-            + ",".join(format_fraction(v) for v in row)
-        )
+        lines.append(format_word(w, alphabet_size) + "," + ",".join(map(text.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -214,7 +226,7 @@ def subaction_csv_text(node_words: Sequence[Word], values, alphabet_size: int) -
     return "\n".join(lines) + "\n"
 
 
-def read_subaction_csv(path) -> tuple[list[Word], list[Fraction]]:
+def read_subaction_csv(path, alphabet_size: int = 10) -> tuple[list[Word], list[Fraction]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "word,value":
         raise InstanceFormatError("sub-action CSV must start with a 'word,value' header")
@@ -223,8 +235,9 @@ def read_subaction_csv(path) -> tuple[list[Word], list[Fraction]]:
     for line in lines[1:]:
         if not line:
             continue
-        cell, _, value = line.partition(",")
-        words.append(parse_word(cell))
+        # a word beyond ten symbols has commas of its own; a value has none
+        cell, _, value = line.rpartition(",") if "," in line else (line, "", "")
+        words.append(parse_word(cell, "word", alphabet_size))
         values.append(parse_fraction(value, f"value for {cell}"))
     return words, values
 

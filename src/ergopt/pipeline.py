@@ -44,13 +44,11 @@ class SolveBundle:
 
     @cached_property
     def barriers(self) -> BarrierMatrices:
-        """The dense phi and h over all nodes, built on first access; the
-        representatives' rows come from the critical structure."""
-        known = dict(zip(self.crit.representatives, self.crit.rows))
-        others = [i for i in range(self.graph.n_nodes) if i not in known]
-        known.update(zip(others, mane_matrix(self.graph, self.weights, self.abar, others)))
-        phi = tuple(known[i] for i in range(self.graph.n_nodes))
-        return BarrierMatrices(phi=phi, h=peierls_matrix(phi, self.crit))
+        """The dense phi and h over all nodes, built on first access, as
+        integer rows over one denominator from the Mane rows to the relay."""
+        nodes = range(self.graph.n_nodes)
+        big, phi = mane_matrix(self.graph, self.weights, self.abar, nodes, scaled=True)
+        return BarrierMatrices(big, phi, peierls_matrix(phi, self.crit))
 
 
 def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):

@@ -240,8 +240,8 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     values = [x.numerator * (big // x.denominator) for x in u]
     reps = [node_comp.index(c.index) for c in crit.components]
     n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
-    arcs, back = list(zip(tails, heads)), list(zip(heads, tails))
-    ranges = [slice(r.start, r.stop) for r in lifted.out_edges]
+    out, ins = lifted.out_edges, lifted.in_edges
+    ranges = [slice(r.start, r.stop) for r in out]
     max_passes = lifted.n_edges + 4
     prev_zero: list[int] | None = None
     passes = 0
@@ -266,8 +266,8 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
             wj = list(map(min, map(via.__getitem__, ranges)))
             minus.append(wj)
         for rep in reps:
-            row = _path_minima(arcs, slacks, lifted.out_edges[rep], n)
-            col = _path_minima(back, slacks, lifted.in_edges[rep], n)
+            row = _path_minima(slacks, out[rep], out, heads, n)
+            col = _path_minima(slacks, ins[rep], ins, tails, n)
             if None in row or None in col:
                 raise AssertionError("lifted graph is not strongly connected")
             plus.append(row)

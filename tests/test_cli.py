@@ -249,6 +249,29 @@ class TestSeparate:
 
 
 class TestVerify:
+    def test_round_trips_beyond_ten_symbols(self, tmp_path, capsys):
+        # words of an 11-symbol alphabet are comma-separated, so a value
+        # is after the last comma of a row, and the one-symbol word 10 is
+        # not the digits 1, 0
+        n = 11
+        entries = {f"{a},{b}": str((3 * a + 5 * b + a * b) % 7 + 1)
+                   for a in range(n) for b in range(n)}
+        entries["3,3"] = "0"
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps({
+            "alphabet_size": n, "transition": [[1] * n] * n, "lambda": "1/2",
+            "potential": {"side": "one", "range": 2, "entries": entries},
+        }), encoding="utf-8")
+        u, sep = str(tmp_path / "u.csv"), str(tmp_path / "sep.csv")
+        for make, check in ((["calibrate", "--out", u], "calibrated: yes"),
+                            (["separate", "--depth", "2", "--out", sep],
+                             "separating certificate: yes")):
+            assert main([*make, "--instance", str(inst)]) == 0, make
+            assert main(["verify", "--instance", str(inst), "--subaction", make[-1]]) == 0
+            assert check in capsys.readouterr().out
+        words, _ = read_subaction_csv(sep, n)
+        assert words[10] == (0, 10) and words[-1] == (10, 10)
+
     def test_calibrated_fixed_point(self, tmp_path):
         out = tmp_path / "u.csv"
         run_cli("calibrate", "--instance", E1, "--out", str(out))
@@ -402,17 +425,21 @@ class TestDenseMatricesOnDemand:
 
 class TestIntegerKernel:
     def test_relaxation_sees_only_integers(self, tmp_path, monkeypatch):
+        import ergopt.subactions as subactions
         import ergopt.tropical as tropical
 
-        relax, calls = tropical._relax, []
+        minima, calls = tropical._path_minima, []
 
-        def int_only(arcs, costs, dist):
+        def int_only(costs, first, out, ends, n):
             assert all(type(c) is int for c in costs), "a non-integer cost"
+            dist = minima(costs, first, out, ends, n)
             assert all(d is None or type(d) is int for d in dist), "a non-integer distance"
-            calls.append(len(dist))
-            return relax(arcs, costs, dist)
+            calls.append(n)
+            return dist
 
-        monkeypatch.setattr(tropical, "_relax", int_only)
+        # subactions imports the kernel by name, so patch it there too
+        monkeypatch.setattr(tropical, "_path_minima", int_only)
+        monkeypatch.setattr(subactions, "_path_minima", int_only)
         u = tmp_path / "u.csv"
         for argv in (["solve"], ["barrier"], ["calibrate", "--out", str(u)],
                      ["separate", "--depth", "3"], ["verify", "--subaction", str(u)]):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import INSTANCE_DIR
 from ergopt.errors import (
@@ -57,6 +58,26 @@ class TestParseFraction:
             with pytest.raises(InstanceFormatError, match="entry '0'.*exponent"):
                 parse_fraction(bad, "entry '0'")
 
+    @given(st.text(alphabet="0123456789-+/._ eE\u0663\u00b2", max_size=10))
+    @example("007/035")
+    @example("-6/4")
+    @example("-1/0")
+    @example("1/-2")
+    @example("\u0663")
+    @example("9" * 4301)
+    def test_agrees_with_fraction_text(self, text):
+        # ASCII [-]digits[/digits] skips Fraction's parser; every string
+        # keeps Fraction(str)'s value or error. Four exponent digits may
+        # pass MAX_EXPONENT, which is refused before Fraction sees it.
+        assume(len(text.lower().partition("e")[2].lstrip("+-")) < 4)
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InstanceFormatError, match="not a rational"):
+                parse_fraction(text)
+        else:
+            assert parse_fraction(text) == want
+
     def test_formatting(self):
         assert format_fraction(Fraction(1, 2)) == "1/2"
         assert format_fraction(Fraction(6, 2)) == "3"
@@ -71,6 +92,11 @@ class TestWords:
         assert format_word((0, 11), 12) == "0,11"
         assert parse_word("0,11") == (0, 11)
         assert parse_word("5") == (5,)
+
+    def test_one_symbol_beyond_ten(self):
+        assert parse_word(format_word((10,), 11), "word", 11) == (10,)
+        assert parse_word("10") == (1, 0)
+        assert parse_word("10", "word", 10) == (1, 0)
 
     def test_malformed(self):
         with pytest.raises(InstanceFormatError):
@@ -93,6 +119,14 @@ class TestParseInstance:
             inst = load_instance(path)
             data = dump_instance(inst)
             assert dump_instance(parse_instance(data)) == data
+
+    def test_range_one_beyond_ten_symbols_round_trips(self):
+        data = {"alphabet_size": 11, "transition": [[1] * 11] * 11, "lambda": "1/2",
+                "potential": {"side": "one", "range": 1,
+                              "entries": {str(a): str(a % 3) for a in range(11)}}}
+        first = dump_instance(parse_instance(data))
+        assert first["potential"]["entries"] == data["potential"]["entries"]
+        assert dump_instance(parse_instance(first)) == first
 
     def test_golden_holder_is_kept(self):
         data = dump_instance(load_instance(INSTANCE_DIR / "golden_mean.json"))
@@ -185,15 +219,20 @@ class TestLoadInstance:
 
 class TestCsv:
     def test_e1_matrix_text(self, e1_bundle):
-        text = matrix_csv_text(e1_bundle.graph.node_words, e1_bundle.barriers.phi,
-                               e1_bundle.sft.alphabet_size)
+        b = e1_bundle.barriers
+        text = matrix_csv_text(e1_bundle.graph.node_words, b.phi_ints,
+                               e1_bundle.sft.alphabet_size, b.big)
         assert text == "word,0,1\n0,0,0\n1,1,1\n"
+
+    def test_integers_over_a_denominator(self):
+        text = matrix_csv_text([(0,), (1,)], [(3, -2), (0, 6)], 2, 6)
+        assert text == "word,0,1\n0,1/2,-1/3\n1,0,1\n"
 
     def test_matrix_round_trip(self, e2_bundle, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text(
-            matrix_csv_text(e2_bundle.graph.node_words, e2_bundle.barriers.h,
-                            e2_bundle.sft.alphabet_size),
+            matrix_csv_text(e2_bundle.graph.node_words, e2_bundle.barriers.h_ints,
+                            e2_bundle.sft.alphabet_size, e2_bundle.barriers.big),
             encoding="utf-8",
         )
         words, rows = read_matrix_csv(path)

@@ -1,5 +1,7 @@
+import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -224,9 +226,8 @@ class TestCriticalStructure:
                 if (b.weights[k] - b.abar) + phi[e.head][e.tail] == 0
             )
             normalized = [w - b.abar for w in b.weights]
-            back = [(e.head, e.tail) for e in g.edges]
             for j in range(g.n_nodes):
-                col = _path_minima(back, normalized, g.in_edges[j], g.n_nodes)
+                col = _path_minima(normalized, g.in_edges[j], g.in_edges, g.tails, g.n_nodes)
                 assert col == [phi[i][j] for i in range(g.n_nodes)]
 
     def test_pairwise_component_test_on_corpus(self, corpus_bundles):
@@ -367,9 +368,83 @@ class TestIntegerKernel:
         assert summary.abar == Fraction(1, 3)
         assert len(summary.witness_cycle) == 3
 
-    def test_peierls_rejects_an_entry_off_the_common_denominator(self, e2_bundle):
-        phi = [list(row) for row in e2_bundle.barriers.phi]
-        assert peierls_matrix(phi, e2_bundle.crit) == e2_bundle.barriers.h
-        phi[1][2] = Fraction(1, 7)
-        with pytest.raises(ValueError, match="1/7"):
-            peierls_matrix(phi, e2_bundle.crit)
+    def test_barrier_views_lie_on_the_common_denominator(self, e2_bundle):
+        # the dense matrices are integers over L, the lcm of the
+        # denominators of w - abar; their Fraction views are those
+        # integers over L and equal the oracle's path minima
+        g, n = e2_bundle.graph, e2_bundle.graph.n_nodes
+        for case in sorted(SCALING_CASES):
+            weights = tuple(Fraction(w) for w in SCALING_CASES[case])
+            summary = minimizing_value(g, weights)
+            abar = summary.abar
+            b = replace(e2_bundle, weights=weights, summary=summary,
+                        fixed_point=calibrated_fixed_point(summary.crit)).barriers
+            assert b.big == math.lcm(*((w - abar).denominator for w in weights)), case
+            start, stop = barrier_window(g, weights, abar, b.h)
+            for i in range(n):
+                table = path_min_table(g, weights, abar, i, stop)
+                for j in range(n):
+                    for view, ints in ((b.phi, b.phi_ints), (b.h, b.h_ints)):
+                        assert type(ints[i][j]) is int
+                        assert b.big % view[i][j].denominator == 0
+                        assert view[i][j] == Fraction(ints[i][j], b.big)
+                    assert b.phi[i][j] == min(table[k][j] for k in range(1, n + 1))
+                    assert b.h[i][j] == min(table[k][j] for k in range(start, stop + 1))
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A SimpleDigraph of 1-10 nodes with any arcs, loops and parallel
+    arcs included, and integer arc costs from -2 to 3."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    costs = draw(st.lists(st.integers(-2, 3), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleDigraph(n, pairs), costs
+
+
+def walk_minima(n, arcs, costs, first):
+    """Per node, the least cost of a walk of 1..n arcs (tail, head) that
+    begins with an arc in `first`; None where there is none."""
+    layer = [None] * n
+    for k in first:
+        head = arcs[k][1]
+        if layer[head] is None or costs[k] < layer[head]:
+            layer[head] = costs[k]
+    best = list(layer)
+    for _ in range(n - 1):
+        nxt = [None] * n
+        for (tail, head), c in zip(arcs, costs):
+            if layer[tail] is not None and (nxt[head] is None or layer[tail] + c < nxt[head]):
+                nxt[head] = layer[tail] + c
+        layer = nxt
+        best = [b if v is None or (b is not None and b <= v) else v
+                for b, v in zip(best, layer)]
+    return best
+
+
+class TestPathMinima:
+    @given(weighted_multigraphs(), st.data())
+    @settings(max_examples=150)
+    def test_rows_and_columns_are_walk_minima(self, drawn, data):
+        # a walk of more than n arcs repeats a node, so without a negative
+        # cycle in reach the minima over 1..n arcs are the path minima; a
+        # negative cycle is in reach when one of its nodes has a negative
+        # closed walk (of at most n arcs) and is reached
+        g, costs = drawn
+        n = g.n_nodes
+        forward = list(zip(g.tails, g.heads))
+        backward = list(zip(g.heads, g.tails))
+        closed = [walk_minima(n, forward, costs, g.out_edges[x])[x] for x in range(n)]
+        negative = {x for x, c in enumerate(closed) if c is not None and c < 0}
+        subset = data.draw(st.lists(st.sampled_from(range(g.n_edges)), unique=True)
+                           if g.n_edges else st.just([]))
+        cases = [(g.out_edges, g.heads, forward, first) for first in [*g.out_edges, subset]]
+        cases += [(g.in_edges, g.tails, backward, first) for first in g.in_edges]
+        for out, ends, arcs, first in cases:
+            want = walk_minima(n, arcs, costs, first)
+            if negative & {v for v, d in enumerate(want) if d is not None}:
+                with pytest.raises(ValueError, match="negative cycle"):
+                    _path_minima(costs, first, out, ends, n)
+            else:
+                assert _path_minima(costs, first, out, ends, n) == want
