@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import BudgetExceeded, ErgoptError, InstanceFormatError, OracleMismatch
 from .instances import (
+    csv_word,
     format_fraction,
     format_word,
     load_instance,
@@ -73,25 +74,25 @@ def cmd_solve(args) -> int:
     g = bundle.graph
     crit = bundle.crit
 
-    def fmt(word):
-        return format_word(word, s)
+    def words(items):
+        return ",".join(csv_word(w, s) for w in items)
 
     print(f"alphabet size: {s}")
     print(f"graph order: {g.order}")
-    print("nodes: " + ",".join(fmt(w) for w in g.node_words))
-    print("edges: " + ",".join(fmt(e.word) for e in g.edges))
+    print("nodes: " + words(g.node_words))
+    print("edges: " + words(e.word for e in g.edges))
     print(f"abar = {format_fraction(bundle.abar)}")
     cycle = bundle.summary.witness_cycle
     walk = [g.edges[cycle[0]].tail] + [g.edges[k].head for k in cycle]
-    print("witness cycle: " + " -> ".join(fmt(g.node_words[v]) for v in walk))
-    print("critical edges: " + ",".join(fmt(g.edges[k].word) for k in crit.critical_edges))
+    print("witness cycle: " + " -> ".join(format_word(g.node_words[v], s) for v in walk))
+    print("critical edges: " + words(g.edges[k].word for k in crit.critical_edges))
     print(f"components: {len(crit.components)}")
     for comp in crit.components:
         print(
             f"component {comp.index + 1}:"
-            f" representative {fmt(g.node_words[comp.representative])};"
-            f" nodes {','.join(fmt(g.node_words[v]) for v in comp.nodes)};"
-            f" edges {','.join(fmt(g.edges[k].word) for k in comp.edges)}"
+            f" representative {format_word(g.node_words[comp.representative], s)};"
+            f" nodes {words(g.node_words[v] for v in comp.nodes)};"
+            f" edges {words(g.edges[k].word for k in comp.edges)}"
         )
     if len(crit.components) >= 2:
         poly = constraint_polytope(crit)
@@ -152,10 +153,8 @@ def cmd_separate(args) -> int:
     s = inst.sft.alphabet_size
     depth = args.depth if args.depth is not None else bundle.graph.order
     try:
-        sub, cert = separating_subaction(
-            bundle.graph, bundle.weights, bundle.abar, bundle.crit,
-            depth, gamma=args.gamma, node_budget=args.max_nodes,
-        )
+        sub, cert = separating_subaction(bundle.crit, depth, gamma=args.gamma,
+                                         node_budget=args.max_nodes)
     except BudgetExceeded as exc:
         if exc.residual_words is None:
             raise
@@ -194,7 +193,7 @@ def cmd_verify(args) -> int:
         )
     by_word = dict(zip(words, values))
     u = SubAction(depth, tuple(by_word[w] for w in node_words), "user-supplied")
-    v = verify(u, bundle.graph, bundle.weights, bundle.abar, bundle.crit, args.max_nodes)
+    v = verify(u, bundle.crit, args.max_nodes)
     print(
         f"sub-action: {_yn(v.is_subaction)};"
         f" calibrated: {_yn(v.is_calibrated)};"

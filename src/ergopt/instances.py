@@ -7,6 +7,7 @@ symbols and comma-separated integers beyond that.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 from dataclasses import dataclass
@@ -76,7 +77,13 @@ def format_word(word: Sequence[int], alphabet_size: int) -> str:
     return ("" if alphabet_size <= 10 else ",").join(map(str, word))
 
 
-def parse_word(text: str, where: str = "word", alphabet_size: int = 10) -> Word:
+def csv_word(word: Sequence[int], alphabet_size: int) -> str:
+    """The word as one CSV field, quoted as CSV quotes one with commas."""
+    text = format_word(word, alphabet_size)
+    return f'"{text}"' if "," in text else text
+
+
+def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
     """The word `format_word` wrote: beyond ten symbols it is always
     comma-separated, even a one-symbol word; up to ten, digits or commas."""
     try:
@@ -119,7 +126,7 @@ def parse_instance(data: dict) -> Instance:
     if not isinstance(raw_entries, dict):
         raise InstanceFormatError("potential entries must be an object")
     entries = {
-        parse_word(key, f"potential entry {key!r}", size): parse_fraction(val, f"entry {key!r}")
+        parse_word(key, size, f"potential entry {key!r}"): parse_fraction(val, f"entry {key!r}")
         for key, val in raw_entries.items()
     }
     try:
@@ -198,24 +205,20 @@ def matrix_csv_text(node_words: Sequence[Word], matrix, alphabet_size: int,
     """The matrix of integers over `big` as word-labelled CSV; each
     distinct integer is formatted once."""
     text = {v: format_fraction(Fraction(v, big)) for v in set().union(*matrix)}
-    header = "word," + ",".join(format_word(w, alphabet_size) for w in node_words)
-    lines = [header]
-    for w, row in zip(node_words, matrix):
-        lines.append(format_word(w, alphabet_size) + "," + ",".join(map(text.__getitem__, row)))
+    fields = [csv_word(w, alphabet_size) for w in node_words]
+    lines = ["word," + ",".join(fields)]
+    for field, row in zip(fields, matrix):
+        lines.append(field + "," + ",".join(map(text.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
-def read_matrix_csv(path) -> tuple[list[Word], list[list[Fraction]]]:
+def read_matrix_csv(path, alphabet_size: int) -> tuple[list[Word], list[list[Fraction]]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("word,"):
         raise InstanceFormatError("matrix CSV must start with a 'word,...' header")
-    words = [parse_word(cell) for cell in lines[0].split(",")[1:]]
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        rows.append([parse_fraction(c, "matrix cell") for c in cells[1:]])
+    header, *body = csv.reader(filter(None, lines))
+    words = [parse_word(cell, alphabet_size) for cell in header[1:]]
+    rows = [[parse_fraction(c, "matrix cell") for c in cells[1:]] for cells in body]
     return words, rows
 
 
@@ -226,7 +229,7 @@ def subaction_csv_text(node_words: Sequence[Word], values, alphabet_size: int) -
     return "\n".join(lines) + "\n"
 
 
-def read_subaction_csv(path, alphabet_size: int = 10) -> tuple[list[Word], list[Fraction]]:
+def read_subaction_csv(path, alphabet_size: int) -> tuple[list[Word], list[Fraction]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "word,value":
         raise InstanceFormatError("sub-action CSV must start with a 'word,value' header")
@@ -237,7 +240,7 @@ def read_subaction_csv(path, alphabet_size: int = 10) -> tuple[list[Word], list[
             continue
         # a word beyond ten symbols has commas of its own; a value has none
         cell, _, value = line.rpartition(",") if "," in line else (line, "", "")
-        words.append(parse_word(cell, "word", alphabet_size))
+        words.append(parse_word(cell, alphabet_size))
         values.append(parse_fraction(value, f"value for {cell}"))
     return words, values
 

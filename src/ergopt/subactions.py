@@ -74,11 +74,11 @@ class GapReport:
     attained_component: int
 
 
-def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
-                  depth: int, node_budget: int = DEFAULT_NODE_BUDGET):
-    """The graph and weights at `depth`, the critical component of every
-    lifted node and edge (None off the critical words), and the node of
-    `graph` each lifted node's word begins with.
+def lift_critical(crit: CriticalStructure, depth: int,
+                  node_budget: int = DEFAULT_NODE_BUDGET):
+    """The graph and weights of `crit` at `depth`, the critical component
+    of every lifted node and edge (None off the critical words), and the
+    node of `crit.graph` each lifted node's word begins with.
 
     One check against `node_budget`, then one line step per order: a
     lifted node is an edge one order down, so it keeps that edge's
@@ -87,11 +87,11 @@ def lift_critical(graph, weights: Sequence[Fraction], crit: CriticalStructure,
     component c when both do, that is, when every base window of its
     word is a critical edge of c.
     """
+    graph, weights, nodes = crit.graph, crit.weights, crit.node_component
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
     if depth > graph.order:
         check_budget(graph.sft, depth, node_budget)
-    weights, nodes = tuple(weights), crit.node_component
     edges = tuple(map(crit.edge_component.get, range(graph.n_edges)))
     base = list(range(graph.n_nodes))
     while graph.order < depth:
@@ -129,11 +129,8 @@ def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
                     f"boundary data violates u[{j}] - u[{i}] <= h(rep {i}, rep {j}) "
                     f"= {rows[i][reps[j]]}"
                 )
-    n = crit.graph.n_nodes
-    u = tuple(
-        min(values[i] + rows[i][x] for i in range(len(reps)))
-        for x in range(n)
-    )
+    u = tuple(min(v + row[x] for v, row in zip(values, rows))
+              for x in range(crit.graph.n_nodes))
     return SubAction(crit.graph.order, u, "calibrated-from-boundary")
 
 
@@ -160,14 +157,15 @@ def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure) -> SubAction:
     return SubAction(crit.graph.order, direct, "dominant")
 
 
-def contact_locus(u: SubAction, graph, weights: Sequence[Fraction],
-                  abar: Fraction) -> ContactSet:
-    """Edges where the sub-action inequality is an equality."""
+def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
+    """Edges of `crit.graph` where the sub-action inequality is an
+    equality; u must sit at the base depth."""
+    graph = crit.graph
     if u.depth != graph.order or len(u.values) != graph.n_nodes:
         raise IncompatibleOrder(
             f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
-    big, slacks = _slacks(u.values, graph, weights, abar)
+    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar)
     for k, s in enumerate(slacks):
         if s < 0:
             raise NotASubAction(
@@ -177,20 +175,20 @@ def contact_locus(u: SubAction, graph, weights: Sequence[Fraction],
     return ContactSet(u.depth, tight, tuple(map(graph.edge_word, tight)))
 
 
-def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
-           crit: CriticalStructure, node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
-    """Check the four defining predicates of u against the base system.
+def verify(u: SubAction, crit: CriticalStructure,
+           node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
+    """Check the four defining predicates of u against the system of `crit`.
 
-    The base graph is lifted to u's depth, refused past `node_budget`
+    Its graph is lifted to u's depth, refused past `node_budget`
     nodes; otherwise nothing raises, the verdicts just report.
     """
-    lifted, lw, _, edge_comp, _ = lift_critical(graph, weights, crit, u.depth, node_budget)
+    lifted, lw, _, edge_comp, _ = lift_critical(crit, u.depth, node_budget)
     if len(u.values) != lifted.n_nodes:
         raise IncompatibleOrder(
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
             f"has {lifted.n_nodes} nodes"
         )
-    _, slacks = _slacks(u.values, lifted, lw, abar)
+    _, slacks = _slacks(u.values, lifted, lw, crit.abar)
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
     tight = [k for k, s in enumerate(slacks) if s == 0]
@@ -201,12 +199,12 @@ def verify(u: SubAction, graph, weights: Sequence[Fraction], abar: Fraction,
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
 
 
-def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
-                         crit: CriticalStructure, depth_budget: int,
+def separating_subaction(crit: CriticalStructure, depth_budget: int,
                          gamma: Fraction = Fraction(1, 2),
                          node_budget: int = DEFAULT_NODE_BUDGET,
                          ) -> tuple[SubAction, SeparatingCertificate]:
-    """Finite-depth separating sub-action by perturb-and-average.
+    """Finite-depth separating sub-action of the system of `crit`, by
+    perturb-and-average.
 
     Starting from the calibrated fixed point lifted to the working
     depth, each pass normalizes by the current sub-action (slacks B>=0),
@@ -228,15 +226,13 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
-    if depth_budget < graph.order:
-        raise ValueError(
-            f"depth budget {depth_budget} is below the graph order {graph.order}"
-        )
-    lifted, lw, node_comp, edge_comp, base = lift_critical(graph, weights, crit,
-                                                           depth_budget, node_budget)
+    order = crit.graph.order
+    if depth_budget < order:
+        raise ValueError(f"depth budget {depth_budget} is below the graph order {order}")
+    lifted, lw, node_comp, edge_comp, base = lift_critical(crit, depth_budget, node_budget)
     v = calibrated_fixed_point(crit)
     u = [v[b] for b in base]
-    big, slacks = _slacks(u, lifted, lw, abar)
+    big, slacks = _slacks(u, lifted, lw, crit.abar)
     values = [x.numerator * (big // x.denominator) for x in u]
     reps = [node_comp.index(c.index) for c in crit.components]
     n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
@@ -300,9 +296,9 @@ def separating_subaction(graph, weights: Sequence[Fraction], abar: Fraction,
     return sub, SeparatingCertificate(True, depth_budget, gamma, passes, tight_words, ())
 
 
-def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
-                 abar: Fraction, crit: CriticalStructure) -> GapReport:
-    """Where a calibrated u sits above another sub-action v.
+def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapReport:
+    """Where a calibrated u sits above another sub-action v, both of the
+    system of `crit`.
 
     u - v is constant on every critical component, and its global
     minimum over all nodes is attained on the critical words, indeed on
@@ -310,12 +306,12 @@ def gap_analysis(u: SubAction, v: SubAction, graph, weights: Sequence[Fraction],
     """
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
-    lifted, lw, node_comp, _, _ = lift_critical(graph, weights, crit, u.depth)
+    lifted, lw, node_comp, _, _ = lift_critical(crit, u.depth)
     slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
         if len(sub.values) != lifted.n_nodes:
             raise IncompatibleOrder(f"{name} does not fit depth {sub.depth}")
-        _, slacks[name] = _slacks(sub.values, lifted, lw, abar)
+        _, slacks[name] = _slacks(sub.values, lifted, lw, crit.abar)
         if any(s < 0 for s in slacks[name]):
             raise NotASubAction(f"{name} violates the sub-action inequality")
     if not _calibrated(slacks["u"], lifted):

@@ -1,6 +1,9 @@
 import contextlib
+import csv
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -14,8 +17,9 @@ from conftest import INSTANCE_DIR
 from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import OracleMismatch
-from ergopt.instances import read_matrix_csv, read_subaction_csv
+from ergopt.instances import load_instance, parse_word, read_matrix_csv, read_subaction_csv
 from ergopt.oracle import brute_cycles
+from ergopt.pipeline import solve_instance
 from ergopt.symbolic import DEFAULT_NODE_BUDGET, lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
@@ -114,10 +118,10 @@ class TestBarrier:
         assert res.returncode == 0
         assert f"wrote {tmp_path / 'phi.csv'}" in res.stdout
         assert f"wrote {tmp_path / 'h.csv'}" in res.stdout
-        words, phi = read_matrix_csv(tmp_path / "phi.csv")
+        words, phi = read_matrix_csv(tmp_path / "phi.csv", 3)
         assert words == list(e2_bundle.graph.node_words)
         assert [tuple(r) for r in phi] == [tuple(r) for r in e2_bundle.barriers.phi]
-        _, h = read_matrix_csv(tmp_path / "h.csv")
+        _, h = read_matrix_csv(tmp_path / "h.csv", 3)
         assert [tuple(r) for r in h] == [tuple(r) for r in e2_bundle.barriers.h]
 
     def test_out_files_are_byte_identical(self, tmp_path):
@@ -127,6 +131,37 @@ class TestBarrier:
             assert run_cli("barrier", "--instance", E2, "--out", str(d)).returncode == 0
         assert (a / "phi.csv").read_bytes() == (b / "phi.csv").read_bytes()
         assert (a / "h.csv").read_bytes() == (b / "h.csv").read_bytes()
+
+    def test_words_beyond_ten_symbols_round_trip(self, tmp_path, capsys):
+        # an 11-symbol word carries commas of its own, so the matrix header,
+        # its first column and solve's word lists quote it as CSV does
+        n = 11
+        entries = {f"{a},{b},{c}": str((3 * a + 5 * b + 7 * c + a * b) % 7 + 1)
+                   for a in range(n) for b in range(n) for c in range(n)}
+        entries["3,3,3"] = "0"
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps({
+            "alphabet_size": n, "transition": [[1] * n] * n, "lambda": "1/2",
+            "potential": {"side": "one", "range": 3, "entries": entries},
+        }), encoding="utf-8")
+        bundle = solve_instance(load_instance(inst))
+        nodes, edges = list(bundle.graph.node_words), [e.word for e in bundle.graph.edges]
+        assert len(nodes) == 121
+        assert main(["barrier", "--instance", str(inst), "--out", str(tmp_path)]) == 0
+        for name, view in (("phi.csv", bundle.barriers.phi), ("h.csv", bundle.barriers.h)):
+            words, rows = read_matrix_csv(tmp_path / name, n)
+            assert words == nodes
+            assert [tuple(r) for r in rows] == [tuple(r) for r in view]
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst)]) == 0
+        listed = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, _, fields = line.partition(": ")
+            if key in ("nodes", "edges", "critical edges"):
+                listed[key] = [parse_word(f, n) for f in next(csv.reader([fields]))]
+        assert listed["nodes"] == nodes
+        assert listed["edges"] == edges
+        assert listed["critical edges"] == [(3, 3, 3)]
 
 
 class TestCalibrate:
@@ -150,7 +185,7 @@ class TestCalibrate:
         res = run_cli("calibrate", "--instance", E1, "--out", str(out))
         assert res.returncode == 0
         assert res.stdout == f"node values: 0,0\nwrote {out}\n"
-        words, values = read_subaction_csv(out)
+        words, values = read_subaction_csv(out, 2)
         assert words == [(0,), (1,)]
         assert values == [0, 0]
 
@@ -236,7 +271,7 @@ class TestSeparate:
             "sub-action: yes; calibrated: no;"
             " separating certificate: yes; critical containment: yes\n"
         )
-        words, values = read_subaction_csv(out)
+        words, values = read_subaction_csv(out, 3)
         assert any(v.denominator % 13 == 0 for v in values)
         g = e2_bundle.graph
         abar = min(m for _, m in brute_cycles(g, e2_bundle.weights))
@@ -712,3 +747,18 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+class TestReadmeExamples:
+    def test_command_blocks_match_the_output(self, capsys, monkeypatch):
+        readme = INSTANCE_DIR.parent / "README.md"
+        blocks = re.findall(r"```\n\$ ergopt ([^\n]*)\n(.*?)```",
+                            readme.read_text(encoding="utf-8"), re.S)
+        assert [command for command, _ in blocks] == [
+            "solve --instance instances/e2.json",
+            "separate --instance instances/e1.json --depth 2",
+        ]
+        monkeypatch.chdir(readme.parent)
+        for command, shown in blocks:
+            assert main(shlex.split(command)) == 0
+            assert capsys.readouterr().out.splitlines() == shown.splitlines()

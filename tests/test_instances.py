@@ -12,6 +12,7 @@ from ergopt.errors import (
     NotIrreducible,
 )
 from ergopt.instances import (
+    csv_word,
     dump_instance,
     format_fraction,
     format_word,
@@ -86,23 +87,27 @@ class TestParseFraction:
 class TestWords:
     def test_digit_strings(self):
         assert format_word((0, 1, 2), 3) == "012"
-        assert parse_word("012") == (0, 1, 2)
+        assert parse_word("012", 3) == (0, 1, 2)
 
     def test_comma_mode(self):
         assert format_word((0, 11), 12) == "0,11"
-        assert parse_word("0,11") == (0, 11)
-        assert parse_word("5") == (5,)
+        assert parse_word("0,11", 12) == (0, 11)
+        assert parse_word("5", 12) == (5,)
 
     def test_one_symbol_beyond_ten(self):
-        assert parse_word(format_word((10,), 11), "word", 11) == (10,)
-        assert parse_word("10") == (1, 0)
-        assert parse_word("10", "word", 10) == (1, 0)
+        assert parse_word(format_word((10,), 11), 11) == (10,)
+        assert parse_word("10", 10) == (1, 0)
+
+    def test_csv_field_quotes_only_words_with_commas(self):
+        assert csv_word((0, 1), 10) == "01"
+        assert csv_word((10,), 11) == "10"
+        assert csv_word((0, 10), 11) == '"0,10"'
 
     def test_malformed(self):
         with pytest.raises(InstanceFormatError):
-            parse_word("1a")
+            parse_word("1a", 10)
         with pytest.raises(InstanceFormatError):
-            parse_word("1,,2")
+            parse_word("1,,2", 10)
 
 
 class TestParseInstance:
@@ -235,7 +240,7 @@ class TestCsv:
                             e2_bundle.sft.alphabet_size, e2_bundle.barriers.big),
             encoding="utf-8",
         )
-        words, rows = read_matrix_csv(path)
+        words, rows = read_matrix_csv(path, e2_bundle.sft.alphabet_size)
         assert words == list(e2_bundle.graph.node_words)
         assert [tuple(r) for r in rows] == [tuple(r) for r in e2_bundle.barriers.h]
 
@@ -252,7 +257,7 @@ class TestCsv:
                                golden_bundle.sft.alphabet_size),
             encoding="utf-8",
         )
-        words, values = read_subaction_csv(path)
+        words, values = read_subaction_csv(path, golden_bundle.sft.alphabet_size)
         assert words == list(golden_bundle.graph.node_words)
         assert tuple(values) == golden_bundle.fixed_point
 
@@ -260,9 +265,9 @@ class TestCsv:
         bad = tmp_path / "x.csv"
         bad.write_text("node,0,1\n", encoding="utf-8")
         with pytest.raises(InstanceFormatError):
-            read_matrix_csv(bad)
+            read_matrix_csv(bad, 2)
         with pytest.raises(InstanceFormatError):
-            read_subaction_csv(bad)
+            read_subaction_csv(bad, 2)
 
 
 class TestRandomInstances:

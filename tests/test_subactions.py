@@ -139,25 +139,24 @@ class TestDominant:
 class TestContactLocus:
     def test_e1_fixed_point(self, e1_bundle):
         u = fixed_sub(e1_bundle)
-        contact = contact_locus(u, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar)
+        contact = contact_locus(u, e1_bundle.crit)
         assert contact.tight_words == ((0, 0), (0, 1))
 
     def test_contains_critical_edges_for_any_subaction(self, corpus_bundles):
         for b in corpus_bundles[:60]:
             u = fixed_sub(b)
-            contact = contact_locus(u, b.graph, b.weights, b.abar)
+            contact = contact_locus(u, b.crit)
             assert set(b.crit.critical_edges) <= set(contact.tight_edges)
 
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
         with pytest.raises(NotASubAction):
-            contact_locus(bad, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar)
+            contact_locus(bad, e1_bundle.crit)
 
 
 class TestVerify:
     def test_e1_fixed_point_verdict(self, e1_bundle):
-        v = verify(fixed_sub(e1_bundle), e1_bundle.graph, e1_bundle.weights,
-                   e1_bundle.abar, e1_bundle.crit)
+        v = verify(fixed_sub(e1_bundle), e1_bundle.crit)
         assert v.is_subaction and v.is_calibrated
         assert not v.separating_certificate
         assert v.critical_containment
@@ -166,15 +165,12 @@ class TestVerify:
 
     def test_non_subaction_reports_instead_of_raising(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
-        v = verify(bad, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar,
-                   e1_bundle.crit)
+        v = verify(bad, e1_bundle.crit)
         assert not v.is_subaction and not v.is_calibrated
 
     def test_deeper_subaction(self, e1_bundle):
-        sub, _ = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                      e1_bundle.abar, e1_bundle.crit, 2)
-        v = verify(sub, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar,
-                   e1_bundle.crit)
+        sub, _ = separating_subaction(e1_bundle.crit, 2)
+        v = verify(sub, e1_bundle.crit)
         assert v.is_subaction and v.separating_certificate and v.critical_containment
         assert v.tight_words == ((0, 0, 0),)
 
@@ -187,7 +183,7 @@ class TestCalibration:
         for b in corpus_bundles:
             g, crit = b.graph, b.crit
             for u in calibrated_family(b, rng):
-                tight = set(contact_locus(u, g, b.weights, b.abar).tight_edges)
+                tight = set(contact_locus(u, crit).tight_edges)
                 for x in range(g.n_nodes):
                     y = x
                     for _ in range(g.n_nodes):
@@ -204,9 +200,9 @@ class TestCalibration:
         seen = set()
         for b in corpus_bundles[:40]:
             depth = b.graph.order + 1
-            lifted, lw, _, _, base = lift_critical(b.graph, b.weights, b.crit, depth)
+            lifted, lw, _, _, base = lift_critical(b.crit, depth)
             family = calibrated_family(b, rng)
-            sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, depth)
+            sep, _ = separating_subaction(b.crit, depth)
             deep = SubAction(depth, tuple(b.fixed_point[i] for i in base), "user-supplied")
             k = next(k for k, e in enumerate(b.graph.edges) if e.tail != e.head)
             e = b.graph.edges[k]
@@ -221,50 +217,44 @@ class TestCalibration:
             ]
             for u in cases:
                 g, w = (lifted, lw) if u.depth == depth else (b.graph, b.weights)
-                v = verify(u, b.graph, b.weights, b.abar, b.crit)
+                v = verify(u, b.crit)
                 fixed = lax_oleinik_step(u.values, g, w, b.abar) == u.values
                 assert v.is_calibrated == (v.is_subaction and fixed)
                 seen.add((v.is_subaction, v.is_calibrated))
                 if v.is_subaction and not v.is_calibrated:
                     with pytest.raises(NotCalibrated):
-                        gap_analysis(u, u, b.graph, b.weights, b.abar, b.crit)
+                        gap_analysis(u, u, b.crit)
         assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestSeparating:
     def test_e1_depth_2(self, e1_bundle):
-        sub, cert = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                         e1_bundle.abar, e1_bundle.crit, 2)
+        sub, cert = separating_subaction(e1_bundle.crit, 2)
         assert cert.ok and cert.depth == 2 and cert.gamma == Fraction(1, 2)
         assert cert.tight_words == ((0, 0, 0),)
         assert cert.residual_words == ()
         assert sub.depth == 2 and sub.provenance == "separating"
 
     def test_e2_depth_2(self, e2_bundle):
-        _, cert = separating_subaction(e2_bundle.graph, e2_bundle.weights,
-                                       e2_bundle.abar, e2_bundle.crit, 2)
+        _, cert = separating_subaction(e2_bundle.crit, 2)
         assert cert.tight_words == ((0, 0, 0), (2, 2, 2))
 
     def test_golden_depth_2(self, golden_bundle):
-        _, cert = separating_subaction(golden_bundle.graph, golden_bundle.weights,
-                                       golden_bundle.abar, golden_bundle.crit, 2)
+        _, cert = separating_subaction(golden_bundle.crit, 2)
         assert cert.tight_words == ((0, 1, 0), (1, 0, 1))
 
     def test_gamma_validation(self, e1_bundle):
         for gamma in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
             with pytest.raises(ValueError):
-                separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                     e1_bundle.abar, e1_bundle.crit, 2, gamma=gamma)
+                separating_subaction(e1_bundle.crit, 2, gamma=gamma)
 
     def test_depth_validation(self, e1_bundle):
         with pytest.raises(ValueError):
-            separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                 e1_bundle.abar, e1_bundle.crit, 0)
+            separating_subaction(e1_bundle.crit, 0)
 
     def test_gamma_scales_values_not_tightness(self, e2_bundle):
-        args = (e2_bundle.graph, e2_bundle.weights, e2_bundle.abar, e2_bundle.crit)
-        _, cert_half = separating_subaction(*args, 2)
-        _, cert_tenth = separating_subaction(*args, 2, gamma=Fraction(1, 10))
+        _, cert_half = separating_subaction(e2_bundle.crit, 2)
+        _, cert_tenth = separating_subaction(e2_bundle.crit, 2, gamma=Fraction(1, 10))
         assert cert_half.tight_words == cert_tenth.tight_words
 
     @pytest.mark.parametrize("seed, depth, gamma", sorted(TWO_PASS_DIGESTS))
@@ -272,8 +262,7 @@ class TestSeparating:
         rng = random.Random(seed)
         inst = (random_two_sided if rng.random() < 0.25 else random_instance)(rng)
         b = solve_instance(inst)
-        sub, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit, depth,
-                                         Fraction(gamma))
+        sub, cert = separating_subaction(b.crit, depth, Fraction(gamma))
         assert cert.passes == 2
         digest = hashlib.sha256(repr((sub.values, cert)).encode()).hexdigest()
         assert digest == TWO_PASS_DIGESTS[seed, depth, gamma]
@@ -281,9 +270,8 @@ class TestSeparating:
     def test_result_is_a_subaction_at_depth(self, corpus_bundles):
         for b in corpus_bundles[:40]:
             n = b.graph.n_nodes
-            sub, cert = separating_subaction(b.graph, b.weights, b.abar, b.crit,
-                                             n + 2)
-            v = verify(sub, b.graph, b.weights, b.abar, b.crit)
+            sub, cert = separating_subaction(b.crit, n + 2)
+            v = verify(sub, b.crit)
             assert v.is_subaction
             assert v.separating_certificate
             assert set(cert.tight_words) == set(v.tight_words)
@@ -292,7 +280,7 @@ class TestSeparating:
 def carried(b, depth):
     """Word -> component of the lifted nodes and of the lifted edges at
     `depth`, as carried up from the base."""
-    lifted, _, nodes, edges, _ = lift_critical(b.graph, b.weights, b.crit, depth)
+    lifted, _, nodes, edges, _ = lift_critical(b.crit, depth)
     return (dict(zip(lifted.node_words, nodes)),
             {e.word: c for e, c in zip(lifted.edges, edges)})
 
@@ -331,8 +319,7 @@ class TestLiftCritical:
             for depth in range(b.graph.order, b.graph.order + 4):
                 if count_words(b.graph.sft, depth, 400) > 400:
                     break
-                lifted, lw, nodes, edges, _ = lift_critical(b.graph, b.weights,
-                                                         b.crit, depth)
+                lifted, lw, nodes, edges, _ = lift_critical(b.crit, depth)
                 fresh = critical_structure(lifted, lw)
                 assert nodes == fresh.node_component
                 assert edges == tuple(fresh.edge_component.get(k)
@@ -345,7 +332,7 @@ class TestLiftCritical:
         b = solve_instance(random_instance(random.Random(seed)))
         depth = b.graph.order + extra
         assume(count_words(b.graph.sft, depth, 2000) <= 2000)
-        lifted, _, _, _, base = lift_critical(b.graph, b.weights, b.crit, depth)
+        lifted, _, _, _, base = lift_critical(b.crit, depth)
         assert list(base) == [b.graph.node_index(w[:b.graph.order])
                               for w in lifted.node_words]
 
@@ -358,7 +345,7 @@ class TestLiftCritical:
         count = symbolic.count_words
         monkeypatch.setattr(symbolic, "count_words",
                             lambda *args: calls.append(args) or count(*args))
-        lifted, lw, nodes, edges, base = lift_critical(b.graph, b.weights, b.crit, 1024)
+        lifted, lw, nodes, edges, base = lift_critical(b.crit, 1024)
         assert (lifted.order, lifted.n_nodes, lifted.n_edges) == (1024, 2, 2)
         assert nodes == (0, 0) and edges == (0, 0) and list(base) == [0, 1]
         assert len(calls) <= 2
@@ -366,7 +353,7 @@ class TestLiftCritical:
     def test_base_map_carries_values_by_prefix(self):
         sft = build_sft(2, [[1, 1], [1, 1]], Fraction(1, 2))
         b = solve_potential(sft, build_one_sided(sft, 1, {"0": 0, "1": 1}))
-        base = lift_critical(b.graph, b.weights, b.crit, 2)[4]
+        base = lift_critical(b.crit, 2)[4]
         values = (Fraction(5), Fraction(7))
         assert tuple(values[i] for i in base) == (
             Fraction(5), Fraction(5), Fraction(7), Fraction(7),
@@ -376,15 +363,14 @@ class TestLiftCritical:
         # 2**11 admissible 11-words on the full 2-shift: the budget is
         # checked by the lift itself, before any pass runs
         b = e1_bundle
-        args = (b.graph, b.weights, b.abar, b.crit)
-        assert lift_critical(b.graph, b.weights, b.crit, 11, 2**11)[0].n_nodes == 2**11
-        sep, cert = separating_subaction(*args, 11, node_budget=2**11)
+        assert lift_critical(b.crit, 11, 2**11)[0].n_nodes == 2**11
+        sep, cert = separating_subaction(b.crit, 11, node_budget=2**11)
         assert cert.ok
-        assert verify(sep, *args, node_budget=2**11).separating_certificate
+        assert verify(sep, b.crit, node_budget=2**11).separating_certificate
         for refuse in (
-                lambda: lift_critical(b.graph, b.weights, b.crit, 11, 2**11 - 1),
-                lambda: separating_subaction(*args, 11, node_budget=2**11 - 1),
-                lambda: verify(sep, *args, node_budget=2**11 - 1)):
+                lambda: lift_critical(b.crit, 11, 2**11 - 1),
+                lambda: separating_subaction(b.crit, 11, node_budget=2**11 - 1),
+                lambda: verify(sep, b.crit, node_budget=2**11 - 1)):
             with pytest.raises(BudgetExceeded, match="node budget of 2047") as info:
                 refuse()
             assert info.value.residual_words is None
@@ -394,7 +380,7 @@ class TestLiftCritical:
         lifted, lw = lift_to(b.graph, b.weights, 2)
         crit = critical_structure(lifted, lw)
         with pytest.raises(ValueError, match="cannot lower order 2 to 1"):
-            lift_critical(lifted, lw, crit, 1)
+            lift_critical(crit, 1)
 
 
 class TestConvexCombination:
@@ -421,9 +407,9 @@ class TestConvexCombination:
             u1 = fixed_sub(b)
             u2 = calibrated_from_boundary(bd, b.crit)
             mix = convex_combination([u1, u2], [Fraction(1, 3), Fraction(2, 3)])
-            t1 = set(contact_locus(u1, b.graph, b.weights, b.abar).tight_edges)
-            t2 = set(contact_locus(u2, b.graph, b.weights, b.abar).tight_edges)
-            tm = set(contact_locus(mix, b.graph, b.weights, b.abar).tight_edges)
+            t1 = set(contact_locus(u1, b.crit).tight_edges)
+            t2 = set(contact_locus(u2, b.crit).tight_edges)
+            tm = set(contact_locus(mix, b.crit).tight_edges)
             assert tm == t1 & t2
 
 
@@ -431,8 +417,7 @@ class TestGapAnalysis:
     def test_e2_constants_and_location(self, e2_bundle):
         u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle.crit)
         v = fixed_sub(e2_bundle)
-        report = gap_analysis(u, v, e2_bundle.graph, e2_bundle.weights,
-                              e2_bundle.abar, e2_bundle.crit)
+        report = gap_analysis(u, v, e2_bundle.crit)
         assert report.component_constants == (0, 1)
         assert report.minimum == 0
         assert report.argmin_nodes == (0, 1)
@@ -440,18 +425,15 @@ class TestGapAnalysis:
         assert report.attained_component == 0
 
     def test_rejects_uncalibrated_u(self, e1_bundle):
-        sep, _ = separating_subaction(e1_bundle.graph, e1_bundle.weights,
-                                      e1_bundle.abar, e1_bundle.crit, 1)
+        sep, _ = separating_subaction(e1_bundle.crit, 1)
         with pytest.raises(NotCalibrated):
-            gap_analysis(sep, sep, e1_bundle.graph, e1_bundle.weights,
-                         e1_bundle.abar, e1_bundle.crit)
+            gap_analysis(sep, sep, e1_bundle.crit)
 
     def test_rejects_depth_mismatch(self, e1_bundle):
         u = fixed_sub(e1_bundle)
         v = SubAction(2, (Fraction(0),) * 4, "user-supplied")
         with pytest.raises(IncompatibleOrder):
-            gap_analysis(u, v, e1_bundle.graph, e1_bundle.weights, e1_bundle.abar,
-                         e1_bundle.crit)
+            gap_analysis(u, v, e1_bundle.crit)
 
     def test_calibrated_minus_fixed_point_on_corpus(self, corpus_bundles):
         rng = random.Random(47)
@@ -462,14 +444,13 @@ class TestGapAnalysis:
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
             u = calibrated_from_boundary(bd, b.crit)
-            report = gap_analysis(u, fixed_sub(b), b.graph, b.weights, b.abar,
-                                  b.crit)
+            report = gap_analysis(u, fixed_sub(b), b.crit)
             assert report.min_on_critical == report.minimum
 
     def test_against_lifted_separating_candidate(self, e1_bundle):
         b = e1_bundle
-        sep, _ = separating_subaction(b.graph, b.weights, b.abar, b.crit, 2)
-        base = lift_critical(b.graph, b.weights, b.crit, 2)[4]
+        sep, _ = separating_subaction(b.crit, 2)
+        base = lift_critical(b.crit, 2)[4]
         u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
-        report = gap_analysis(u, sep, b.graph, b.weights, b.abar, b.crit)
+        report = gap_analysis(u, sep, b.crit)
         assert report.min_on_critical == report.minimum
