@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 malformed input, 3 domain error (bad system,
-bad parameters, size guard), 4 budget exhausted without a certificate,
-5 solver/brute-force disagreement.
+bad parameters, size guard), 4 a node budget or the word-length cap
+exceeded, or no separating certificate reached, 5 solver/brute-force
+disagreement.
 """
 
 from __future__ import annotations
@@ -152,13 +153,10 @@ def cmd_separate(args) -> int:
     bundle = solve_instance(inst, node_budget=args.max_nodes)
     s = inst.sft.alphabet_size
     depth = args.depth if args.depth is not None else bundle.graph.order
-    try:
-        sub, cert = separating_subaction(bundle.crit, depth, gamma=args.gamma,
-                                         node_budget=args.max_nodes)
-    except BudgetExceeded as exc:
-        if exc.residual_words is None:
-            raise
-        residual = ", ".join(format_word(w, s) for w in exc.residual_words)
+    sub, cert = separating_subaction(bundle.crit, depth, gamma=args.gamma,
+                                     node_budget=args.max_nodes)
+    if not cert.ok:
+        residual = ", ".join(format_word(w, s) for w in cert.residual_words)
         print(f"certificate: FAILED; residual words: {residual}")
         return 4
     tight = ", ".join(format_word(w, s) for w in cert.tight_words)

@@ -52,16 +52,7 @@ class TooLarge(ErgoptError):
 
 
 class BudgetExceeded(ErgoptError):
-    """An iterative construction ran out of its depth or node budget.
-
-    Carries the best object produced so far and, for the separating
-    construction, the offending tight words.
-    """
-
-    def __init__(self, message: str, *, best=None, residual_words=None):
-        super().__init__(message)
-        self.best = best
-        self.residual_words = residual_words
+    """A request exceeds the node budget or the word-length cap."""
 
 
 class OracleMismatch(ErgoptError):

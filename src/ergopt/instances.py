@@ -86,6 +86,8 @@ def csv_word(word: Sequence[int], alphabet_size: int) -> str:
 def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
     """The word `format_word` wrote: beyond ten symbols it is always
     comma-separated, even a one-symbol word; up to ten, digits or commas."""
+    if not text:
+        raise InstanceFormatError(f"{where}: empty word")
     try:
         return tuple(map(int, text.split(",") if "," in text or alphabet_size > 10 else text))
     except ValueError as exc:
@@ -98,6 +100,14 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _integer(data: dict, key: str, where: str) -> int:
+    """The required entry `key`, a JSON integer and not a boolean."""
+    value = _require(data, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceFormatError(f"{key} must be an integer")
+    return value
+
+
 def parse_instance(data: dict) -> Instance:
     """Build a validated Instance from decoded JSON.
 
@@ -106,9 +116,7 @@ def parse_instance(data: dict) -> Instance:
     """
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object")
-    size = _require(data, "alphabet_size", "instance")
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise InstanceFormatError("alphabet_size must be an integer")
+    size = _integer(data, "alphabet_size", "instance")
     matrix = _require(data, "transition", "instance")
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InstanceFormatError("transition must be a list of rows")
@@ -131,7 +139,7 @@ def parse_instance(data: dict) -> Instance:
     }
     try:
         if side == "one":
-            m = _require(pot_data, "range", "potential")
+            m = _integer(pot_data, "range", "potential")
             holder = data.get("holder") or {}
             if not isinstance(holder, dict):
                 raise InstanceFormatError("holder must be a JSON object")
@@ -143,8 +151,8 @@ def parse_instance(data: dict) -> Instance:
                 holder_const=None if const is None else parse_fraction(const, "holder.const"),
             )
         elif side == "two":
-            p = _require(pot_data, "past_depth", "potential")
-            q = _require(pot_data, "future_depth", "potential")
+            p = _integer(pot_data, "past_depth", "potential")
+            q = _integer(pot_data, "future_depth", "potential")
             potential = build_two_sided(sft, p, q, entries)
         else:
             raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")

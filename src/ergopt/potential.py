@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 from .errors import IncompatibleOrder, NotASubAction
 from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
                        lift_to, refine)
-from .tropical import _slacks
+from .tropical import CriticalStructure, _slacks
 
 
 def _table(sft: SftSystem, length: int, entries: Mapping) -> dict[Word, Fraction]:
@@ -124,23 +124,20 @@ def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotenti
     return build_one_sided(sft, ahat.future_depth, reduced)
 
 
-def normalize(b: OneSidedPotential, u, abar, graph: DeBruijnGraph) -> OneSidedPotential:
-    """The edge slacks B = w - abar - u(head) + u(tail) >= 0 of a
-    sub-action given as node values on `graph`, as a potential of range
-    order+1, so it compiles onto the same graph (or any finer one) like
-    any other observable.
-
-    `u` may be a SubAction or a plain sequence of node values; a depth
-    mismatch with the graph order is refused.
+def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
+    """The edge slacks B = w - abar - u(head) + u(tail) >= 0 of the
+    SubAction u at the base depth of the solved system `crit`, as a
+    potential of range order+1, so it compiles onto the same graph (or
+    any finer one) like any other observable. A depth mismatch with the
+    graph order is refused.
     """
-    values = getattr(u, "values", u)
-    depth = getattr(u, "depth", graph.order)
-    if depth != graph.order or len(values) != graph.n_nodes:
+    graph = crit.graph
+    if u.depth != graph.order or len(u.values) != graph.n_nodes:
         raise IncompatibleOrder(
-            f"sub-action depth {depth} with {len(values)} values does not fit "
+            f"sub-action depth {u.depth} with {len(u.values)} values does not fit "
             f"an order-{graph.order} graph on {graph.n_nodes} nodes"
         )
-    big, slacks = _slacks(values, graph, compile_weights(b, graph), Fraction(abar))
+    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar)
     words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)
     table: dict[Word, Fraction] = {}
     for word, s in zip(words, slacks):

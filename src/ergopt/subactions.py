@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    BudgetExceeded,
     IncompatibleOrder,
     NotASubAction,
     NotCalibrated,
@@ -111,6 +110,14 @@ def _calibrated(slacks: Sequence[int], graph) -> bool:
     return all(any(slacks[k] == 0 for k in ins) for ins in graph.in_edges)
 
 
+def _tight_words(slacks: Sequence[int], graph, edge_comp):
+    """The words of the zero-slack edges of `graph`, and those of them
+    that lie in no critical component."""
+    tight = [k for k, s in enumerate(slacks) if s == 0]
+    words = tuple(map(graph.edge_word, tight))
+    return words, tuple(w for w, k in zip(words, tight) if edge_comp[k] is None)
+
+
 def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
     """u(x) = min over components i of [u_i + h(rep_i, x)].
 
@@ -191,9 +198,7 @@ def verify(u: SubAction, crit: CriticalStructure,
     _, slacks = _slacks(u.values, lifted, lw, crit.abar)
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
-    tight = [k for k, s in enumerate(slacks) if s == 0]
-    tight_words = tuple(map(lifted.edge_word, tight))
-    noncritical = tuple(w for w, k in zip(tight_words, tight) if edge_comp[k] is None)
+    tight_words, noncritical = _tight_words(slacks, lifted, edge_comp)
     certificate = is_sub and not noncritical
     containment = all(s == 0 for s, c in zip(slacks, edge_comp) if c is not None)
     return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
@@ -204,18 +209,25 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
                          node_budget: int = DEFAULT_NODE_BUDGET,
                          ) -> tuple[SubAction, SeparatingCertificate]:
     """Finite-depth separating sub-action of the system of `crit`, by
-    perturb-and-average.
+    perturb-and-average, and its certificate.
 
     Starting from the calibrated fixed point lifted to the working
     depth, each pass normalizes by the current sub-action (slacks B>=0),
     forms a family of B-compatible perturbations (j-step forward minima
     for j=1..depth, plus each component's barrier row from and potential
     column into a critical representative), and averages them into the
-    sub-action. Tight sets intersect across the family, critical
-    itineraries stay tight under every member, so the tight set shrinks
-    toward the critical words; passes repeat until the certificate holds
-    or the tight set stops moving. A lift past `node_budget` nodes is
-    refused by a BudgetExceeded that carries no residual words.
+    sub-action. Critical itineraries stay tight under every member.
+    Passes repeat until every tight word is critical (`cert.ok`) or the
+    tight set stops moving (`cert.residual_words` lists the non-critical
+    ones). Only the lift raises: below the graph order or past `node_budget`.
+
+    Each signed member f (row, -column, -w_j) has f(head) - f(tail) <= B
+    on every edge: rows by the triangle inequality, columns likewise, and
+    w_j as w_j(tail) <= B + w_{j-1}(head), where B >= 0 makes
+    w_{j-1} <= w_j. So a pass leaves each slack at least (1 - gamma) B and
+    tight sets are nested; a pass runs only on a nonempty tight set smaller
+    than the one before, so passes <= |initial tight set| <= n_edges. A
+    pass that makes a positive slack tight raises AssertionError.
 
     The slacks are taken once; then the values and slacks are integers
     over one running denominator, moved together by each pass and
@@ -226,9 +238,6 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
-    order = crit.graph.order
-    if depth_budget < order:
-        raise ValueError(f"depth budget {depth_budget} is below the graph order {order}")
     lifted, lw, node_comp, edge_comp, base = lift_critical(crit, depth_budget, node_budget)
     v = calibrated_fixed_point(crit)
     u = [v[b] for b in base]
@@ -238,15 +247,15 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
     n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
     out, ins = lifted.out_edges, lifted.in_edges
     ranges = [slice(r.start, r.stop) for r in out]
-    max_passes = lifted.n_edges + 4
     prev_zero: list[int] | None = None
     passes = 0
     while True:
         if min(slacks) < 0:
             raise AssertionError("perturbation broke the sub-action bound")
         zero = [k for k, s in enumerate(slacks) if s == 0]
-        if (all(edge_comp[k] is not None for k in zero) or zero == prev_zero
-                or passes >= max_passes):
+        if prev_zero is not None and not set(zero).issubset(prev_zero):
+            raise AssertionError("a pass made a positive slack tight")
+        if all(edge_comp[k] is not None for k in zero) or zero == prev_zero:
             break
         prev_zero = zero
         passes += 1
@@ -283,17 +292,10 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
             values = [x // g for x in values]
             slacks = [s // g for s in slacks]
 
-    tight_words = tuple(map(lifted.edge_word, zero))
-    residual = tuple(w for w, k in zip(tight_words, zero) if edge_comp[k] is None)
+    tight_words, residual = _tight_words(slacks, lifted, edge_comp)
     sub = SubAction(depth_budget, _unscale([values], big)[0], "separating")
-    if residual:
-        raise BudgetExceeded(
-            f"separating certificate not reached at depth {depth_budget}: "
-            f"{len(residual)} non-critical tight words remain",
-            best=sub,
-            residual_words=residual,
-        )
-    return sub, SeparatingCertificate(True, depth_budget, gamma, passes, tight_words, ())
+    return sub, SeparatingCertificate(not residual, depth_budget, gamma, passes,
+                                      tight_words, residual)
 
 
 def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapReport:

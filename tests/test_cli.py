@@ -20,6 +20,7 @@ from ergopt.errors import OracleMismatch
 from ergopt.instances import load_instance, parse_word, read_matrix_csv, read_subaction_csv
 from ergopt.oracle import brute_cycles
 from ergopt.pipeline import solve_instance
+from ergopt.subactions import SeparatingCertificate
 from ergopt.symbolic import DEFAULT_NODE_BUDGET, lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
@@ -252,6 +253,22 @@ class TestSeparate:
         stdout = capsys.readouterr().out
         assert stdout.startswith("certificate: OK; tight words: 0000, 2222\n")
         assert stdout.endswith("separating certificate: yes; critical containment: yes\n")
+
+    def test_failed_certificate_exits_4_without_out(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # a construction that ends with non-critical tight words left
+        def stalled(crit, depth, gamma, node_budget):
+            sub, cert = separate(crit, depth, gamma, node_budget)
+            return sub, SeparatingCertificate(False, depth, gamma, 1, ((0, 1), (1, 0)),
+                                              ((0, 1), (1, 0)))
+
+        separate = subactions.separating_subaction
+        monkeypatch.setattr("ergopt.cli.separating_subaction", stalled)
+        out = tmp_path / "sep.csv"
+        argv = ["separate", "--instance", E1, "--depth", "1", "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().out == "certificate: FAILED; residual words: 01, 10\n"
+        assert not out.exists()
 
     def test_bad_gamma(self):
         res = run_cli("separate", "--instance", E1, "--gamma", "3/2")
@@ -683,6 +700,27 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("info", "range", True), ("solve", "range", "2"),
+        ("info", "past_depth", True), ("info", "future_depth", "1"),
+    ])
+    def test_depths_must_be_integers(self, tmp_path, capsys, command, key, value):
+        # true had read as 1 and "2" had failed in a comparison
+        data = json.loads(Path(TWO_SIDED if "depth" in key else E1).read_text(encoding="utf-8"))
+        data["potential"][key] = value
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, "--instance", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {key} must be an integer\n")
+
+    def test_empty_word_in_subaction_csv(self, tmp_path, capsys):
+        # an empty word had been read as the word of length 0
+        out = tmp_path / "u.csv"
+        out.write_text("word,value\n,0\n", encoding="utf-8")
+        assert main(["verify", "--instance", E1, "--subaction", str(out)]) == 2
+        assert capsys.readouterr().err == "error: word: empty word\n"
 
     def test_missing_subaction_file(self, tmp_path):
         res = run_cli("verify", "--instance", E1,

@@ -108,6 +108,9 @@ class TestWords:
             parse_word("1a", 10)
         with pytest.raises(InstanceFormatError):
             parse_word("1,,2", 10)
+        for size in (2, 11):
+            with pytest.raises(InstanceFormatError):
+                parse_word("", size)
 
 
 class TestParseInstance:
@@ -190,6 +193,19 @@ class TestParseInstance:
         data = e1_data()
         data["potential"]["entries"] = {"0x": 0, "1": 1}
         with pytest.raises(InstanceFormatError):
+            parse_instance(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("range", True), ("range", "2"), ("range", 2.0),
+        ("past_depth", True), ("past_depth", "1"), ("future_depth", False),
+    ])
+    def test_range_and_depths_must_be_integers(self, key, value):
+        data = e1_data()
+        if key != "range":
+            data["potential"] = {"side": "two", "past_depth": 1, "future_depth": 1,
+                                 "entries": {"00": 0, "01": 0, "10": 0, "11": 1}}
+        data["potential"][key] = value
+        with pytest.raises(InstanceFormatError, match=f"^{key} must be an integer$"):
             parse_instance(data)
 
     def test_domain_errors_keep_their_types(self):

@@ -157,7 +157,7 @@ class TestNormalize:
     def test_weights_nonnegative_and_tight_on_critical(self, corpus_bundles):
         for bundle in corpus_bundles[:40]:
             u = SubAction(bundle.graph.order, bundle.fixed_point, "user-supplied")
-            norm = normalize(bundle.potential, u, bundle.abar, bundle.graph)
+            norm = normalize(u, bundle.crit)
             weights = compile_weights(norm, bundle.graph)
             assert all(w >= 0 for w in weights)
             assert min(weights[k] for k in bundle.crit.critical_edges) == 0
@@ -166,7 +166,8 @@ class TestNormalize:
     def test_weights_are_the_slacks(self, corpus_bundles):
         for bundle in corpus_bundles[:40]:
             g, u = bundle.graph, bundle.fixed_point
-            weights = compile_weights(normalize(bundle.potential, u, bundle.abar, g), g)
+            sub = SubAction(g.order, u, "user-supplied")
+            weights = compile_weights(normalize(sub, bundle.crit), g)
             assert weights == tuple(
                 w - bundle.abar - u[e.head] + u[e.tail]
                 for w, e in zip(bundle.weights, g.edges)
@@ -175,12 +176,12 @@ class TestNormalize:
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(5)), "user-supplied")
         with pytest.raises(NotASubAction):
-            normalize(e1_bundle.potential, bad, e1_bundle.abar, e1_bundle.graph)
+            normalize(bad, e1_bundle.crit)
 
     def test_rejects_depth_mismatch(self, e1_bundle):
         u = SubAction(2, (Fraction(0),) * 4, "user-supplied")
         with pytest.raises(IncompatibleOrder):
-            normalize(e1_bundle.potential, u, e1_bundle.abar, e1_bundle.graph)
+            normalize(u, e1_bundle.crit)
 
 
 class TestCompileWeights:
