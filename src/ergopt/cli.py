@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 malformed input, 3 domain error (bad system,
 bad parameters, size guard), 4 a node budget or the word-length cap
 exceeded, or no separating certificate reached, 5 solver/brute-force
-disagreement.
+disagreement, 6 an internal invariant failed (a bug in ergopt).
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetExceeded, ErgoptError, InstanceFormatError, OracleMismatch
+from .errors import (
+    BudgetExceeded,
+    ErgoptError,
+    InstanceFormatError,
+    InternalError,
+    OracleMismatch,
+)
 from .instances import (
     csv_word,
     format_fraction,
@@ -354,6 +360,7 @@ _EXIT_CODES = {
     UnicodeDecodeError: 2,
     BudgetExceeded: 4,
     OracleMismatch: 5,
+    InternalError: 6,
     ErgoptError: 3,
     ValueError: 3,
 }

@@ -57,3 +57,10 @@ class BudgetExceeded(ErgoptError):
 
 class OracleMismatch(ErgoptError):
     """An independent recomputation disagreed with the solver output."""
+
+
+class InternalError(ErgoptError, AssertionError):
+    """An invariant the solver relies on failed: a bug, not bad input.
+
+    It is an AssertionError too, since it stands where an assert would,
+    but it is raised explicitly so that `python -O` keeps the check."""

@@ -231,9 +231,16 @@ def read_matrix_csv(path, alphabet_size: int) -> tuple[list[Word], list[list[Fra
 
 
 def subaction_csv_text(node_words: Sequence[Word], values, alphabet_size: int) -> str:
+    """word,value rows as `format_word` and `format_fraction` write them;
+    each row fills one `%` template, made once per word length."""
+    sep = "" if alphabet_size <= 10 else ","
+    templates: dict[int, str] = {}
     lines = ["word,value"]
-    for w, v in zip(node_words, values):
-        lines.append(f"{format_word(w, alphabet_size)},{format_fraction(v)}")
+    for w, text in zip(node_words, map(format_fraction, values)):
+        template = templates.get(len(w))
+        if template is None:
+            template = templates[len(w)] = sep.join(["%d"] * len(w)) + ",%s"
+        lines.append(template % (*w, text))
     return "\n".join(lines) + "\n"
 
 
@@ -243,13 +250,17 @@ def read_subaction_csv(path, alphabet_size: int) -> tuple[list[Word], list[Fract
         raise InstanceFormatError("sub-action CSV must start with a 'word,value' header")
     words: list[Word] = []
     values: list[Fraction] = []
+    parsed: dict[str, Fraction] = {}  # each distinct value text, parsed at its first row
     for line in lines[1:]:
         if not line:
             continue
         # a word beyond ten symbols has commas of its own; a value has none
-        cell, _, value = line.rpartition(",") if "," in line else (line, "", "")
+        cell, _, text = line.rpartition(",") if "," in line else (line, "", "")
         words.append(parse_word(cell, alphabet_size))
-        values.append(parse_fraction(value, f"value for {cell}"))
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_fraction(text, f"value for {cell}")
+        values.append(value)
     return words, values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NoPathExists, TooLarge
+from .errors import InternalError, NoPathExists, TooLarge
 from .potential import OneSidedPotential, TwoSidedPotential, admissible_words
 from .symbolic import DeBruijnGraph, LassoPoint, SftSystem, lasso_shift, node_of
 from .tropical import CriticalStructure
@@ -340,7 +340,7 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
         cum.append(cum[-1] + weights[k] - abar)
     delta = cum[pre + cyc] - cum[pre]
     if delta < 0:
-        raise AssertionError("negative cycle in normalized weights")
+        raise InternalError("negative cycle in normalized weights")
 
     candidates = []
     if kind == "mane":
@@ -352,7 +352,7 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
     if delta == 0:
         start = graph.node_index(expand[pre : pre + r])
         if start != graph.node_index(expand[pre + cyc : pre + cyc + r]):
-            raise AssertionError("the lasso's cycle does not return to its break point")
+            raise InternalError("the lasso's cycle does not return to its break point")
         target = node_of(y, graph)
         rows = path_min_table(graph, weights, abar, start, graph.n_nodes)[1:]
         candidates.append(cum[pre] + min(row[target] for row in rows

@@ -137,7 +137,7 @@ def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
             f"sub-action depth {u.depth} with {len(u.values)} values does not fit "
             f"an order-{graph.order} graph on {graph.n_nodes} nodes"
         )
-    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar)
+    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar, range(graph.n_edges))
     words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)
     table: dict[Word, Fraction] = {}
     for word, s in zip(words, slacks):

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import (
     IncompatibleOrder,
+    InternalError,
     NotASubAction,
     NotCalibrated,
     NotInConstraintSet,
@@ -75,39 +76,55 @@ class GapReport:
 
 def lift_critical(crit: CriticalStructure, depth: int,
                   node_budget: int = DEFAULT_NODE_BUDGET):
-    """The graph and weights of `crit` at `depth`, the critical component
-    of every lifted node and edge (None off the critical words), and the
-    node of `crit.graph` each lifted node's word begins with.
+    """`(graph, edge_base, nodes, edges, base)`: the graph of `crit` at
+    `depth`; for every lifted edge, the edge of `crit.graph` its word
+    begins with (`edge_base`), whose weight it carries; the critical
+    component of every lifted node and edge (None off the critical
+    words); and the node of `crit.graph` each lifted node's word begins
+    with (`base`). No weight is lifted: edge k weighs
+    `crit.weights[edge_base[k]]`.
 
     One check against `node_budget`, then one line step per order: a
     lifted node is an edge one order down, so it keeps that edge's
-    component and its tail's base node, and a lifted edge, weighted as
-    its tail, joins two consecutive edges one order down and lies in
-    component c when both do, that is, when every base window of its
-    word is a critical edge of c.
+    component and its tail's base node, and a lifted edge, starting with
+    its tail, keeps its tail's base edge. A lifted edge joins two
+    consecutive edges one order down and lies in component c when both
+    do, that is, when every base window of its word is a critical edge
+    of c. Only critical words have a component, so they are carried as
+    (edge, component) pairs: each step marks the lifted nodes from the
+    pairs and keeps the out-edges of a marked node whose head has its
+    component.
     """
-    graph, weights, nodes = crit.graph, crit.weights, crit.node_component
+    graph, nodes = crit.graph, crit.node_component
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
     if depth > graph.order:
         check_budget(graph.sft, depth, node_budget)
-    edges = tuple(map(crit.edge_component.get, range(graph.n_edges)))
-    base = list(range(graph.n_nodes))
+    critical = list(crit.edge_component.items())
+    edge_base: Sequence[int] = range(graph.n_edges)
+    base: Sequence[int] = range(graph.n_nodes)
     while graph.order < depth:
         base = list(map(base.__getitem__, graph.tails))
         graph = graph.line_graph()
-        weights = tuple(map(weights.__getitem__, graph.tails))
-        nodes = edges
-        edges = tuple(nodes[t] if nodes[t] == nodes[h] else None
-                      for t, h in zip(graph.tails, graph.heads))
-    return graph, weights, nodes, edges, base
+        edge_base = list(map(edge_base.__getitem__, graph.tails))
+        nodes = [None] * graph.n_nodes
+        for k, c in critical:
+            nodes[k] = c
+        heads = graph.heads
+        critical = [(k, c) for v, c in critical
+                    for k in graph.out_edges[v] if nodes[heads[k]] == c]
+    edges: list[int | None] = [None] * graph.n_edges
+    for k, c in critical:
+        edges[k] = c
+    return graph, edge_base, tuple(nodes), tuple(edges), base
 
 
 def _calibrated(slacks: Sequence[int], graph) -> bool:
     """Given slacks >= 0, whether u is a Lax-Oleinik fixed point: (Lu)(j)
     is u(j) plus the least slack into j, so Lu = u exactly when every
-    node has a zero-slack in-edge, a backward step in the contact locus."""
-    return all(any(slacks[k] == 0 for k in ins) for ins in graph.in_edges)
+    node is the head of a zero-slack edge, a backward step in the
+    contact locus."""
+    return len({h for s, h in zip(slacks, graph.heads) if s == 0}) == graph.n_nodes
 
 
 def _tight_words(slacks: Sequence[int], graph, edge_comp):
@@ -152,12 +169,12 @@ def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure) -> SubAction:
     direct = tuple(u_i0 + v for v in rows[i0])
     rebuilt = calibrated_from_boundary(bd, crit)
     if rebuilt.values != direct:
-        raise AssertionError("dominant row disagrees with its boundary reconstruction")
+        raise InternalError("dominant row disagrees with its boundary reconstruction")
     for i1 in range(len(reps)):
         if i1 == i0:
             continue
         if all(bd[j] == bd[i1] + rows[i1][reps[j]] for j in range(len(reps))):
-            raise AssertionError(
+            raise InternalError(
                 f"component {i1} also reproduces the dominant boundary data; "
                 "components cannot be disjoint"
             )
@@ -172,7 +189,7 @@ def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
         raise IncompatibleOrder(
             f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
-    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar)
+    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar, range(graph.n_edges))
     for k, s in enumerate(slacks):
         if s < 0:
             raise NotASubAction(
@@ -187,15 +204,17 @@ def verify(u: SubAction, crit: CriticalStructure,
     """Check the four defining predicates of u against the system of `crit`.
 
     Its graph is lifted to u's depth, refused past `node_budget`
-    nodes; otherwise nothing raises, the verdicts just report.
+    nodes; otherwise nothing raises, the verdicts just report. The slacks
+    read each lifted edge's weight through `edge_base`, so only u's
+    values are scaled at depth, never the lifted weights.
     """
-    lifted, lw, _, edge_comp, _ = lift_critical(crit, u.depth, node_budget)
+    lifted, edge_base, _, edge_comp, _ = lift_critical(crit, u.depth, node_budget)
     if len(u.values) != lifted.n_nodes:
         raise IncompatibleOrder(
             f"sub-action carries {len(u.values)} values but depth {u.depth} "
             f"has {lifted.n_nodes} nodes"
         )
-    _, slacks = _slacks(u.values, lifted, lw, crit.abar)
+    _, slacks = _slacks(u.values, lifted, crit.weights, crit.abar, edge_base)
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
     tight_words, noncritical = _tight_words(slacks, lifted, edge_comp)
@@ -227,22 +246,31 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
     w_{j-1} <= w_j. So a pass leaves each slack at least (1 - gamma) B and
     tight sets are nested; a pass runs only on a nonempty tight set smaller
     than the one before, so passes <= |initial tight set| <= n_edges. A
-    pass that makes a positive slack tight raises AssertionError.
+    pass that makes a positive slack tight raises InternalError.
 
-    The slacks are taken once; then the values and slacks are integers
-    over one running denominator, moved together by each pass and
-    reduced by their gcd. Each pass adds the same rationals whatever
-    that denominator is, so the values are those of the same passes done
-    in Fractions, which are built only for the returned sub-action.
+    The first slacks are those of the base graph: the fixed point v is
+    lifted as u = v o base, and lifted edge k, from a_0..a_{D-1} to
+    a_1..a_D at depth D over a base of order r, has the slack
+    w(a_0..a_r) - abar - v(a_1..a_r) + v(a_0..a_{r-1}), that of its base
+    edge `edge_base[k]`. So only base values are scaled, and read
+    through `base` and `edge_base`. Every base weight appears at depth,
+    so the running denominator starts at the lcm of the lifted system's
+    denominators. From there the values and slacks are integers over
+    that running denominator, moved together by each pass and reduced
+    by their gcd. Each pass adds the same rationals whatever that
+    denominator is, so the values are those of the same passes done in
+    Fractions, which are built only for the returned sub-action.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
-    lifted, lw, node_comp, edge_comp, base = lift_critical(crit, depth_budget, node_budget)
+    lifted, edge_base, node_comp, edge_comp, base = lift_critical(crit, depth_budget,
+                                                                  node_budget)
     v = calibrated_fixed_point(crit)
-    u = [v[b] for b in base]
-    big, slacks = _slacks(u, lifted, lw, crit.abar)
-    values = [x.numerator * (big // x.denominator) for x in u]
+    big, slacks = _slacks(v, crit.graph, crit.weights, crit.abar, range(crit.graph.n_edges))
+    slacks = list(map(slacks.__getitem__, edge_base))
+    values = [x.numerator * (big // x.denominator) for x in v]
+    values = list(map(values.__getitem__, base))
     reps = [node_comp.index(c.index) for c in crit.components]
     n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
     out, ins = lifted.out_edges, lifted.in_edges
@@ -251,10 +279,10 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
     passes = 0
     while True:
         if min(slacks) < 0:
-            raise AssertionError("perturbation broke the sub-action bound")
+            raise InternalError("perturbation broke the sub-action bound")
         zero = [k for k, s in enumerate(slacks) if s == 0]
         if prev_zero is not None and not set(zero).issubset(prev_zero):
-            raise AssertionError("a pass made a positive slack tight")
+            raise InternalError("a pass made a positive slack tight")
         if all(edge_comp[k] is not None for k in zero) or zero == prev_zero:
             break
         prev_zero = zero
@@ -274,7 +302,7 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
             row = _path_minima(slacks, out[rep], out, heads, n)
             col = _path_minima(slacks, ins[rep], ins, tails, n)
             if None in row or None in col:
-                raise AssertionError("lifted graph is not strongly connected")
+                raise InternalError("lifted graph is not strongly connected")
             plus.append(row)
             minus.append(col)
         # u += gamma * (signed sum of the members) / (members * big): over
@@ -308,12 +336,12 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     """
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
-    lifted, lw, node_comp, _, _ = lift_critical(crit, u.depth)
+    lifted, edge_base, node_comp, _, _ = lift_critical(crit, u.depth)
     slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
         if len(sub.values) != lifted.n_nodes:
             raise IncompatibleOrder(f"{name} does not fit depth {sub.depth}")
-        _, slacks[name] = _slacks(sub.values, lifted, lw, crit.abar)
+        _, slacks[name] = _slacks(sub.values, lifted, crit.weights, crit.abar, edge_base)
         if any(s < 0 for s in slacks[name]):
             raise NotASubAction(f"{name} violates the sub-action inequality")
     if not _calibrated(slacks["u"], lifted):
@@ -324,13 +352,13 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     for c in range(len(crit.components)):
         vals = {d for d, k in zip(diff, node_comp) if k == c}
         if len(vals) != 1:
-            raise AssertionError(f"u - v is not one constant on component {c}")
+            raise InternalError(f"u - v is not one constant on component {c}")
         constants.append(vals.pop())
     minimum = min(diff)
     argmin = tuple(n for n, d in enumerate(diff) if d == minimum)
     min_critical = min(constants)
     if min_critical != minimum:
-        raise AssertionError("minimum of u - v is not attained on a critical word")
+        raise InternalError("minimum of u - v is not attained on a critical word")
     attained = next(c for c, const in enumerate(constants) if const == minimum)
     return GapReport(tuple(constants), minimum, argmin, min_critical, attained)
 

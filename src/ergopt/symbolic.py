@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 from .errors import (
     BudgetExceeded,
     EmptyRowOrColumn,
+    InternalError,
     LambdaOutOfRange,
     NotIrreducible,
 )
@@ -259,7 +260,7 @@ def lasso_distance(x: LassoPoint, y: LassoPoint, sft: SftSystem) -> Fraction:
     for i in range(bound):
         if x.symbol(i) != y.symbol(i):
             return sft.lam**i
-    raise AssertionError("distinct canonical lassos agree past the periodicity bound")
+    raise InternalError("distinct canonical lassos agree past the periodicity bound")
 
 
 class Edge(NamedTuple):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from .errors import InternalError
 from .symbolic import strongly_connected_components
 
 
@@ -92,18 +93,23 @@ def _scale(values, shift=0) -> tuple[int, list[int]]:
     return big, [v.numerator * (big // v.denominator) for v in shifted]
 
 
-def _slacks(values, graph, weights, abar) -> tuple[int, list[int]]:
+def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
     """L and the integer slacks (w - abar - u(head) + u(tail)) * L of the
-    edges of `graph`, for node values u and edge weights w.
+    edges of `graph`, for node values u and edge k weighted as the base
+    edge `edge_map[k]`: range(n_edges) on the graph that `weights` is
+    over, or a lift's `edge_base` (see `subactions.lift_critical`).
 
-    L is one common denominator of u, w and abar, so s / L is each slack
-    exactly; it may exceed the lcm of the slacks' own denominators.
+    w - abar is scaled once per base edge and read through the map, so a
+    lift scales only its node values. L is one common denominator of u,
+    w and abar, so s / L is each slack exactly; it may exceed the lcm of
+    the slacks' own denominators.
     """
     n = len(values)
     big, scaled = _scale([*values, *weights, abar])
     shift = scaled.pop()
-    return big, [w - shift - scaled[head] + scaled[tail]
-                 for w, tail, head in zip(scaled[n:], graph.tails, graph.heads)]
+    costs = [w - shift for w in scaled[n:]]
+    return big, [c - scaled[head] + scaled[tail] for c, tail, head
+                 in zip(map(costs.__getitem__, edge_map), graph.tails, graph.heads)]
 
 
 def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -206,7 +212,7 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
                     x[t], policy[t], switched = reduced[k] + x[heads[k]], k, True
         if not switched:
             return S, m, x
-    raise AssertionError("policy iteration came back to a policy it had left")
+    raise InternalError("policy iteration came back to a policy it had left")
 
 
 def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
@@ -228,14 +234,14 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
                 into[heads[k]] = k
                 queue.append(heads[k])
     else:
-        raise AssertionError("critical component has no cycle through its representative")
+        raise InternalError("critical component has no cycle through its representative")
     chain = [closing]
     while graph.tails[chain[-1]] != start:
         chain.append(into[graph.tails[chain[-1]]])
     witness = tuple(reversed(chain))
     total = sum(weights[k] for k in witness)
     if total != abar * len(witness):
-        raise AssertionError("witness cycle mean disagrees with abar")
+        raise InternalError("witness cycle mean disagrees with abar")
     return ErgodicSummary(abar, witness, crit)
 
 
@@ -279,9 +285,10 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     S, m, x = _policy_iteration(graph, costs)
     abar = Fraction(S, m * big)
     # the reduced costs are the slacks of -x, already integers (L = 1)
-    _, reduced = _slacks([-v for v in x], graph, [m * c for c in costs], S)
+    _, reduced = _slacks([-v for v in x], graph, [m * c for c in costs], S,
+                         range(graph.n_edges))
     if any(r < 0 for r in reduced):
-        raise AssertionError("negative reduced cost: policy iteration did not converge")
+        raise InternalError("negative reduced cost: policy iteration did not converge")
     arcs = list(zip(graph.tails, graph.heads))
     zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -332,7 +339,7 @@ def peierls_matrix(phi: Sequence[Sequence], crit: CriticalStructure) -> tuple[tu
     """
     reps = crit.representatives
     if not reps:
-        raise AssertionError("no critical node: witness cycle must produce one")
+        raise InternalError("no critical node: witness cycle must produce one")
     rows = []
     for row in phi:
         best = [row[reps[0]] + v for v in phi[reps[0]]]

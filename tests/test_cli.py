@@ -499,6 +499,30 @@ class TestIntegerKernel:
             assert main([*argv, "--instance", E2]) == 0, argv
             assert len(calls) > before, argv
 
+    def test_no_fraction_is_scaled_at_depth(self, tmp_path, monkeypatch, e2_bundle):
+        # lifted edges carry base weights through edge_base: separate scales
+        # only base values, weights and abar, and verify adds the 81 lifted
+        # node values of depth 4 to those, never the 243 lifted weights
+        import ergopt.tropical as tropical
+
+        scale, sizes = tropical._scale, []
+
+        def spy(values, shift=0):
+            sizes.append(len(values))
+            return scale(values, shift)
+
+        # patch it in every module that imported it by name, as above
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ergopt") and getattr(module, "_scale", None) is scale:
+                monkeypatch.setattr(module, "_scale", spy)
+        n0, e0 = e2_bundle.graph.n_nodes, e2_bundle.graph.n_edges
+        out = tmp_path / "sep.csv"
+        assert main(["separate", "--instance", E2, "--depth", "4", "--out", str(out)]) == 0
+        assert sizes and max(sizes) <= n0 + e0 + 1
+        sizes.clear()
+        assert main(["verify", "--instance", E2, "--subaction", str(out)]) == 0
+        assert sizes and max(sizes) <= 81 + n0 + e0 + 1
+
 
 class TestParserReuse:
     def test_in_process_calls_match_fresh_processes(self, tmp_path, monkeypatch,
@@ -625,6 +649,24 @@ class TestInfo:
 
 
 class TestExitCodes:
+    def test_failed_invariant_exits_6(self, monkeypatch, capsys):
+        # a potential with one entry lowered leaves a negative reduced cost,
+        # which the critical pass checks; that is a bug, not bad input
+        import ergopt.tropical as tropical
+
+        policy = tropical._policy_iteration
+
+        def broken(graph, costs):
+            S, m, x = policy(graph, costs)
+            x[0] -= 100
+            return S, m, x
+
+        monkeypatch.setattr(tropical, "_policy_iteration", broken)
+        assert main(["solve", "--instance", E1]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: negative reduced cost")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_garbage_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{oops", encoding="utf-8")

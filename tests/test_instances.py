@@ -285,6 +285,33 @@ class TestCsv:
         with pytest.raises(InstanceFormatError):
             read_subaction_csv(bad, 2)
 
+    def test_repeated_values_read_back_equal(self, tmp_path):
+        # each distinct value text is parsed once and shared by its rows
+        path = tmp_path / "u.csv"
+        path.write_text("word,value\n00,1/2\n01,-3\n10,1/2\n11,-3\n", encoding="utf-8")
+        words, values = read_subaction_csv(path, 2)
+        assert words == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert values == [Fraction(1, 2), Fraction(-3), Fraction(1, 2), Fraction(-3)]
+
+    def test_malformed_value_is_reported_at_its_first_row(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("word,value\n00,0\n01,x/2\n10,x/2\n11,x/2\n", encoding="utf-8")
+        with pytest.raises(InstanceFormatError,
+                           match=r"^value for 01: not a rational: 'x/2'$"):
+            read_subaction_csv(path, 2)
+
+    @pytest.mark.parametrize("size", (2, 10, 11))
+    def test_subaction_text_matches_the_row_formats(self, size):
+        # words of several lengths, each with its own template, and beyond
+        # ten symbols the two-digit symbol 10
+        rng = random.Random(size)
+        words = [(size - 1, 0)] + [tuple(rng.randrange(size) for _ in range(rng.randint(1, 4)))
+                                   for _ in range(40)]
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in words]
+        rows = "".join(f"{format_word(w, size)},{format_fraction(v)}\n"
+                       for w, v in zip(words, values))
+        assert subaction_csv_text(words, values, size) == "word,value\n" + rows
+
 
 class TestRandomInstances:
     def test_deterministic_by_seed(self):

@@ -201,7 +201,8 @@ class TestCalibration:
         seen = set()
         for b in corpus_bundles[:40]:
             depth = b.graph.order + 1
-            lifted, lw, _, _, base = lift_critical(b.crit, depth)
+            lifted, edge_base, _, _, base = lift_critical(b.crit, depth)
+            lw = tuple(map(b.crit.weights.__getitem__, edge_base))
             family = calibrated_family(b, rng)
             sep, _ = separating_subaction(b.crit, depth)
             deep = SubAction(depth, tuple(b.fixed_point[i] for i in base), "user-supplied")
@@ -337,13 +338,42 @@ class TestLiftCritical:
             for depth in range(b.graph.order, b.graph.order + 4):
                 if count_words(b.graph.sft, depth, 400) > 400:
                     break
-                lifted, lw, nodes, edges, _ = lift_critical(b.crit, depth)
+                lifted, edge_base, nodes, edges, _ = lift_critical(b.crit, depth)
+                lw = tuple(map(b.crit.weights.__getitem__, edge_base))
                 fresh = critical_structure(lifted, lw)
                 assert nodes == fresh.node_component
                 assert edges == tuple(fresh.edge_component.get(k)
                                       for k in range(lifted.n_edges))
                 lifts += 1
         assert lifts > len(bundles)
+
+    @given(irreducible_systems(), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_lift_by_its_definition(self, sft, m, rng):
+        # word by word, without the solver's zero-cycle pass on the lift:
+        # each lifted edge's word begins with its base edge, and a lifted
+        # word lies in component c exactly when every (r+1)-window of it is
+        # a critical base edge of c (at the base depth, a node keeps its own)
+        assume(count_words(sft, m, 60) <= 60)
+        entries = {w: rng.randint(0, 2) for w in admissible_words(sft, m)}
+        crit = solve_potential(sft, build_one_sided(sft, m, entries)).crit
+        g, r = crit.graph, crit.graph.order
+
+        def component(word):
+            if len(word) == r:
+                return crit.node_component[g.node_index(word)]
+            found = {crit.edge_component.get(g.edge_index(word[i:i + r + 1]))
+                     for i in range(len(word) - r)}
+            return found.pop() if len(found) == 1 else None
+
+        for depth in range(r, r + 4):
+            if count_words(sft, depth + 1, 2000) > 2000:
+                break
+            lifted, edge_base, nodes, edges, _ = lift_critical(crit, depth)
+            assert nodes == tuple(map(component, lifted.node_words))
+            for k in range(lifted.n_edges):
+                word = lifted.edge_word(k)
+                assert g.edge_index(word[:r + 1]) == edge_base[k]
+                assert edges[k] == component(word)
 
     @given(st.integers(0, 10**6), st.integers(0, 3))
     def test_base_node_of_every_lifted_node(self, seed, extra):
@@ -363,7 +393,7 @@ class TestLiftCritical:
         count = symbolic.count_words
         monkeypatch.setattr(symbolic, "count_words",
                             lambda *args: calls.append(args) or count(*args))
-        lifted, lw, nodes, edges, base = lift_critical(b.crit, 1024)
+        lifted, _, nodes, edges, base = lift_critical(b.crit, 1024)
         assert (lifted.order, lifted.n_nodes, lifted.n_edges) == (1024, 2, 2)
         assert nodes == (0, 0) and edges == (0, 0) and list(base) == [0, 1]
         assert len(calls) <= 2
