@@ -1,4 +1,4 @@
-"""One-call pipeline from a system and potential to the full solve bundle."""
+"""One-call pipeline from a potential to the full solve bundle."""
 
 from __future__ import annotations
 
@@ -26,21 +26,35 @@ from .tropical import (
 
 @dataclass(frozen=True, eq=False)
 class SolveBundle:
-    sft: SftSystem
+    """One solve; its sft, graph, weights and abar are views of `crit`."""
+
     potential: OneSidedPotential
     source_potential: OneSidedPotential | TwoSidedPotential
-    graph: DeBruijnGraph
-    weights: tuple
     summary: ErgodicSummary
-    fixed_point: tuple
-
-    @property
-    def abar(self):
-        return self.summary.abar
 
     @property
     def crit(self) -> CriticalStructure:
         return self.summary.crit
+
+    @property
+    def sft(self) -> SftSystem:
+        return self.graph.sft
+
+    @property
+    def graph(self) -> DeBruijnGraph:
+        return self.crit.graph
+
+    @property
+    def weights(self) -> tuple:
+        return self.crit.weights
+
+    @property
+    def abar(self):
+        return self.crit.abar
+
+    @cached_property
+    def fixed_point(self) -> tuple:
+        return calibrated_fixed_point(self.crit)
 
     @cached_property
     def barriers(self) -> BarrierMatrices:
@@ -51,7 +65,7 @@ class SolveBundle:
         return BarrierMatrices(big, phi, peierls_matrix(phi, self.crit))
 
 
-def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
+def solve_potential(potential, node_budget=DEFAULT_NODE_BUDGET):
     """Refine, weight, and solve; returns everything downstream needs.
 
     A two-sided table is first reduced to its one-sided envelope. The
@@ -59,20 +73,11 @@ def solve_potential(sft, potential, node_budget=DEFAULT_NODE_BUDGET):
     """
     source = potential
     if isinstance(potential, TwoSidedPotential):
-        potential = reduce_two_sided(potential, sft)
-    graph = refine(sft, max(potential.range - 1, 1), node_budget=node_budget)
-    weights = compile_weights(potential, graph)
-    summary = minimizing_value(graph, weights)
-    return SolveBundle(
-        sft=sft,
-        potential=potential,
-        source_potential=source,
-        graph=graph,
-        weights=weights,
-        summary=summary,
-        fixed_point=calibrated_fixed_point(summary.crit),
-    )
+        potential = reduce_two_sided(potential)
+    graph = refine(potential.sft, max(potential.range - 1, 1), node_budget=node_budget)
+    summary = minimizing_value(graph, compile_weights(potential, graph))
+    return SolveBundle(potential, source, summary)
 
 
 def solve_instance(instance: Instance, node_budget=DEFAULT_NODE_BUDGET):
-    return solve_potential(instance.sft, instance.potential, node_budget=node_budget)
+    return solve_potential(instance.potential, node_budget=node_budget)

@@ -106,7 +106,7 @@ def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping) -> TwoSide
     return TwoSidedPotential(sft, p, q, _table(sft, p + q, entries))
 
 
-def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotential:
+def reduce_two_sided(ahat: TwoSidedPotential) -> OneSidedPotential:
     """B(w) = min over admissible pasts y of ahat(y + w), range = future_depth.
 
     The minimizing value of the result equals the holonomic minimizing
@@ -121,7 +121,7 @@ def reduce_two_sided(ahat: TwoSidedPotential, sft: SftSystem) -> OneSidedPotenti
         w = word[p:]
         if w not in reduced or val < reduced[w]:
             reduced[w] = val
-    return build_one_sided(sft, ahat.future_depth, reduced)
+    return build_one_sided(ahat.sft, ahat.future_depth, reduced)
 
 
 def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
@@ -174,11 +174,11 @@ def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]
 def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fraction, ...]:
     """Edge weight = b on the length-m prefix of the edge word.
 
-    Needs order >= m-1 so every edge word determines the value. At order
-    m-1 the edges are the admissible m-words in lexicographic order, so
-    the weights are the table's values in sorted-key order; a finer
-    graph takes them up by `lift_to`, which keeps path sums. No word is
-    built.
+    Needs order >= m-1 so every edge word determines the value, and b's
+    transition matrix (lambda never enters the weights). At order m-1
+    the edges are the admissible m-words in lexicographic order, so the
+    weights are the table's values in sorted-key order; a finer graph
+    takes them up by `lift_to`, which keeps path sums. No word is built.
     """
     m = b.range
     if graph.order < max(m - 1, 1):
@@ -191,6 +191,8 @@ def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fractio
         raise IncompatibleOrder(
             f"a range-{m} table needs {base.n_edges} values, it has {len(weights)}"
         )
+    if graph.sft.transition != b.sft.transition:
+        raise IncompatibleOrder("the graph's transition matrix is not the potential's")
     if base is graph:
         return weights
     return lift_to(base, weights, graph.order, graph.n_nodes)[1]

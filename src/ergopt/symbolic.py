@@ -107,14 +107,6 @@ class SftSystem:
         return all(self.allows(a, b) for a, b in zip(word, word[1:]))
 
 
-def validate_word(word: Sequence[int], sft: SftSystem) -> Word:
-    """Coerce to a tuple and insist on admissibility."""
-    w = tuple(int(s) for s in word)
-    if not sft.admissible(w):
-        raise ValueError(f"word {w} is not admissible for this system")
-    return w
-
-
 def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSystem:
     """Validate and freeze a subshift of finite type.
 

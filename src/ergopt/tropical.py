@@ -79,9 +79,12 @@ class CriticalStructure:
 
 @dataclass(frozen=True)
 class ErgodicSummary:
-    abar: Fraction
     witness_cycle: tuple[int, ...]  # edge indices, in cycle order
-    crit: CriticalStructure = field(compare=False, repr=False)
+    crit: CriticalStructure = field(repr=False)
+
+    @property
+    def abar(self) -> Fraction:
+        return self.crit.abar
 
 
 def _scale(values, shift=0) -> tuple[int, list[int]]:
@@ -242,7 +245,7 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
     total = sum(weights[k] for k in witness)
     if total != abar * len(witness):
         raise InternalError("witness cycle mean disagrees with abar")
-    return ErgodicSummary(abar, witness, crit)
+    return ErgodicSummary(witness, crit)
 
 
 def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,

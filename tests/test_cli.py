@@ -474,6 +474,25 @@ class TestDenseMatricesOnDemand:
         with pytest.raises(AssertionError, match="dense h"):
             main(["barrier", "--instance", E2])
 
+    def test_only_calibrate_and_oracle_build_the_fixed_point(self, tmp_path, monkeypatch):
+        import ergopt.pipeline as pipeline
+
+        fixed_point, calls = pipeline.calibrated_fixed_point, []
+
+        def spy(crit):
+            calls.append(crit)
+            return fixed_point(crit)
+
+        monkeypatch.setattr(pipeline, "calibrated_fixed_point", spy)
+        u = tmp_path / "u.csv"
+        for argv, want in ((["separate", "--depth", "2", "--out", str(u)], 0),
+                           (["solve"], 0), (["barrier"], 0),
+                           (["verify", "--subaction", str(u)], 0),
+                           (["calibrate"], 1), (["oracle"], 1)):
+            calls.clear()
+            assert main([*argv, "--instance", E2]) == 0, argv
+            assert len(calls) == want, argv
+
 
 class TestIntegerKernel:
     def test_relaxation_sees_only_integers(self, tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ def full_shift(size=2):
 def constant_bundle(value=3):
     sft = full_shift()
     pot = build_one_sided(sft, 1, {(0,): value, (1,): value})
-    return solve_potential(sft, pot)
+    return solve_potential(pot)
 
 
 class TestBruteCycles:
@@ -177,7 +177,7 @@ class TestBarrierWindow:
         # n^2..2n^2 range a naive window scan would use.
         sft = full_shift()
         pot = build_one_sided(sft, 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0})
-        b = solve_potential(sft, pot)
+        b = solve_potential(pot)
         assert b.abar == 0
         assert b.barriers.h[0][0] == 8
 

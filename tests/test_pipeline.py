@@ -1,0 +1,45 @@
+import inspect
+from dataclasses import fields, replace
+from fractions import Fraction
+
+import pytest
+
+from ergopt.pipeline import SolveBundle, solve_potential
+from ergopt.potential import build_one_sided, reduce_two_sided
+from ergopt.symbolic import build_sft
+from ergopt.tropical import ErgodicSummary
+
+
+class TestOneSolvedSystem:
+    def test_each_fact_is_stored_once(self):
+        assert [f.name for f in fields(SolveBundle)] == [
+            "potential", "source_potential", "summary"]
+        assert [f.name for f in fields(ErgodicSummary)] == ["witness_cycle", "crit"]
+        assert list(inspect.signature(solve_potential).parameters) == [
+            "potential", "node_budget"]
+        assert list(inspect.signature(reduce_two_sided).parameters) == ["ahat"]
+
+    def test_views_are_the_solved_system(self, e1_bundle, e2_bundle, golden_bundle,
+                                         two_sided_bundles):
+        for b in (e1_bundle, e2_bundle, golden_bundle, *two_sided_bundles[:5]):
+            crit = b.crit
+            assert crit is b.summary.crit
+            assert b.graph is crit.graph
+            assert b.weights is crit.weights
+            assert b.sft is crit.graph.sft is b.potential.sft
+            assert b.abar is crit.abar is b.summary.abar
+
+    def test_views_cannot_be_replaced(self, e1_bundle):
+        with pytest.raises(TypeError):
+            replace(e1_bundle, weights=tuple(w + 1 for w in e1_bundle.weights))
+        with pytest.raises(AttributeError):
+            e1_bundle.abar = Fraction(1)
+
+    def test_solves_on_the_potential_own_system(self):
+        # on the golden mean these values would give abar 5/2; on their
+        # own system the loop 1 -> 1 costs 0
+        sft = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
+        b = solve_potential(build_one_sided(sft, 2, {(0, 1): 5, (1, 0): 5, (1, 1): 0}))
+        assert b.sft is sft
+        assert b.abar == 0
+        assert b.weights == (5, 5, 0)

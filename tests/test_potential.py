@@ -125,7 +125,7 @@ class TestTwoSided:
             (0, 0): Fraction(0), (1, 0): Fraction(2),
             (0, 1): Fraction(1), (1, 1): Fraction(3),
         })
-        b = reduce_two_sided(ahat, FULL2)
+        b = reduce_two_sided(ahat)
         assert b.value((0, 0)) == 0
         assert b.value((1, 1)) == 1
 
@@ -133,7 +133,7 @@ class TestTwoSided:
         ahat = build_two_sided(GOLDEN, 1, 1, {
             (0, 0): Fraction(7), (1, 0): Fraction(1), (0, 1): Fraction(5),
         })
-        b = reduce_two_sided(ahat, GOLDEN)
+        b = reduce_two_sided(ahat)
         assert b.value((1, 0)) == 5
         assert b.value((0, 0)) == 1
 
@@ -142,7 +142,7 @@ class TestTwoSided:
             (0, 0): Fraction(4), (1, 0): Fraction(4),
             (0, 1): Fraction(9), (1, 1): Fraction(9),
         })
-        b = reduce_two_sided(ahat, FULL2)
+        b = reduce_two_sided(ahat)
         assert b.value((0, 0)) == 4 and b.value((1, 1)) == 9
 
     def test_junction_admissibility_enforced(self):
@@ -213,6 +213,17 @@ class TestCompileWeights:
         g = refine(GOLDEN, 1)
         with pytest.raises(IncompatibleOrder, match="needs 3 values, it has 4"):
             compile_weights(f, g)
+
+    def test_rejects_a_graph_of_another_transition_matrix(self):
+        # 01, 10, 11 against the golden mean's 00, 01, 10: the sizes agree
+        sft = build_sft(2, [[0, 1], [1, 1]], HALF)
+        f = one_sided(sft, 2, {(0, 1): 5, (1, 0): 5, (1, 1): 0})
+        for order in (1, 2):
+            with pytest.raises(IncompatibleOrder, match="transition matrix"):
+                compile_weights(f, refine(GOLDEN, order))
+        # lambda never enters the weights
+        other_lambda = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 3))
+        assert compile_weights(f, refine(other_lambda, 1)) == (5, 5, 0)
 
     def test_lifted_graph_same_cycle_values(self):
         f = one_sided(GOLDEN, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 0})

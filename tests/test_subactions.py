@@ -277,7 +277,7 @@ class TestSeparating:
         # the critical words of the lifted system
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, top) for w in admissible_words(sft, m)}
-        b = solve_potential(sft, build_one_sided(sft, m, entries))
+        b = solve_potential(build_one_sided(sft, m, entries))
         for depth in (b.graph.order, b.graph.order + 1):
             lifted, lw = lift_to(b.graph, b.weights, depth)
             critical = critical_structure(lifted, lw).critical_edges
@@ -355,7 +355,7 @@ class TestLiftCritical:
         # a critical base edge of c (at the base depth, a node keeps its own)
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, 2) for w in admissible_words(sft, m)}
-        crit = solve_potential(sft, build_one_sided(sft, m, entries)).crit
+        crit = solve_potential(build_one_sided(sft, m, entries)).crit
         g, r = crit.graph, crit.graph.order
 
         def component(word):
@@ -388,7 +388,7 @@ class TestLiftCritical:
         # a single cycle has two words at every length; counting them
         # once per level made the lift quadratic in the depth
         sft = build_sft(2, [[0, 1], [1, 0]], Fraction(1, 2))
-        b = solve_potential(sft, build_one_sided(sft, 2, {"01": 0, "10": 1}))
+        b = solve_potential(build_one_sided(sft, 2, {"01": 0, "10": 1}))
         calls = []
         count = symbolic.count_words
         monkeypatch.setattr(symbolic, "count_words",
@@ -400,7 +400,7 @@ class TestLiftCritical:
 
     def test_base_map_carries_values_by_prefix(self):
         sft = build_sft(2, [[1, 1], [1, 1]], Fraction(1, 2))
-        b = solve_potential(sft, build_one_sided(sft, 1, {"0": 0, "1": 1}))
+        b = solve_potential(build_one_sided(sft, 1, {"0": 0, "1": 1}))
         base = lift_critical(b.crit, 2)[4]
         values = (Fraction(5), Fraction(7))
         assert tuple(values[i] for i in base) == (

@@ -27,7 +27,6 @@ from ergopt.symbolic import (
     node_of,
     refine,
     strongly_connected_components,
-    validate_word,
 )
 
 from conftest import irreducible_systems, random_lasso
@@ -92,11 +91,6 @@ class TestBuildSft:
         assert not GOLDEN.admissible((0, 1, 1))
         assert not GOLDEN.admissible(())
         assert not GOLDEN.admissible((2,))
-
-    def test_validate_word(self):
-        assert validate_word([0, 1], GOLDEN) == (0, 1)
-        with pytest.raises(ValueError):
-            validate_word([1, 1], GOLDEN)
 
 
 class TestRefine:

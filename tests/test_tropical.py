@@ -377,8 +377,7 @@ class TestIntegerKernel:
             weights = tuple(Fraction(w) for w in SCALING_CASES[case])
             summary = minimizing_value(g, weights)
             abar = summary.abar
-            b = replace(e2_bundle, weights=weights, summary=summary,
-                        fixed_point=calibrated_fixed_point(summary.crit)).barriers
+            b = replace(e2_bundle, summary=summary).barriers
             assert b.big == math.lcm(*((w - abar).denominator for w in weights)), case
             start, stop = barrier_window(g, weights, abar, b.h)
             for i in range(n):
