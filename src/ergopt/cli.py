@@ -243,8 +243,7 @@ def _oracle_checks(inst, max_nodes: int) -> None:
            bundle.fixed_point)
 
     if isinstance(bundle.source_potential, TwoSidedPotential):
-        _check("holonomic", abar,
-               holonomic_value_brute(bundle.source_potential, bundle.sft))
+        _check("holonomic", abar, holonomic_value_brute(bundle.source_potential))
 
 
 def cmd_oracle(args) -> int:
@@ -269,13 +268,11 @@ def cmd_info(args) -> int:
         print("potential side: two")
         print(f"past depth: {pot.past_depth}")
         print(f"future depth: {pot.future_depth}")
-        order = max(pot.future_depth - 1, 1)
     else:
         print("potential side: one")
         print(f"declared range: {pot.declared_range}")
-        order = max(pot.range - 1, 1)
-    graph = refine(sft, order, node_budget=args.max_nodes)
-    print(f"working order: {order}")
+    graph = refine(sft, pot.working_order, node_budget=args.max_nodes)
+    print(f"working order: {graph.order}")
     print(f"nodes: {graph.n_nodes}")
     print(f"edges: {graph.n_edges}")
     theta = getattr(pot, "holder_theta", None)

@@ -16,20 +16,17 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ErgoptError, InstanceFormatError
-from .potential import (
-    OneSidedPotential,
-    TwoSidedPotential,
-    admissible_words,
-    build_one_sided,
-    build_two_sided,
-)
-from .symbolic import SftSystem, Word, build_sft
+from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
+from .symbolic import SftSystem, Word, admissible_words, build_sft
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    sft: SftSystem
     potential: OneSidedPotential | TwoSidedPotential
+
+    @property
+    def sft(self) -> SftSystem:
+        return self.potential.sft
 
 
 # Python's default limit on the digits of an integer string; a larger
@@ -158,7 +155,7 @@ def parse_instance(data: dict) -> Instance:
             raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"potential: {exc}") from exc
-    return Instance(sft, potential)
+    return Instance(potential)
 
 
 def load_instance(path) -> Instance:
@@ -285,11 +282,11 @@ def random_instance(rng: random.Random) -> Instance:
     sft = _random_sft(rng)
     m = rng.choice((1, 2))
     entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, m)}
-    return Instance(sft, build_one_sided(sft, m, entries))
+    return Instance(build_one_sided(sft, m, entries))
 
 
 def random_two_sided(rng: random.Random) -> Instance:
     """Depth-(1,1) two-sided table on a random small system."""
     sft = _random_sft(rng)
     entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, 2)}
-    return Instance(sft, build_two_sided(sft, 1, 1, entries))
+    return Instance(build_two_sided(sft, 1, 1, entries))

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalError, NoPathExists, TooLarge
-from .potential import OneSidedPotential, TwoSidedPotential, admissible_words
-from .symbolic import DeBruijnGraph, LassoPoint, SftSystem, lasso_shift, node_of
-from .tropical import CriticalStructure
+from .potential import OneSidedPotential, TwoSidedPotential
+from .symbolic import (DeBruijnGraph, LassoPoint, SftSystem, admissible_words, lasso_shift,
+                       node_of)
 
 BRUTE_NODE_LIMIT = 10
 SYMBOL_BUDGET = 24
@@ -177,7 +177,7 @@ def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction,
     return start, start + n * n
 
 
-def _step_table(potential, sft: SftSystem) -> tuple[int, Mapping]:
+def _step_table(potential) -> tuple[int, Mapping]:
     """Per-step cost window length and table.
 
     Two-sided observables are collapsed per step by enumerating every
@@ -187,7 +187,7 @@ def _step_table(potential, sft: SftSystem) -> tuple[int, Mapping]:
     if isinstance(potential, OneSidedPotential):
         return potential.range, potential.table
     if isinstance(potential, TwoSidedPotential):
-        q = potential.future_depth
+        sft, q = potential.sft, potential.future_depth
         pasts = admissible_words(sft, potential.past_depth)
         table = {}
         for w in admissible_words(sft, q):
@@ -202,11 +202,11 @@ def _brute_abar(sft: SftSystem, window: int, table: Mapping) -> Fraction:
     return min(mean for _, mean in brute_cycles(graph, weights))
 
 
-def holonomic_value_brute(ahat: TwoSidedPotential, sft: SftSystem) -> Fraction:
+def holonomic_value_brute(ahat: TwoSidedPotential) -> Fraction:
     """Minimum mean over simple cycles of the two-sided model, pasts
     chosen freely at every step."""
-    window, table = _step_table(ahat, sft)
-    return _brute_abar(sft, window, table)
+    window, table = _step_table(ahat)
+    return _brute_abar(ahat.sft, window, table)
 
 
 def _epsilon_power(epsilon, lam: Fraction) -> int:
@@ -279,7 +279,7 @@ def _scan_pinned(sft: SftSystem, window: int, costs: Mapping[tuple, int],
     return min(dp.values())
 
 
-def s_epsilon(query: SEpsilonQuery, potential, sft: SftSystem) -> Fraction:
+def s_epsilon(query: SEpsilonQuery, potential) -> Fraction:
     """Minimum normalized action over the k-step paths that start in x's
     epsilon-cylinder and land in y's.
 
@@ -287,12 +287,13 @@ def s_epsilon(query: SEpsilonQuery, potential, sft: SftSystem) -> Fraction:
     the minimizing value is recomputed here by cycle enumeration.
     """
     x, y, k = query.x, query.y, query.k
+    sft = potential.sft
     if k < 1:
         raise ValueError("path length k must be >= 1")
     if not (x.admissible(sft) and y.admissible(sft)):
         raise ValueError("query lassos must be admissible")
     p = _epsilon_power(query.epsilon, sft.lam)
-    window, table = _step_table(potential, sft)
+    window, table = _step_table(potential)
     if p + k + window > SYMBOL_BUDGET:
         raise TooLarge(
             f"p + k + window = {p + k + window} exceeds the budget {SYMBOL_BUDGET}"
@@ -362,9 +363,9 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
     return min(candidates)
 
 
-def is_nonwandering(x: LassoPoint, potential, sft: SftSystem,
-                    crit: CriticalStructure, search_budget: int = 16) -> NonwanderingReport:
-    """Two independent verdicts on x being non-wandering.
+def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> NonwanderingReport:
+    """Two independent verdicts on x being non-wandering, both on the
+    system of the SolveBundle `bundle`.
 
     Exact way: every edge of x's itinerary (preperiod, junction, cycle)
     is critical and all lie in one component. Search way: for each
@@ -372,6 +373,7 @@ def is_nonwandering(x: LassoPoint, potential, sft: SftSystem,
     path from x's cylinder back to itself with |normalized sum| below
     epsilon, enumerating achievable sums exactly.
     """
+    crit, sft = bundle.crit, bundle.sft
     if not x.admissible(sft):
         raise ValueError("lasso must be admissible")
     x = LassoPoint.make(x.preperiod, x.cycle)
@@ -392,7 +394,7 @@ def is_nonwandering(x: LassoPoint, potential, sft: SftSystem,
         exact = False
     component = comps.pop() if exact and comps else None
 
-    window, table = _step_table(potential, sft)
+    window, table = _step_table(bundle.potential)
     scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
     found: list[tuple[int, int | None]] = []
     for p in range(1, 5):

@@ -74,7 +74,7 @@ def solve_potential(potential, node_budget=DEFAULT_NODE_BUDGET):
     source = potential
     if isinstance(potential, TwoSidedPotential):
         potential = reduce_two_sided(potential)
-    graph = refine(potential.sft, max(potential.range - 1, 1), node_budget=node_budget)
+    graph = refine(potential.sft, potential.working_order, node_budget=node_budget)
     summary = minimizing_value(graph, compile_weights(potential, graph))
     return SolveBundle(potential, source, summary)
 

@@ -57,6 +57,11 @@ class OneSidedPotential:
     holder_theta: Fraction | None = None
     holder_const: Fraction | None = None
 
+    @property
+    def working_order(self) -> int:
+        """The order of the smallest graph that carries the table."""
+        return max(self.range - 1, 1)
+
     def value(self, word: Sequence[int]) -> Fraction:
         key = tuple(word[: self.range])
         try:
@@ -98,6 +103,11 @@ class TwoSidedPotential:
     past_depth: int
     future_depth: int
     table: Mapping[Word, Fraction]
+
+    @property
+    def working_order(self) -> int:
+        """The working order of the one-sided envelope."""
+        return max(self.future_depth - 1, 1)
 
 
 def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping) -> TwoSidedPotential:
@@ -180,13 +190,13 @@ def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fractio
     weights are the table's values in sorted-key order; a finer graph
     takes them up by `lift_to`, which keeps path sums. No word is built.
     """
-    m = b.range
-    if graph.order < max(m - 1, 1):
+    m, order = b.range, b.working_order
+    if graph.order < order:
         raise IncompatibleOrder(
             f"graph order {graph.order} cannot carry a range-{m} potential"
         )
     weights = tuple(map(b.table.__getitem__, sorted(b.table)))
-    base = graph if graph.order == m - 1 else refine(graph.sft, m - 1, graph.n_nodes)
+    base = graph if graph.order == order else refine(graph.sft, order, graph.n_nodes)
     if len(weights) != base.n_edges:
         raise IncompatibleOrder(
             f"a range-{m} table needs {base.n_edges} values, it has {len(weights)}"

@@ -224,10 +224,7 @@ class LassoPoint:
         return tuple(self.symbol(i) for i in range(n))
 
     def admissible(self, sft: SftSystem) -> bool:
-        seq = self.preperiod + self.cycle + (self.cycle[0],)
-        if any(not 0 <= s < sft.alphabet_size for s in seq):
-            return False
-        return all(sft.allows(a, b) for a, b in zip(seq, seq[1:]))
+        return sft.admissible(self.preperiod + self.cycle + self.cycle[:1])
 
 
 def lasso_shift(x: LassoPoint) -> LassoPoint:

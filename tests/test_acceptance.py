@@ -221,7 +221,7 @@ def test_ac6_gap_analysis(corpus_bundles, e1_bundle, e2_bundle):
 def test_ac7_holonomic(two_sided_corpus):
     for inst in two_sided_corpus:
         b = solve_instance(inst)
-        assert b.abar == holonomic_value_brute(inst.potential, inst.sft)
+        assert b.abar == holonomic_value_brute(inst.potential)
 
         # the calibrated values satisfy the two-sided one-step identity
         # computed straight from the raw table
@@ -241,16 +241,12 @@ def test_ac7_holonomic(two_sided_corpus):
           f"{len(two_sided_corpus)} systems")
 
 
-def test_ac8_nonwandering(corpus, corpus_bundles, e1_bundle, e2_bundle,
-                          golden_bundle):
-    cases = [(b.sft, b.potential, b.crit)
-             for b in (e1_bundle, e2_bundle, golden_bundle)]
-    cases += [(inst.sft, inst.potential, bundle.crit)
-              for inst, bundle in zip(corpus[:50], corpus_bundles[:50])]
+def test_ac8_nonwandering(corpus_bundles, e1_bundle, e2_bundle, golden_bundle):
+    cases = [e1_bundle, e2_bundle, golden_bundle] + corpus_bundles[:50]
     points = 0
-    for sft, potential, crit in cases:
-        for x in periodic_lassos(sft, 3):
-            rep = is_nonwandering(x, potential, sft, crit)
+    for b in cases:
+        for x in periodic_lassos(b.sft, 3):
+            rep = is_nonwandering(x, b)
             assert rep.exact == rep.search
             points += 1
     print(f"AC-8 PASS: exact and search verdicts agree on {points} "

@@ -17,11 +17,13 @@ from conftest import INSTANCE_DIR
 from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import OracleMismatch
-from ergopt.instances import load_instance, parse_word, read_matrix_csv, read_subaction_csv
+from ergopt.instances import (Instance, dump_instance, load_instance, parse_word,
+                              read_matrix_csv, read_subaction_csv)
 from ergopt.oracle import brute_cycles
 from ergopt.pipeline import solve_instance
+from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.subactions import SeparatingCertificate
-from ergopt.symbolic import DEFAULT_NODE_BUDGET, lift_to
+from ergopt.symbolic import DEFAULT_NODE_BUDGET, admissible_words, lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -665,6 +667,22 @@ class TestInfo:
         res = run_cli("info", "--instance", GOLDEN)
         assert res.returncode == 0
         assert res.stdout == GOLDEN_INFO
+
+    def test_working_order_is_the_solved_graph_order(self, tmp_path, capsys):
+        sft = load_instance(GOLDEN).sft
+        paths = [E1, E2, GOLDEN, TWO_SIDED]
+        for depth in (1, 2, 3):
+            one = build_one_sided(sft, depth, dict.fromkeys(admissible_words(sft, depth), 1))
+            two_words = admissible_words(sft, 1 + depth)
+            two = build_two_sided(sft, 1, depth, dict.fromkeys(two_words, 1))
+            for side, pot in (("one", one), ("two", two)):
+                path = tmp_path / f"{side}{depth}.json"
+                path.write_text(json.dumps(dump_instance(Instance(pot))), encoding="utf-8")
+                paths.append(str(path))
+        for path in paths:
+            assert main(["info", "--instance", path]) == 0
+            order = re.search(r"^working order: (\d+)$", capsys.readouterr().out, re.M)
+            assert int(order.group(1)) == solve_instance(load_instance(path)).graph.order
 
 
 class TestExitCodes:

@@ -207,33 +207,32 @@ class TestBarrierWindow:
 
 class TestSEpsilon:
     def test_e1_values(self, e1_bundle):
-        pot, sft = e1_bundle.potential, e1_bundle.sft
-        assert s_epsilon(SEpsilonQuery(ZERO, ZERO, 2, HALF**2), pot, sft) == 0
-        assert s_epsilon(SEpsilonQuery(ONE_ZERO, ZERO, 2, HALF), pot, sft) == 1
+        pot = e1_bundle.potential
+        assert s_epsilon(SEpsilonQuery(ZERO, ZERO, 2, HALF**2), pot) == 0
+        assert s_epsilon(SEpsilonQuery(ONE_ZERO, ZERO, 2, HALF), pot) == 1
 
     def test_constant_potential_vanishes(self):
         b = constant_bundle()
         q = SEpsilonQuery(ZERO, ONE, 3, HALF)
-        assert s_epsilon(q, b.potential, b.sft) == 0
+        assert s_epsilon(q, b.potential) == 0
 
     def test_pin_conflict(self, e1_bundle):
         q = SEpsilonQuery(ZERO, ONE, 1, HALF**2)
         with pytest.raises(NoPathExists):
-            s_epsilon(q, e1_bundle.potential, e1_bundle.sft)
+            s_epsilon(q, e1_bundle.potential)
 
     def test_validation(self, e1_bundle, golden_bundle):
-        pot, sft = e1_bundle.potential, e1_bundle.sft
+        pot = e1_bundle.potential
         with pytest.raises(ValueError):
-            s_epsilon(SEpsilonQuery(ZERO, ZERO, 0, HALF), pot, sft)
+            s_epsilon(SEpsilonQuery(ZERO, ZERO, 0, HALF), pot)
         with pytest.raises(ValueError):
-            s_epsilon(SEpsilonQuery(ZERO, ZERO, 1, Fraction(1, 3)), pot, sft)
+            s_epsilon(SEpsilonQuery(ZERO, ZERO, 1, Fraction(1, 3)), pot)
         with pytest.raises(ValueError):
-            s_epsilon(SEpsilonQuery(ZERO, ZERO, 1, Fraction(1)), pot, sft)
+            s_epsilon(SEpsilonQuery(ZERO, ZERO, 1, Fraction(1)), pot)
         with pytest.raises(TooLarge):
-            s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF**2), pot, sft)
+            s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF**2), pot)
         with pytest.raises(ValueError):
-            s_epsilon(SEpsilonQuery(ONE, ONE, 1, HALF),
-                      golden_bundle.potential, golden_bundle.sft)
+            s_epsilon(SEpsilonQuery(ONE, ONE, 1, HALF), golden_bundle.potential)
 
     def test_shrinking_epsilon_raises_the_minimum(self, e1_bundle, e2_bundle,
                                                   golden_bundle):
@@ -245,8 +244,7 @@ class TestSEpsilon:
                 prev = None
                 for p in (1, 2, 3):
                     try:
-                        cur = s_epsilon(SEpsilonQuery(x, y, k, HALF**p),
-                                        b.potential, b.sft)
+                        cur = s_epsilon(SEpsilonQuery(x, y, k, HALF**p), b.potential)
                     except NoPathExists:
                         break
                     if prev is not None:
@@ -254,12 +252,12 @@ class TestSEpsilon:
                     prev = cur
 
     def test_k_infimum_reaches_the_point_barrier(self, e1_bundle):
-        pot, sft = e1_bundle.potential, e1_bundle.sft
+        pot = e1_bundle.potential
         for x, y, want in ((ONE_ZERO, ZERO, 1), (ZERO, ONE, 0)):
             got = []
             for k in range(1, 7):
                 try:
-                    got.append(s_epsilon(SEpsilonQuery(x, y, k, HALF**3), pot, sft))
+                    got.append(s_epsilon(SEpsilonQuery(x, y, k, HALF**3), pot))
                 except NoPathExists:
                     continue
             assert min(got) == want
@@ -329,25 +327,22 @@ class TestPointBarrier:
 
 class TestIsNonwandering:
     def test_e1_verdicts(self, e1_bundle):
-        pot, sft, crit = e1_bundle.potential, e1_bundle.sft, e1_bundle.crit
-        rep = is_nonwandering(ZERO, pot, sft, crit)
+        rep = is_nonwandering(ZERO, e1_bundle)
         assert rep.exact and rep.search and rep.component == 0
         assert all(hit is not None for _, hit in rep.found)
 
         for x in (ONE, ONE_ZERO):
-            rep = is_nonwandering(x, pot, sft, crit)
+            rep = is_nonwandering(x, e1_bundle)
             assert not rep.exact and not rep.search and rep.component is None
 
     def test_report_shape(self, e1_bundle):
-        rep = is_nonwandering(ZERO, e1_bundle.potential, e1_bundle.sft,
-                              e1_bundle.crit, search_budget=6)
+        rep = is_nonwandering(ZERO, e1_bundle, search_budget=6)
         assert [p for p, _ in rep.found] == [1, 2, 3, 4]
         assert rep.search_budget == 6
 
     def test_inadmissible_rejected(self, golden_bundle):
         with pytest.raises(ValueError):
-            is_nonwandering(ONE, golden_bundle.potential, golden_bundle.sft,
-                            golden_bundle.crit)
+            is_nonwandering(ONE, golden_bundle)
 
     def test_ways_agree_on_fixture_lassos(self, e1_bundle, e2_bundle,
                                           golden_bundle):
@@ -356,7 +351,7 @@ class TestIsNonwandering:
             points = periodic_lassos(b.sft, 3)
             points += [random_lasso(rng, b.sft) for _ in range(8)]
             for x in points:
-                rep = is_nonwandering(x, b.potential, b.sft, b.crit)
+                rep = is_nonwandering(x, b)
                 assert rep.exact == rep.search
 
     def test_periodic_verdict_matches_the_barrier(self, e1_bundle, e2_bundle,
@@ -365,7 +360,7 @@ class TestIsNonwandering:
         # barrier vanishes
         for b in (e1_bundle, e2_bundle, golden_bundle):
             for x in periodic_lassos(b.sft, 4):
-                rep = is_nonwandering(x, b.potential, b.sft, b.crit)
+                rep = is_nonwandering(x, b)
                 pb = point_barrier(x, x, "peierls", b.graph, b.weights, b.abar)
                 assert rep.exact == (pb == 0)
 
@@ -374,15 +369,15 @@ class TestHolonomicBrute:
     def test_golden_fixture(self, golden_bundle):
         ahat = build_two_sided(golden_bundle.sft, 1, 1,
                                {(0, 0): 3, (0, 1): 0, (1, 0): 5})
-        assert holonomic_value_brute(ahat, golden_bundle.sft) == Fraction(3, 2)
+        assert holonomic_value_brute(ahat) == Fraction(3, 2)
 
     def test_full_shift_fixture(self):
         sft = full_shift()
         ahat = build_two_sided(sft, 1, 1,
                                {(0, 0): 0, (1, 0): 2, (0, 1): 1, (1, 1): 3})
-        assert holonomic_value_brute(ahat, sft) == 0
+        assert holonomic_value_brute(ahat) == 0
 
     def test_agrees_with_reduction_on_corpus(self, two_sided_corpus):
         for inst in two_sided_corpus[:10]:
             b = solve_instance(inst)
-            assert holonomic_value_brute(inst.potential, inst.sft) == b.abar
+            assert holonomic_value_brute(inst.potential) == b.abar

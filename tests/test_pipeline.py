@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from ergopt.instances import Instance
+from ergopt.oracle import holonomic_value_brute, is_nonwandering, s_epsilon
 from ergopt.pipeline import SolveBundle, solve_potential
-from ergopt.potential import build_one_sided, reduce_two_sided
+from ergopt.potential import build_one_sided, build_two_sided, reduce_two_sided
 from ergopt.symbolic import build_sft
 from ergopt.tropical import ErgodicSummary
 
@@ -43,3 +45,33 @@ class TestOneSolvedSystem:
         assert b.sft is sft
         assert b.abar == 0
         assert b.weights == (5, 5, 0)
+
+
+class TestInstanceHoldsThePotential:
+    def test_the_potential_is_stored_alone(self):
+        assert [f.name for f in fields(Instance)] == ["potential"]
+
+    def test_sft_is_the_potential_system(self):
+        sft = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
+        one = build_one_sided(sft, 1, {(0,): 1, (1,): 0})
+        two = build_two_sided(sft, 1, 1, {(0, 1): 1, (1, 0): 2, (1, 1): 0})
+        for pot in (one, two):
+            inst = Instance(pot)
+            assert inst.sft is inst.potential.sft is sft
+
+    def test_sft_cannot_be_replaced(self, e1_bundle):
+        inst = Instance(e1_bundle.potential)
+        other = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
+        with pytest.raises(TypeError):
+            replace(inst, sft=other)
+        with pytest.raises(AttributeError):
+            inst.sft = other
+
+    def test_oracle_reads_the_system_from_its_holder(self):
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert params(holonomic_value_brute) == ["ahat"]
+        assert params(s_epsilon) == ["query", "potential"]
+        assert params(is_nonwandering) == ["x", "bundle", "search_budget"]
+        assert inspect.signature(is_nonwandering).parameters["search_budget"].default == 16

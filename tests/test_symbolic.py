@@ -236,6 +236,7 @@ class TestLasso:
     def test_admissible(self):
         assert LassoPoint.make((1,), (0,)).admissible(GOLDEN)
         assert not LassoPoint.make((), (1,)).admissible(GOLDEN)
+        assert not LassoPoint.make((), (2,)).admissible(GOLDEN)
 
     @given(st.integers(0, 10**6))
     def test_shift_matches_expansion(self, seed):
