@@ -80,7 +80,6 @@ from .tropical import (
     Component,
     ConstraintPolytope,
     CriticalStructure,
-    ErgodicSummary,
     calibrated_fixed_point,
     constraint_polytope,
     critical_structure,

@@ -89,7 +89,7 @@ def cmd_solve(args) -> int:
     print("nodes: " + words(g.node_words))
     print("edges: " + words(e.word for e in g.edges))
     print(f"abar = {format_fraction(bundle.abar)}")
-    cycle = bundle.summary.witness_cycle
+    cycle = crit.witness_cycle
     walk = [g.edges[cycle[0]].tail] + [g.edges[k].head for k in cycle]
     print("witness cycle: " + " -> ".join(format_word(g.node_words[v], s) for v in walk))
     print("critical edges: " + words(g.edges[k].word for k in crit.critical_edges))
@@ -242,8 +242,8 @@ def _oracle_checks(inst, max_nodes: int) -> None:
            lax_oleinik_step(bundle.fixed_point, graph, weights, abar),
            bundle.fixed_point)
 
-    if isinstance(bundle.source_potential, TwoSidedPotential):
-        _check("holonomic", abar, holonomic_value_brute(bundle.source_potential))
+    if isinstance(bundle.potential, TwoSidedPotential):
+        _check("holonomic", abar, holonomic_value_brute(bundle.potential))
 
 
 def cmd_oracle(args) -> int:

@@ -371,7 +371,8 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
     is critical and all lie in one component. Search way: for each
     epsilon = lambda^p, p = 1..4, hunt for a k <= search_budget and a
     path from x's cylinder back to itself with |normalized sum| below
-    epsilon, enumerating achievable sums exactly.
+    epsilon, enumerating achievable sums exactly. The search reads the
+    potential as given, enumerating a two-sided table's pasts itself.
     """
     crit, sft = bundle.crit, bundle.sft
     if not x.admissible(sft):

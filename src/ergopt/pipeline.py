@@ -16,7 +16,6 @@ from .symbolic import DEFAULT_NODE_BUDGET, DeBruijnGraph, SftSystem, refine
 from .tropical import (
     BarrierMatrices,
     CriticalStructure,
-    ErgodicSummary,
     calibrated_fixed_point,
     mane_matrix,
     minimizing_value,
@@ -26,15 +25,11 @@ from .tropical import (
 
 @dataclass(frozen=True, eq=False)
 class SolveBundle:
-    """One solve; its sft, graph, weights and abar are views of `crit`."""
+    """One solve of `potential`, the table as given (one- or two-sided);
+    its sft, graph, weights and abar are views of `crit`."""
 
-    potential: OneSidedPotential
-    source_potential: OneSidedPotential | TwoSidedPotential
-    summary: ErgodicSummary
-
-    @property
-    def crit(self) -> CriticalStructure:
-        return self.summary.crit
+    potential: OneSidedPotential | TwoSidedPotential
+    crit: CriticalStructure
 
     @property
     def sft(self) -> SftSystem:
@@ -68,15 +63,15 @@ class SolveBundle:
 def solve_potential(potential, node_budget=DEFAULT_NODE_BUDGET):
     """Refine, weight, and solve; returns everything downstream needs.
 
-    A two-sided table is first reduced to its one-sided envelope. The
-    working order is the smallest one carrying the weights.
+    A two-sided table is solved on its one-sided envelope. The working
+    order is the smallest one carrying the weights.
     """
-    source = potential
+    envelope = potential
     if isinstance(potential, TwoSidedPotential):
-        potential = reduce_two_sided(potential)
-    graph = refine(potential.sft, potential.working_order, node_budget=node_budget)
-    summary = minimizing_value(graph, compile_weights(potential, graph))
-    return SolveBundle(potential, source, summary)
+        envelope = reduce_two_sided(potential)
+    graph = refine(envelope.sft, envelope.working_order, node_budget=node_budget)
+    crit = minimizing_value(graph, compile_weights(envelope, graph))
+    return SolveBundle(potential, crit)
 
 
 def solve_instance(instance: Instance, node_budget=DEFAULT_NODE_BUDGET):

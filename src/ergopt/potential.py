@@ -142,10 +142,9 @@ def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
     graph order is refused.
     """
     graph = crit.graph
-    if u.depth != graph.order or len(u.values) != graph.n_nodes:
+    if u.depth != graph.order:
         raise IncompatibleOrder(
-            f"sub-action depth {u.depth} with {len(u.values)} values does not fit "
-            f"an order-{graph.order} graph on {graph.n_nodes} nodes"
+            f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
     big, slacks = _slacks(u.values, graph, crit.weights, crit.abar, range(graph.n_edges))
     words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)

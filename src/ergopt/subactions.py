@@ -182,21 +182,17 @@ def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure) -> SubAction:
 
 
 def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
-    """Edges of `crit.graph` where the sub-action inequality is an
-    equality; u must sit at the base depth."""
-    graph = crit.graph
-    if u.depth != graph.order or len(u.values) != graph.n_nodes:
-        raise IncompatibleOrder(
-            f"sub-action depth {u.depth} does not match graph order {graph.order}"
-        )
-    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar, range(graph.n_edges))
+    """Edges of the graph of `crit`, lifted to u's depth (at least the
+    graph order), where the sub-action inequality is an equality."""
+    lifted, edge_base, _, _, _ = lift_critical(crit, u.depth)
+    big, slacks = _slacks(u.values, lifted, crit.weights, crit.abar, edge_base)
     for k, s in enumerate(slacks):
         if s < 0:
             raise NotASubAction(
-                f"edge {graph.edge_word(k)} has negative slack {Fraction(s, big)}"
+                f"edge {lifted.edge_word(k)} has negative slack {Fraction(s, big)}"
             )
     tight = tuple(k for k, s in enumerate(slacks) if s == 0)
-    return ContactSet(u.depth, tight, tuple(map(graph.edge_word, tight)))
+    return ContactSet(u.depth, tight, tuple(map(lifted.edge_word, tight)))
 
 
 def verify(u: SubAction, crit: CriticalStructure,
@@ -209,11 +205,6 @@ def verify(u: SubAction, crit: CriticalStructure,
     values are scaled at depth, never the lifted weights.
     """
     lifted, edge_base, _, edge_comp, _ = lift_critical(crit, u.depth, node_budget)
-    if len(u.values) != lifted.n_nodes:
-        raise IncompatibleOrder(
-            f"sub-action carries {len(u.values)} values but depth {u.depth} "
-            f"has {lifted.n_nodes} nodes"
-        )
     _, slacks = _slacks(u.values, lifted, crit.weights, crit.abar, edge_base)
     is_sub = all(s >= 0 for s in slacks)
     is_cal = is_sub and _calibrated(slacks, lifted)
@@ -339,8 +330,6 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     lifted, edge_base, node_comp, _, _ = lift_critical(crit, u.depth)
     slacks: dict[str, list[int]] = {}
     for name, sub in (("u", u), ("v", v)):
-        if len(sub.values) != lifted.n_nodes:
-            raise IncompatibleOrder(f"{name} does not fit depth {sub.depth}")
         _, slacks[name] = _slacks(sub.values, lifted, crit.weights, crit.abar, edge_base)
         if any(s < 0 for s in slacks[name]):
             raise NotASubAction(f"{name} violates the sub-action inequality")

@@ -16,12 +16,12 @@ Determinism comes from ascending index order in every tie-break.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InternalError
+from .errors import IncompatibleOrder, InternalError
 from .symbolic import strongly_connected_components
 
 
@@ -76,15 +76,34 @@ class CriticalStructure:
     def representatives(self) -> tuple[int, ...]:
         return tuple(c.representative for c in self.components)
 
-
-@dataclass(frozen=True)
-class ErgodicSummary:
-    witness_cycle: tuple[int, ...]  # edge indices, in cycle order
-    crit: CriticalStructure = field(repr=False)
-
-    @property
-    def abar(self) -> Fraction:
-        return self.crit.abar
+    @cached_property
+    def witness_cycle(self) -> tuple[int, ...]:
+        """A zero-cycle witness, edge indices in cycle order: the shortest
+        cycle through the representative of the first component, found
+        inside that component."""
+        graph = self.graph
+        start, heads = self.components[0].representative, graph.heads
+        into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
+        queue = [start]
+        for u in queue:  # the queue grows while it is walked
+            ks = [k for k in graph.out_edges[u] if self.edge_component.get(k) == 0]
+            closing = next((k for k in ks if heads[k] == start), None)
+            if closing is not None:
+                break
+            for k in ks:
+                if heads[k] not in into:
+                    into[heads[k]] = k
+                    queue.append(heads[k])
+        else:
+            raise InternalError("critical component has no cycle through its representative")
+        chain = [closing]
+        while graph.tails[chain[-1]] != start:
+            chain.append(into[graph.tails[chain[-1]]])
+        witness = tuple(reversed(chain))
+        total = sum(self.weights[k] for k in witness)
+        if total != self.abar * len(witness):
+            raise InternalError("witness cycle mean disagrees with abar")
+        return witness
 
 
 def _scale(values, shift=0) -> tuple[int, list[int]]:
@@ -105,9 +124,12 @@ def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
     w - abar is scaled once per base edge and read through the map, so a
     lift scales only its node values. L is one common denominator of u,
     w and abar, so s / L is each slack exactly; it may exceed the lcm of
-    the slacks' own denominators.
+    the slacks' own denominators. Values of another count than the
+    graph's nodes raise IncompatibleOrder.
     """
     n = len(values)
+    if n != graph.n_nodes:
+        raise IncompatibleOrder(f"expected {graph.n_nodes} node values, got {n}")
     big, scaled = _scale([*values, *weights, abar])
     shift = scaled.pop()
     costs = [w - shift for w in scaled[n:]]
@@ -218,34 +240,13 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
     raise InternalError("policy iteration came back to a policy it had left")
 
 
-def minimizing_value(graph, weights: Sequence[Fraction]) -> ErgodicSummary:
-    """Minimum cycle mean, from `critical_structure`, with a zero-cycle
-    witness: the shortest cycle through the representative of the first
-    critical component, found inside that component."""
+def minimizing_value(graph, weights: Sequence[Fraction]) -> CriticalStructure:
+    """Minimum cycle mean: `critical_structure`, with its witness cycle
+    built and checked, a cycle inside the first component whose mean is
+    abar."""
     crit = critical_structure(graph, weights)
-    weights, abar = crit.weights, crit.abar
-    start, heads = crit.components[0].representative, graph.heads
-    into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
-    queue = [start]
-    for u in queue:  # the queue grows while it is walked
-        ks = [k for k in graph.out_edges[u] if crit.edge_component.get(k) == 0]
-        closing = next((k for k in ks if heads[k] == start), None)
-        if closing is not None:
-            break
-        for k in ks:
-            if heads[k] not in into:
-                into[heads[k]] = k
-                queue.append(heads[k])
-    else:
-        raise InternalError("critical component has no cycle through its representative")
-    chain = [closing]
-    while graph.tails[chain[-1]] != start:
-        chain.append(into[graph.tails[chain[-1]]])
-    witness = tuple(reversed(chain))
-    total = sum(weights[k] for k in witness)
-    if total != abar * len(witness):
-        raise InternalError("witness cycle mean disagrees with abar")
-    return ErgodicSummary(witness, crit)
+    crit.witness_cycle  # cached; raises InternalError if it does not attain abar
+    return crit
 
 
 def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import INSTANCE_DIR
 from ergopt import subactions
 from ergopt.cli import main
-from ergopt.errors import OracleMismatch
+from ergopt.errors import InternalError, OracleMismatch
 from ergopt.instances import (Instance, dump_instance, load_instance, parse_word,
                               read_matrix_csv, read_subaction_csv)
 from ergopt.oracle import brute_cycles
@@ -703,6 +703,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: negative reduced cost")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["barrier"], ["calibrate"], ["separate", "--depth", "2"],
+        ["verify", "--subaction", "{csv}"], ["oracle"],
+    ])
+    def test_every_command_checks_the_witness(self, tmp_path, monkeypatch, capsys,
+                                              command):
+        # every solve builds the witness cycle and checks it against abar,
+        # so a witness that fails its check ends each command with exit 6
+        import ergopt.tropical as tropical
+
+        csv_path = tmp_path / "u.csv"
+        assert main(["calibrate", "--instance", E1, "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+
+        def broken(crit):
+            raise InternalError("witness cycle mean disagrees with abar")
+
+        monkeypatch.setattr(tropical.CriticalStructure, "witness_cycle", property(broken))
+        name, *rest = [arg.format(csv=csv_path) for arg in command]
+        assert main([name, "--instance", E1, *rest]) == 6
+        assert capsys.readouterr().err == "error: witness cycle mean disagrees with abar\n"
 
     def test_garbage_json(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,22 +1,23 @@
 import inspect
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from ergopt import tropical
 from ergopt.instances import Instance
 from ergopt.oracle import holonomic_value_brute, is_nonwandering, s_epsilon
 from ergopt.pipeline import SolveBundle, solve_potential
-from ergopt.potential import build_one_sided, build_two_sided, reduce_two_sided
-from ergopt.symbolic import build_sft
-from ergopt.tropical import ErgodicSummary
+from ergopt.potential import (TwoSidedPotential, build_one_sided, build_two_sided,
+                              compile_weights, reduce_two_sided)
+from ergopt.symbolic import LassoPoint, build_sft
 
 
 class TestOneSolvedSystem:
     def test_each_fact_is_stored_once(self):
-        assert [f.name for f in fields(SolveBundle)] == [
-            "potential", "source_potential", "summary"]
-        assert [f.name for f in fields(ErgodicSummary)] == ["witness_cycle", "crit"]
+        assert [f.name for f in fields(SolveBundle)] == ["potential", "crit"]
+        assert not hasattr(tropical, "ErgodicSummary")
         assert list(inspect.signature(solve_potential).parameters) == [
             "potential", "node_budget"]
         assert list(inspect.signature(reduce_two_sided).parameters) == ["ahat"]
@@ -25,17 +26,37 @@ class TestOneSolvedSystem:
                                          two_sided_bundles):
         for b in (e1_bundle, e2_bundle, golden_bundle, *two_sided_bundles[:5]):
             crit = b.crit
-            assert crit is b.summary.crit
             assert b.graph is crit.graph
             assert b.weights is crit.weights
             assert b.sft is crit.graph.sft is b.potential.sft
-            assert b.abar is crit.abar is b.summary.abar
+            assert b.abar is crit.abar
 
     def test_views_cannot_be_replaced(self, e1_bundle):
         with pytest.raises(TypeError):
             replace(e1_bundle, weights=tuple(w + 1 for w in e1_bundle.weights))
         with pytest.raises(AttributeError):
             e1_bundle.abar = Fraction(1)
+
+    def test_two_sided_table_is_held_as_given(self, two_sided_corpus, two_sided_bundles):
+        # the envelope is derived from the table, not stored beside it
+        for inst, b in zip(two_sided_corpus, two_sided_bundles):
+            assert isinstance(b.potential, TwoSidedPotential)
+            assert b.potential is inst.potential
+            assert compile_weights(reduce_two_sided(b.potential), b.graph) == b.weights
+
+    def test_nonwandering_search_reads_the_table_as_given(self, two_sided_bundles):
+        # the oracle enumerates the pasts of the two-sided table itself and
+        # reaches the same reports as on the envelope; each point is taken
+        # once, in its canonical form
+        for b in two_sided_bundles[:20]:
+            envelope = replace(b, potential=reduce_two_sided(b.potential))
+            symbols = range(b.sft.alphabet_size)
+            points = dict.fromkeys(LassoPoint.make(pre, cyc)
+                                   for p, c in product((0, 1), (1, 2))
+                                   for pre in product(symbols, repeat=p)
+                                   for cyc in product(symbols, repeat=c))
+            for x in (x for x in points if x.admissible(b.sft)):
+                assert is_nonwandering(x, b, 6) == is_nonwandering(x, envelope, 6)
 
     def test_solves_on_the_potential_own_system(self):
         # on the golden mean these values would give abar 5/2; on their

@@ -10,7 +10,7 @@ from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import random_instance, random_two_sided
 from ergopt.pipeline import solve_instance, solve_potential
-from ergopt.potential import build_one_sided
+from ergopt.potential import build_one_sided, normalize
 from ergopt.subactions import (
     SubAction,
     calibrated_from_boundary,
@@ -153,6 +153,40 @@ class TestContactLocus:
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
         with pytest.raises(NotASubAction):
             contact_locus(bad, e1_bundle.crit)
+
+    def test_lifted_sub_action_is_read_at_its_depth(self, corpus_bundles):
+        # the fixed point lifted through `base` gives each lifted edge the
+        # slack of its base edge, so the tight edges are those over tight
+        # base edges, and verify reads the same words
+        for b in corpus_bundles[:40]:
+            crit, depth = b.crit, b.graph.order + 1
+            _, edge_base, _, _, base = lift_critical(crit, depth)
+            u = SubAction(depth, tuple(b.fixed_point[v] for v in base), "user-supplied")
+            tight_base = set(contact_locus(fixed_sub(b), crit).tight_edges)
+            contact = contact_locus(u, crit)
+            assert contact.depth == depth
+            assert set(contact.tight_edges) == {
+                k for k, e in enumerate(edge_base) if e in tight_base}
+            assert contact.tight_words == verify(u, crit).tight_words
+
+    def test_rejects_a_depth_below_the_graph_order(self, e1_bundle):
+        with pytest.raises(ValueError, match="cannot lower order 1 to 0"):
+            contact_locus(SubAction(0, (Fraction(0),), "user-supplied"), e1_bundle.crit)
+
+
+@pytest.mark.parametrize("check", ["verify", "contact_locus", "gap_analysis", "normalize"])
+def test_one_value_short_is_refused(e2_bundle, check):
+    # one shape check, in the slack helper, serves every sub-action check
+    u = fixed_sub(e2_bundle)
+    short = SubAction(u.depth, u.values[:-1], "user-supplied")
+    calls = {
+        "verify": lambda: verify(short, e2_bundle.crit),
+        "contact_locus": lambda: contact_locus(short, e2_bundle.crit),
+        "gap_analysis": lambda: gap_analysis(u, short, e2_bundle.crit),
+        "normalize": lambda: normalize(short, e2_bundle.crit),
+    }
+    with pytest.raises(IncompatibleOrder, match="expected 3 node values, got 2"):
+        calls[check]()
 
 
 class TestVerify:

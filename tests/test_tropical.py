@@ -91,19 +91,19 @@ class TestMinimizingValue:
 
     def test_e1(self, e1_bundle):
         assert e1_bundle.abar == 0
-        cycle = e1_bundle.summary.witness_cycle
+        cycle = e1_bundle.crit.witness_cycle
         assert len(cycle) == 1
         assert e1_bundle.graph.edges[cycle[0]].word == (0, 0)
 
     def test_golden(self, golden_bundle):
         assert golden_bundle.abar == 0
         words = [golden_bundle.graph.edges[k].word
-                 for k in golden_bundle.summary.witness_cycle]
+                 for k in golden_bundle.crit.witness_cycle]
         assert words == [(0, 1), (1, 0)]
 
     def test_witness_mean_on_corpus(self, corpus_bundles):
         for b in corpus_bundles:
-            cycle = b.summary.witness_cycle
+            cycle = b.crit.witness_cycle
             mean = sum(b.weights[k] for k in cycle) / len(cycle)
             assert mean == b.abar
 
@@ -121,7 +121,7 @@ class TestMinimizingValue:
         abar = min(m for _, m in cycles)
         summary = minimizing_value(g, weights)
         assert summary.abar == abar
-        assert set(summary.crit.critical_edges) == {
+        assert set(summary.critical_edges) == {
             k for cycle, m in cycles if m == abar for k in cycle}
         witness = summary.witness_cycle
         assert sum(weights[k] for k in witness) == abar * len(witness)
@@ -210,7 +210,7 @@ class TestCriticalStructure:
         weights = compile_weights(pot, graph)
         summary = minimizing_value(graph, weights)
         crit = critical_structure(graph, weights)
-        assert crit.critical_edges == summary.crit.critical_edges
+        assert crit.critical_edges == summary.critical_edges
         assert len(crit.critical_edges) == graph.n_edges
         assert len(crit.components) == 1
         assert crit.components[0].nodes == (0, 1)
@@ -349,7 +349,7 @@ class TestIntegerKernel:
         abar = min(m for _, m in cycles)
         summary = minimizing_value(g, weights)
         assert summary.abar == abar
-        crit = summary.crit
+        crit = summary
         assert set(crit.critical_edges) == {
             k for cycle, m in cycles if m == abar for k in cycle}
         phi = mane_matrix(g, weights, abar, range(n))
@@ -377,7 +377,7 @@ class TestIntegerKernel:
             weights = tuple(Fraction(w) for w in SCALING_CASES[case])
             summary = minimizing_value(g, weights)
             abar = summary.abar
-            b = replace(e2_bundle, summary=summary).barriers
+            b = replace(e2_bundle, crit=summary).barriers
             assert b.big == math.lcm(*((w - abar).denominator for w in weights)), case
             start, stop = barrier_window(g, weights, abar, b.h)
             for i in range(n):
