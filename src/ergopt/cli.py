@@ -23,7 +23,7 @@ from .errors import (
     OracleMismatch,
 )
 from .instances import (
-    csv_word,
+    csv_words,
     format_fraction,
     format_word,
     load_instance,
@@ -80,26 +80,30 @@ def cmd_solve(args) -> int:
     s = inst.sft.alphabet_size
     g = bundle.graph
     crit = bundle.crit
+    # every listed word is formatted once; the lists below index these
+    node_words = g.node_words
+    node_text = csv_words(node_words, s)
+    edge_text = csv_words(admissible_words(inst.sft, g.order + 1, g.n_edges), s)
 
-    def words(items):
-        return ",".join(csv_word(w, s) for w in items)
+    def words(texts, indices):
+        return ",".join(map(texts.__getitem__, indices))
 
     print(f"alphabet size: {s}")
     print(f"graph order: {g.order}")
-    print("nodes: " + words(g.node_words))
-    print("edges: " + words(e.word for e in g.edges))
+    print("nodes: " + ",".join(node_text))
+    print("edges: " + ",".join(edge_text))
     print(f"abar = {format_fraction(bundle.abar)}")
     cycle = crit.witness_cycle
-    walk = [g.edges[cycle[0]].tail] + [g.edges[k].head for k in cycle]
-    print("witness cycle: " + " -> ".join(format_word(g.node_words[v], s) for v in walk))
-    print("critical edges: " + words(g.edges[k].word for k in crit.critical_edges))
+    walk = [g.tails[cycle[0]]] + [g.heads[k] for k in cycle]
+    print("witness cycle: " + " -> ".join(format_word(node_words[v], s) for v in walk))
+    print("critical edges: " + words(edge_text, crit.critical_edges))
     print(f"components: {len(crit.components)}")
     for comp in crit.components:
         print(
             f"component {comp.index + 1}:"
-            f" representative {format_word(g.node_words[comp.representative], s)};"
-            f" nodes {words(g.node_words[v] for v in comp.nodes)};"
-            f" edges {words(g.edges[k].word for k in comp.edges)}"
+            f" representative {format_word(node_words[comp.representative], s)};"
+            f" nodes {words(node_text, comp.nodes)};"
+            f" edges {words(edge_text, comp.edges)}"
         )
     if len(crit.components) >= 2:
         poly = constraint_polytope(crit)

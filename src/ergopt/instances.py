@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ErgoptError, InstanceFormatError
 from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
@@ -80,6 +80,34 @@ def csv_word(word: Sequence[int], alphabet_size: int) -> str:
     return f'"{text}"' if "," in text else text
 
 
+class WordTemplates(dict):
+    """Word length -> the `%` template that fills a word (a tuple of
+    ints) of that many symbols as `format_word` writes it or, `quoted`,
+    as `csv_word` does, followed by `tail`; each is made on first use,
+    so a list of words costs one template per length. Beyond ten symbols
+    a word of two or more symbols holds commas, which CSV quotes; a
+    one-symbol word is never quoted."""
+
+    def __init__(self, alphabet_size: int, quoted: bool = False, tail: str = ""):
+        super().__init__()
+        self.sep = "" if alphabet_size <= 10 else ","
+        self.quote = '"' if quoted and self.sep else ""
+        self.tail = tail
+
+    def __missing__(self, length: int) -> str:
+        text = self.sep.join(["%d"] * length)
+        if length > 1:
+            text = self.quote + text + self.quote
+        self[length] = template = text + self.tail
+        return template
+
+
+def csv_words(words: Iterable[Word], alphabet_size: int) -> list[str]:
+    """Each word as `csv_word` writes it."""
+    templates = WordTemplates(alphabet_size, quoted=True)
+    return [templates[len(w)] % w for w in words]
+
+
 def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
     """The word `format_word` wrote: beyond ten symbols it is always
     comma-separated, even a one-symbol word; up to ten, digits or commas."""
@@ -130,10 +158,19 @@ def parse_instance(data: dict) -> Instance:
     raw_entries = _require(pot_data, "entries", "potential")
     if not isinstance(raw_entries, dict):
         raise InstanceFormatError("potential entries must be an object")
-    entries = {
-        parse_word(key, size, f"potential entry {key!r}"): parse_fraction(val, f"entry {key!r}")
-        for key, val in raw_entries.items()
-    }
+    # (word, value) pairs, so two spellings of one word ("01", "0,1")
+    # reach the table's duplicate check. Each distinct value is parsed at
+    # its first entry; only ints and strings are looked up, since 1, 1.0
+    # and true are one dict key and a list is none, and parse_fraction
+    # refuses every other JSON type
+    entries: list[tuple[Word, Fraction]] = []
+    parsed: dict[int | str, Fraction] = {}
+    for key, val in raw_entries.items():
+        word = parse_word(key, size, f"potential entry {key!r}")
+        value = parsed.get(val) if type(val) in (int, str) else None
+        if value is None:
+            value = parsed[val] = parse_fraction(val, f"entry {key!r}")
+        entries.append((word, value))
     try:
         if side == "one":
             m = _integer(pot_data, "range", "potential")
@@ -210,7 +247,7 @@ def matrix_csv_text(node_words: Sequence[Word], matrix, alphabet_size: int,
     """The matrix of integers over `big` as word-labelled CSV; each
     distinct integer is formatted once."""
     text = {v: format_fraction(Fraction(v, big)) for v in set().union(*matrix)}
-    fields = [csv_word(w, alphabet_size) for w in node_words]
+    fields = csv_words(node_words, alphabet_size)
     lines = ["word," + ",".join(fields)]
     for field, row in zip(fields, matrix):
         lines.append(field + "," + ",".join(map(text.__getitem__, row)))
@@ -229,15 +266,11 @@ def read_matrix_csv(path, alphabet_size: int) -> tuple[list[Word], list[list[Fra
 
 def subaction_csv_text(node_words: Sequence[Word], values, alphabet_size: int) -> str:
     """word,value rows as `format_word` and `format_fraction` write them;
-    each row fills one `%` template, made once per word length."""
-    sep = "" if alphabet_size <= 10 else ","
-    templates: dict[int, str] = {}
+    each row fills the `WordTemplates` template of its word's length."""
+    templates = WordTemplates(alphabet_size, tail=",%s")
     lines = ["word,value"]
     for w, text in zip(node_words, map(format_fraction, values)):
-        template = templates.get(len(w))
-        if template is None:
-            template = templates[len(w)] = sep.join(["%d"] * len(w)) + ",%s"
-        lines.append(template % (*w, text))
+        lines.append(templates[len(w)] % (*w, text))
     return "\n".join(lines) + "\n"
 
 

@@ -5,9 +5,9 @@ truncation, and compilation to edge weights.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import IncompatibleOrder, NotASubAction
 from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
@@ -15,23 +15,27 @@ from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_w
 from .tropical import CriticalStructure, _slacks
 
 
-def _table(sft: SftSystem, length: int, entries: Mapping) -> dict[Word, Fraction]:
-    """Rational values on exactly the admissible words of `length`.
+def _table(sft: SftSystem, length: int,
+           entries: Mapping | Iterable[tuple]) -> dict[Word, Fraction]:
+    """Rational values on exactly the admissible words of `length`, from
+    a mapping or from (key, value) pairs, which may name a word twice.
 
-    Every key is checked to be an admissible word of that length and to
-    appear once, so the table is complete exactly when its size equals
-    the count of admissible words; no word list is built.
+    Every key is checked, in this order, to have that length, to be
+    admissible and to appear once, so the table is complete exactly when
+    its size equals the count of admissible words, which is checked last;
+    no word list is built. A value that is already a Fraction is kept as
+    it is, any other is converted.
     """
     table: dict[Word, Fraction] = {}
-    for key, val in entries.items():
-        word = tuple(int(s) for s in key)
+    for key, val in entries.items() if isinstance(entries, Mapping) else entries:
+        word = tuple(map(int, key))
         if len(word) != length:
             raise ValueError(f"table word {word} does not have length {length}")
         if not sft.admissible(word):
             raise ValueError(f"table word {word} is not admissible")
         if word in table:
             raise ValueError(f"duplicate table word {word}")
-        table[word] = Fraction(val)
+        table[word] = val if isinstance(val, Fraction) else Fraction(val)
     if count_words(sft, length, len(table)) != len(table):
         raise ValueError(
             f"table is missing admissible words of length {length}: "
@@ -73,7 +77,7 @@ class OneSidedPotential:
             ) from None
 
 
-def build_one_sided(sft: SftSystem, m: int, entries: Mapping, *,
+def build_one_sided(sft: SftSystem, m: int, entries: Mapping | Iterable[tuple], *,
                     holder_theta=None, holder_const=None) -> OneSidedPotential:
     """Validate a range-m table: exactly the admissible m-words, rational values."""
     if m < 1:
@@ -110,7 +114,8 @@ class TwoSidedPotential:
         return max(self.future_depth - 1, 1)
 
 
-def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping) -> TwoSidedPotential:
+def build_two_sided(sft: SftSystem, p: int, q: int,
+                    entries: Mapping | Iterable[tuple]) -> TwoSidedPotential:
     if p < 1 or q < 1:
         raise ValueError("past and future depths must both be >= 1")
     return TwoSidedPotential(sft, p, q, _table(sft, p + q, entries))

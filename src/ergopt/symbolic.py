@@ -98,13 +98,18 @@ class SftSystem:
     def allows(self, a: int, b: int) -> bool:
         return self.transition[a][b] == 1
 
+    @functools.cached_property
+    def _pairs(self) -> frozenset[tuple[int, int]]:
+        """The allowed pairs (a, b), each symbol in range."""
+        return frozenset((a, b) for a, row in enumerate(self.successors) for b in row)
+
     def admissible(self, word: Sequence[int]) -> bool:
-        if len(word) == 0:
-            return False
-        for s in word:
-            if not 0 <= s < self.alphabet_size:
-                return False
-        return all(self.allows(a, b) for a, b in zip(word, word[1:]))
+        """Whether the word is nonempty, every symbol is in range and
+        every consecutive pair is allowed. Both ends of an allowed pair
+        are in range, so beyond one symbol the pairs check it all."""
+        if len(word) == 1:
+            return 0 <= word[0] < self.alphabet_size
+        return len(word) > 1 and self._pairs.issuperset(zip(word, word[1:]))
 
 
 def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSystem:

@@ -108,11 +108,23 @@ class CriticalStructure:
 
 def _scale(values, shift=0) -> tuple[int, list[int]]:
     """L, the lcm of the denominators of v - shift, and the integers
-    (v - shift) * L, so a sum of the values is an exact sum over L."""
-    # ints and Fractions both carry numerator and denominator
-    shifted = [v - shift for v in values] if shift else values
-    big = math.lcm(*(v.denominator for v in shifted))
-    return big, [v.numerator * (big // v.denominator) for v in shifted]
+    (v - shift) * L, so a sum of the values is an exact sum over L.
+
+    The values and the shift are scaled over their joint denominator D
+    and subtracted as ints, so no Fraction is made; dividing D and the
+    differences by g, their gcd, leaves L exactly (for divisors d_i of
+    D, the lcm of the D/d_i is D over the gcd of the d_i).
+    """
+    # ints and Fractions both give (numerator, denominator)
+    ratios = [v.as_integer_ratio() for v in values]
+    num, den = shift.as_integer_ratio()
+    big = math.lcm(den, *[d for _, d in ratios])
+    s = num * (big // den)
+    ints = [n * (big // d) - s for n, d in ratios]
+    g = math.gcd(big, *ints)
+    if g == 1:
+        return big, ints
+    return big // g, [d // g for d in ints]
 
 
 def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
@@ -282,9 +294,12 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     zero and both ends share an SCC of the zero-cost subgraph. The SCCs
     with a critical edge are the components, ordered by smallest node,
     the representative. A graph that is not strongly connected raises
-    ValueError, here or in the representatives' rows."""
+    ValueError, here or in the representatives' rows. Weights that are
+    all Fractions already are kept as they are."""
     n = graph.n_nodes
-    weights = tuple(Fraction(w) for w in weights)
+    weights = tuple(weights)
+    if set(map(type, weights)) != {Fraction}:
+        weights = tuple(map(Fraction, weights))
     big, costs = _scale(weights)
     S, m, x = _policy_iteration(graph, costs)
     abar = Fraction(S, m * big)

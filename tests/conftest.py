@@ -70,11 +70,12 @@ def two_sided_bundles(two_sided_corpus):
 
 
 @st.composite
-def irreducible_systems(draw):
-    """Irreducible systems on 2-4 symbols, from sparse to full: a cycle
-    through every symbol in a drawn order keeps each one irreducible,
-    and every other transition is drawn with a drawn density."""
-    size = draw(st.integers(2, 4))
+def irreducible_systems(draw, min_size=2, max_size=4):
+    """Irreducible systems on 2-4 symbols (or min_size-max_size), from
+    sparse to full: a cycle through every symbol in a drawn order keeps
+    each one irreducible, and every other transition is drawn with a
+    drawn density."""
+    size = draw(st.integers(min_size, max_size))
     cycle = draw(st.permutations(range(size)))
     density = draw(st.sampled_from((0, 1 / 4, 1 / 2, 1)))
     rng = random.Random(draw(st.integers(0, 10**6)))

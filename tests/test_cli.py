@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import re
 import shlex
@@ -59,6 +60,30 @@ constraint matrix H:
 1,0
 """
 
+GOLDEN_SOLVE = """\
+alphabet size: 2
+graph order: 1
+nodes: 0,1
+edges: 00,01,10
+abar = 0
+witness cycle: 0 -> 1 -> 0
+critical edges: 01,10
+components: 1
+component 1: representative 0; nodes 0,1; edges 01,10
+"""
+
+TWO_SIDED_SOLVE = """\
+alphabet size: 2
+graph order: 1
+nodes: 0,1
+edges: 00,01,10
+abar = 1/2
+witness cycle: 0 -> 0
+critical edges: 00
+components: 1
+component 1: representative 0; nodes 0; edges 00
+"""
+
 E2_BARRIER = """\
 phi:
 word,0,1,2
@@ -85,6 +110,21 @@ holder const: 2
 """
 
 
+def write_wide_instance(path, order):
+    """The full shift on 11 symbols with a range-(order+1) table whose
+    only zero-mean cycle is the fixed point 3 3 3 ...; beyond ten symbols
+    a word of two or more symbols has commas of its own."""
+    n = 11
+    entries = {",".join(map(str, w)): str((3 * w[0] + 5 * w[1] + w[0] * w[1]) % 7 + 1)
+               for w in itertools.product(range(n), repeat=order + 1)}
+    entries[",".join(["3"] * (order + 1))] = "0"
+    path.write_text(json.dumps({
+        "alphabet_size": n, "transition": [[1] * n] * n, "lambda": "1/2",
+        "potential": {"side": "one", "range": order + 1, "entries": entries},
+    }), encoding="utf-8")
+    return path
+
+
 def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ergopt", *args],
@@ -102,6 +142,44 @@ class TestSolve:
         res = run_cli("solve", "--instance", E2)
         assert res.returncode == 0
         assert res.stdout == E2_SOLVE
+
+    def test_golden_mean_report(self):
+        res = run_cli("solve", "--instance", GOLDEN)
+        assert res.returncode == 0
+        assert res.stdout == GOLDEN_SOLVE
+
+    def test_two_sided_report(self):
+        res = run_cli("solve", "--instance", TWO_SIDED)
+        assert res.returncode == 0
+        assert res.stdout == TWO_SIDED_SOLVE
+
+    @pytest.mark.parametrize("order", (1, 2))
+    def test_report_beyond_ten_symbols(self, tmp_path, capsys, order):
+        # one-symbol words are bare, longer ones quoted as CSV quotes a
+        # field with commas; in the witness and the representative no
+        # word is quoted
+        def field(word):
+            text = ",".join(map(str, word))
+            return f'"{text}"' if len(word) > 1 else text
+
+        def listed(k):
+            return ",".join(map(field, itertools.product(range(11), repeat=k)))
+
+        bare, loop = ",".join(["3"] * order), field((3,) * (order + 1))
+        expected = "".join(line + "\n" for line in (
+            "alphabet size: 11",
+            f"graph order: {order}",
+            f"nodes: {listed(order)}",
+            f"edges: {listed(order + 1)}",
+            "abar = 0",
+            f"witness cycle: {bare} -> {bare}",
+            f"critical edges: {loop}",
+            "components: 1",
+            f"component 1: representative {bare}; nodes {field((3,) * order)}; edges {loop}",
+        ))
+        inst = write_wide_instance(tmp_path / "wide.json", order)
+        assert main(["solve", "--instance", str(inst)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_runs_are_byte_identical(self):
         first = run_cli("solve", "--instance", E2)
@@ -139,14 +217,7 @@ class TestBarrier:
         # an 11-symbol word carries commas of its own, so the matrix header,
         # its first column and solve's word lists quote it as CSV does
         n = 11
-        entries = {f"{a},{b},{c}": str((3 * a + 5 * b + 7 * c + a * b) % 7 + 1)
-                   for a in range(n) for b in range(n) for c in range(n)}
-        entries["3,3,3"] = "0"
-        inst = tmp_path / "wide.json"
-        inst.write_text(json.dumps({
-            "alphabet_size": n, "transition": [[1] * n] * n, "lambda": "1/2",
-            "potential": {"side": "one", "range": 3, "entries": entries},
-        }), encoding="utf-8")
+        inst = write_wide_instance(tmp_path / "wide.json", 2)
         bundle = solve_instance(load_instance(inst))
         nodes, edges = list(bundle.graph.node_words), [e.word for e in bundle.graph.edges]
         assert len(nodes) == 121
@@ -742,6 +813,20 @@ class TestExitCodes:
         }
         path.write_text(json.dumps(data), encoding="utf-8")
         assert run_cli("solve", "--instance", str(path)).returncode == 2
+
+    @pytest.mark.parametrize("entries", [
+        {"0": 1, "1": True}, {"0": 1, "1": 1.0}, {"0": "1/2", "1": [1]},
+    ])
+    def test_values_a_cache_could_merge_exit_2(self, tmp_path, capsys, entries):
+        # 1, true and 1.0 are one dict key, and a list is unhashable
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({
+            "alphabet_size": 2, "transition": [[1, 1], [1, 1]], "lambda": "1/2",
+            "potential": {"side": "one", "range": 1, "entries": entries},
+        }), encoding="utf-8")
+        assert main(["solve", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry '1': ") and err.count("\n") == 1
 
     def test_reducible_matrix(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ergopt.errors import (
 )
 from ergopt.instances import (
     csv_word,
+    csv_words,
     dump_instance,
     format_fraction,
     format_word,
@@ -102,6 +104,14 @@ class TestWords:
         assert csv_word((0, 1), 10) == "01"
         assert csv_word((10,), 11) == "10"
         assert csv_word((0, 10), 11) == '"0,10"'
+
+    @given(st.integers(1, 64).flatmap(lambda size: st.tuples(
+        st.just(size), st.lists(st.lists(st.integers(0, size - 1), min_size=1, max_size=5)
+                                .map(tuple), max_size=12))))
+    def test_templates_write_each_word_as_csv_word(self, case):
+        # one template per word length, words of several lengths mixed
+        size, words = case
+        assert csv_words(words, size) == [csv_word(w, size) for w in words]
 
     def test_malformed(self):
         with pytest.raises(InstanceFormatError):
@@ -194,6 +204,29 @@ class TestParseInstance:
         data["potential"]["entries"] = {"0x": 0, "1": 1}
         with pytest.raises(InstanceFormatError):
             parse_instance(data)
+
+    # each distinct value is parsed once, and 1, 1.0 and true are one dict
+    # key while a list is none, so the cache must neither merge nor trip
+    # on them: each is refused as parse_fraction refuses it, naming the entry
+    @pytest.mark.parametrize("entries, message", [
+        ({"0": 1, "1": True}, "entry '1': booleans are not numbers"),
+        ({"0": True, "1": 1}, "entry '0': booleans are not numbers"),
+        ({"0": 1, "1": 1.0}, "entry '1': write non-integer numbers as strings"),
+        ({"0": "1/2", "1": [1]}, "entry '1': expected a rational, got list"),
+    ])
+    def test_value_cache_keeps_json_values_apart(self, entries, message):
+        data = e1_data()
+        data["potential"]["entries"] = entries
+        with pytest.raises(InstanceFormatError, match="^" + re.escape(message)):
+            parse_instance(data)
+
+    def test_shared_values_parse_as_each_alone(self):
+        data = e1_data()
+        data["potential"] = {"side": "one", "range": 2,
+                             "entries": {"00": 1, "01": "1", "10": "2/4", "11": 1}}
+        table = parse_instance(data).potential.table
+        assert table == {(0, 0): 1, (0, 1): 1, (1, 0): Fraction(1, 2), (1, 1): 1}
+        assert all(type(v) is Fraction for v in table.values())
 
     @pytest.mark.parametrize("key, value", [
         ("range", True), ("range", "2"), ("range", 2.0),

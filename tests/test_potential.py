@@ -1,12 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import irreducible_systems
-from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction
-from ergopt.instances import random_instance
+from ergopt.errors import (BudgetExceeded, IncompatibleOrder, InstanceFormatError,
+                           NotASubAction)
+from ergopt.instances import parse_instance, random_instance
 from ergopt.potential import (
     admissible_words,
     build_one_sided,
@@ -51,6 +53,40 @@ class TestAdmissibleWords:
             admissible_words(full4, 40, node_budget=1000)
         with pytest.raises(ValueError, match="missing"):
             one_sided(full4, 40, {(0,) * 40: 0})
+
+
+class TestTable:
+    # each key is checked for its length, its admissibility and a repeat
+    # as it comes, so each of those is reported before the missing words
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 0): 0, (0,): 1}, "table word (0,) does not have length 2"),
+        ({(0, 0): 0, (1, 1): 1}, "table word (1, 1) is not admissible"),
+        ({"01": 0, (0, 1): 1}, "duplicate table word (0, 1)"),
+        ([((0, 1), 0), ((0, 1), 1)], "duplicate table word (0, 1)"),
+    ])
+    def test_each_key_is_refused_before_a_missing_word(self, entries, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build_one_sided(GOLDEN, 2, entries)
+
+    def test_missing_word_is_reported_last(self):
+        with pytest.raises(ValueError, match=r"^table is missing admissible words of "
+                                             r"length 2: it has only 2$"):
+            build_one_sided(GOLDEN, 2, {(0, 0): 0, (1, 0): 1})
+
+    def test_two_spellings_of_a_word_are_a_duplicate(self):
+        data = {"alphabet_size": 2, "transition": [[1, 1], [1, 0]], "lambda": "1/2",
+                "potential": {"side": "one", "range": 2,
+                              "entries": {"01": 0, "0,1": 1, "00": 0, "10": 0}}}
+        with pytest.raises(InstanceFormatError,
+                           match=r"^potential: duplicate table word \(0, 1\)$"):
+            parse_instance(data)
+
+    def test_fractions_are_kept_and_others_converted(self):
+        half = Fraction(1, 2)
+        table = build_one_sided(GOLDEN, 2, {(0, 0): half, (0, 1): 3, (1, 0): "1/3"}).table
+        assert table[(0, 0)] is half
+        assert table == {(0, 0): half, (0, 1): Fraction(3), (1, 0): Fraction(1, 3)}
+        assert all(type(v) is Fraction for v in table.values())
 
 
 class TestBuildOneSided:

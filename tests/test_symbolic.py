@@ -92,6 +92,23 @@ class TestBuildSft:
         assert not GOLDEN.admissible(())
         assert not GOLDEN.admissible((2,))
 
+    @given(irreducible_systems(1, 12), st.data())
+    def test_admissible_by_pairs_agrees_with_the_definition(self, sft, data):
+        # symbols from -1 to the alphabet size, so out-of-range symbols,
+        # the empty word and one-symbol words are all drawn
+        size = sft.alphabet_size
+        word = data.draw(st.lists(st.integers(-1, size), max_size=5))
+        in_range = all(0 <= s < size for s in word)
+        expected = (len(word) > 0 and in_range
+                    and all(sft.transition[a][b] == 1 for a, b in zip(word, word[1:])))
+        assert sft.admissible(word) == sft.admissible(tuple(word)) == expected
+        # and a walk along the successors, of the same length, is admissible
+        if word and in_range:
+            walk = [word[0]]
+            for _ in word[1:]:
+                walk.append(data.draw(st.sampled_from(sft.successors[walk[-1]])))
+            assert sft.admissible(tuple(walk))
+
 
 class TestRefine:
     def test_full_shift_order_1(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCALING_CASES, SimpleDigraph
 from ergopt.errors import NotInConstraintSet
@@ -18,6 +18,7 @@ from ergopt.subactions import calibrated_from_boundary
 from ergopt.symbolic import build_sft, refine
 from ergopt.tropical import (
     _path_minima,
+    _scale,
     calibrated_fixed_point,
     constraint_polytope,
     critical_structure,
@@ -337,6 +338,34 @@ class TestRepresentativeRows:
                 min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
             assert constraint_polytope(b.crit).matrix == tuple(
                 tuple(h[a][c] for c in reps) for a in reps)
+
+
+def scale_by_subtraction(values, shift):
+    """`_scale` by its definition: one Fraction subtraction per value,
+    then L the lcm of the differences' denominators."""
+    shifted = [Fraction(v) - shift for v in values]
+    big = math.lcm(*(v.denominator for v in shifted))
+    return big, [v.numerator * (big // v.denominator) for v in shifted]
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+class TestScale:
+    @given(st.lists(RATIONALS | st.integers(-50, 50), max_size=12), RATIONALS | st.just(0))
+    @example([], Fraction(3, 7))
+    @example([Fraction(1, 6), Fraction(-5, 4), 3], 0)
+    @example([Fraction(-7, 3), -2, Fraction(-1, 9)], Fraction(-4, 15))
+    @example([Fraction(2, 3)] * 3, Fraction(2, 3))
+    @example([Fraction(1, 6), Fraction(5, 6)], Fraction(1, 2))
+    def test_integer_shift_matches_subtraction(self, values, shift):
+        # all values equal to the shift give L = 1; 1/6 and 5/6 less 1/2
+        # leave thirds, so the joint denominator 6 is divided down
+        big, ints = _scale(values, shift)
+        assert (big, ints) == scale_by_subtraction(values, shift)
+        assert type(big) is int and all(type(d) is int for d in ints)
+        if values and all(v == shift for v in values):
+            assert big == 1
 
 
 class TestIntegerKernel:
