@@ -119,6 +119,23 @@ def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
         raise InstanceFormatError(f"{where}: malformed word {text!r}") from exc
 
 
+_DIGITS = {str(d): d for d in range(10)}
+
+
+def _cell_word(cell: str, alphabet_size: int) -> Word:
+    """The word of a CSV cell, as `parse_word` reads it. Up to ten
+    symbols, a cell of ASCII digits alone is read through one digit
+    table; any other cell (commas, a sign, digits that are not ASCII,
+    which `int` takes too, or no character at all) goes to `parse_word`,
+    so every cell gives the same word or the same error."""
+    if alphabet_size <= 10 and cell:
+        try:
+            return tuple(map(_DIGITS.__getitem__, cell))
+        except KeyError:
+            pass
+    return parse_word(cell, alphabet_size)
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise InstanceFormatError(f"{where}: missing key {key!r}")
@@ -286,7 +303,7 @@ def read_subaction_csv(path, alphabet_size: int) -> tuple[list[Word], list[Fract
             continue
         # a word beyond ten symbols has commas of its own; a value has none
         cell, _, text = line.rpartition(",") if "," in line else (line, "", "")
-        words.append(parse_word(cell, alphabet_size))
+        words.append(_cell_word(cell, alphabet_size))
         value = parsed.get(text)
         if value is None:
             value = parsed[text] = parse_fraction(text, f"value for {cell}")

@@ -20,18 +20,22 @@ def _table(sft: SftSystem, length: int,
     """Rational values on exactly the admissible words of `length`, from
     a mapping or from (key, value) pairs, which may name a word twice.
 
-    Every key is checked, in this order, to have that length, to be
-    admissible and to appear once, so the table is complete exactly when
-    its size equals the count of admissible words, which is checked last;
-    no word list is built. A value that is already a Fraction is kept as
-    it is, any other is converted.
+    A tuple key is a word already; any other key (a string such as "01")
+    is converted symbol by symbol, once. Every key is checked, in this
+    order, to have that length, to be admissible (its pairs against the
+    system's allowed pairs, or its one symbol against the alphabet) and
+    to appear once, so the table is complete exactly when its size
+    equals the count of admissible words, which is checked last; no word
+    list is built. A value that is already a Fraction is kept as it is,
+    any other is converted.
     """
     table: dict[Word, Fraction] = {}
+    pairs, symbols = sft._pairs, range(sft.alphabet_size)
     for key, val in entries.items() if isinstance(entries, Mapping) else entries:
-        word = tuple(map(int, key))
+        word = key if type(key) is tuple else tuple(map(int, key))
         if len(word) != length:
             raise ValueError(f"table word {word} does not have length {length}")
-        if not sft.admissible(word):
+        if not (pairs.issuperset(zip(word, word[1:])) if length > 1 else word[0] in symbols):
             raise ValueError(f"table word {word} is not admissible")
         if word in table:
             raise ValueError(f"duplicate table word {word}")

@@ -23,6 +23,7 @@ from .symbolic import DEFAULT_NODE_BUDGET, Word, check_budget
 from .tropical import (
     CriticalStructure,
     _path_minima,
+    _scaled_costs,
     _slacks,
     _unscale,
     calibrated_fixed_point,
@@ -74,6 +75,44 @@ class GapReport:
     attained_component: int
 
 
+def _placed(pairs, n: int) -> list:
+    """The (index, component) pairs as the component of each of n
+    indices, None off the pairs."""
+    placed: list[int | None] = [None] * n
+    for k, c in pairs:
+        placed[k] = c
+    return placed
+
+
+def _lift_step(graph, edge_base, critical, base):
+    """One line step of a lift (see `lift_critical`): `(graph,
+    edge_base, critical, base, nodes)` one order up, `nodes` the
+    component of each node there."""
+    nodes = _placed(critical, graph.n_edges)
+    base = list(map(base.__getitem__, graph.tails))
+    graph = graph.line_graph()
+    heads = graph.heads
+    critical = [(k, c) for v, c in critical
+                for k in graph.out_edges[v] if nodes[heads[k]] == c]
+    return graph, list(map(edge_base.__getitem__, graph.tails)), critical, base, nodes
+
+
+def _parent_lift(crit: CriticalStructure, depth: int, node_budget: int):
+    """`(graph, edge_base, critical, base)`, the lift of `crit` to one
+    order below a `depth` above its graph order: that graph, whose edges
+    are the lifted nodes at `depth`; the base edge of each of its edges;
+    its critical edges as (edge, component) pairs; and the base node of
+    each of its nodes. The admissible depth-words are counted once
+    against `node_budget` before any step is taken."""
+    graph = crit.graph
+    check_budget(graph.sft, depth, node_budget)
+    lift = (graph, range(graph.n_edges), list(crit.edge_component.items()),
+            range(graph.n_nodes))
+    while lift[0].order < depth - 1:
+        lift = _lift_step(*lift)[:4]
+    return lift
+
+
 def lift_critical(crit: CriticalStructure, depth: int,
                   node_budget: int = DEFAULT_NODE_BUDGET):
     """`(graph, edge_base, nodes, edges, base)`: the graph of `crit` at
@@ -84,9 +123,10 @@ def lift_critical(crit: CriticalStructure, depth: int,
     with (`base`). No weight is lifted: edge k weighs
     `crit.weights[edge_base[k]]`.
 
-    One check against `node_budget`, then one line step per order: a
-    lifted node is an edge one order down, so it keeps that edge's
-    component and its tail's base node, and a lifted edge, starting with
+    Above the graph order this is `_parent_lift`, which counts the
+    depth-words against `node_budget` before any step, and one more
+    line step. A lifted node is an edge one order down, so it keeps that
+    edge's component and its tail's base node, and a lifted edge, starting with
     its tail, keeps its tail's base edge. A lifted edge joins two
     consecutive edges one order down and lies in component c when both
     do, that is, when every base window of its word is a critical edge
@@ -95,28 +135,16 @@ def lift_critical(crit: CriticalStructure, depth: int,
     pairs and keeps the out-edges of a marked node whose head has its
     component.
     """
-    graph, nodes = crit.graph, crit.node_component
+    graph = crit.graph
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
-    if depth > graph.order:
-        check_budget(graph.sft, depth, node_budget)
-    critical = list(crit.edge_component.items())
-    edge_base: Sequence[int] = range(graph.n_edges)
-    base: Sequence[int] = range(graph.n_nodes)
-    while graph.order < depth:
-        base = list(map(base.__getitem__, graph.tails))
-        graph = graph.line_graph()
-        edge_base = list(map(edge_base.__getitem__, graph.tails))
-        nodes = [None] * graph.n_nodes
-        for k, c in critical:
-            nodes[k] = c
-        heads = graph.heads
-        critical = [(k, c) for v, c in critical
-                    for k in graph.out_edges[v] if nodes[heads[k]] == c]
-    edges: list[int | None] = [None] * graph.n_edges
-    for k, c in critical:
-        edges[k] = c
-    return graph, edge_base, tuple(nodes), tuple(edges), base
+    if depth == graph.order:
+        edge_base, critical = range(graph.n_edges), crit.edge_component.items()
+        base, nodes = range(graph.n_nodes), crit.node_component
+    else:
+        graph, edge_base, critical, base, nodes = _lift_step(
+            *_parent_lift(crit, depth, node_budget))
+    return graph, edge_base, tuple(nodes), tuple(_placed(critical, graph.n_edges)), base
 
 
 def _calibrated(slacks: Sequence[int], graph) -> bool:
@@ -127,12 +155,204 @@ def _calibrated(slacks: Sequence[int], graph) -> bool:
     return len({h for s, h in zip(slacks, graph.heads) if s == 0}) == graph.n_nodes
 
 
-def _tight_words(slacks: Sequence[int], graph, edge_comp):
-    """The words of the zero-slack edges of `graph`, and those of them
-    that lie in no critical component."""
-    tight = [k for k, s in enumerate(slacks) if s == 0]
-    words = tuple(map(graph.edge_word, tight))
-    return words, tuple(w for w, k in zip(words, tight) if edge_comp[k] is None)
+class _Lift:
+    """A sub-action on the lift of the system of `crit` to `depth`, as
+    ints over one denominator `big`: its `values` at the lifted nodes and
+    `costs`, the (w - abar) * big that its slacks are read from, each
+    that of the base edge `cost_base` maps it to. `nodes` and `base` give
+    each lifted node's component and base node, and `reps` the first
+    lifted node of each component.
+
+    `scan` gives whether no slack is negative and the tight edges in
+    lifted edge order; `members`, at that scan, the number of a
+    separating pass's perturbations and their signed sum at each lifted
+    node. `_EdgeLift` and `_NodeLift` hold the slacks two ways.
+    """
+
+    def __init__(self, crit: CriticalStructure, depth: int, nodes, base, cost_base):
+        self.crit, self.depth, self.nodes, self.base = crit, depth, nodes, base
+        self.cost_base = cost_base
+        self.reps = [nodes.index(c.index) for c in crit.components]
+
+    def load(self, big: int, values: list[int], costs: Sequence[int]) -> None:
+        """Values at the lifted nodes and costs per base edge, over big."""
+        self.big, self.values = big, values
+        self.costs = list(map(costs.__getitem__, self.cost_base))
+
+    def spell(self, tight) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+        """The words of the tight edges, and those of them that lie in no
+        critical component."""
+        words = self.words(tight)
+        spelled = dict(zip(tight, words))
+        return words, tuple(map(spelled.__getitem__, self.residual(tight)))
+
+    def average(self, gamma: Fraction) -> None:
+        """u += gamma * (signed sum of the members) / (members * big): over
+        q * big each value gains its delta, the costs only scale, and all
+        are reduced by their gcd with the new denominator."""
+        count, total = self.members()
+        q = count * gamma.denominator
+        self.values = [q * x + gamma.numerator * t for x, t in zip(self.values, total)]
+        self.costs = [q * c for c in self.costs]
+        self.big *= q
+        g = math.gcd(self.big, *self.values, *self.costs)
+        if g > 1:
+            self.big //= g
+            self.values = [x // g for x in self.values]
+            self.costs = [c // g for c in self.costs]
+
+
+class _EdgeLift(_Lift):
+    """Slacks held per edge of an explicit lift, `lift_critical`'s. At
+    the graph order that lift is the graph itself; above it, this is the
+    slow check of `_NodeLift`. `scan` keeps the slacks it computes, for
+    `members` and `contained` to read."""
+
+    def __init__(self, crit: CriticalStructure, lift):
+        self.graph, edge_base, nodes, self.edge_comp, base = lift
+        self.ranges = [slice(r.start, r.stop) for r in self.graph.out_edges]
+        super().__init__(crit, self.graph.order, nodes, base, edge_base)
+
+    def scan(self) -> tuple[bool, list[int]]:
+        u, graph = self.values, self.graph
+        self.slacks = [c - u[h] + u[t] for c, t, h
+                       in zip(self.costs, graph.tails, graph.heads)]
+        return min(self.slacks) >= 0, [k for k, s in enumerate(self.slacks) if s == 0]
+
+    def residual(self, tight: list[int]) -> list[int]:
+        return [k for k in tight if self.edge_comp[k] is None]
+
+    def words(self, tight: list[int]) -> tuple[Word, ...]:
+        return tuple(map(self.graph.edge_word, tight))
+
+    def tight_heads(self, tight: list[int]) -> set[int]:
+        return set(map(self.graph.heads.__getitem__, tight))
+
+    def contained(self) -> bool:
+        return all(s == 0 for s, c in zip(self.slacks, self.edge_comp) if c is not None)
+
+    def members(self) -> tuple[int, list[int]]:
+        """Signs make each member a sub-action: forward minima and
+        potential columns fall along cheap edges (minus), barrier rows
+        rise along them (plus)."""
+        graph, slacks, n = self.graph, self.slacks, len(self.values)
+        out, ins, tails, heads = graph.out_edges, graph.in_edges, graph.tails, graph.heads
+        minus, wj = [], [0] * n
+        for _ in range(self.depth):
+            via = list(map(operator.add, slacks, map(wj.__getitem__, heads)))
+            wj = list(map(min, map(via.__getitem__, self.ranges)))
+            minus.append(wj)
+        plus = []
+        for rep in self.reps:
+            row = _path_minima(slacks, out[rep], out, heads, n)
+            col = _path_minima(slacks, ins[rep], ins, tails, n)
+            if None in row or None in col:
+                raise InternalError("lifted graph is not strongly connected")
+            plus.append(row)
+            minus.append(col)
+        return len(plus) + len(minus), list(map(operator.sub, map(sum, zip(*plus)),
+                                                map(sum, zip(*minus))))
+
+
+class _NodeLift(_Lift):
+    """The lift to a depth D above the graph order, held by the order-(D-1)
+    graph P of `_parent_lift`, with no lifted graph built. Lifted node V
+    is P's edge V; its lifted out-edges run to the P-edges out of
+    P.heads[V], its out-block, in order, and each starts with V's base
+    edge, so all of them cost W[V] = `costs[V]` and V -> X has the slack
+    W[V] + u(V) - u(X). A tight edge is the pair (V, X), and it is
+    critical when V and X lie in one component; `critical` holds the
+    critical lifted nodes as (node, component) pairs."""
+
+    def __init__(self, crit: CriticalStructure, parent_lift):
+        self.parent, edge_base, self.critical, base = parent_lift
+        self.blocks = [slice(r.start, r.stop) for r in self.parent.out_edges]
+        super().__init__(crit, self.parent.order + 1,
+                         _placed(self.critical, self.parent.n_edges),
+                         list(map(base.__getitem__, self.parent.tails)), edge_base)
+
+    def scan(self) -> tuple[bool, list[tuple[int, int]]]:
+        """On a sub-action only the top of an out-block can be tight, but
+        the scan reads every edge whose slack is 0, beside a negative one
+        too."""
+        u, out, heads = self.values, self.parent.out_edges, self.parent.heads
+        top = [max(u[b]) for b in self.blocks]
+        reach = list(map(operator.add, self.costs, u))
+        tops = list(map(top.__getitem__, heads))
+        tight = []
+        for v in [v for v, a, t in zip(range(len(u)), reach, tops) if a <= t]:
+            a = reach[v]
+            tight.extend((v, x) for x in out[heads[v]] if u[x] == a)
+        return all(map(operator.ge, reach, tops)), tight
+
+    def residual(self, tight: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        nodes = self.nodes
+        return [(v, x) for v, x in tight if nodes[v] is None or nodes[v] != nodes[x]]
+
+    def words(self, tight: list[tuple[int, int]]) -> tuple[Word, ...]:
+        parent = self.parent
+        last = parent.lasts
+        return tuple(parent.edge_word(v) + (last[parent.heads[x]],) for v, x in tight)
+
+    def tight_heads(self, tight: list[tuple[int, int]]) -> set[int]:
+        return {x for _, x in tight}
+
+    def contained(self) -> bool:
+        u, costs, nodes = self.values, self.costs, self.nodes
+        out, heads = self.parent.out_edges, self.parent.heads
+        return all(costs[v] + u[v] == u[x] for v, c in self.critical
+                   for x in out[heads[v]] if nodes[x] == c)
+
+    def members(self) -> tuple[int, list[int]]:
+        """`_EdgeLift.members`, from P and summed there. With g_0 = -u and
+        g_j(V) = W[V] + least_{j-1}[P.heads[V]], least_j[h] the minimum
+        of g_j over the out-block of h, the forward minima are g_j + u.
+        A lifted path V_0 .. V_m costs W[V_0] + .. + W[V_{m-1}] + u(V_0)
+        - u(V_m), which is the cost of the P-path of arcs V_0 .. V_{m-1}
+        to P.tails[V_m]. So the row of rep is u(rep) - u(X) plus P's row
+        of first arc rep at P.tails[X], and the column into rep is
+        u(X) - u(rep) + W[X] plus P's column into P.tails[rep] at
+        P.heads[X], whose own entry is 0: a lifted path of one arc ends
+        there. Summed over the k representatives and the D forward
+        minima, with U the sum of u over the representatives, the signed
+        total at X is
+        2U - (2k + D) u(X) - (k + D) W[X] + rows[P.tails[X]]
+        - (cols + leasts)[P.heads[X]],
+        where rows, cols and leasts are the sums of P's rows, P's
+        columns and least_0 .. least_{D-1}, each held on P's nodes."""
+        parent, u, costs, depth = self.parent, self.values, self.costs, self.depth
+        out, ins, tails, heads = parent.out_edges, parent.in_edges, parent.tails, parent.heads
+        least = [-max(b) for b in map(u.__getitem__, self.blocks)]
+        leasts = least
+        for _ in range(depth - 1):
+            via = list(map(operator.add, costs, map(least.__getitem__, heads)))
+            least = list(map(min, map(via.__getitem__, self.blocks)))
+            leasts = list(map(operator.add, leasts, least))
+        rows = cols = [0] * parent.n_nodes
+        for rep in self.reps:
+            end = tails[rep]
+            row = _path_minima(costs, (rep,), out, heads, parent.n_nodes)
+            col = _path_minima(costs, ins[end], ins, tails, parent.n_nodes)
+            col[end] = 0
+            if None in row or None in col:
+                raise InternalError("lifted graph is not strongly connected")
+            rows = list(map(operator.add, rows, row))
+            cols = list(map(operator.add, cols, col))
+        k = len(self.reps)
+        twice_u = 2 * sum(map(u.__getitem__, self.reps))
+        back = list(map(operator.add, cols, leasts))
+        return 2 * k + depth, [twice_u - (2 * k + depth) * x - (k + depth) * c + r - b
+                               for x, c, r, b in zip(u, costs, map(rows.__getitem__, tails),
+                                                     map(back.__getitem__, heads))]
+
+
+def _lift(crit: CriticalStructure, depth: int, node_budget: int) -> _Lift:
+    """The lift `verify` and `separating_subaction` run on: above the
+    graph order, held by the graph one order below (`_NodeLift`); at it,
+    the graph itself (`_EdgeLift`)."""
+    if depth > crit.graph.order:
+        return _NodeLift(crit, _parent_lift(crit, depth, node_budget))
+    return _EdgeLift(crit, lift_critical(crit, depth, node_budget))
 
 
 def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
@@ -200,18 +420,25 @@ def verify(u: SubAction, crit: CriticalStructure,
     """Check the four defining predicates of u against the system of `crit`.
 
     Its graph is lifted to u's depth, refused past `node_budget`
-    nodes; otherwise nothing raises, the verdicts just report. The slacks
-    read each lifted edge's weight through `edge_base`, so only u's
-    values are scaled at depth, never the lifted weights.
+    nodes; otherwise nothing raises, the verdicts just report. Only u's
+    values are scaled at depth, never the lifted weights, and above the
+    graph order no lifted graph is built (`_NodeLift`).
     """
-    lifted, edge_base, _, edge_comp, _ = lift_critical(crit, u.depth, node_budget)
-    _, slacks = _slacks(u.values, lifted, crit.weights, crit.abar, edge_base)
-    is_sub = all(s >= 0 for s in slacks)
-    is_cal = is_sub and _calibrated(slacks, lifted)
-    tight_words, noncritical = _tight_words(slacks, lifted, edge_comp)
-    certificate = is_sub and not noncritical
-    containment = all(s == 0 for s, c in zip(slacks, edge_comp) if c is not None)
-    return Verdict(is_sub, is_cal, certificate, containment, tight_words, noncritical)
+    return _verdict(_lift(crit, u.depth, node_budget), u.values)
+
+
+def _verdict(lift: _Lift, values: Sequence[Fraction]) -> Verdict:
+    """`verify` of the node values on `lift`. u is calibrated exactly
+    when it is a sub-action and every lifted node is the head of a tight
+    edge; on `_NodeLift` that is every out-block flat at its top, and
+    that top the least W + u over the in-edges of the block's node."""
+    crit = lift.crit
+    lift.load(*_scaled_costs(values, len(lift.base), crit.weights, crit.abar))
+    is_sub, tight = lift.scan()
+    is_cal = is_sub and len(lift.tight_heads(tight)) == len(lift.base)
+    words, noncritical = lift.spell(tight)
+    return Verdict(is_sub, is_cal, is_sub and not noncritical, lift.contained(),
+                   words, noncritical)
 
 
 def separating_subaction(crit: CriticalStructure, depth_budget: int,
@@ -239,81 +466,53 @@ def separating_subaction(crit: CriticalStructure, depth_budget: int,
     than the one before, so passes <= |initial tight set| <= n_edges. A
     pass that makes a positive slack tight raises InternalError.
 
-    The first slacks are those of the base graph: the fixed point v is
-    lifted as u = v o base, and lifted edge k, from a_0..a_{D-1} to
-    a_1..a_D at depth D over a base of order r, has the slack
-    w(a_0..a_r) - abar - v(a_1..a_r) + v(a_0..a_{r-1}), that of its base
-    edge `edge_base[k]`. So only base values are scaled, and read
-    through `base` and `edge_base`. Every base weight appears at depth,
-    so the running denominator starts at the lcm of the lifted system's
-    denominators. From there the values and slacks are integers over
-    that running denominator, moved together by each pass and reduced
-    by their gcd. Each pass adds the same rationals whatever that
-    denominator is, so the values are those of the same passes done in
-    Fractions, which are built only for the returned sub-action.
+    At a depth D above the graph order r, lifted node V = a_0..a_{D-1}
+    is an edge of the order-(D-1) graph, and each of its out-edges, to a
+    node V' = a_1..a_D, has the slack W[V] + u(V) - u(V'), with W[V] =
+    w(a_0..a_r) - abar the cost of V's base edge: one cost per lifted
+    node. The fixed point v is lifted as u = v o base, under which that
+    slack is the one of the base edge, w(a_0..a_r) - abar - v(a_1..a_r)
+    + v(a_0..a_{r-1}). The members are read off the order-(D-1) graph
+    with costs W (`_NodeLift.members`), and a pass moves u alone: W only
+    scales with the denominator. At the graph order the slacks are held
+    per edge (`_EdgeLift`). Every base weight appears at depth, so the
+    running denominator starts at the lcm of the lifted system's
+    denominators. From there the values and costs are integers over that
+    running denominator, moved together by each pass and reduced by
+    their gcd, which is that of the values and slacks too, since each
+    node has an out-edge. Each pass adds the same rationals whatever
+    that denominator is, so the values are those of the same passes
+    done in Fractions, which are built only for the returned sub-action.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
-    lifted, edge_base, node_comp, edge_comp, base = lift_critical(crit, depth_budget,
-                                                                  node_budget)
-    v = calibrated_fixed_point(crit)
-    big, slacks = _slacks(v, crit.graph, crit.weights, crit.abar, range(crit.graph.n_edges))
-    slacks = list(map(slacks.__getitem__, edge_base))
-    values = [x.numerator * (big // x.denominator) for x in v]
-    values = list(map(values.__getitem__, base))
-    reps = [node_comp.index(c.index) for c in crit.components]
-    n, tails, heads = lifted.n_nodes, lifted.tails, lifted.heads
-    out, ins = lifted.out_edges, lifted.in_edges
-    ranges = [slice(r.start, r.stop) for r in out]
-    prev_zero: list[int] | None = None
+    return _separate(_lift(crit, depth_budget, node_budget), gamma)
+
+
+def _separate(lift: _Lift, gamma: Fraction) -> tuple[SubAction, SeparatingCertificate]:
+    """`separating_subaction` on `lift`."""
+    crit = lift.crit
+    big, v, costs = _scaled_costs(calibrated_fixed_point(crit), crit.graph.n_nodes,
+                                  crit.weights, crit.abar)
+    lift.load(big, list(map(v.__getitem__, lift.base)), costs)
+    prev_zero: list | None = None
     passes = 0
     while True:
-        if min(slacks) < 0:
+        is_sub, zero = lift.scan()
+        if not is_sub:
             raise InternalError("perturbation broke the sub-action bound")
-        zero = [k for k, s in enumerate(slacks) if s == 0]
         if prev_zero is not None and not set(zero).issubset(prev_zero):
             raise InternalError("a pass made a positive slack tight")
-        if all(edge_comp[k] is not None for k in zero) or zero == prev_zero:
+        if not lift.residual(zero) or zero == prev_zero:
             break
         prev_zero = zero
         passes += 1
+        lift.average(gamma)
 
-        # Perturbation family, in integers over big. Signs make each
-        # member a sub-action: forward minima and potential columns fall
-        # along cheap edges (subtract), barrier rows rise along them (add).
-        plus: list[list[int]] = []
-        minus: list[list[int]] = []
-        wj = [0] * n
-        for _ in range(depth_budget):
-            via = list(map(operator.add, slacks, map(wj.__getitem__, heads)))
-            wj = list(map(min, map(via.__getitem__, ranges)))
-            minus.append(wj)
-        for rep in reps:
-            row = _path_minima(slacks, out[rep], out, heads, n)
-            col = _path_minima(slacks, ins[rep], ins, tails, n)
-            if None in row or None in col:
-                raise InternalError("lifted graph is not strongly connected")
-            plus.append(row)
-            minus.append(col)
-        # u += gamma * (signed sum of the members) / (members * big): over
-        # q * big each value gains its delta, and each slack gains the
-        # delta at its tail and loses the one at its head
-        q = (len(plus) + len(minus)) * gamma.denominator
-        delta = [gamma.numerator * (a - b)
-                 for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
-        values = [q * x + d for x, d in zip(values, delta)]
-        slacks = [q * s - delta[h] + delta[t] for s, t, h in zip(slacks, tails, heads)]
-        big *= q
-        g = math.gcd(big, *values, *slacks)
-        if g > 1:
-            big //= g
-            values = [x // g for x in values]
-            slacks = [s // g for s in slacks]
-
-    tight_words, residual = _tight_words(slacks, lifted, edge_comp)
-    sub = SubAction(depth_budget, _unscale([values], big)[0], "separating")
-    return sub, SeparatingCertificate(not residual, depth_budget, gamma, passes,
+    tight_words, residual = lift.spell(zero)
+    sub = SubAction(lift.depth, _unscale([lift.values], lift.big)[0], "separating")
+    return sub, SeparatingCertificate(not residual, lift.depth, gamma, passes,
                                       tight_words, residual)
 
 

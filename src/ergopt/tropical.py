@@ -127,6 +127,22 @@ def _scale(values, shift=0) -> tuple[int, list[int]]:
     return big // g, [d // g for d in ints]
 
 
+def _scaled_costs(values, n_nodes: int, weights, abar) -> tuple[int, list[int], list[int]]:
+    """L, the node values u * L and the edge costs (w - abar) * L as ints,
+    over one common denominator L of u, w and abar, so s / L is each
+    slack c - u(head) + u(tail) exactly; L may exceed the lcm of the
+    slacks' own denominators. Values of another count than `n_nodes`
+    raise IncompatibleOrder: this is the one shape check of every
+    sub-action check.
+    """
+    n = len(values)
+    if n != n_nodes:
+        raise IncompatibleOrder(f"expected {n_nodes} node values, got {n}")
+    big, scaled = _scale([*values, *weights, abar])
+    shift = scaled.pop()
+    return big, scaled[:n], [w - shift for w in scaled[n:]]
+
+
 def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
     """L and the integer slacks (w - abar - u(head) + u(tail)) * L of the
     edges of `graph`, for node values u and edge k weighted as the base
@@ -134,18 +150,10 @@ def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
     over, or a lift's `edge_base` (see `subactions.lift_critical`).
 
     w - abar is scaled once per base edge and read through the map, so a
-    lift scales only its node values. L is one common denominator of u,
-    w and abar, so s / L is each slack exactly; it may exceed the lcm of
-    the slacks' own denominators. Values of another count than the
-    graph's nodes raise IncompatibleOrder.
+    lift scales only its node values (see `_scaled_costs`).
     """
-    n = len(values)
-    if n != graph.n_nodes:
-        raise IncompatibleOrder(f"expected {graph.n_nodes} node values, got {n}")
-    big, scaled = _scale([*values, *weights, abar])
-    shift = scaled.pop()
-    costs = [w - shift for w in scaled[n:]]
-    return big, [c - scaled[head] + scaled[tail] for c, tail, head
+    big, u, costs = _scaled_costs(values, graph.n_nodes, weights, abar)
+    return big, [c - u[head] + u[tail] for c, tail, head
                  in zip(map(costs.__getitem__, edge_map), graph.tails, graph.heads)]
 
 
@@ -303,9 +311,7 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     big, costs = _scale(weights)
     S, m, x = _policy_iteration(graph, costs)
     abar = Fraction(S, m * big)
-    # the reduced costs are the slacks of -x, already integers (L = 1)
-    _, reduced = _slacks([-v for v in x], graph, [m * c for c in costs], S,
-                         range(graph.n_edges))
+    reduced = [m * c - S + x[h] - x[t] for c, t, h in zip(costs, graph.tails, graph.heads)]
     if any(r < 0 for r in reduced):
         raise InternalError("negative reduced cost: policy iteration did not converge")
     arcs = list(zip(graph.tails, graph.heads))

@@ -333,6 +333,24 @@ class TestCsv:
                            match=r"^value for 01: not a rational: 'x/2'$"):
             read_subaction_csv(path, 2)
 
+    @given(st.sampled_from((3, 10, 11)), st.text(alphabet="0129,+- a\u0663\uff11", max_size=4))
+    @example(3, "")
+    @example(3, "\u0663")
+    def test_cells_read_as_parse_word_reads_them(self, tmp_path_factory, size, cell):
+        # ASCII digit cells go through a digit table; every other cell,
+        # non-ASCII digits that int() takes included, gives parse_word's
+        # word or parse_word's error
+        assume("\n" not in cell and "\r" not in cell)
+        path = tmp_path_factory.mktemp("cells") / "u.csv"
+        path.write_text(f"word,value\n{cell},0\n", encoding="utf-8")
+        try:
+            want = [parse_word(cell, size)]
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError, match=rf"^{re.escape(str(exc))}$"):
+                read_subaction_csv(path, size)
+        else:
+            assert read_subaction_csv(path, size)[0] == want
+
     @pytest.mark.parametrize("size", (2, 10, 11))
     def test_subaction_text_matches_the_row_formats(self, size):
         # words of several lengths, each with its own template, and beyond

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import irreducible_systems
+from conftest import INSTANCE_DIR, irreducible_systems
 from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
-from ergopt.instances import random_instance, random_two_sided
+from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance, solve_potential
 from ergopt.potential import build_one_sided, normalize
 from ergopt.subactions import (
     SubAction,
+    _EdgeLift,
+    _separate,
+    _verdict,
     calibrated_from_boundary,
     contact_locus,
     convex_combination,
@@ -22,7 +25,7 @@ from ergopt.subactions import (
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import admissible_words, build_sft, count_words, lift_to
+from ergopt.symbolic import DeBruijnGraph, admissible_words, build_sft, count_words, lift_to
 from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
 
 
@@ -462,6 +465,103 @@ class TestLiftCritical:
         crit = critical_structure(lifted, lw)
         with pytest.raises(ValueError, match="cannot lower order 2 to 1"):
             lift_critical(crit, 1)
+
+
+def parity_cases(corpus_bundles, cap=300):
+    """(bundle, depth) for AC-5's corpus and the instance files at depths
+    order+1 to order+3, while the lift has at most `cap` nodes."""
+    files = [solve_instance(load_instance(path))
+             for path in sorted(INSTANCE_DIR.glob("*.json"))]
+    for b in [*corpus_bundles, *files]:
+        for depth in range(b.graph.order + 1, b.graph.order + 4):
+            if count_words(b.graph.sft, depth, cap) > cap:
+                break
+            yield b, depth
+
+
+def explicit(crit, depth):
+    """The lift to `depth` as `lift_critical` builds it, slacks per edge."""
+    return _EdgeLift(crit, lift_critical(crit, depth))
+
+
+class TestParentHeldLift:
+    """Above the graph order, `separating_subaction` and `verify` hold the
+    lift by the graph one order below; the per-edge pass on the explicit
+    lift of `lift_critical` is their slow check."""
+
+    def test_separating_matches_the_per_edge_pass(self, corpus_bundles):
+        cases = 0
+        for b, depth in parity_cases(corpus_bundles):
+            for gamma in (Fraction(1, 2), Fraction(2, 3)):
+                got = separating_subaction(b.crit, depth, gamma)
+                assert got == _separate(explicit(b.crit, depth), gamma)
+            cases += 1
+        assert cases > 400
+
+    def test_verify_matches_the_per_edge_pass(self, corpus_bundles):
+        # beside the separating and the lifted fixed point, two inputs that
+        # are not sub-actions: one lifted node V gets a zero-slack edge
+        # V -> x and, in the same out-block, a negative one V -> y, which a
+        # scan of the block tops alone would miss; and a random nudge
+        rng = random.Random(71)
+        beside = 0
+        for b, depth in parity_cases(corpus_bundles):
+            crit = b.crit
+            lifted, edge_base, _, _, base = lift_critical(crit, depth)
+            sep, _ = separating_subaction(crit, depth)
+            fixed = [b.fixed_point[v] for v in base]
+            cases = [sep.values, fixed,
+                     [x + rng.choice((0, 0, 0, Fraction(1, 2), -1)) for x in sep.values]]
+            for v in range(lifted.n_nodes):
+                ks = [k for k in lifted.out_edges[v] if lifted.heads[k] != v]
+                if len(ks) >= 2:
+                    x, y = lifted.heads[ks[0]], lifted.heads[ks[1]]
+                    values = list(fixed)
+                    values[x] = values[v] + crit.weights[edge_base[ks[0]]] - crit.abar
+                    values[y] = values[x] + 1
+                    cases.append(values)
+                    break
+            for values in cases:
+                got = verify(SubAction(depth, tuple(values), "user-supplied"), crit)
+                assert got == _verdict(explicit(crit, depth), values)
+            if len(cases) == 4:
+                assert not got.is_subaction
+                assert lifted.edge_word(ks[0]) in got.tight_words
+                beside += 1
+        assert beside > 300
+
+    def test_no_graph_at_the_depth_is_built(self, e2_bundle, monkeypatch):
+        orders = []
+        line_graph = DeBruijnGraph.line_graph
+        monkeypatch.setattr(DeBruijnGraph, "line_graph",
+                            lambda g: orders.append(g.order + 1) or line_graph(g))
+        sub, cert = separating_subaction(e2_bundle.crit, 6)
+        assert cert.ok and verify(sub, e2_bundle.crit).separating_certificate
+        assert orders and max(orders) == 5
+        orders.clear()
+        assert lift_critical(e2_bundle.crit, 6)[0].order == 6
+        assert orders == [2, 3, 4, 5, 6]
+
+    def test_budget_is_checked_before_any_graph_is_built(self, e2_bundle, monkeypatch):
+        built = []
+        monkeypatch.setattr(DeBruijnGraph, "line_graph", lambda g: built.append(g))
+        crit, words = e2_bundle.crit, 3 ** 6
+        u = SubAction(6, (Fraction(0),) * words, "user-supplied")
+        for refuse in (lambda: separating_subaction(crit, 6, node_budget=words - 1),
+                       lambda: verify(u, crit, node_budget=words - 1),
+                       lambda: lift_critical(crit, 6, words - 1)):
+            with pytest.raises(BudgetExceeded, match=f"node budget of {words - 1}"):
+                refuse()
+        assert built == []
+
+    def test_a_wrong_value_count_is_refused(self, e2_bundle):
+        for depth in (2, 4):
+            n = 3 ** depth
+            for count in (n - 1, n + 1):
+                u = SubAction(depth, (Fraction(0),) * count, "user-supplied")
+                with pytest.raises(IncompatibleOrder,
+                                   match=f"expected {n} node values, got {count}"):
+                    verify(u, e2_bundle.crit)
 
 
 class TestConvexCombination:
