@@ -58,16 +58,19 @@ class TestAdmissibleWords:
 class TestTable:
     # each key is checked for its length, its admissibility and a repeat
     # as it comes, so each of those is reported before the missing words
-    @pytest.mark.parametrize("m, entries, message", [
-        (2, {(0, 0): 0, (0,): 1}, "table word (0,) does not have length 2"),
-        (2, {(0, 0): 0, (1, 1): 1}, "table word (1, 1) is not admissible"),
-        (2, {"01": 0, (0, 1): 1}, "duplicate table word (0, 1)"),
-        (2, [((0, 1), 0), ((0, 1), 1)], "duplicate table word (0, 1)"),
-        (1, {"2": 0}, "table word (2,) is not admissible"),
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 0): 0, (0,): 1}, "table word (0,) does not have length 2"),
+        ({(0, 0): 0, (1, 1): 1}, "table word (1, 1) is not admissible"),
+        ({"01": 0, (0, 1): 1}, "duplicate table word (0, 1)"),
+        ([((0, 1), 0), ((0, 1), 1)], "duplicate table word (0, 1)"),
     ])
-    def test_each_key_is_refused_before_a_missing_word(self, m, entries, message):
+    def test_each_key_is_refused_before_a_missing_word(self, entries, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            build_one_sided(GOLDEN, m, entries)
+            build_one_sided(GOLDEN, 2, entries)
+
+    def test_one_symbol_outside_the_alphabet_is_not_admissible(self):
+        with pytest.raises(ValueError, match=r"^table word \(2,\) is not admissible$"):
+            build_one_sided(GOLDEN, 1, {"2": 0})
 
     def test_missing_word_is_reported_last(self):
         with pytest.raises(ValueError, match=r"^table is missing admissible words of "
