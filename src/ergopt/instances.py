@@ -219,7 +219,9 @@ def load_instance(path) -> Instance:
         raise InstanceFormatError(f"cannot read instance file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return parse_instance(data)
 

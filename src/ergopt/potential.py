@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import IncompatibleOrder, NotASubAction
 from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
                        lift_to, refine)
-from .tropical import CriticalStructure, _slacks
+from .tropical import CriticalStructure, _scaled_costs
 
 
 def _table(sft: SftSystem, length: int,
@@ -155,14 +155,14 @@ def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
         raise IncompatibleOrder(
             f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
-    big, slacks = _slacks(u.values, graph, crit.weights, crit.abar, range(graph.n_edges))
+    big, values, costs = _scaled_costs(u.values, graph.n_nodes, crit.weights, crit.abar)
+    slacks = [c - values[h] + values[t] for c, t, h in zip(costs, graph.tails, graph.heads)]
     words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)
     table: dict[Word, Fraction] = {}
     for word, s in zip(words, slacks):
         if s < 0:
-            raise NotASubAction(
-                f"edge {word} has negative normalized weight {Fraction(s, big)}"
-            )
+            raise NotASubAction(f"edge {word} has negative normalized weight "
+                                f"{Fraction(s, big)}")
         table[word] = Fraction(s, big)
     return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
 

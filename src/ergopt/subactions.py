@@ -6,6 +6,7 @@ contact loci, convex combinations, and the u - v gap analysis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .tropical import (
     CriticalStructure,
     _path_minima,
     _scaled_costs,
-    _slacks,
     _unscale,
     calibrated_fixed_point,
 )
@@ -123,17 +123,18 @@ def lift_critical(crit: CriticalStructure, depth: int,
     with (`base`). No weight is lifted: edge k weighs
     `crit.weights[edge_base[k]]`.
 
-    Above the graph order this is `_parent_lift`, which counts the
-    depth-words against `node_budget` before any step, and one more
-    line step. A lifted node is an edge one order down, so it keeps that
-    edge's component and its tail's base node, and a lifted edge, starting with
-    its tail, keeps its tail's base edge. A lifted edge joins two
-    consecutive edges one order down and lies in component c when both
-    do, that is, when every base window of its word is a critical edge
-    of c. Only critical words have a component, so they are carried as
-    (edge, component) pairs: each step marks the lifted nodes from the
-    pairs and keeps the out-edges of a marked node whose head has its
-    component.
+    At the graph order `_lift` runs on this. Above it, this is
+    `_parent_lift`, which counts the depth-words against `node_budget`
+    before any step, and one more line step, the explicit lift that the
+    tests check `_NodeLift` against. A lifted node is an edge one order
+    down, so it keeps that edge's component and its tail's base node,
+    and a lifted edge, starting with its tail, keeps its tail's base
+    edge. A lifted edge joins two consecutive edges one order down and
+    lies in component c when both do, that is, when every base window of
+    its word is a critical edge of c. Only critical words have a
+    component, so they are carried as (edge, component) pairs: each step
+    marks the lifted nodes from the pairs and keeps the out-edges of a
+    marked node whose head has its component.
     """
     graph = crit.graph
     if depth < graph.order:
@@ -147,14 +148,6 @@ def lift_critical(crit: CriticalStructure, depth: int,
     return graph, edge_base, tuple(nodes), tuple(_placed(critical, graph.n_edges)), base
 
 
-def _calibrated(slacks: Sequence[int], graph) -> bool:
-    """Given slacks >= 0, whether u is a Lax-Oleinik fixed point: (Lu)(j)
-    is u(j) plus the least slack into j, so Lu = u exactly when every
-    node is the head of a zero-slack edge, a backward step in the
-    contact locus."""
-    return len({h for s, h in zip(slacks, graph.heads) if s == 0}) == graph.n_nodes
-
-
 class _Lift:
     """A sub-action on the lift of the system of `crit` to `depth`, as
     ints over one denominator `big`: its `values` at the lifted nodes and
@@ -166,7 +159,9 @@ class _Lift:
     `scan` gives whether no slack is negative and the tight edges in
     lifted edge order; `members`, at that scan, the number of a
     separating pass's perturbations and their signed sum at each lifted
-    node. `_EdgeLift` and `_NodeLift` hold the slacks two ways.
+    node; `negative`, the first edge of negative slack and that slack;
+    `edge_indices`, tight edges as numbered in `lift_critical`'s lift.
+    `_EdgeLift` and `_NodeLift` hold the slacks two ways.
     """
 
     def __init__(self, crit: CriticalStructure, depth: int, nodes, base, cost_base):
@@ -178,6 +173,15 @@ class _Lift:
         """Values at the lifted nodes and costs per base edge, over big."""
         self.big, self.values = big, values
         self.costs = list(map(costs.__getitem__, self.cost_base))
+
+    def read(self, values: Sequence[Fraction]) -> tuple[bool, bool, list]:
+        """Load node values at the depth and scan them: whether they are a
+        sub-action, whether calibrated, and the tight edges. A sub-action
+        is a Lax-Oleinik fixed point exactly when every lifted node is the
+        head of a tight edge, as (Lu)(j) is u(j) plus the least slack into j."""
+        self.load(*_scaled_costs(values, len(self.base), self.crit.weights, self.crit.abar))
+        is_sub, tight = self.scan()
+        return is_sub, is_sub and len(self.tight_heads(tight)) == len(self.base), tight
 
     def spell(self, tight) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
         """The words of the tight edges, and those of them that lie in no
@@ -222,6 +226,12 @@ class _EdgeLift(_Lift):
     def residual(self, tight: list[int]) -> list[int]:
         return [k for k in tight if self.edge_comp[k] is None]
 
+    def negative(self) -> tuple[int, int]:
+        return next((k, s) for k, s in enumerate(self.slacks) if s < 0)
+
+    def edge_indices(self, tight: list[int]) -> list[int]:
+        return tight
+
     def words(self, tight: list[int]) -> tuple[Word, ...]:
         return tuple(map(self.graph.edge_word, tight))
 
@@ -262,7 +272,9 @@ class _NodeLift(_Lift):
     edge, so all of them cost W[V] = `costs[V]` and V -> X has the slack
     W[V] + u(V) - u(X). A tight edge is the pair (V, X), and it is
     critical when V and X lie in one component; `critical` holds the
-    critical lifted nodes as (node, component) pairs."""
+    critical lifted nodes as (node, component) pairs. The explicit lift
+    numbers its edges by tail, so (V, X) is its edge start[V] + X -
+    out[heads[V]].start, with start the running sum of the block sizes."""
 
     def __init__(self, crit: CriticalStructure, parent_lift):
         self.parent, edge_base, self.critical, base = parent_lift
@@ -288,6 +300,16 @@ class _NodeLift(_Lift):
     def residual(self, tight: list[tuple[int, int]]) -> list[tuple[int, int]]:
         nodes = self.nodes
         return [(v, x) for v, x in tight if nodes[v] is None or nodes[v] != nodes[x]]
+
+    def negative(self) -> tuple[tuple[int, int], int]:
+        u, costs, out, heads = self.values, self.costs, self.parent.out_edges, self.parent.heads
+        return next(((v, x), s) for v in range(len(u)) for x in out[heads[v]]
+                    if (s := costs[v] + u[v] - u[x]) < 0)
+
+    def edge_indices(self, tight: list[tuple[int, int]]) -> list[int]:
+        out, heads = self.parent.out_edges, self.parent.heads
+        start = list(itertools.accumulate((len(out[h]) for h in heads), initial=0))
+        return [start[v] + x - out[heads[v]].start for v, x in tight]
 
     def words(self, tight: list[tuple[int, int]]) -> tuple[Word, ...]:
         parent = self.parent
@@ -347,7 +369,7 @@ class _NodeLift(_Lift):
 
 
 def _lift(crit: CriticalStructure, depth: int, node_budget: int) -> _Lift:
-    """The lift `verify` and `separating_subaction` run on: above the
+    """The lift every sub-action function runs on: above the
     graph order, held by the graph one order below (`_NodeLift`); at it,
     the graph itself (`_EdgeLift`)."""
     if depth > crit.graph.order:
@@ -404,38 +426,30 @@ def dominant_calibrated(i0: int, u_i0, crit: CriticalStructure) -> SubAction:
 def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
     """Edges of the graph of `crit`, lifted to u's depth (at least the
     graph order), where the sub-action inequality is an equality."""
-    lifted, edge_base, _, _, _ = lift_critical(crit, u.depth)
-    big, slacks = _slacks(u.values, lifted, crit.weights, crit.abar, edge_base)
-    for k, s in enumerate(slacks):
-        if s < 0:
-            raise NotASubAction(
-                f"edge {lifted.edge_word(k)} has negative slack {Fraction(s, big)}"
-            )
-    tight = tuple(k for k, s in enumerate(slacks) if s == 0)
-    return ContactSet(u.depth, tight, tuple(map(lifted.edge_word, tight)))
+    lift = _lift(crit, u.depth, DEFAULT_NODE_BUDGET)
+    is_sub, _, tight = lift.read(u.values)
+    if not is_sub:
+        edge, slack = lift.negative()
+        raise NotASubAction(f"edge {lift.words([edge])[0]} has negative slack "
+                            f"{Fraction(slack, lift.big)}")
+    return ContactSet(u.depth, tuple(lift.edge_indices(tight)), lift.words(tight))
 
 
 def verify(u: SubAction, crit: CriticalStructure,
            node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
     """Check the four defining predicates of u against the system of `crit`.
 
-    Its graph is lifted to u's depth, refused past `node_budget`
-    nodes; otherwise nothing raises, the verdicts just report. Only u's
-    values are scaled at depth, never the lifted weights, and above the
-    graph order no lifted graph is built (`_NodeLift`).
+    Its graph is lifted to u's depth (ValueError below the graph order,
+    BudgetExceeded past `node_budget` nodes), and a value count other
+    than the lifted nodes' raises IncompatibleOrder; past that the
+    verdicts just report. No lifted graph is built above the graph order.
     """
     return _verdict(_lift(crit, u.depth, node_budget), u.values)
 
 
 def _verdict(lift: _Lift, values: Sequence[Fraction]) -> Verdict:
-    """`verify` of the node values on `lift`. u is calibrated exactly
-    when it is a sub-action and every lifted node is the head of a tight
-    edge; on `_NodeLift` that is every out-block flat at its top, and
-    that top the least W + u over the in-edges of the block's node."""
-    crit = lift.crit
-    lift.load(*_scaled_costs(values, len(lift.base), crit.weights, crit.abar))
-    is_sub, tight = lift.scan()
-    is_cal = is_sub and len(lift.tight_heads(tight)) == len(lift.base)
+    """`verify` of the node values on `lift`."""
+    is_sub, is_cal, tight = lift.read(values)
     words, noncritical = lift.spell(tight)
     return Verdict(is_sub, is_cal, is_sub and not noncritical, lift.contained(),
                    words, noncritical)
@@ -526,19 +540,19 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     """
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
-    lifted, edge_base, node_comp, _, _ = lift_critical(crit, u.depth)
-    slacks: dict[str, list[int]] = {}
-    for name, sub in (("u", u), ("v", v)):
-        _, slacks[name] = _slacks(sub.values, lifted, crit.weights, crit.abar, edge_base)
-        if any(s < 0 for s in slacks[name]):
-            raise NotASubAction(f"{name} violates the sub-action inequality")
-    if not _calibrated(slacks["u"], lifted):
+    lift = _lift(crit, u.depth, DEFAULT_NODE_BUDGET)
+    is_sub, is_cal, _ = lift.read(u.values)
+    if not is_sub:
+        raise NotASubAction("u violates the sub-action inequality")
+    if not lift.read(v.values)[0]:
+        raise NotASubAction("v violates the sub-action inequality")
+    if not is_cal:
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
 
     diff = [a - b for a, b in zip(u.values, v.values)]
     constants = []
     for c in range(len(crit.components)):
-        vals = {d for d, k in zip(diff, node_comp) if k == c}
+        vals = {d for d, k in zip(diff, lift.nodes) if k == c}
         if len(vals) != 1:
             raise InternalError(f"u - v is not one constant on component {c}")
         constants.append(vals.pop())

@@ -143,20 +143,6 @@ def _scaled_costs(values, n_nodes: int, weights, abar) -> tuple[int, list[int], 
     return big, scaled[:n], [w - shift for w in scaled[n:]]
 
 
-def _slacks(values, graph, weights, abar, edge_map) -> tuple[int, list[int]]:
-    """L and the integer slacks (w - abar - u(head) + u(tail)) * L of the
-    edges of `graph`, for node values u and edge k weighted as the base
-    edge `edge_map[k]`: range(n_edges) on the graph that `weights` is
-    over, or a lift's `edge_base` (see `subactions.lift_critical`).
-
-    w - abar is scaled once per base edge and read through the map, so a
-    lift scales only its node values (see `_scaled_costs`).
-    """
-    big, u, costs = _scaled_costs(values, graph.n_nodes, weights, abar)
-    return big, [c - u[head] + u[tail] for c, tail, head
-                 in zip(map(costs.__getitem__, edge_map), graph.tails, graph.heads)]
-
-
 def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
     """Integer rows over big as Fraction rows; each distinct value is
     converted once."""

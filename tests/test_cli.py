@@ -804,6 +804,31 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,  # past the interpreter's recursion limit
+        '{"alphabet_size": ' + "7" * 5000 + "}",  # past its integer digit limit
+    ], ids=["nested", "long-integer"])
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["barrier"], ["calibrate"], ["separate", "--depth", "2"],
+        ["verify", "--subaction", "u.csv"], ["oracle"], ["info"],
+    ])
+    def test_json_past_the_parser_limits_exits_2(self, tmp_path, capsys, command, text):
+        # a RecursionError had ended in a traceback with exit 1, and the
+        # digit limit's ValueError had exited 3
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        name, *rest = command
+        assert main([name, "--instance", str(path), *rest]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_json_ends_without_a_traceback(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        res = run_cli("solve", "--instance", str(path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid JSON: ") and res.stderr.count("\n") == 1
+
     def test_float_entry(self, tmp_path):
         path = tmp_path / "x.json"
         data = {

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance, solve_potential
 from ergopt.potential import build_one_sided, normalize
 from ergopt.subactions import (
+    ContactSet,
+    GapReport,
     SubAction,
     _EdgeLift,
     _separate,
@@ -179,7 +182,7 @@ class TestContactLocus:
 
 @pytest.mark.parametrize("check", ["verify", "contact_locus", "gap_analysis", "normalize"])
 def test_one_value_short_is_refused(e2_bundle, check):
-    # one shape check, in the slack helper, serves every sub-action check
+    # one shape check, in `_scaled_costs`, serves every sub-action check
     u = fixed_sub(e2_bundle)
     short = SubAction(u.depth, u.values[:-1], "user-supplied")
     calls = {
@@ -467,13 +470,13 @@ class TestLiftCritical:
             lift_critical(crit, 1)
 
 
-def parity_cases(corpus_bundles, cap=300):
+def parity_cases(corpus_bundles, cap=300, lowest=1):
     """(bundle, depth) for AC-5's corpus and the instance files at depths
-    order+1 to order+3, while the lift has at most `cap` nodes."""
+    order+`lowest` to order+3, while the lift has at most `cap` nodes."""
     files = [solve_instance(load_instance(path))
              for path in sorted(INSTANCE_DIR.glob("*.json"))]
     for b in [*corpus_bundles, *files]:
-        for depth in range(b.graph.order + 1, b.graph.order + 4):
+        for depth in range(b.graph.order + lowest, b.graph.order + 4):
             if count_words(b.graph.sft, depth, cap) > cap:
                 break
             yield b, depth
@@ -531,16 +534,20 @@ class TestParentHeldLift:
         assert beside > 300
 
     def test_no_graph_at_the_depth_is_built(self, e2_bundle, monkeypatch):
-        orders = []
+        crit, orders = e2_bundle.crit, []
         line_graph = DeBruijnGraph.line_graph
         monkeypatch.setattr(DeBruijnGraph, "line_graph",
                             lambda g: orders.append(g.order + 1) or line_graph(g))
-        sub, cert = separating_subaction(e2_bundle.crit, 6)
-        assert cert.ok and verify(sub, e2_bundle.crit).separating_certificate
-        assert orders and max(orders) == 5
+        lifted, _, _, _, base = lift_critical(crit, 6)
+        assert lifted.order == 6 and orders == [2, 3, 4, 5, 6]
         orders.clear()
-        assert lift_critical(e2_bundle.crit, 6)[0].order == 6
-        assert orders == [2, 3, 4, 5, 6]
+        fixed = SubAction(6, tuple(e2_bundle.fixed_point[v] for v in base), "user-supplied")
+        sub, cert = separating_subaction(crit, 6)
+        assert cert.ok and verify(sub, crit).separating_certificate
+        assert contact_locus(sub, crit).tight_words == cert.tight_words
+        report = gap_analysis(fixed, sub, crit)
+        assert report.min_on_critical == report.minimum
+        assert orders and max(orders) == 5
 
     def test_budget_is_checked_before_any_graph_is_built(self, e2_bundle, monkeypatch):
         built = []
@@ -562,6 +569,120 @@ class TestParentHeldLift:
                 with pytest.raises(IncompatibleOrder,
                                    match=f"expected {n} node values, got {count}"):
                     verify(u, e2_bundle.crit)
+
+
+def outcome(call, *args):
+    """What `call` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except (ValueError, NotASubAction, NotCalibrated) as exc:
+        return type(exc), str(exc)
+
+
+def reference_slacks(crit, explicit):
+    """u -> the slack of each edge of `explicit`, `lift_critical`'s lift
+    to u's depth, in Fractions; each u's slacks are computed once."""
+    lifted, edge_base, _, _, _ = explicit
+    costs = [w - crit.abar for w in crit.weights]
+
+    @functools.cache
+    def slacks(u):
+        if len(u.values) != lifted.n_nodes:
+            raise IncompatibleOrder(
+                f"expected {lifted.n_nodes} node values, got {len(u.values)}")
+        x = u.values
+        return [costs[e] - x[h] + x[t] for e, t, h in zip(edge_base, lifted.tails, lifted.heads)]
+    return slacks
+
+
+def reference_contact(u, explicit, slacks):
+    """`contact_locus`, slack by slack on `lift_critical`'s lift."""
+    lifted = explicit[0]
+    for k, s in enumerate(slacks(u)):
+        if s < 0:
+            raise NotASubAction(f"edge {lifted.edge_word(k)} has negative slack {s}")
+    tight = tuple(k for k, s in enumerate(slacks(u)) if s == 0)
+    return ContactSet(u.depth, tight, tuple(map(lifted.edge_word, tight)))
+
+
+def reference_gap(u, v, crit, explicit, slacks):
+    """`gap_analysis`, slack by slack on `lift_critical`'s lift: u is
+    calibrated when every lifted node is the head of a zero-slack edge."""
+    if u.depth != v.depth:
+        raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
+    lifted, nodes = explicit[0], explicit[2]
+    for name, sub in (("u", u), ("v", v)):
+        if min(slacks(sub)) < 0:
+            raise NotASubAction(f"{name} violates the sub-action inequality")
+    if {h for s, h in zip(slacks(u), lifted.heads) if s == 0} != set(range(lifted.n_nodes)):
+        raise NotCalibrated("u is not a fixed point of the one-step minimum")
+    diff = [a - b for a, b in zip(u.values, v.values)]
+    constants = tuple(min(d for d, c in zip(diff, nodes) if c == i)
+                      for i in range(len(crit.components)))
+    minimum = min(diff)
+    return GapReport(constants, minimum, tuple(n for n, d in enumerate(diff) if d == minimum),
+                     min(constants), constants.index(min(constants)))
+
+
+class TestOneSlackReader:
+    """`contact_locus` and `gap_analysis` run on the lift `verify` and
+    `separating_subaction` use; slack by slack on the explicit lift of
+    `lift_critical` is their reference."""
+
+    def test_matches_the_explicit_lift(self, corpus_bundles):
+        rng = random.Random(83)
+        kinds, cases = set(), 0
+        for b, depth in parity_cases(corpus_bundles, lowest=0):
+            crit = b.crit
+            explicit = lift_critical(crit, depth)
+            lifted, edge_base, _, _, base = explicit
+            slacks = reference_slacks(crit, explicit)
+            fixed = SubAction(depth, tuple(b.fixed_point[v] for v in base), "user-supplied")
+            sep, _ = separating_subaction(crit, depth)
+            nudged = tuple(x + rng.choice((0, 0, 0, Fraction(1, 2), -1)) for x in sep.values)
+            subs = [fixed, sep, SubAction(depth, nudged, "user-supplied")]
+            # a zero-slack edge V -> x beside a negative one V -> y in V's
+            # out-block, the first negative edge in lifted edge order
+            for v in range(lifted.n_nodes):
+                ks = [k for k in lifted.out_edges[v] if lifted.heads[k] != v]
+                if len(ks) >= 2:
+                    x, y = lifted.heads[ks[0]], lifted.heads[ks[1]]
+                    values = list(fixed.values)
+                    values[x] = values[v] + crit.weights[edge_base[ks[0]]] - crit.abar
+                    values[y] = values[x] + 1
+                    subs.append(SubAction(depth, tuple(values), "user-supplied"))
+                    break
+            for u in subs:
+                got = outcome(contact_locus, u, crit)
+                assert got == outcome(reference_contact, u, explicit, slacks)
+                kinds.add(type(got) if isinstance(got, ContactSet) else got[0])
+                for pair in ((fixed, u), (u, fixed), (u, u)):
+                    got = outcome(gap_analysis, *pair, crit)
+                    assert got == outcome(reference_gap, *pair, crit, explicit, slacks)
+                    kinds.add(type(got) if isinstance(got, GapReport) else got[0])
+            cases += 1
+        assert cases > 500
+        assert kinds == {ContactSet, GapReport, NotASubAction, NotCalibrated}
+
+    def test_wrong_value_counts_match_the_explicit_lift(self, e2_bundle):
+        crit = e2_bundle.crit
+        for depth in (1, 2, 4):
+            explicit = lift_critical(crit, depth)
+            slacks = reference_slacks(crit, explicit)
+            good = SubAction(depth, (Fraction(0),) * 3 ** depth, "user-supplied")
+            short = SubAction(depth, (Fraction(0),) * (3 ** depth - 1), "user-supplied")
+            for call, ref in (
+                    (lambda: contact_locus(short, crit),
+                     lambda: reference_contact(short, explicit, slacks)),
+                    (lambda: gap_analysis(short, good, crit),
+                     lambda: reference_gap(short, good, crit, explicit, slacks)),
+                    (lambda: gap_analysis(good, short, crit),
+                     lambda: reference_gap(good, short, crit, explicit, slacks))):
+                with pytest.raises(IncompatibleOrder) as got:
+                    call()
+                with pytest.raises(IncompatibleOrder) as want:
+                    ref()
+                assert str(got.value) == str(want.value)
 
 
 class TestConvexCombination:
