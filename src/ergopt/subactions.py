@@ -544,25 +544,32 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     is_sub, is_cal, _ = lift.read(u.values)
     if not is_sub:
         raise NotASubAction("u violates the sub-action inequality")
+    u_big, u_ints = lift.big, lift.values
     if not lift.read(v.values)[0]:
         raise NotASubAction("v violates the sub-action inequality")
     if not is_cal:
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
 
-    diff = [a - b for a, b in zip(u.values, v.values)]
+    # u - v as ints over the lcm of the two denominators the reads chose
+    big = math.lcm(u_big, lift.big)
+    a, b = big // u_big, big // lift.big
+    diff = [a * x - b * y for x, y in zip(u_ints, lift.values)]
+    seen: list[set[int]] = [set() for _ in crit.components]
+    for d, c in zip(diff, lift.nodes):
+        if c is not None:
+            seen[c].add(d)
     constants = []
-    for c in range(len(crit.components)):
-        vals = {d for d, k in zip(diff, lift.nodes) if k == c}
+    for c, vals in enumerate(seen):
         if len(vals) != 1:
             raise InternalError(f"u - v is not one constant on component {c}")
         constants.append(vals.pop())
     minimum = min(diff)
     argmin = tuple(n for n, d in enumerate(diff) if d == minimum)
-    min_critical = min(constants)
-    if min_critical != minimum:
+    if min(constants) != minimum:
         raise InternalError("minimum of u - v is not attained on a critical word")
-    attained = next(c for c, const in enumerate(constants) if const == minimum)
-    return GapReport(tuple(constants), minimum, argmin, min_critical, attained)
+    attained = constants.index(minimum)
+    low = Fraction(minimum, big)
+    return GapReport(tuple(Fraction(c, big) for c in constants), low, argmin, low, attained)
 
 
 def convex_combination(subactions: Sequence[SubAction],

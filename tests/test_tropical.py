@@ -17,6 +17,8 @@ from ergopt.potential import build_one_sided, compile_weights
 from ergopt.subactions import calibrated_from_boundary
 from ergopt.symbolic import build_sft, refine
 from ergopt.tropical import (
+    _dense_path_minima,
+    _feedback_plan,
     _path_minima,
     _scale,
     calibrated_fixed_point,
@@ -420,13 +422,38 @@ class TestIntegerKernel:
                     assert b.h[i][j] == min(table[k][j] for k in range(start, stop + 1))
 
 
+class TestFeedbackRows:
+    @pytest.mark.parametrize("matrix, order", [
+        ([[1, 1], [1, 1]], 7), ([[1, 1, 1]] * 3, 4), ([[1, 1], [1, 0]], 10)],
+        ids=["full2-7", "full3-4", "golden-10"])
+    def test_dense_phi_is_the_per_source_rows(self, matrix, order):
+        # past the oracle's 10 nodes: full-2 (128 nodes), full-3 (81) and
+        # golden-mean (144) systems with weights in thirds, solved; the
+        # dense phi searches from under a third of the nodes and relays
+        # the other rows, and must equal one search per node
+        graph = refine(build_sft(len(matrix), matrix, HALF), order)
+        n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
+        rng = random.Random(order)
+        weights = [Fraction(rng.randint(0, 8), rng.choice((1, 3))) for _ in range(graph.n_edges)]
+        abar = critical_structure(graph, weights).abar
+        big, costs = _scale(weights, abar)
+        per_source = tuple(tuple(_path_minima(costs, out[i], out, heads, n)) for i in range(n))
+        assert mane_matrix(graph, weights, abar, range(n), scaled=True) == (big, per_source)
+        assert len(_feedback_plan(out, heads, n)[0]) < n // 3
+
+
 @st.composite
-def weighted_multigraphs(draw):
+def weighted_multigraphs(draw, spanning=False):
     """A SimpleDigraph of 1-10 nodes with any arcs, loops and parallel
-    arcs included, and integer arc costs from -2 to 3."""
+    arcs included, and integer arc costs from -2 to 3. Spanning, it also
+    has a cycle through every node in a drawn order, so it is strongly
+    connected."""
     n = draw(st.integers(1, 10))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if spanning:
+        order = draw(st.permutations(range(n)))
+        pairs += [(order[i - 1], order[i]) for i in range(n)]
     costs = draw(st.lists(st.integers(-2, 3), min_size=len(pairs), max_size=len(pairs)))
     return SimpleDigraph(n, pairs), costs
 
@@ -476,3 +503,35 @@ class TestPathMinima:
                     _path_minima(costs, first, out, ends, n)
             else:
                 assert _path_minima(costs, first, out, ends, n) == want
+
+    @given(weighted_multigraphs() | weighted_multigraphs(spanning=True))
+    @settings(max_examples=300)
+    @example((SimpleDigraph(*NOT_STRONGLY_CONNECTED["dead_end"]), [1, 1, 1]))
+    @example((SimpleDigraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 0)]), [1, 1, -1, 0, 1]))
+    @example((SimpleDigraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)]), [2, 1, 3, 0]))
+    def test_dense_rows_are_walk_minima(self, drawn):
+        # every row at once, as the searches from nodes 0, 1, ... in turn
+        # give them: the first row that reaches a negative cycle or misses
+        # a node decides the error. Node 2 of the dead end has no out-arc;
+        # node 0 misses the negative loop 2 <-> 3 that a search from the
+        # feedback set runs into, so the graph is not strongly connected
+        g, costs = drawn
+        n = g.n_nodes
+        arcs = list(zip(g.tails, g.heads))
+        closed = [walk_minima(n, arcs, costs, g.out_edges[x])[x] for x in range(n)]
+        negative = {x for x, c in enumerate(closed) if c is not None and c < 0}
+        want, error = [], None
+        for v in range(n):
+            row = walk_minima(n, arcs, costs, g.out_edges[v])
+            if negative & {x for x, d in enumerate(row) if d is not None}:
+                error = "negative cycle"
+            elif None in row:
+                error = "not strongly connected"
+            if error:
+                break
+            want.append(row)
+        if error:
+            with pytest.raises(ValueError, match=error):
+                _dense_path_minima(costs, g.out_edges, g.heads, n)
+        else:
+            assert _dense_path_minima(costs, g.out_edges, g.heads, n) == want
