@@ -369,10 +369,16 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
 
     Exact way: every edge of x's itinerary (preperiod, junction, cycle)
     is critical and all lie in one component. Search way: for each
-    epsilon = lambda^p, p = 1..4, hunt for a k <= search_budget and a
-    path from x's cylinder back to itself with |normalized sum| below
-    epsilon, enumerating achievable sums exactly. The search reads the
-    potential as given, enumerating a two-sided table's pasts itself.
+    epsilon = lambda^p, p = 1..P, hunt for a k <= search_budget and a
+    path from x's cylinder of length p back to itself with |normalized
+    sum| below epsilon, enumerating achievable sums exactly. P is the
+    larger of 4 and the symbols x's itinerary edges span (preperiod plus
+    cycle plus graph order): a shorter cylinder misses an edge of x, and
+    a return along a critical cycle through the others passes. A finer
+    cylinder returns only where a coarser one does, so every p after the
+    first without a return is recorded as None unsearched. The search
+    reads the potential as given, enumerating a two-sided table's pasts
+    itself.
     """
     crit, sft = bundle.crit, bundle.sft
     if not x.admissible(sft):
@@ -398,10 +404,12 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
     window, table = _step_table(bundle.potential)
     scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
     found: list[tuple[int, int | None]] = []
-    for p in range(1, 5):
+    for p in range(1, max(5, pre + cyc + r + 1)):
         bound = sft.lam**p * scale  # |sum| < eps, in units of 1/L
         hit: int | None = None
         k_cap = min(search_budget, SYMBOL_BUDGET - p - window)
+        if found and found[-1][1] is None:
+            k_cap = 0  # a finer cylinder returns only where a coarser one does
         for k in range(1, k_cap + 1):
             pins = _pins(x, x, k, p)
             if pins is None:

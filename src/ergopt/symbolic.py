@@ -30,58 +30,52 @@ MAX_WORD_LENGTH = 1024
 
 
 def strongly_connected_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.
+    """Kosaraju's algorithm, iterative: a depth-first search records the
+    order in which nodes finish, then, last finished first, a search
+    over the reversed arcs collects each unplaced node's component.
 
-    Returns the components in reverse topological order (a component is
-    emitted only after everything reachable from it), each sorted
+    Returns the components in reverse topological order (a component
+    comes only after everything reachable from it), each sorted
     ascending. Singletons without a self-loop are included; callers that
     only want cyclic components filter afterwards.
     """
     n = len(successors)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(successors[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            succ = successors[v]
-            while ei < len(succ):
-                w = succ[ei]
-                ei += 1
-                if index[w] < 0:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    descended = True
+            v, succ = work[-1]
+            for w in succ:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(successors[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
+            else:
+                work.pop()
+                finished.append(v)
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for v, ws in enumerate(successors):
+        for w in ws:
+            predecessors[w].append(v)
+    placed = [False] * n
+    components: list[list[int]] = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp = [root]
+        for v in comp:  # the list grows while it is walked
+            for t in predecessors[v]:
+                if not placed[t]:
+                    placed[t] = True
+                    comp.append(t)
+        comp.sort()
+        components.append(comp)
+    components.reverse()
     return components
 
 

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ergopt.instances import load_instance, random_instance, random_two_sided
+from ergopt.errors import ErgoptError
+from ergopt.instances import Instance, load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance
-from ergopt.symbolic import Edge, LassoPoint, build_sft
+from ergopt.potential import build_one_sided
+from ergopt.symbolic import Edge, LassoPoint, admissible_words, build_sft
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -19,6 +21,7 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 CORPUS_SEED = 20260815
 N_ONE_SIDED = 200
 N_TWO_SIDED = 50
+N_TIE_HEAVY = 300
 
 # Weights on the nine edges 00, 01, ..., 22 of the e2 graph. The solver
 # kernels and the oracle's walk tables run on integers over one common
@@ -56,6 +59,37 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_bundles(corpus):
     return [solve_instance(inst) for inst in corpus]
+
+
+def tie_heavy_instance(rng: random.Random) -> Instance:
+    """Irreducible system on 2-4 symbols (transitions drawn as in
+    `random_instance`), range 2 or 3 (2 on 4 symbols), and weights
+    0..top with top 1, 2 or 4: few distinct weights make ties, so many
+    systems have two or more critical components."""
+    while True:
+        size = rng.choice((2, 3, 4))
+        matrix = [[int(rng.random() < 0.6) for _ in range(size)] for _ in range(size)]
+        try:
+            sft = build_sft(size, matrix, Fraction(1, 2))
+            break
+        except ErgoptError:
+            continue
+    m = 2 if size == 4 else rng.choice((2, 3))
+    top = rng.choice((1, 2, 4))
+    entries = {w: Fraction(rng.randint(0, top)) for w in admissible_words(sft, m)}
+    return Instance(build_one_sided(sft, m, entries))
+
+
+@pytest.fixture(scope="session")
+def tie_heavy_bundles():
+    rng = random.Random(CORPUS_SEED + 2)
+    return [solve_instance(tie_heavy_instance(rng)) for _ in range(N_TIE_HEAVY)]
+
+
+@pytest.fixture(scope="session")
+def multi_component_bundles(tie_heavy_bundles):
+    """The tie-heavy systems with two or more critical components."""
+    return [b for b in tie_heavy_bundles if len(b.crit.components) >= 2]
 
 
 @pytest.fixture(scope="session")

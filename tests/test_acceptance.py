@@ -112,11 +112,12 @@ def test_ac2_oracle_equivalence(corpus, e1_bundle, e2_bundle):
           f"(square window alone misses {square_window_misses} entries)")
 
 
-def test_ac3_calibration(corpus_bundles, e1_bundle, e2_bundle, golden_bundle):
+def test_ac3_calibration(corpus_bundles, multi_component_bundles, e1_bundle, e2_bundle,
+                         golden_bundle):
     rng = random.Random(301)
     fixed_points = 0
     closures = 0
-    for b in list(corpus_bundles) + [e1_bundle, e2_bundle, golden_bundle]:
+    for b in [*corpus_bundles, *multi_component_bundles, e1_bundle, e2_bundle, golden_bundle]:
         candidates = [
             calibrated_from_boundary(spanned_boundary(b, rng), b.crit).values,
             b.fixed_point,
@@ -137,10 +138,10 @@ def test_ac3_calibration(corpus_bundles, e1_bundle, e2_bundle, golden_bundle):
           f"fixed points; boundary restriction rebuilt all {closures}")
 
 
-def test_ac4_dominant(corpus_bundles, e2_bundle):
+def test_ac4_dominant(corpus_bundles, multi_component_bundles, e2_bundle):
+    assert len(multi_component_bundles) > 50, "the tie-heavy systems lost their components"
     multi = [b for b in list(corpus_bundles) + [e2_bundle]
-             if len(b.crit.components) >= 2]
-    assert multi, "corpus lost its multi-component instances"
+             if len(b.crit.components) >= 2] + multi_component_bundles
     checked = 0
     for b in multi:
         reps = b.crit.representatives
@@ -167,7 +168,7 @@ def test_ac4_dominant(corpus_bundles, e2_bundle):
           f"fixture vectors (0,1,1)/(1,1,0)")
 
 
-def test_ac5_separating(corpus_bundles, e1_bundle, e2_bundle):
+def test_ac5_separating(corpus_bundles, multi_component_bundles, e1_bundle, e2_bundle):
     for b, want in ((e1_bundle, {(0, 0, 0)}), (e2_bundle, {(0, 0, 0), (2, 2, 2)})):
         _, cert = separating_subaction(b.crit, 2)
         assert cert.ok
@@ -181,15 +182,52 @@ def test_ac5_separating(corpus_bundles, e1_bundle, e2_bundle):
         assert set(cert.tight_words) == critical_words_at(b, depth)
         v = verify(sub, b.crit)
         assert v.separating_certificate and v.critical_containment
+
+    # and every multi-component tie-heavy system, at its order and one above
+    for b in multi_component_bundles:
+        for depth in (b.graph.order, b.graph.order + 1):
+            sub, cert = separating_subaction(b.crit, depth)
+            assert cert.ok
+            assert set(cert.tight_words) == critical_words_at(b, depth)
+            assert verify(sub, b.crit).separating_certificate
     print(f"AC-5 PASS: certificates on {len(corpus_bundles)}/{len(corpus_bundles)} "
-          f"random systems, no budget failures, tight sets exactly the "
-          f"critical itineraries")
+          f"random systems and {len(multi_component_bundles)} multi-component "
+          f"tie-heavy systems at two depths, no budget failures, tight sets "
+          f"exactly the critical itineraries")
 
 
-def test_ac6_gap_analysis(corpus_bundles, e1_bundle, e2_bundle):
+def test_ac5_dense_genericity(corpus_bundles, tie_heavy_bundles):
+    # the separating sub-actions are dense: for s separating and any
+    # sub-action v, (1 - t) v + t s is separating for every rational t in
+    # (0, 1], since its tight set is the intersection of theirs and every
+    # sub-action is tight on the critical edges
+    rng = random.Random(551)
+    checked = 0
+    for b in [*corpus_bundles, *tie_heavy_bundles]:
+        crit = b.crit
+        sources = [b.fixed_point, calibrated_from_boundary(spanned_boundary(b, rng), crit).values]
+        sources += [dominant_calibrated(i, Fraction(rng.randint(-3, 3)), crit).values
+                    for i in range(len(crit.components))]
+        for depth in (b.graph.order, b.graph.order + 1):
+            s, cert = separating_subaction(crit, depth)
+            assert cert.ok
+            base = lift_critical(crit, depth)[4]
+            for u in sources:
+                v = SubAction(depth, tuple(u[x] for x in base), "user-supplied")
+                q = rng.randint(1, 10**6)
+                for t in (Fraction(rng.randint(1, q), q), Fraction(1, 10**9)):
+                    mixed = convex_combination([v, s], [1 - t, t])
+                    assert verify(mixed, crit).separating_certificate
+                    checked += 1
+    print(f"AC-5 PASS (dense genericity): {checked} combinations (1 - t) v + t s "
+          f"separating on {len(corpus_bundles) + len(tie_heavy_bundles)} systems "
+          f"at two depths")
+
+
+def test_ac6_gap_analysis(corpus_bundles, multi_component_bundles, e1_bundle, e2_bundle):
     rng = random.Random(601)
     pairs = 0
-    for b in corpus_bundles:
+    for b in [*corpus_bundles, *multi_component_bundles]:
         fixed = SubAction(b.graph.order, b.fixed_point, "user-supplied")
         calibrated = [
             fixed,
@@ -241,11 +279,12 @@ def test_ac7_holonomic(two_sided_corpus):
           f"{len(two_sided_corpus)} systems")
 
 
-def test_ac8_nonwandering(corpus_bundles, e1_bundle, e2_bundle, golden_bundle):
-    cases = [e1_bundle, e2_bundle, golden_bundle] + corpus_bundles[:50]
+def test_ac8_nonwandering(corpus_bundles, two_sided_bundles, e1_bundle, e2_bundle,
+                          golden_bundle):
+    cases = [e1_bundle, e2_bundle, golden_bundle, *corpus_bundles[:50], *two_sided_bundles]
     points = 0
     for b in cases:
-        for x in periodic_lassos(b.sft, 3):
+        for x in periodic_lassos(b.sft, 4):
             rep = is_nonwandering(x, b)
             assert rep.exact == rep.search
             points += 1

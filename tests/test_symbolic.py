@@ -210,23 +210,52 @@ class TestRefine:
         assert len(strongly_connected_components(succ)) == 1
 
 
+def check_components(succ, ours):
+    """`ours` are networkx's components of the digraph `succ`, each
+    sorted, listed so that every arc enters a component no later than
+    the one it leaves (reverse topological order)."""
+    n = len(succ)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((v, w) for v, ws in enumerate(succ) for w in ws)
+    expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    assert {frozenset(c) for c in ours} == expected
+    assert all(comp == sorted(comp) for comp in ours)
+    place = {v: i for i, comp in enumerate(ours) for v in comp}
+    assert all(place[w] <= place[v] for v, ws in enumerate(succ) for w in ws)
+
+
 class TestScc:
     @given(st.integers(2, 9), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                                        max_size=30))
     def test_matches_networkx(self, n, pairs):
-        pairs = [(a % n, b % n) for a, b in pairs]
         succ = [[] for _ in range(n)]
         for a, b in pairs:
-            succ[a].append(b)
+            succ[a % n].append(b % n)
+        check_components(succ, strongly_connected_components(succ))
+
+    def test_sparse_graph_with_many_components(self):
+        # 3000 nodes, each with 0-2 arcs to near neighbours and a few long
+        # arcs: hundreds of components of 2 nodes and more, and singletons
+        rng = random.Random(3000)
+        n = 3000
+        succ = [[min(n - 1, max(0, v + rng.randint(-6, 6))) for _ in range(rng.randint(0, 2))]
+                for v in range(n)]
+        for _ in range(40):
+            succ[rng.randrange(n)].append(rng.randrange(n))
         ours = strongly_connected_components(succ)
-        theirs = nx.strongly_connected_components(nx.DiGraph([(a, b) for a, b in pairs])
-                                                  if pairs else nx.DiGraph())
-        expected = {frozenset(c) for c in theirs}
-        expected |= {frozenset([v]) for v in range(n)
-                     if not any(v in c for c in expected)}
-        assert {frozenset(c) for c in ours} == expected
-        for comp in ours:
-            assert comp == sorted(comp)
+        assert sum(len(c) >= 2 for c in ours) > 100
+        check_components(succ, ours)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["cycle", "path"])
+    def test_long_cycle_and_path_do_not_recurse(self, closed):
+        # far past the interpreter's recursion limit: the finish-order
+        # search goes 100 000 deep on the path, the reversed-arc sweep on
+        # the cycle
+        n = 100_000
+        succ = [[v + 1] for v in range(n - 1)] + [[0] if closed else []]
+        ours = strongly_connected_components(succ)
+        assert ours == ([list(range(n))] if closed else [[v] for v in reversed(range(n))])
 
 
 class TestLasso:

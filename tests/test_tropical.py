@@ -441,6 +441,21 @@ class TestFeedbackRows:
         assert mane_matrix(graph, weights, abar, range(n), scaled=True) == (big, per_source)
         assert len(_feedback_plan(out, heads, n)[0]) < n // 3
 
+    @pytest.mark.parametrize("matrix, order, size", [
+        ([[1, 1], [1, 1]], 7, 32), ([[1, 1, 1]] * 3, 4, 24), ([[1, 1], [1, 0]], 10, 23)],
+        ids=["full2-7", "full3-4", "golden-10"])
+    def test_feedback_plan(self, matrix, order, size):
+        # F depends only on the graph, so its size is pinned; every other
+        # node is built once, after each of its successors outside F
+        graph = refine(build_sft(len(matrix), matrix, HALF), order)
+        n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
+        feedback, build = _feedback_plan(out, heads, n)
+        assert len(feedback) == size
+        assert sorted(feedback + build) == list(range(n))
+        place = {v: i for i, v in enumerate(build)}
+        for v in build:
+            assert all(place.get(heads[k], -1) < place[v] for k in out[v])
+
 
 @st.composite
 def weighted_multigraphs(draw, spanning=False):
