@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 malformed input, 3 domain error (bad system,
 bad parameters, size guard), 4 a node budget or the word-length cap
 exceeded, or no separating certificate reached, 5 solver/brute-force
-disagreement, 6 an internal invariant failed (a bug in ergopt).
+disagreement, 6 an internal invariant failed (a bug in ergopt), 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import random
 import sys
 from fractions import Fraction
@@ -150,10 +153,11 @@ def cmd_calibrate(args) -> int:
         sub = dominant_calibrated(index - 1, value, crit)
     else:
         sub = SubAction(bundle.graph.order, bundle.fixed_point, "calibrated-from-boundary")
-    print("node values: " + ",".join(format_fraction(v) for v in sub.values))
-    if args.out:
+    if args.out:  # written first, so a closed stdout cannot stop it
         text = subaction_csv_text(bundle.graph.node_words, sub.values, inst.sft.alphabet_size)
         Path(args.out).write_text(text, encoding="utf-8")
+    print("node values: " + ",".join(format_fraction(v) for v in sub.values))
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 
@@ -169,12 +173,13 @@ def cmd_separate(args) -> int:
         residual = ", ".join(format_word(w, s) for w in cert.residual_words)
         print(f"certificate: FAILED; residual words: {residual}")
         return 4
-    tight = ", ".join(format_word(w, s) for w in cert.tight_words)
-    print(f"certificate: OK; tight words: {tight}")
-    if args.out:
+    if args.out:  # written first, so a closed stdout cannot stop it
         text = subaction_csv_text(admissible_words(inst.sft, depth, args.max_nodes),
                                   sub.values, s)
         Path(args.out).write_text(text, encoding="utf-8")
+    tight = ", ".join(format_word(w, s) for w in cert.tight_words)
+    print(f"certificate: OK; tight words: {tight}")
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 
@@ -356,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Exception type -> exit code; the first entry the error is an instance
 # of wins, so subclasses come before ErgoptError.
 _EXIT_CODES = {
+    BrokenPipeError: 141,
     InstanceFormatError: 2,
     OSError: 2,
     UnicodeDecodeError: 2,
@@ -370,7 +376,17 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at devnull so
+        # the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_CODES[BrokenPipeError]
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

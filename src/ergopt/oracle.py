@@ -237,46 +237,28 @@ def _scaled_costs(table: Mapping, abar: Fraction) -> tuple[int, dict]:
 
 
 def _scan_pinned(sft: SftSystem, window: int, costs: Mapping[tuple, int],
-                 pins: dict[int, int], k: int, length: int, collect_all: bool):
-    """DP over admissible words of `length` respecting pins, summing the
-    integer step costs of the first k steps.
-
-    Returns the minimal sum, or the set of all achievable sums when
-    collect_all is set (the sums live on a small lattice, so the set
-    stays tiny). None / empty set when no word fits.
-    """
+                 pins: dict[int, int], k: int, length: int) -> set[int]:
+    """DP over admissible words of `length` respecting pins: the set of
+    all sums of the integer step costs of their first k steps (the sums
+    live on a small lattice, so the set stays tiny), empty when no word
+    fits."""
     keep = max(window - 1, 1)
-    dp: dict[tuple, object] = {(): {0} if collect_all else 0}
+    dp: dict[tuple, set[int]] = {(): {0}}
     for t in range(length):
         allowed = (pins[t],) if t in pins else tuple(range(sft.alphabet_size))
         counted = 0 <= t - window + 1 < k
-        nxt: dict[tuple, object] = {}
+        nxt: dict[tuple, set[int]] = {}
         for state, acc in dp.items():
             for b in allowed:
                 if state and not sft.allows(state[-1], b):
                     continue
                 word = state + (b,)
                 delta = costs[word[-window:]] if counted else 0
-                ns = word[-keep:]
-                if collect_all:
-                    sums = {s + delta for s in acc}
-                    if ns in nxt:
-                        nxt[ns] |= sums
-                    else:
-                        nxt[ns] = sums
-                else:
-                    cand = acc + delta
-                    if ns not in nxt or cand < nxt[ns]:
-                        nxt[ns] = cand
+                nxt.setdefault(word[-keep:], set()).update(s + delta for s in acc)
         if not nxt:
-            return set() if collect_all else None
+            return set()
         dp = nxt
-    if collect_all:
-        out: set[int] = set()
-        for sums in dp.values():
-            out |= sums
-        return out
-    return min(dp.values())
+    return set().union(*dp.values())
 
 
 def s_epsilon(query: SEpsilonQuery, potential) -> Fraction:
@@ -303,10 +285,10 @@ def s_epsilon(query: SEpsilonQuery, potential) -> Fraction:
     if pins is None:
         raise NoPathExists("endpoint cylinders pin contradictory symbols")
     length = max(k + p, k + window - 1)
-    best = _scan_pinned(sft, window, costs, pins, k, length, collect_all=False)
-    if best is None:
+    sums = _scan_pinned(sft, window, costs, pins, k, length)
+    if not sums:
         raise NoPathExists("no admissible word satisfies the endpoint cylinders")
-    return Fraction(best, scale)
+    return Fraction(min(sums), scale)
 
 
 def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
@@ -392,7 +374,7 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
     exact = True
     for t in range(pre + cyc):
         k = graph.edge_index(expand[t : t + r + 1])
-        c = crit.edge_component.get(k)
+        c = crit.edge_component[k]
         if c is None:
             exact = False
             break
@@ -415,8 +397,7 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
             if pins is None:
                 continue
             length = max(k + p, k + window - 1)
-            sums = _scan_pinned(sft, window, costs, pins, k, length,
-                                collect_all=True)
+            sums = _scan_pinned(sft, window, costs, pins, k, length)
             if any(-bound < s < bound for s in sums):
                 hit = k
                 break

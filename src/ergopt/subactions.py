@@ -75,41 +75,31 @@ class GapReport:
     attained_component: int
 
 
-def _placed(pairs, n: int) -> list:
-    """The (index, component) pairs as the component of each of n
-    indices, None off the pairs."""
-    placed: list[int | None] = [None] * n
-    for k, c in pairs:
-        placed[k] = c
-    return placed
-
-
-def _lift_step(graph, edge_base, critical, base):
+def _lift_step(graph, edge_base, edges):
     """One line step of a lift (see `lift_critical`): `(graph,
-    edge_base, critical, base, nodes)` one order up, `nodes` the
-    component of each node there."""
-    nodes = _placed(critical, graph.n_edges)
-    base = list(map(base.__getitem__, graph.tails))
+    edge_base, edges)` one order up, whose nodes are the edges here."""
     graph = graph.line_graph()
-    heads = graph.heads
-    critical = [(k, c) for v, c in critical
-                for k in graph.out_edges[v] if nodes[heads[k]] == c]
-    return graph, list(map(edge_base.__getitem__, graph.tails)), critical, base, nodes
+    heads, lifted = graph.heads, [None] * graph.n_edges
+    # a lifted edge lies in the component its tail and head share, if any
+    for v, c in enumerate(edges):
+        if c is not None:
+            for k in graph.out_edges[v]:
+                if edges[heads[k]] == c:
+                    lifted[k] = c
+    return graph, list(map(edge_base.__getitem__, graph.tails)), lifted
 
 
 def _parent_lift(crit: CriticalStructure, depth: int, node_budget: int):
-    """`(graph, edge_base, critical, base)`, the lift of `crit` to one
-    order below a `depth` above its graph order: that graph, whose edges
-    are the lifted nodes at `depth`; the base edge of each of its edges;
-    its critical edges as (edge, component) pairs; and the base node of
-    each of its nodes. The admissible depth-words are counted once
-    against `node_budget` before any step is taken."""
+    """`(graph, edge_base, edges)`, the lift of `crit` to one order below
+    a `depth` above its graph order: that graph, whose edges are the
+    lifted nodes at `depth`; the base edge of each of its edges; and the
+    component of each of its edges. The admissible depth-words are
+    counted once against `node_budget` before any step is taken."""
     graph = crit.graph
     check_budget(graph.sft, depth, node_budget)
-    lift = (graph, range(graph.n_edges), list(crit.edge_component.items()),
-            range(graph.n_nodes))
+    lift = (graph, range(graph.n_edges), crit.edge_component)
     while lift[0].order < depth - 1:
-        lift = _lift_step(*lift)[:4]
+        lift = _lift_step(*lift)
     return lift
 
 
@@ -127,25 +117,22 @@ def lift_critical(crit: CriticalStructure, depth: int,
     `_parent_lift`, which counts the depth-words against `node_budget`
     before any step, and one more line step, the explicit lift that the
     tests check `_NodeLift` against. A lifted node is an edge one order
-    down, so it keeps that edge's component and its tail's base node,
-    and a lifted edge, starting with its tail, keeps its tail's base
-    edge. A lifted edge joins two consecutive edges one order down and
-    lies in component c when both do, that is, when every base window of
-    its word is a critical edge of c. Only critical words have a
-    component, so they are carried as (edge, component) pairs: each step
-    marks the lifted nodes from the pairs and keeps the out-edges of a
-    marked node whose head has its component.
+    down, so it keeps that edge's component, and a lifted edge, starting
+    with its tail, keeps its tail's base edge; a lifted node's base node
+    is the tail of its base edge. A lifted edge joins two consecutive
+    edges one order down and lies in component c when both do, that is,
+    when every base window of its word is a critical edge of c.
     """
     graph = crit.graph
     if depth < graph.order:
         raise ValueError(f"cannot lower order {graph.order} to {depth}")
     if depth == graph.order:
-        edge_base, critical = range(graph.n_edges), crit.edge_component.items()
-        base, nodes = range(graph.n_nodes), crit.node_component
-    else:
-        graph, edge_base, critical, base, nodes = _lift_step(
-            *_parent_lift(crit, depth, node_budget))
-    return graph, edge_base, tuple(nodes), tuple(_placed(critical, graph.n_edges)), base
+        return (graph, range(graph.n_edges), crit.node_component, crit.edge_component,
+                range(graph.n_nodes))
+    parent, parent_base, nodes = _parent_lift(crit, depth, node_budget)
+    lifted, edge_base, edges = _lift_step(parent, parent_base, nodes)
+    return (lifted, edge_base, tuple(nodes), tuple(edges),
+            list(map(graph.tails.__getitem__, parent_base)))
 
 
 class _Lift:
@@ -167,7 +154,7 @@ class _Lift:
     def __init__(self, crit: CriticalStructure, depth: int, nodes, base, cost_base):
         self.crit, self.depth, self.nodes, self.base = crit, depth, nodes, base
         self.cost_base = cost_base
-        self.reps = [nodes.index(c.index) for c in crit.components]
+        self.reps = [nodes.index(c) for c in range(len(crit.representatives))]
 
     def load(self, big: int, values: list[int], costs: Sequence[int]) -> None:
         """Values at the lifted nodes and costs per base edge, over big."""
@@ -271,17 +258,16 @@ class _NodeLift(_Lift):
     P.heads[V], its out-block, in order, and each starts with V's base
     edge, so all of them cost W[V] = `costs[V]` and V -> X has the slack
     W[V] + u(V) - u(X). A tight edge is the pair (V, X), and it is
-    critical when V and X lie in one component; `critical` holds the
-    critical lifted nodes as (node, component) pairs. The explicit lift
+    critical when V and X lie in one component. The explicit lift
     numbers its edges by tail, so (V, X) is its edge start[V] + X -
-    out[heads[V]].start, with start the running sum of the block sizes."""
+    out[heads[V]].start, with start the running sum of the block sizes.
+    V's base node is the tail of its base edge."""
 
     def __init__(self, crit: CriticalStructure, parent_lift):
-        self.parent, edge_base, self.critical, base = parent_lift
+        self.parent, edge_base, nodes = parent_lift
         self.blocks = [slice(r.start, r.stop) for r in self.parent.out_edges]
-        super().__init__(crit, self.parent.order + 1,
-                         _placed(self.critical, self.parent.n_edges),
-                         list(map(base.__getitem__, self.parent.tails)), edge_base)
+        super().__init__(crit, self.parent.order + 1, nodes,
+                         list(map(crit.graph.tails.__getitem__, edge_base)), edge_base)
 
     def scan(self) -> tuple[bool, list[tuple[int, int]]]:
         """On a sub-action only the top of an out-block can be tight, but
@@ -322,7 +308,7 @@ class _NodeLift(_Lift):
     def contained(self) -> bool:
         u, costs, nodes = self.values, self.costs, self.nodes
         out, heads = self.parent.out_edges, self.parent.heads
-        return all(costs[v] + u[v] == u[x] for v, c in self.critical
+        return all(costs[v] + u[v] == u[x] for v, c in enumerate(nodes) if c is not None
                    for x in out[heads[v]] if nodes[x] == c)
 
     def members(self) -> tuple[int, list[int]]:

@@ -50,14 +50,19 @@ class Component:
     index: int
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
-    representative: int
+
+    @property
+    def representative(self) -> int:
+        return self.nodes[0]
 
 
 @dataclass(frozen=True, eq=False)
 class CriticalStructure:
-    """Critical edges (those on a zero-mean cycle of normalized weight),
-    their strongly connected components (node-disjoint, as SCCs partition
-    nodes), the inputs they came from, and rows[i] = h(rep_i, .).
+    """The critical partition as the component of every node and edge,
+    None off the critical edges (those on a zero-mean cycle of normalized
+    weight) and their nodes; the components are their SCCs, numbered by
+    smallest node. With the inputs and rows[i] = h(rep_i, .); the rest is
+    read off the labels.
 
     On a critical r, phi(r, r) = 0 gives h(r, .) <= phi(r, .); a relay
     r -> z -> j is itself a path from r, so h(r, .) >= phi(r, .).
@@ -66,12 +71,28 @@ class CriticalStructure:
     graph: object
     weights: tuple[Fraction, ...]
     abar: Fraction
-    critical_edges: tuple[int, ...]
-    critical_nodes: tuple[int, ...]
-    components: tuple[Component, ...]
     node_component: tuple[int | None, ...]
-    edge_component: dict
+    edge_component: tuple[int | None, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def critical_edges(self) -> tuple[int, ...]:
+        return tuple(k for k, c in enumerate(self.edge_component) if c is not None)
+
+    @cached_property
+    def critical_nodes(self) -> tuple[int, ...]:
+        return tuple(v for v, c in enumerate(self.node_component) if c is not None)
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        # one barrier row per component
+        nodes, edges = [[] for _ in self.rows], [[] for _ in self.rows]
+        for v in self.critical_nodes:
+            nodes[self.node_component[v]].append(v)
+        for k in self.critical_edges:
+            edges[self.edge_component[k]].append(k)
+        return tuple(Component(i, tuple(vs), tuple(ks))
+                     for i, (vs, ks) in enumerate(zip(nodes, edges)))
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -83,11 +104,11 @@ class CriticalStructure:
         cycle through the representative of the first component, found
         inside that component."""
         graph = self.graph
-        start, heads = self.components[0].representative, graph.heads
+        start, heads = self.node_component.index(0), graph.heads
         into: dict[int, int] = {}  # node -> the breadth-first tree edge into it
         queue = [start]
         for u in queue:  # the queue grows while it is walked
-            ks = [k for k in graph.out_edges[u] if self.edge_component.get(k) == 0]
+            ks = [k for k in graph.out_edges[u] if self.edge_component[k] == 0]
             closing = next((k for k in ks if heads[k] == start), None)
             if closing is not None:
                 break
@@ -412,10 +433,11 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     m*c - S + x(head) - x(tail) are nonnegative and keep every cycle sum,
     so an edge is on a zero-mean cycle exactly when its reduced cost is
     zero and both ends share an SCC of the zero-cost subgraph. The SCCs
-    with a critical edge are the components, ordered by smallest node,
-    the representative. A graph that is not strongly connected raises
-    ValueError, here or in the representatives' rows. Weights that are
-    all Fractions already are kept as they are."""
+    with a critical edge are the components, numbered by smallest node,
+    the representative, and label their nodes and edges. A graph that is
+    not strongly connected raises ValueError, here or in the
+    representatives' rows. Weights that are all Fractions already are
+    kept as they are."""
     n = graph.n_nodes
     weights = tuple(weights)
     if set(map(type, weights)) != {Fraction}:
@@ -426,37 +448,29 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     reduced = [m * c - S + x[h] - x[t] for c, t, h in zip(costs, graph.tails, graph.heads)]
     if any(r < 0 for r in reduced):
         raise InternalError("negative reduced cost: policy iteration did not converge")
-    arcs = list(zip(graph.tails, graph.heads))
-    zero = [k for k, r in enumerate(reduced) if r == 0]
     succ: list[list[int]] = [[] for _ in range(n)]
-    for k in zero:
-        succ[arcs[k][0]].append(arcs[k][1])
-    sccs = strongly_connected_components(succ)
-    node_scc = {v: ci for ci, comp in enumerate(sccs) for v in comp}
-    critical = tuple(k for k in zero if node_scc[arcs[k][0]] == node_scc[arcs[k][1]])
-    edges_by_scc: dict[int, list[int]] = {}
-    for k in critical:
-        edges_by_scc.setdefault(node_scc[arcs[k][0]], []).append(k)
-    raw = sorted((min(sccs[ci]), sccs[ci], ks) for ci, ks in edges_by_scc.items())
-    components: list[Component] = []
-    node_component: list[int | None] = [None] * n
-    edge_component: dict[int, int] = {}
-    for idx, (rep, nodes, ks) in enumerate(raw):
-        components.append(Component(idx, tuple(nodes), tuple(ks), rep))
-        for v in nodes:
-            node_component[v] = idx
-        for k in ks:
-            edge_component[k] = idx
+    for t, h, r in zip(graph.tails, graph.heads, reduced):
+        if r == 0:
+            succ[t].append(h)
+    scc_of = [0] * n
+    for ci, comp in enumerate(strongly_connected_components(succ)):
+        for v in comp:
+            scc_of[v] = ci
+    # an SCC of the zero-cost subgraph is critical when a zero edge stays in it
+    edge_scc = [scc_of[t] if r == 0 and scc_of[t] == scc_of[h] else None
+                for t, h, r in zip(graph.tails, graph.heads, reduced)]
+    cyclic, label, reps = set(edge_scc), {}, []
+    for v, ci in enumerate(scc_of):  # numbered by smallest node
+        if ci in cyclic and ci not in label:
+            label[ci] = len(reps)
+            reps.append(v)
     return CriticalStructure(
         graph=graph,
         weights=weights,
         abar=abar,
-        critical_edges=critical,
-        critical_nodes=tuple(v for v in range(n) if node_component[v] is not None),
-        components=tuple(components),
-        node_component=tuple(node_component),
-        edge_component=edge_component,
-        rows=mane_matrix(graph, weights, abar, [c.representative for c in components]),
+        node_component=tuple(map(label.get, scc_of)),
+        edge_component=tuple(map(label.get, edge_scc)),
+        rows=mane_matrix(graph, weights, abar, reps),
     )
 
 

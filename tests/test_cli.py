@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -996,6 +997,48 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+    @staticmethod
+    def run_into_closed_pipe(args, unbuffered):
+        """The CLI with stdout on a pipe whose read end is closed before
+        the spawn, so every write to it fails with EPIPE."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "ergopt", *args], stdout=write,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141(self, unbuffered):
+        # a reader that went away is not malformed input: the exit is a
+        # shell's 128 + SIGPIPE, with no error line, whether the write
+        # fails at once or at the final flush
+        res = self.run_into_closed_pipe(["solve", "--instance", E2], unbuffered)
+        assert (res.returncode, res.stderr) == (141, "")
+
+    def test_closed_stdout_in_process(self, monkeypatch, capsys):
+        # captured stdout has no descriptor to point at devnull
+        def closed(path):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("ergopt.cli.load_instance", closed)
+        assert main(["solve", "--instance", E2]) == 141
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", [["separate", "--depth", "6"], ["calibrate"]])
+    def test_closed_stdout_still_writes_out(self, tmp_path, unbuffered, command):
+        # the file is written before anything is printed
+        out = tmp_path / "u.csv"
+        name, *rest = command
+        res = self.run_into_closed_pipe(
+            [name, "--instance", E2, *rest, "--out", str(out)], unbuffered)
+        assert (res.returncode, res.stderr) == (141, "")
+        assert main(["verify", "--instance", E2, "--subaction", str(out)]) == 0
 
 
 class TestReadmeExamples:
