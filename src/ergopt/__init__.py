@@ -45,7 +45,6 @@ from .potential import (
     build_one_sided,
     build_two_sided,
     compile_weights,
-    normalize,
     reduce_two_sided,
     truncate,
 )
@@ -60,6 +59,7 @@ from .subactions import (
     convex_combination,
     dominant_calibrated,
     gap_analysis,
+    normalize,
     separating_subaction,
     verify,
 )

@@ -1,6 +1,6 @@
 """Locally constant observables and the operations that massage them:
-two-sided to one-sided reduction, sub-action normalization, range
-truncation, and compilation to edge weights.
+two-sided to one-sided reduction, range truncation, and compilation to
+edge weights.
 """
 
 from __future__ import annotations
@@ -9,10 +9,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatibleOrder, NotASubAction
+from .errors import IncompatibleOrder
 from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
                        lift_to, refine)
-from .tropical import CriticalStructure, _scaled_costs
 
 
 def _table(sft: SftSystem, length: int,
@@ -141,30 +140,6 @@ def reduce_two_sided(ahat: TwoSidedPotential) -> OneSidedPotential:
         if w not in reduced or val < reduced[w]:
             reduced[w] = val
     return build_one_sided(ahat.sft, ahat.future_depth, reduced)
-
-
-def normalize(u, crit: CriticalStructure) -> OneSidedPotential:
-    """The edge slacks B = w - abar - u(head) + u(tail) >= 0 of the
-    SubAction u at the base depth of the solved system `crit`, as a
-    potential of range order+1, so it compiles onto the same graph (or
-    any finer one) like any other observable. A depth mismatch with the
-    graph order is refused.
-    """
-    graph = crit.graph
-    if u.depth != graph.order:
-        raise IncompatibleOrder(
-            f"sub-action depth {u.depth} does not match graph order {graph.order}"
-        )
-    big, values, costs = _scaled_costs(u.values, graph.n_nodes, crit.weights, crit.abar)
-    slacks = [c - values[h] + values[t] for c, t, h in zip(costs, graph.tails, graph.heads)]
-    words = admissible_words(graph.sft, graph.order + 1, graph.n_edges)
-    table: dict[Word, Fraction] = {}
-    for word, s in zip(words, slacks):
-        if s < 0:
-            raise NotASubAction(f"edge {word} has negative normalized weight "
-                                f"{Fraction(s, big)}")
-        table[word] = Fraction(s, big)
-    return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
 
 
 def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]:

@@ -1,7 +1,8 @@
 """Construction and verification of sub-actions: the calibrated family
 parametrized by boundary data on the critical components, the dominant
 member, finite-depth separating sub-actions with their certificates,
-contact loci, convex combinations, and the u - v gap analysis.
+contact loci, the normalized potential, convex combinations, and the
+u - v gap analysis.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from .errors import (
     NotCalibrated,
     NotInConstraintSet,
 )
+from .potential import OneSidedPotential
 from .symbolic import DEFAULT_NODE_BUDGET, Word, check_budget
 from .tropical import (
     CriticalStructure,
     _path_minima,
-    _scaled_costs,
+    _scale,
     _unscale,
     calibrated_fixed_point,
+    constraint_polytope,
 )
 
 
@@ -133,6 +136,22 @@ def lift_critical(crit: CriticalStructure, depth: int,
     lifted, edge_base, edges = _lift_step(parent, parent_base, nodes)
     return (lifted, edge_base, tuple(nodes), tuple(edges),
             list(map(graph.tails.__getitem__, parent_base)))
+
+
+def _scaled_costs(values, n_nodes: int, weights, abar) -> tuple[int, list[int], list[int]]:
+    """L, the node values u * L and the edge costs (w - abar) * L as ints,
+    over one common denominator L of u, w and abar, so s / L is each
+    slack c - u(head) + u(tail) exactly; L may exceed the lcm of the
+    slacks' own denominators. Values of another count than `n_nodes`
+    raise IncompatibleOrder: this is the one shape check of every
+    sub-action check.
+    """
+    n = len(values)
+    if n != n_nodes:
+        raise IncompatibleOrder(f"expected {n_nodes} node values, got {n}")
+    big, scaled = _scale([*values, *weights, abar])
+    shift = scaled.pop()
+    return big, scaled[:n], [w - shift for w in scaled[n:]]
 
 
 class _Lift:
@@ -371,17 +390,13 @@ def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
     restricting back to the representatives returns the data unchanged.
     """
     values = tuple(Fraction(v) for v in bd)
-    reps, rows = crit.representatives, crit.rows
-    if len(values) != len(reps):
-        raise ValueError(f"expected {len(reps)} boundary values, got {len(values)}")
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if values[j] - values[i] > rows[i][reps[j]]:
-                raise NotInConstraintSet(
-                    f"boundary data violates u[{j}] - u[{i}] <= h(rep {i}, rep {j}) "
-                    f"= {rows[i][reps[j]]}"
-                )
-    u = tuple(min(v + row[x] for v, row in zip(values, rows))
+    poly = constraint_polytope(crit)
+    pair = poly.violation(values)
+    if pair is not None:
+        i, j = pair
+        raise NotInConstraintSet(f"boundary data violates u[{j}] - u[{i}] <= "
+                                 f"h(rep {i}, rep {j}) = {poly.matrix[i][j]}")
+    u = tuple(min(v + row[x] for v, row in zip(values, crit.rows))
               for x in range(crit.graph.n_nodes))
     return SubAction(crit.graph.order, u, "calibrated-from-boundary")
 
@@ -419,6 +434,27 @@ def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
         raise NotASubAction(f"edge {lift.words([edge])[0]} has negative slack "
                             f"{Fraction(slack, lift.big)}")
     return ContactSet(u.depth, tuple(lift.edge_indices(tight)), lift.words(tight))
+
+
+def normalize(u: SubAction, crit: CriticalStructure) -> OneSidedPotential:
+    """The edge slacks B = w - abar - u(head) + u(tail) >= 0 of the
+    SubAction u at the base depth of the solved system `crit`, as a
+    potential of range order+1, so it compiles onto the same graph (or
+    any finer one) like any other observable. A depth mismatch with the
+    graph order is refused.
+    """
+    graph = crit.graph
+    if u.depth != graph.order:
+        raise IncompatibleOrder(
+            f"sub-action depth {u.depth} does not match graph order {graph.order}"
+        )
+    lift = _lift(crit, graph.order, DEFAULT_NODE_BUDGET)
+    if not lift.read(u.values)[0]:
+        edge, slack = lift.negative()
+        raise NotASubAction(f"edge {lift.words([edge])[0]} has negative normalized weight "
+                            f"{Fraction(slack, lift.big)}")
+    table = dict(zip(lift.words(range(graph.n_edges)), _unscale([lift.slacks], lift.big)[0]))
+    return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
 
 
 def verify(u: SubAction, crit: CriticalStructure,
@@ -567,10 +603,12 @@ def convex_combination(subactions: Sequence[SubAction],
     depth = subactions[0].depth
     if any(s.depth != depth for s in subactions):
         raise IncompatibleOrder("convex combination requires equal depths")
+    n = len(subactions[0].values)
+    if any(len(s.values) != n for s in subactions):
+        raise IncompatibleOrder("convex combination requires equal value counts")
     coeffs = [Fraction(c) for c in coefficients]
     if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
         raise ValueError("coefficients must be nonnegative rationals summing to 1")
-    n = len(subactions[0].values)
     values = tuple(
         sum(c * s.values[x] for c, s in zip(coeffs, subactions))
         for x in range(n)

@@ -5,12 +5,12 @@ structure with irreducible components, and calibrated sub-action vectors.
 Inputs and outputs are Fractions. The kernels (the policy iteration that
 gives abar and a potential certifying it, `_path_minima`, the one
 queue-based Bellman-Ford behind every phi row and column that is
-searched, the row relay of the dense phi, the Peierls relay, the edge
-slacks of node values) run on Python ints: the costs are
-scaled by one common denominator L, so sums and comparisons are exact
-integer operations, and results become Fractions over L only at the
-public boundary. The dense barrier matrices stay integer rows over L
-(`BarrierMatrices`) and are turned into Fractions only when read.
+searched, the row relay of the dense phi, the Peierls relay) run on
+Python ints: the costs are scaled by one common denominator L, so sums
+and comparisons are exact integer operations, and results become
+Fractions over L only at the public boundary. The dense barrier
+matrices stay integer rows over L (`BarrierMatrices`) and are turned
+into Fractions only when read.
 Determinism comes from ascending index order in every tie-break.
 """
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import IncompatibleOrder, InternalError
+from .errors import InternalError
 from .symbolic import strongly_connected_components
 
 
@@ -147,22 +147,6 @@ def _scale(values, shift=0) -> tuple[int, list[int]]:
     if g == 1:
         return big, ints
     return big // g, [d // g for d in ints]
-
-
-def _scaled_costs(values, n_nodes: int, weights, abar) -> tuple[int, list[int], list[int]]:
-    """L, the node values u * L and the edge costs (w - abar) * L as ints,
-    over one common denominator L of u, w and abar, so s / L is each
-    slack c - u(head) + u(tail) exactly; L may exceed the lcm of the
-    slacks' own denominators. Values of another count than `n_nodes`
-    raise IncompatibleOrder: this is the one shape check of every
-    sub-action check.
-    """
-    n = len(values)
-    if n != n_nodes:
-        raise IncompatibleOrder(f"expected {n_nodes} node values, got {n}")
-    big, scaled = _scale([*values, *weights, abar])
-    shift = scaled.pop()
-    return big, scaled[:n], [w - shift for w in scaled[n:]]
 
 
 def _unscale(rows: Sequence[Sequence[int]], big: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -526,15 +510,18 @@ class ConstraintPolytope:
     representatives: tuple[int, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
 
-    def contains(self, values: Sequence[Fraction]) -> bool:
-        r = len(self.representatives)
-        if len(values) != r:
-            raise ValueError(f"expected {r} boundary values, got {len(values)}")
+    def violation(self, values: Sequence[Fraction]) -> tuple[int, int] | None:
+        """The first pair (i, j), in row order, with u_j - u_i > H[i][j], or
+        None; values are made Fractions, then counted (ValueError)."""
         vals = [Fraction(v) for v in values]
-        return all(
-            vals[j] - vals[i] <= self.matrix[i][j]
-            for i in range(r) for j in range(r)
-        )
+        r = len(self.representatives)
+        if len(vals) != r:
+            raise ValueError(f"expected {r} boundary values, got {len(vals)}")
+        return next(((i, j) for i in range(r) for j in range(r)
+                     if vals[j] - vals[i] > self.matrix[i][j]), None)
+
+    def contains(self, values: Sequence[Fraction]) -> bool:
+        return self.violation(values) is None
 
 
 def constraint_polytope(crit: CriticalStructure) -> ConstraintPolytope:

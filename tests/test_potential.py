@@ -14,11 +14,10 @@ from ergopt.potential import (
     build_one_sided,
     build_two_sided,
     compile_weights,
-    normalize,
     reduce_two_sided,
     truncate,
 )
-from ergopt.subactions import SubAction
+from ergopt.subactions import SubAction, normalize
 from ergopt.symbolic import build_sft, count_words, refine
 from ergopt.tropical import minimizing_value
 
@@ -215,7 +214,8 @@ class TestNormalize:
 
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(5)), "user-supplied")
-        with pytest.raises(NotASubAction):
+        with pytest.raises(NotASubAction,
+                           match=re.escape("edge (0, 1) has negative normalized weight -5")):
             normalize(bad, e1_bundle.crit)
 
     def test_rejects_depth_mismatch(self, e1_bundle):

@@ -11,7 +11,7 @@ from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance, solve_potential
-from ergopt.potential import build_one_sided, normalize
+from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.subactions import (
     ContactSet,
     GapReport,
@@ -25,6 +25,7 @@ from ergopt.subactions import (
     dominant_calibrated,
     gap_analysis,
     lift_critical,
+    normalize,
     separating_subaction,
     verify,
 )
@@ -182,7 +183,8 @@ class TestContactLocus:
 
 @pytest.mark.parametrize("check", ["verify", "contact_locus", "gap_analysis", "normalize"])
 def test_one_value_short_is_refused(e2_bundle, check):
-    # one shape check, in `_scaled_costs`, serves every sub-action check
+    # one shape check, in `subactions._scaled_costs`, serves every
+    # sub-action check, `normalize` too
     u = fixed_sub(e2_bundle)
     short = SubAction(u.depth, u.values[:-1], "user-supplied")
     calls = {
@@ -683,6 +685,37 @@ class TestOneSlackReader:
         assert cases > 500
         assert kinds == {ContactSet, GapReport, NotASubAction, NotCalibrated}
 
+    def test_normalize_matches_the_explicit_lift(self, corpus_bundles):
+        # at the graph order `normalize` reads the same slacks: its table is
+        # the reference slack of every edge, in edge order, and it names the
+        # first negative edge as `contact_locus` does
+        rng = random.Random(89)
+        kinds, cases = set(), 0
+        for b, depth in parity_cases(corpus_bundles, lowest=0):
+            if depth != b.graph.order:
+                continue
+            crit = b.crit
+            explicit = lift_critical(crit, depth)
+            lifted = explicit[0]
+            slacks = reference_slacks(crit, explicit)
+            sep, _ = separating_subaction(crit, depth)
+            nudged = tuple(x + rng.choice((0, 0, 0, Fraction(1, 2), -1)) for x in sep.values)
+            for u in (fixed_sub(b), sep, SubAction(depth, nudged, "user-supplied")):
+                got = outcome(normalize, u, crit)
+                want = outcome(reference_contact, u, explicit, slacks)
+                if isinstance(want, ContactSet):
+                    assert isinstance(got, OneSidedPotential) and got.range == depth + 1
+                    assert list(got.table.items()) == list(
+                        zip(map(lifted.edge_word, range(lifted.n_edges)), slacks(u)))
+                    kinds.add(OneSidedPotential)
+                else:
+                    assert got == (NotASubAction, want[1].replace(
+                        "negative slack", "negative normalized weight"))
+                    kinds.add(NotASubAction)
+            cases += 1
+        assert cases > 200
+        assert kinds == {OneSidedPotential, NotASubAction}
+
     def test_wrong_value_counts_match_the_explicit_lift(self, e2_bundle):
         crit = e2_bundle.crit
         for depth in (1, 2, 4):
@@ -716,6 +749,13 @@ class TestConvexCombination:
                 [u, SubAction(2, (Fraction(0),) * 4, "user-supplied")],
                 [Fraction(1, 2), Fraction(1, 2)],
             )
+
+    def test_value_counts_must_match(self):
+        two = SubAction(2, (Fraction(0), Fraction(1)), "user-supplied")
+        four = SubAction(2, (Fraction(0),) * 4, "user-supplied")
+        for pair in ((two, four), (four, two)):
+            with pytest.raises(IncompatibleOrder, match="equal value counts"):
+                convex_combination(pair, [Fraction(1, 2), Fraction(1, 2)])
 
     def test_tight_set_is_intersection(self, corpus_bundles):
         rng = random.Random(31)
