@@ -15,6 +15,7 @@ import functools
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,7 +195,9 @@ def cmd_verify(args) -> int:
     if any(len(w) != depth for w in words):
         raise InstanceFormatError("sub-action words must all share one length")
     if len(set(words)) != len(words):
-        raise InstanceFormatError("duplicate word in sub-action CSV")
+        word = next(w for w, count in Counter(words).items() if count > 1)
+        raise InstanceFormatError(
+            f"duplicate word {format_word(word, inst.sft.alphabet_size)!r} in sub-action CSV")
     order = bundle.graph.order
     if depth < order:
         raise ValueError(f"cannot lower order {order} to {depth}")

@@ -8,6 +8,7 @@ symbols and comma-separated integers beyond that.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import ErgoptError, InstanceFormatError
 from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
-from .symbolic import SftSystem, Word, admissible_words, build_sft
+from .symbolic import MAX_WORD_LENGTH, SftSystem, Word, admissible_words, build_sft
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +151,34 @@ def _integer(data: dict, key: str, where: str) -> int:
     return value
 
 
+def _keys_in_word_order(sft: SftSystem, pot_data: dict, side, entries: dict) -> list | None:
+    """`format_word`'s text of every admissible word of the table's
+    length, in word order, if these are exactly the keys of `entries`,
+    else None. Sizes are read only when well-formed and at most
+    MAX_WORD_LENGTH, and texts grow only while they are no more than the
+    keys, so every other file meets the per-key checks and their errors."""
+    sizes = [pot_data.get(k) for k in (("range",) if side == "one" else
+                                       ("past_depth", "future_depth") if side == "two" else ())]
+    if not sizes or not all(type(k) is int and k >= 1 for k in sizes):
+        return None
+    length, n = sum(sizes), len(entries)
+    if length > MAX_WORD_LENGTH:
+        return None
+    # the words that start with symbol a, one symbol longer a step: a,
+    # then the words of each successor of a in order. Every symbol has a
+    # successor, so the count of words never falls as they grow
+    symbols = list(map(str, range(sft.alphabet_size)))
+    firsts = [a + ("" if sft.alphabet_size <= 10 else ",") for a in symbols]
+    blocks = [[a] for a in symbols]
+    for _ in range(length - 1):
+        if sum(map(len, blocks)) > n:
+            return None
+        blocks = [[first + w for b in succ for w in blocks[b]]
+                  for first, succ in zip(firsts, sft.successors)]
+    texts = list(itertools.chain.from_iterable(blocks))
+    return texts if len(texts) == n and all(map(entries.__contains__, texts)) else None
+
+
 def parse_instance(data: dict) -> Instance:
     """Build a validated Instance from decoded JSON.
 
@@ -175,36 +204,39 @@ def parse_instance(data: dict) -> Instance:
     raw_entries = _require(pot_data, "entries", "potential")
     if not isinstance(raw_entries, dict):
         raise InstanceFormatError("potential entries must be an object")
-    # (word, value) pairs, so two spellings of one word ("01", "0,1")
-    # reach the table's duplicate check. Each distinct value is parsed at
-    # its first entry; only ints and strings are looked up, since 1, 1.0
-    # and true are one dict key and a list is none, and parse_fraction
-    # refuses every other JSON type
-    entries: list[tuple[Word, Fraction]] = []
+    # Keys in word order give the values by lookup and fail no check;
+    # else each key is read as a word, so two spellings of one word ("01",
+    # "0,1") reach the table's duplicate check. Each distinct value is
+    # parsed at its first entry; only ints and strings are looked up, as
+    # 1, 1.0 and true are one dict key and a list is none, and
+    # parse_fraction refuses every other JSON type
+    keys = _keys_in_word_order(sft, pot_data, side, raw_entries)
+    words: list[Word] = []
     parsed: dict[int | str, Fraction] = {}
     for key, val in raw_entries.items():
-        word = parse_word(key, size, f"potential entry {key!r}")
-        value = parsed.get(val) if type(val) in (int, str) else None
-        if value is None:
-            value = parsed[val] = parse_fraction(val, f"entry {key!r}")
-        entries.append((word, value))
+        if keys is None:
+            words.append(parse_word(key, size, f"potential entry {key!r}"))
+        if type(val) not in (int, str) or val not in parsed:
+            parsed[val] = parse_fraction(val, f"entry {key!r}")
+    values = None if keys is None else [parsed[raw_entries[k]] for k in keys]
+    entries = zip(words, map(parsed.__getitem__, raw_entries.values()))
     try:
         if side == "one":
             m = _integer(pot_data, "range", "potential")
-            holder = data.get("holder") or {}
+            holder = {} if data.get("holder") is None else data["holder"]
             if not isinstance(holder, dict):
                 raise InstanceFormatError("holder must be a JSON object")
             theta = holder.get("theta")
             const = holder.get("const")
             potential = build_one_sided(
-                sft, m, entries,
+                sft, m, entries, values=values,
                 holder_theta=None if theta is None else parse_fraction(theta, "holder.theta"),
                 holder_const=None if const is None else parse_fraction(const, "holder.const"),
             )
         elif side == "two":
             p = _integer(pot_data, "past_depth", "potential")
             q = _integer(pot_data, "future_depth", "potential")
-            potential = build_two_sided(sft, p, q, entries)
+            potential = build_two_sided(sft, p, q, entries, values=values)
         else:
             raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")
     except (TypeError, ValueError) as exc:
@@ -241,7 +273,7 @@ def dump_instance(instance: Instance) -> dict:
     width = pot.declared_range if one_sided else pot.past_depth + pot.future_depth
     entries = {
         format_word(w[:width], sft.alphabet_size): format_fraction(v)
-        for w, v in sorted(pot.table.items())
+        for w, v in pot.table.items()
     }
     if one_sided:
         data["potential"] = {"side": "one", "range": width, "entries": entries}
@@ -333,12 +365,12 @@ def random_instance(rng: random.Random) -> Instance:
     """
     sft = _random_sft(rng)
     m = rng.choice((1, 2))
-    entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, m)}
-    return Instance(build_one_sided(sft, m, entries))
+    values = [Fraction(rng.randint(0, 4)) for _ in admissible_words(sft, m)]
+    return Instance(build_one_sided(sft, m, values=values))
 
 
 def random_two_sided(rng: random.Random) -> Instance:
     """Depth-(1,1) two-sided table on a random small system."""
     sft = _random_sft(rng)
-    entries = {w: Fraction(rng.randint(0, 4)) for w in admissible_words(sft, 2)}
-    return Instance(build_two_sided(sft, 1, 1, entries))
+    values = [Fraction(rng.randint(0, 4)) for _ in admissible_words(sft, 2)]
+    return Instance(build_two_sided(sft, 1, 1, values=values))

@@ -5,19 +5,23 @@ edge weights.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import IncompatibleOrder
 from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
                        lift_to, refine)
 
 
-def _table(sft: SftSystem, length: int,
-           entries: Mapping | Iterable[tuple]) -> dict[Word, Fraction]:
-    """Rational values on exactly the admissible words of `length`, from
-    a mapping or from (key, value) pairs, which may name a word twice.
+def _values(sft: SftSystem, length: int, entries: Mapping | Iterable[tuple],
+            values: Sequence[Fraction] | None) -> tuple[Fraction, ...]:
+    """One rational per admissible word of `length`, in lexicographic
+    word order: `values` as given, once their count is checked, or else
+    read from `entries`, a mapping or (key, value) pairs, which may name
+    a word twice.
 
     A tuple key is a word already; any other key (a string such as "01")
     is converted symbol by symbol, once. Every key is checked, in this
@@ -28,6 +32,10 @@ def _table(sft: SftSystem, length: int,
     list is built. A value that is already a Fraction is kept as it is,
     any other is converted.
     """
+    if values is not None:
+        if count_words(sft, length, len(values)) != len(values):
+            raise ValueError(f"{len(values)} values do not match the admissible {length}-words")
+        return tuple(values)
     table: dict[Word, Fraction] = {}
     pairs, symbols = sft._pairs, range(sft.alphabet_size)
     for key, val in entries.items() if isinstance(entries, Mapping) else entries:
@@ -44,7 +52,12 @@ def _table(sft: SftSystem, length: int,
             f"table is missing admissible words of length {length}: "
             f"it has only {len(table)}"
         )
-    return table
+    return tuple(map(table.__getitem__, sorted(table)))
+
+
+def _word_table(sft: SftSystem, length: int, values: tuple) -> Mapping[Word, Fraction]:
+    """Word -> value over the admissible words of `length`, read-only."""
+    return MappingProxyType(dict(zip(admissible_words(sft, length, len(values)), values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +72,15 @@ class OneSidedPotential:
 
     sft: SftSystem
     range: int
-    table: Mapping[Word, Fraction]
+    values: tuple[Fraction, ...]
     declared_range: int
     holder_theta: Fraction | None = None
     holder_const: Fraction | None = None
+
+    @functools.cached_property
+    def table(self) -> Mapping[Word, Fraction]:
+        """Word -> value, a view of `values` built on first read."""
+        return _word_table(self.sft, self.range, self.values)
 
     @property
     def working_order(self) -> int:
@@ -80,19 +98,20 @@ class OneSidedPotential:
             ) from None
 
 
-def build_one_sided(sft: SftSystem, m: int, entries: Mapping | Iterable[tuple], *,
-                    holder_theta=None, holder_const=None) -> OneSidedPotential:
-    """Validate a range-m table: exactly the admissible m-words, rational values."""
+def build_one_sided(sft: SftSystem, m: int, entries: Mapping | Iterable[tuple] = (), *,
+                    values=None, holder_theta=None, holder_const=None) -> OneSidedPotential:
+    """Validate a range-m table: exactly the admissible m-words, rational
+    values, from `entries` or, in word order, `values` (see `_values`)."""
     if m < 1:
         raise ValueError(f"potential range must be >= 1, got {m}")
-    table = _table(sft, m, entries)
+    values = _values(sft, m, entries, values)
     declared = m
-    if m == 1:
-        table = {w: table[w[:1]] for w in admissible_words(sft, 2)}
+    if m == 1:  # each 2-word takes its first symbol's value
+        values = tuple(v for v, succ in zip(values, sft.successors) for _ in succ)
         m = 2
     theta = None if holder_theta is None else Fraction(holder_theta)
     const = None if holder_const is None else Fraction(holder_const)
-    return OneSidedPotential(sft, m, table, declared, theta, const)
+    return OneSidedPotential(sft, m, values, declared, theta, const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +128,12 @@ class TwoSidedPotential:
     sft: SftSystem
     past_depth: int
     future_depth: int
-    table: Mapping[Word, Fraction]
+    values: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def table(self) -> Mapping[Word, Fraction]:
+        """Word -> value, a view of `values` built on first read."""
+        return _word_table(self.sft, self.past_depth + self.future_depth, self.values)
 
     @property
     def working_order(self) -> int:
@@ -117,11 +141,11 @@ class TwoSidedPotential:
         return max(self.future_depth - 1, 1)
 
 
-def build_two_sided(sft: SftSystem, p: int, q: int,
-                    entries: Mapping | Iterable[tuple]) -> TwoSidedPotential:
+def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping | Iterable[tuple] = (),
+                    *, values=None) -> TwoSidedPotential:
     if p < 1 or q < 1:
         raise ValueError("past and future depths must both be >= 1")
-    return TwoSidedPotential(sft, p, q, _table(sft, p + q, entries))
+    return TwoSidedPotential(sft, p, q, _values(sft, p + q, entries, values))
 
 
 def reduce_two_sided(ahat: TwoSidedPotential) -> OneSidedPotential:
@@ -131,15 +155,17 @@ def reduce_two_sided(ahat: TwoSidedPotential) -> OneSidedPotential:
     value of ahat: every length-k path of the two-sided model picks its
     pasts freely step by step, so minimizing per step loses nothing.
     The table keys are exactly the admissible words y + w, so one pass
-    over them meets every past of every w.
+    over them meets every past of every w, and every w has a past, as
+    every symbol has a predecessor.
     """
-    p = ahat.past_depth
+    p, q = ahat.past_depth, ahat.future_depth
     reduced: dict[Word, Fraction] = {}
     for word, val in ahat.table.items():
         w = word[p:]
         if w not in reduced or val < reduced[w]:
             reduced[w] = val
-    return build_one_sided(ahat.sft, ahat.future_depth, reduced)
+    values = [reduced[w] for w in admissible_words(ahat.sft, q)]
+    return build_one_sided(ahat.sft, q, values=values)
 
 
 def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]:
@@ -170,15 +196,15 @@ def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fractio
     Needs order >= m-1 so every edge word determines the value, and b's
     transition matrix (lambda never enters the weights). At order m-1
     the edges are the admissible m-words in lexicographic order, so the
-    weights are the table's values in sorted-key order; a finer graph
-    takes them up by `lift_to`, which keeps path sums. No word is built.
+    weights are b's values as they are held; a finer graph takes them up
+    by `lift_to`, which keeps path sums. No word is built.
     """
     m, order = b.range, b.working_order
     if graph.order < order:
         raise IncompatibleOrder(
             f"graph order {graph.order} cannot carry a range-{m} potential"
         )
-    weights = tuple(map(b.table.__getitem__, sorted(b.table)))
+    weights = b.values
     base = graph if graph.order == order else refine(graph.sft, order, graph.n_nodes)
     if len(weights) != base.n_edges:
         raise IncompatibleOrder(

@@ -453,8 +453,8 @@ def normalize(u: SubAction, crit: CriticalStructure) -> OneSidedPotential:
         edge, slack = lift.negative()
         raise NotASubAction(f"edge {lift.words([edge])[0]} has negative normalized weight "
                             f"{Fraction(slack, lift.big)}")
-    table = dict(zip(lift.words(range(graph.n_edges)), _unscale([lift.slacks], lift.big)[0]))
-    return OneSidedPotential(graph.sft, graph.order + 1, table, graph.order + 1)
+    values = _unscale([lift.slacks], lift.big)[0]  # in edge order, which is word order
+    return OneSidedPotential(graph.sft, graph.order + 1, values, graph.order + 1)
 
 
 def verify(u: SubAction, crit: CriticalStructure,

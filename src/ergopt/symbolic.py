@@ -117,10 +117,12 @@ def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSy
     if len(matrix) != alphabet_size or any(len(row) != alphabet_size for row in matrix):
         raise ValueError(f"transition matrix must be {alphabet_size}x{alphabet_size}")
     rows = []
-    for row in matrix:
+    for i, row in enumerate(matrix):
         entries = tuple(int(v) for v in row)
-        if any(v not in (0, 1) for v in entries):
-            raise ValueError("transition matrix entries must be 0 or 1")
+        for j, v in enumerate(entries):
+            if v not in (0, 1):
+                raise ValueError(f"transition matrix entries must be 0 or 1: "
+                                 f"row {i}, column {j} is {row[j]!r}")
         rows.append(entries)
     transition = tuple(rows)
     successors = tuple(
@@ -157,7 +159,7 @@ def count_words(sft: SftSystem, length: int, cap: int) -> int:
     for _ in range(length - 1):
         if total > cap:
             break
-        ending = [sum(ending[a] for a in sft.predecessors[b]) for b in range(sft.alphabet_size)]
+        ending = [sum(map(ending.__getitem__, preds)) for preds in sft.predecessors]
         total = sum(ending)
     return total
 

@@ -433,6 +433,7 @@ class TestVerify:
         out.write_text("word,value\n0,0\n0,1\n1,0\n", encoding="utf-8")
         res = run_cli("verify", "--instance", E1, "--subaction", str(out))
         assert res.returncode == 2
+        assert res.stderr == "error: duplicate word '0' in sub-action CSV\n"
 
     def test_mixed_lengths(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -977,6 +978,64 @@ class TestExitCodes:
         res = run_cli("info", "--instance", str(path))
         assert res.returncode == 2
         assert res.stderr == "error: holder must be a JSON object\n"
+
+    @pytest.mark.parametrize("holder", [[], 0, False, ""])
+    def test_empty_holder_of_another_type(self, tmp_path, capsys, holder):
+        # a falsy holder that is not an object is refused as [1] is
+        path = tmp_path / "x.json"
+        data = json.loads(Path(GOLDEN).read_text(encoding="utf-8"))
+        data["holder"] = holder
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["info", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == "error: holder must be a JSON object\n"
+
+    def test_null_holder_is_no_metadata(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        data = json.loads(Path(GOLDEN).read_text(encoding="utf-8"))
+        data["holder"] = None
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["info", "--instance", str(path)]) == 0
+        null = capsys.readouterr()
+        del data["holder"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["info", "--instance", str(path)]) == 0
+        assert null == capsys.readouterr() and "holder" not in null.out
+
+    @pytest.mark.parametrize("sizes", [{"side": "one", "range": 2000},
+                                       {"side": "two", "past_depth": 1000, "future_depth": 1000}])
+    def test_range_past_the_word_cap_with_short_keys(self, tmp_path, capsys, sizes):
+        # the keys are checked before the words are counted, so the first
+        # key's length is what is refused, not the length of the words
+        path = tmp_path / "x.json"
+        entries = {"00": 1, "01": 2, "10": 3, "11": 4}
+        path.write_text(json.dumps({"alphabet_size": 2, "transition": [[1, 1], [1, 1]],
+                                    "lambda": "1/2", "potential": {**sizes, "entries": entries}}),
+                        encoding="utf-8")
+        assert main(["info", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: potential: table word (0, 0) does not have length 2000\n")
+
+    def test_range_past_the_word_cap_on_a_single_cycle(self, tmp_path):
+        # a single cycle has two words at every length, so growing texts up
+        # to a range of 10**6 would not stop on the count of keys
+        path = tmp_path / "cycle.json"
+        data = {
+            "alphabet_size": 2, "transition": [[0, 1], [1, 0]], "lambda": "1/2",
+            "potential": {"side": "one", "range": 10**6, "entries": {"0": 0, "1": 1}},
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        res = run_cli("info", "--instance", str(path), timeout=30)
+        assert res.returncode == 2
+        assert res.stderr == "error: potential: table word (0,) does not have length 1000000\n"
+
+    def test_transition_entry_that_is_not_0_or_1(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        data = json.loads(Path(E1).read_text(encoding="utf-8"))
+        data["transition"] = [[1, 1], [1, 2]]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: transition: transition matrix entries "
+                                           "must be 0 or 1: row 1, column 1 is 2\n")
 
     def test_undecodable_instance(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,12 +1,14 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import INSTANCE_DIR
+from ergopt import instances
 from ergopt.errors import (
     InstanceFormatError,
     LambdaOutOfRange,
@@ -31,6 +33,7 @@ from ergopt.instances import (
 )
 from ergopt.pipeline import solve_instance
 from ergopt.potential import TwoSidedPotential
+from ergopt.symbolic import admissible_words, build_sft
 
 
 def e1_data():
@@ -257,6 +260,83 @@ class TestParseInstance:
         data["potential"] = {"side": "two", "entries": {"00": 0}}
         with pytest.raises(InstanceFormatError):
             parse_instance(data)
+
+
+def table_data(size: int, matrix, sides: dict, sep: str) -> dict:
+    """Instance data with one value per admissible word, each key spelt
+    with `sep` between its symbols."""
+    sft = build_sft(size, matrix, Fraction(1, 2))
+    length = sides.get("range") or sides["past_depth"] + sides["future_depth"]
+    entries = {sep.join(map(str, w)): f"{i % 7}/{1 + i % 3}"
+               for i, w in enumerate(admissible_words(sft, length))}
+    return {"alphabet_size": size, "transition": matrix, "lambda": "1/2",
+            "potential": {**sides, "entries": entries}}
+
+
+FULL2 = [[1, 1], [1, 1]]
+ELEVEN = [[1 if (a + b) % 3 else 0 for b in range(11)] for a in range(11)]
+
+
+class TestKeyLookup:
+    """When the keys are exactly the admissible words as format_word
+    spells them, parse_instance reads the values by lookup; every other
+    file goes through the per-key checks. Both give the same outcome."""
+
+    CASES = [(2, FULL2, {"side": "one", "range": 4}, ""),
+             (2, FULL2, {"side": "one", "range": 1}, ""),
+             (2, FULL2, {"side": "two", "past_depth": 1, "future_depth": 2}, ""),
+             (11, ELEVEN, {"side": "one", "range": 2}, ","),
+             (11, ELEVEN, {"side": "two", "past_depth": 1, "future_depth": 1}, ",")]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_canonical_keys_are_not_read_as_words(self, monkeypatch, case):
+        data = table_data(*case)
+        want = parse_instance(data).potential
+        monkeypatch.setattr(instances, "parse_word", None)
+        got = parse_instance(data).potential
+        assert got.values == want.values
+        assert list(got.table) == admissible_words(got.sft, len(next(iter(got.table))))
+        items = list(data["potential"]["entries"].items())
+        random.Random(26).shuffle(items)
+        data["potential"]["entries"] = dict(items)
+        assert parse_instance(data).potential.values == want.values
+
+    def test_keys_spelt_with_commas_load_the_same_values(self, monkeypatch):
+        canonical = parse_instance(table_data(*self.CASES[0])).potential
+        commas = table_data(2, FULL2, {"side": "one", "range": 4}, ",")
+        assert parse_instance(commas).potential.values == canonical.values
+        monkeypatch.setattr(instances, "parse_word", None)
+        with pytest.raises(TypeError):  # the per-key path reads each key as a word
+            parse_instance(commas)
+
+    @pytest.mark.parametrize("sep", ["", ","])
+    def test_bad_value_is_named_in_file_order(self, sep):
+        # the last word in word order comes first in the file, then the
+        # first word, both with bad values: the error names the file's first
+        data = table_data(2, FULL2, {"side": "one", "range": 2}, sep)
+        last = "1" + sep + "1"
+        entries = {last: None, **data["potential"]["entries"]}
+        entries[last], entries["0" + sep + "0"] = "x", "y"
+        data["potential"]["entries"] = entries
+        with pytest.raises(InstanceFormatError,
+                           match=rf"^entry '{re.escape(last)}': not a rational: 'x'$"):
+            parse_instance(data)
+
+    @pytest.mark.parametrize("length", [3, 20])
+    def test_a_longer_range_names_a_key_and_builds_few_texts(self, length):
+        # the texts stop growing once they outnumber the keys: 2**20 texts
+        # of the full 2-shift would take tens of MiB
+        data = table_data(2, FULL2, {"side": "one", "range": 2}, "")
+        data["potential"]["range"] = length
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceFormatError, match=r"^potential: table word \(0, 0\) "
+                                                          rf"does not have length {length}$"):
+                parse_instance(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLoadInstance:

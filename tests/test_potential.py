@@ -92,6 +92,28 @@ class TestTable:
         assert all(type(v) is Fraction for v in table.values())
 
 
+class TestValues:
+    def test_values_are_in_word_order_and_the_table_is_a_view(self):
+        b = one_sided(GOLDEN, 3, {(1, 0, 1): 7, (0, 0, 0): 1, (0, 1, 0): 5, (1, 0, 0): 6,
+                                  (0, 0, 1): 2})
+        assert b.values == (1, 2, 5, 6, 7)
+        assert list(b.table) == admissible_words(GOLDEN, 3)
+        with pytest.raises(TypeError):
+            b.table[(0, 0, 0)] = 0
+
+    def test_values_given_in_word_order(self):
+        b = build_one_sided(GOLDEN, 1, values=(Fraction(3), Fraction(4)))
+        assert b.values == (3, 3, 4) and b.table[(1, 0)] == 4
+        ahat = build_two_sided(GOLDEN, 1, 1, values=(Fraction(1), Fraction(2), Fraction(3)))
+        assert ahat.table == {(0, 0): 1, (0, 1): 2, (1, 0): 3}
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_values_of_the_wrong_count_are_refused(self, count):
+        with pytest.raises(ValueError, match=rf"^{count} values do not match the "
+                                             r"admissible 2-words$"):
+            build_one_sided(GOLDEN, 2, values=(Fraction(0),) * count)
+
+
 class TestBuildOneSided:
     def test_range_one_is_promoted(self):
         f = one_sided(FULL2, 1, {(0,): 0, (1,): 1})

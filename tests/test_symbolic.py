@@ -58,8 +58,12 @@ class TestBuildSft:
             build_sft(2, [[1, 1], [1]], HALF)
 
     def test_rejects_non_binary_entries(self):
-        with pytest.raises(ValueError):
+        # the message names the first offending entry in row order
+        with pytest.raises(ValueError, match=r"^transition matrix entries must be 0 or 1: "
+                                             r"row 0, column 1 is 2$"):
             build_sft(2, [[1, 2], [1, 1]], HALF)
+        with pytest.raises(ValueError, match=r"row 1, column 0 is -1$"):
+            build_sft(2, [[1, 1], [-1, 3]], HALF)
 
     def test_rejects_empty_row(self):
         with pytest.raises(EmptyRowOrColumn):
