@@ -21,7 +21,6 @@ from .errors import (
     TooLarge,
 )
 from .instances import (
-    Instance,
     dump_instance,
     load_instance,
     parse_instance,
@@ -38,7 +37,7 @@ from .oracle import (
     point_barrier,
     s_epsilon,
 )
-from .pipeline import SolveBundle, solve_instance, solve_potential
+from .pipeline import SolveBundle, solve_instance
 from .potential import (
     OneSidedPotential,
     TwoSidedPotential,

@@ -79,15 +79,15 @@ def _yn(flag: bool) -> str:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    bundle = solve_instance(inst, node_budget=args.max_nodes)
-    s = inst.sft.alphabet_size
+    pot = load_instance(args.instance)
+    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    s = pot.sft.alphabet_size
     g = bundle.graph
     crit = bundle.crit
     # every listed word is formatted once; the lists below index these
     node_words = g.node_words
     node_text = csv_words(node_words, s)
-    edge_text = csv_words(admissible_words(inst.sft, g.order + 1, g.n_edges), s)
+    edge_text = csv_words(admissible_words(pot.sft, g.order + 1, g.n_edges), s)
 
     def words(texts, indices):
         return ",".join(map(texts.__getitem__, indices))
@@ -118,9 +118,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_barrier(args) -> int:
-    inst = load_instance(args.instance)
-    bundle = solve_instance(inst, node_budget=args.max_nodes)
-    s = inst.sft.alphabet_size
+    pot = load_instance(args.instance)
+    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    s = pot.sft.alphabet_size
     words, barriers = bundle.graph.node_words, bundle.barriers
     phi_text = matrix_csv_text(words, barriers.phi_ints, s, barriers.big)
     h_text = matrix_csv_text(words, barriers.h_ints, s, barriers.big)
@@ -140,8 +140,8 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    inst = load_instance(args.instance)
-    bundle = solve_instance(inst, node_budget=args.max_nodes)
+    pot = load_instance(args.instance)
+    bundle = solve_instance(pot, node_budget=args.max_nodes)
     crit = bundle.crit
     if args.boundary is not None:
         sub = calibrated_from_boundary(args.boundary, crit)
@@ -155,7 +155,7 @@ def cmd_calibrate(args) -> int:
     else:
         sub = SubAction(bundle.graph.order, bundle.fixed_point, "calibrated-from-boundary")
     if args.out:  # written first, so a closed stdout cannot stop it
-        text = subaction_csv_text(bundle.graph.node_words, sub.values, inst.sft.alphabet_size)
+        text = subaction_csv_text(bundle.graph.node_words, sub.values, pot.sft.alphabet_size)
         Path(args.out).write_text(text, encoding="utf-8")
     print("node values: " + ",".join(format_fraction(v) for v in sub.values))
     if args.out:
@@ -164,9 +164,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    inst = load_instance(args.instance)
-    bundle = solve_instance(inst, node_budget=args.max_nodes)
-    s = inst.sft.alphabet_size
+    pot = load_instance(args.instance)
+    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    s = pot.sft.alphabet_size
     depth = args.depth if args.depth is not None else bundle.graph.order
     sub, cert = separating_subaction(bundle.crit, depth, gamma=args.gamma,
                                      node_budget=args.max_nodes)
@@ -175,7 +175,7 @@ def cmd_separate(args) -> int:
         print(f"certificate: FAILED; residual words: {residual}")
         return 4
     if args.out:  # written first, so a closed stdout cannot stop it
-        text = subaction_csv_text(admissible_words(inst.sft, depth, args.max_nodes),
+        text = subaction_csv_text(admissible_words(pot.sft, depth, args.max_nodes),
                                   sub.values, s)
         Path(args.out).write_text(text, encoding="utf-8")
     tight = ", ".join(format_word(w, s) for w in cert.tight_words)
@@ -186,9 +186,9 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    bundle = solve_instance(inst, node_budget=args.max_nodes)
-    words, values = read_subaction_csv(args.subaction, inst.sft.alphabet_size)
+    pot = load_instance(args.instance)
+    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    words, values = read_subaction_csv(args.subaction, pot.sft.alphabet_size)
     if not words:
         raise InstanceFormatError("sub-action CSV has no rows")
     depth = len(words[0])
@@ -197,12 +197,12 @@ def cmd_verify(args) -> int:
     if len(set(words)) != len(words):
         word = next(w for w, count in Counter(words).items() if count > 1)
         raise InstanceFormatError(
-            f"duplicate word {format_word(word, inst.sft.alphabet_size)!r} in sub-action CSV")
+            f"duplicate word {format_word(word, pot.sft.alphabet_size)!r} in sub-action CSV")
     order = bundle.graph.order
     if depth < order:
         raise ValueError(f"cannot lower order {order} to {depth}")
     # the lifted graph's nodes, checked against --max-nodes up front
-    node_words = admissible_words(inst.sft, depth, args.max_nodes)
+    node_words = admissible_words(pot.sft, depth, args.max_nodes)
     if sorted(words) != node_words:
         raise InstanceFormatError(
             f"sub-action words do not match the admissible length-{depth} words"
@@ -227,8 +227,8 @@ def _check(name: str, got, want) -> None:
     raise OracleMismatch(f"{name}: solver {got!r} != brute force {want!r}")
 
 
-def _oracle_checks(inst, max_nodes: int) -> None:
-    bundle = solve_instance(inst, node_budget=max_nodes)
+def _oracle_checks(pot, max_nodes: int) -> None:
+    bundle = solve_instance(pot, node_budget=max_nodes)
     graph, weights, abar = bundle.graph, bundle.weights, bundle.abar
     n = graph.n_nodes
 
@@ -272,8 +272,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_info(args) -> int:
-    inst = load_instance(args.instance)
-    sft, pot = inst.sft, inst.potential
+    pot = load_instance(args.instance)
+    sft = pot.sft
     print(f"alphabet size: {sft.alphabet_size}")
     print(f"lambda: {format_fraction(sft.lam)}")
     if isinstance(pot, TwoSidedPotential):

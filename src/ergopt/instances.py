@@ -11,7 +11,6 @@ import csv
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,15 +18,6 @@ from typing import Iterable, Sequence
 from .errors import ErgoptError, InstanceFormatError
 from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
 from .symbolic import MAX_WORD_LENGTH, SftSystem, Word, admissible_words, build_sft
-
-
-@dataclass(frozen=True, eq=False)
-class Instance:
-    potential: OneSidedPotential | TwoSidedPotential
-
-    @property
-    def sft(self) -> SftSystem:
-        return self.potential.sft
 
 
 # Python's default limit on the digits of an integer string; a larger
@@ -179,8 +169,8 @@ def _keys_in_word_order(sft: SftSystem, pot_data: dict, side, entries: dict) -> 
     return texts if len(texts) == n and all(map(entries.__contains__, texts)) else None
 
 
-def parse_instance(data: dict) -> Instance:
-    """Build a validated Instance from decoded JSON.
+def parse_instance(data: dict) -> OneSidedPotential | TwoSidedPotential:
+    """The validated potential of decoded JSON, which holds its system.
 
     Structural problems raise InstanceFormatError; domain violations
     (irreducibility, lambda range, empty rows) keep their own types.
@@ -241,10 +231,10 @@ def parse_instance(data: dict) -> Instance:
             raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"potential: {exc}") from exc
-    return Instance(potential)
+    return potential
 
 
-def load_instance(path) -> Instance:
+def load_instance(path) -> OneSidedPotential | TwoSidedPotential:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -258,10 +248,9 @@ def load_instance(path) -> Instance:
     return parse_instance(data)
 
 
-def dump_instance(instance: Instance) -> dict:
+def dump_instance(pot: OneSidedPotential | TwoSidedPotential) -> dict:
     """JSON-ready dict that parse_instance reads back identically."""
-    sft = instance.sft
-    pot = instance.potential
+    sft = pot.sft
     data: dict = {
         "alphabet_size": sft.alphabet_size,
         "transition": [list(row) for row in sft.transition],
@@ -357,7 +346,7 @@ def _random_sft(rng: random.Random) -> SftSystem:
             continue
 
 
-def random_instance(rng: random.Random) -> Instance:
+def random_instance(rng: random.Random) -> OneSidedPotential:
     """Small irreducible system with a one-sided integer table.
 
     Alphabet 2 or 3, range 1 or 2, weights 0..4, lambda 1/2: the scale
@@ -366,11 +355,11 @@ def random_instance(rng: random.Random) -> Instance:
     sft = _random_sft(rng)
     m = rng.choice((1, 2))
     values = [Fraction(rng.randint(0, 4)) for _ in admissible_words(sft, m)]
-    return Instance(build_one_sided(sft, m, values=values))
+    return build_one_sided(sft, m, values=values)
 
 
-def random_two_sided(rng: random.Random) -> Instance:
+def random_two_sided(rng: random.Random) -> TwoSidedPotential:
     """Depth-(1,1) two-sided table on a random small system."""
     sft = _random_sft(rng)
     values = [Fraction(rng.randint(0, 4)) for _ in admissible_words(sft, 2)]
-    return Instance(build_two_sided(sft, 1, 1, values=values))
+    return build_two_sided(sft, 1, 1, values=values)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .instances import Instance
 from .potential import (
     OneSidedPotential,
     TwoSidedPotential,
@@ -60,7 +59,7 @@ class SolveBundle:
         return BarrierMatrices(big, phi, peierls_matrix(phi, self.crit))
 
 
-def solve_potential(potential, node_budget=DEFAULT_NODE_BUDGET):
+def solve_instance(potential, node_budget=DEFAULT_NODE_BUDGET):
     """Refine, weight, and solve; returns everything downstream needs.
 
     A two-sided table is solved on its one-sided envelope. The working
@@ -72,7 +71,3 @@ def solve_potential(potential, node_budget=DEFAULT_NODE_BUDGET):
     graph = refine(envelope.sft, envelope.working_order, node_budget=node_budget)
     crit = minimizing_value(graph, compile_weights(envelope, graph))
     return SolveBundle(potential, crit)
-
-
-def solve_instance(instance: Instance, node_budget=DEFAULT_NODE_BUDGET):
-    return solve_potential(instance.potential, node_budget=node_budget)

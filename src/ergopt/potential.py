@@ -12,8 +12,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import IncompatibleOrder
-from .symbolic import (DeBruijnGraph, SftSystem, Word, admissible_words, count_words,
-                       lift_to, refine)
+from .symbolic import DeBruijnGraph, SftSystem, Word, admissible_words, count_words
 
 
 def _values(sft: SftSystem, length: int, entries: Mapping | Iterable[tuple],
@@ -23,14 +22,14 @@ def _values(sft: SftSystem, length: int, entries: Mapping | Iterable[tuple],
     read from `entries`, a mapping or (key, value) pairs, which may name
     a word twice.
 
-    A tuple key is a word already; any other key (a string such as "01")
-    is converted symbol by symbol, once. Every key is checked, in this
-    order, to have that length, to be admissible (its pairs against the
-    system's allowed pairs, or its one symbol against the alphabet) and
-    to appear once, so the table is complete exactly when its size
-    equals the count of admissible words, which is checked last; no word
-    list is built. A value that is already a Fraction is kept as it is,
-    any other is converted.
+    Every key is checked, in this order, to be a word (a tuple of ints;
+    a string such as "10" is refused, as it spells no word until
+    `parse_word` reads it for an alphabet), to have that length, to be
+    admissible (its pairs against the system's allowed pairs, or its one
+    symbol against the alphabet) and to appear once, so the table is
+    complete exactly when its size equals the count of admissible words,
+    which is checked last; no word list is built. A value that is already
+    a Fraction is kept as it is, any other is converted.
     """
     if values is not None:
         if count_words(sft, length, len(values)) != len(values):
@@ -38,8 +37,9 @@ def _values(sft: SftSystem, length: int, entries: Mapping | Iterable[tuple],
         return tuple(values)
     table: dict[Word, Fraction] = {}
     pairs, symbols = sft._pairs, range(sft.alphabet_size)
-    for key, val in entries.items() if isinstance(entries, Mapping) else entries:
-        word = key if type(key) is tuple else tuple(map(int, key))
+    for word, val in entries.items() if isinstance(entries, Mapping) else entries:
+        if type(word) is not tuple:
+            raise ValueError(f"table key {word!r} is not a word, a tuple of symbols")
         if len(word) != length:
             raise ValueError(f"table word {word} does not have length {length}")
         if not (pairs.issuperset(zip(word, word[1:])) if length > 1 else word[0] in symbols):
@@ -86,6 +86,12 @@ class OneSidedPotential:
     def working_order(self) -> int:
         """The order of the smallest graph that carries the table."""
         return max(self.range - 1, 1)
+
+    @property
+    def potential(self) -> OneSidedPotential:
+        """Itself: an instance is its potential, so what reads an
+        instance's potential (perfbench's tests do) reads this."""
+        return self
 
     def value(self, word: Sequence[int]) -> Fraction:
         key = tuple(word[: self.range])
@@ -140,6 +146,11 @@ class TwoSidedPotential:
         """The working order of the one-sided envelope."""
         return max(self.future_depth - 1, 1)
 
+    @property
+    def potential(self) -> TwoSidedPotential:
+        """Itself, as `OneSidedPotential.potential`."""
+        return self
+
 
 def build_two_sided(sft: SftSystem, p: int, q: int, entries: Mapping | Iterable[tuple] = (),
                     *, values=None) -> TwoSidedPotential:
@@ -191,27 +202,21 @@ def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]
 
 
 def compile_weights(b: OneSidedPotential, graph: DeBruijnGraph) -> tuple[Fraction, ...]:
-    """Edge weight = b on the length-m prefix of the edge word.
-
-    Needs order >= m-1 so every edge word determines the value, and b's
-    transition matrix (lambda never enters the weights). At order m-1
-    the edges are the admissible m-words in lexicographic order, so the
-    weights are b's values as they are held; a finer graph takes them up
-    by `lift_to`, which keeps path sums. No word is built.
+    """Edge weight = b on the edge word, on b's own graph: its working
+    order m-1, whose edges are the admissible m-words in lexicographic
+    order, so the weights are b's values as they are held, and b's
+    transition matrix (lambda never enters the weights). `lift_to`
+    carries them to a finer graph, keeping path sums. No word is built.
     """
     m, order = b.range, b.working_order
-    if graph.order < order:
+    if graph.order != order:
         raise IncompatibleOrder(
-            f"graph order {graph.order} cannot carry a range-{m} potential"
+            f"a range-{m} potential compiles onto order {order}, not {graph.order}"
         )
-    weights = b.values
-    base = graph if graph.order == order else refine(graph.sft, order, graph.n_nodes)
-    if len(weights) != base.n_edges:
+    if len(b.values) != graph.n_edges:
         raise IncompatibleOrder(
-            f"a range-{m} table needs {base.n_edges} values, it has {len(weights)}"
+            f"a range-{m} table needs {graph.n_edges} values, it has {len(b.values)}"
         )
     if graph.sft.transition != b.sft.transition:
         raise IncompatibleOrder("the graph's transition matrix is not the potential's")
-    if base is graph:
-        return weights
-    return lift_to(base, weights, graph.order, graph.n_nodes)[1]
+    return b.values

@@ -74,7 +74,6 @@ class GapReport:
     component_constants: tuple[Fraction, ...]
     minimum: Fraction
     argmin_nodes: tuple[int, ...]
-    min_on_critical: Fraction
     attained_component: int
 
 
@@ -165,8 +164,9 @@ class _Lift:
     `scan` gives whether no slack is negative and the tight edges in
     lifted edge order; `members`, at that scan, the number of a
     separating pass's perturbations and their signed sum at each lifted
-    node; `negative`, the first edge of negative slack and that slack;
-    `edge_indices`, tight edges as numbered in `lift_critical`'s lift.
+    node; `negative`, the first edge of negative slack and that slack,
+    which `read_sub` names; `edge_indices`, tight edges as numbered in
+    `lift_critical`'s lift.
     `_EdgeLift` and `_NodeLift` hold the slacks two ways.
     """
 
@@ -188,6 +188,18 @@ class _Lift:
         self.load(*_scaled_costs(values, len(self.base), self.crit.weights, self.crit.abar))
         is_sub, tight = self.scan()
         return is_sub, is_sub and len(self.tight_heads(tight)) == len(self.base), tight
+
+    def read_sub(self, values: Sequence[Fraction], prefix: str = "",
+                 slack: str = "slack") -> tuple[bool, list]:
+        """`read` of node values that must be a sub-action: whether
+        calibrated, and the tight edges. Else NotASubAction names the
+        first edge of negative slack after `prefix`, `slack` naming it."""
+        is_sub, is_cal, tight = self.read(values)
+        if not is_sub:
+            edge, s = self.negative()
+            raise NotASubAction(f"{prefix}edge {self.words([edge])[0]} has negative {slack} "
+                                f"{Fraction(s, self.big)}")
+        return is_cal, tight
 
     def spell(self, tight) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
         """The words of the tight edges, and those of them that lie in no
@@ -428,11 +440,7 @@ def contact_locus(u: SubAction, crit: CriticalStructure) -> ContactSet:
     """Edges of the graph of `crit`, lifted to u's depth (at least the
     graph order), where the sub-action inequality is an equality."""
     lift = _lift(crit, u.depth, DEFAULT_NODE_BUDGET)
-    is_sub, _, tight = lift.read(u.values)
-    if not is_sub:
-        edge, slack = lift.negative()
-        raise NotASubAction(f"edge {lift.words([edge])[0]} has negative slack "
-                            f"{Fraction(slack, lift.big)}")
+    tight = lift.read_sub(u.values)[1]
     return ContactSet(u.depth, tuple(lift.edge_indices(tight)), lift.words(tight))
 
 
@@ -449,10 +457,7 @@ def normalize(u: SubAction, crit: CriticalStructure) -> OneSidedPotential:
             f"sub-action depth {u.depth} does not match graph order {graph.order}"
         )
     lift = _lift(crit, graph.order, DEFAULT_NODE_BUDGET)
-    if not lift.read(u.values)[0]:
-        edge, slack = lift.negative()
-        raise NotASubAction(f"edge {lift.words([edge])[0]} has negative normalized weight "
-                            f"{Fraction(slack, lift.big)}")
+    lift.read_sub(u.values, slack="normalized weight")
     values = _unscale([lift.slacks], lift.big)[0]  # in edge order, which is word order
     return OneSidedPotential(graph.sft, graph.order + 1, values, graph.order + 1)
 
@@ -563,12 +568,9 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     if u.depth != v.depth:
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
     lift = _lift(crit, u.depth, DEFAULT_NODE_BUDGET)
-    is_sub, is_cal, _ = lift.read(u.values)
-    if not is_sub:
-        raise NotASubAction("u violates the sub-action inequality")
+    is_cal = lift.read_sub(u.values, "u violates the sub-action inequality: ")[0]
     u_big, u_ints = lift.big, lift.values
-    if not lift.read(v.values)[0]:
-        raise NotASubAction("v violates the sub-action inequality")
+    lift.read_sub(v.values, "v violates the sub-action inequality: ")
     if not is_cal:
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
 
@@ -589,9 +591,8 @@ def gap_analysis(u: SubAction, v: SubAction, crit: CriticalStructure) -> GapRepo
     argmin = tuple(n for n, d in enumerate(diff) if d == minimum)
     if min(constants) != minimum:
         raise InternalError("minimum of u - v is not attained on a critical word")
-    attained = constants.index(minimum)
-    low = Fraction(minimum, big)
-    return GapReport(tuple(Fraction(c, big) for c in constants), low, argmin, low, attained)
+    return GapReport(tuple(Fraction(c, big) for c in constants), Fraction(minimum, big),
+                     argmin, constants.index(minimum))
 
 
 def convex_combination(subactions: Sequence[SubAction],

@@ -141,8 +141,10 @@ def build_sft(alphabet_size: int, matrix: Sequence[Sequence[int]], lam) -> SftSy
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise LambdaOutOfRange(f"lambda must lie strictly between 0 and 1, got {lam}")
-    if len(strongly_connected_components(successors)) != 1:
-        raise NotIrreducible("transition matrix is not strongly connected")
+    components = strongly_connected_components(successors)
+    if len(components) > 1:  # the first is a sink, which reaches no other
+        raise NotIrreducible(f"transition matrix is not strongly connected: symbol "
+                             f"{components[0][0]} cannot reach symbol {components[-1][0]}")
     return SftSystem(alphabet_size, transition, lam, successors, predecessors)
 
 

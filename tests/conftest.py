@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ergopt.errors import ErgoptError
-from ergopt.instances import Instance, load_instance, random_instance, random_two_sided
+from ergopt.instances import load_instance, random_instance, random_two_sided
 from ergopt.pipeline import solve_instance
-from ergopt.potential import build_one_sided
+from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.symbolic import Edge, LassoPoint, admissible_words, build_sft
 
 settings.register_profile(
@@ -61,7 +61,7 @@ def corpus_bundles(corpus):
     return [solve_instance(inst) for inst in corpus]
 
 
-def tie_heavy_instance(rng: random.Random) -> Instance:
+def tie_heavy_instance(rng: random.Random) -> OneSidedPotential:
     """Irreducible system on 2-4 symbols (transitions drawn as in
     `random_instance`), range 2 or 3 (2 on 4 symbols), and weights
     0..top with top 1, 2 or 4: few distinct weights make ties, so many
@@ -77,7 +77,7 @@ def tie_heavy_instance(rng: random.Random) -> Instance:
     m = 2 if size == 4 else rng.choice((2, 3))
     top = rng.choice((1, 2, 4))
     entries = {w: Fraction(rng.randint(0, top)) for w in admissible_words(sft, m)}
-    return Instance(build_one_sided(sft, m, entries))
+    return build_one_sided(sft, m, entries)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from conftest import INSTANCE_DIR
 from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import InternalError, OracleMismatch
-from ergopt.instances import (Instance, dump_instance, load_instance, parse_word,
+from ergopt.instances import (dump_instance, load_instance, parse_word,
                               read_matrix_csv, read_subaction_csv)
 from ergopt.oracle import brute_cycles
 from ergopt.pipeline import solve_instance
@@ -750,7 +750,7 @@ class TestInfo:
             two = build_two_sided(sft, 1, depth, dict.fromkeys(two_words, 1))
             for side, pot in (("one", one), ("two", two)):
                 path = tmp_path / f"{side}{depth}.json"
-                path.write_text(json.dumps(dump_instance(Instance(pot))), encoding="utf-8")
+                path.write_text(json.dumps(dump_instance(pot)), encoding="utf-8")
                 paths.append(str(path))
         for path in paths:
             assert main(["info", "--instance", path]) == 0
@@ -862,7 +862,10 @@ class TestExitCodes:
             "potential": {"side": "one", "range": 1, "entries": {"0": 0, "1": 1}},
         }
         path.write_text(json.dumps(data), encoding="utf-8")
-        assert run_cli("solve", "--instance", str(path)).returncode == 3
+        res = run_cli("solve", "--instance", str(path))
+        assert res.returncode == 3
+        assert res.stderr == ("error: transition matrix is not strongly connected: "
+                              "symbol 0 cannot reach symbol 1\n")
 
     def test_lambda_out_of_range(self, tmp_path):
         path = tmp_path / "x.json"

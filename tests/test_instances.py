@@ -165,8 +165,8 @@ class TestParseInstance:
             data = dump_instance(inst)
             assert data["potential"]["side"] == "two"
             reparsed = parse_instance(data)
-            assert isinstance(reparsed.potential, TwoSidedPotential)
-            assert reparsed.potential.table == inst.potential.table
+            assert isinstance(reparsed, TwoSidedPotential)
+            assert reparsed.table == inst.table
             assert dump_instance(reparsed) == data
 
     @pytest.mark.parametrize("drop", ["alphabet_size", "transition", "lambda",
@@ -227,7 +227,7 @@ class TestParseInstance:
         data = e1_data()
         data["potential"] = {"side": "one", "range": 2,
                              "entries": {"00": 1, "01": "1", "10": "2/4", "11": 1}}
-        table = parse_instance(data).potential.table
+        table = parse_instance(data).table
         assert table == {(0, 0): 1, (0, 1): 1, (1, 0): Fraction(1, 2), (1, 1): 1}
         assert all(type(v) is Fraction for v in table.values())
 
@@ -291,20 +291,20 @@ class TestKeyLookup:
     @pytest.mark.parametrize("case", CASES)
     def test_canonical_keys_are_not_read_as_words(self, monkeypatch, case):
         data = table_data(*case)
-        want = parse_instance(data).potential
+        want = parse_instance(data)
         monkeypatch.setattr(instances, "parse_word", None)
-        got = parse_instance(data).potential
+        got = parse_instance(data)
         assert got.values == want.values
         assert list(got.table) == admissible_words(got.sft, len(next(iter(got.table))))
         items = list(data["potential"]["entries"].items())
         random.Random(26).shuffle(items)
         data["potential"]["entries"] = dict(items)
-        assert parse_instance(data).potential.values == want.values
+        assert parse_instance(data).values == want.values
 
     def test_keys_spelt_with_commas_load_the_same_values(self, monkeypatch):
-        canonical = parse_instance(table_data(*self.CASES[0])).potential
+        canonical = parse_instance(table_data(*self.CASES[0]))
         commas = table_data(2, FULL2, {"side": "one", "range": 4}, ",")
-        assert parse_instance(commas).potential.values == canonical.values
+        assert parse_instance(commas).values == canonical.values
         monkeypatch.setattr(instances, "parse_word", None)
         with pytest.raises(TypeError):  # the per-key path reads each key as a word
             parse_instance(commas)
@@ -457,14 +457,13 @@ class TestRandomInstances:
         for _ in range(20):
             inst = random_instance(rng)
             assert inst.sft.alphabet_size in (2, 3)
-            assert inst.potential.declared_range in (1, 2)
-            assert all(0 <= v <= 4 for v in inst.potential.table.values())
+            assert inst.declared_range in (1, 2)
+            assert all(0 <= v <= 4 for v in inst.table.values())
 
     def test_two_sided_shape(self):
         rng = random.Random(4)
         for _ in range(10):
-            inst = random_two_sided(rng)
-            pot = inst.potential
+            pot = random_two_sided(rng)
             assert isinstance(pot, TwoSidedPotential)
             assert (pot.past_depth, pot.future_depth) == (1, 1)
 

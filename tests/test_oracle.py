@@ -19,7 +19,7 @@ from ergopt.oracle import (
     point_barrier,
     s_epsilon,
 )
-from ergopt.pipeline import solve_instance, solve_potential
+from ergopt.pipeline import solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to, node_of
 
@@ -38,7 +38,7 @@ def full_shift(size=2):
 def constant_bundle(value=3):
     sft = full_shift()
     pot = build_one_sided(sft, 1, {(0,): value, (1,): value})
-    return solve_potential(pot)
+    return solve_instance(pot)
 
 
 class TestBruteCycles:
@@ -177,7 +177,7 @@ class TestBarrierWindow:
         # n^2..2n^2 range a naive window scan would use.
         sft = full_shift()
         pot = build_one_sided(sft, 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0})
-        b = solve_potential(pot)
+        b = solve_instance(pot)
         assert b.abar == 0
         assert b.barriers.h[0][0] == 8
 
@@ -233,6 +233,14 @@ class TestSEpsilon:
             s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF**2), pot)
         with pytest.raises(ValueError):
             s_epsilon(SEpsilonQuery(ONE, ONE, 1, HALF), golden_bundle.potential)
+
+    def test_the_symbol_budget_is_inclusive(self, e1_bundle):
+        # e1's window is 2 and epsilon = lambda gives p = 1: k = 21 spends
+        # exactly SYMBOL_BUDGET symbols, one more is refused
+        pot = e1_bundle.potential
+        assert s_epsilon(SEpsilonQuery(ZERO, ZERO, 21, HALF), pot) == 0
+        with pytest.raises(TooLarge, match=r"^p \+ k \+ window = 25 exceeds the budget 24$"):
+            s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF), pot)
 
     def test_shrinking_epsilon_raises_the_minimum(self, e1_bundle, e2_bundle,
                                                   golden_bundle):
@@ -380,4 +388,4 @@ class TestHolonomicBrute:
     def test_agrees_with_reduction_on_corpus(self, two_sided_corpus):
         for inst in two_sided_corpus[:10]:
             b = solve_instance(inst)
-            assert holonomic_value_brute(inst.potential) == b.abar
+            assert holonomic_value_brute(inst) == b.abar

@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
-from ergopt import tropical
-from ergopt.instances import Instance
+from ergopt import pipeline, tropical
+from ergopt.instances import parse_instance
 from ergopt.oracle import holonomic_value_brute, is_nonwandering, s_epsilon
-from ergopt.pipeline import SolveBundle, solve_potential
-from ergopt.potential import (TwoSidedPotential, build_one_sided, build_two_sided,
+from ergopt.pipeline import SolveBundle, solve_instance
+from ergopt.potential import (OneSidedPotential, TwoSidedPotential, build_one_sided,
                               compile_weights, reduce_two_sided)
 from ergopt.symbolic import LassoPoint, build_sft
 
@@ -18,8 +18,9 @@ class TestOneSolvedSystem:
     def test_each_fact_is_stored_once(self):
         assert [f.name for f in fields(SolveBundle)] == ["potential", "crit"]
         assert not hasattr(tropical, "ErgodicSummary")
-        assert list(inspect.signature(solve_potential).parameters) == [
+        assert list(inspect.signature(solve_instance).parameters) == [
             "potential", "node_budget"]
+        assert not hasattr(pipeline, "solve_potential")
         assert list(inspect.signature(reduce_two_sided).parameters) == ["ahat"]
 
     def test_views_are_the_solved_system(self, e1_bundle, e2_bundle, golden_bundle,
@@ -41,7 +42,7 @@ class TestOneSolvedSystem:
         # the envelope is derived from the table, not stored beside it
         for inst, b in zip(two_sided_corpus, two_sided_bundles):
             assert isinstance(b.potential, TwoSidedPotential)
-            assert b.potential is inst.potential
+            assert b.potential is inst
             assert compile_weights(reduce_two_sided(b.potential), b.graph) == b.weights
 
     def test_nonwandering_search_reads_the_table_as_given(self, two_sided_bundles):
@@ -62,31 +63,25 @@ class TestOneSolvedSystem:
         # on the golden mean these values would give abar 5/2; on their
         # own system the loop 1 -> 1 costs 0
         sft = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
-        b = solve_potential(build_one_sided(sft, 2, {(0, 1): 5, (1, 0): 5, (1, 1): 0}))
+        b = solve_instance(build_one_sided(sft, 2, {(0, 1): 5, (1, 0): 5, (1, 1): 0}))
         assert b.sft is sft
         assert b.abar == 0
         assert b.weights == (5, 5, 0)
 
 
 class TestInstanceHoldsThePotential:
-    def test_the_potential_is_stored_alone(self):
-        assert [f.name for f in fields(Instance)] == ["potential"]
-
-    def test_sft_is_the_potential_system(self):
-        sft = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
-        one = build_one_sided(sft, 1, {(0,): 1, (1,): 0})
-        two = build_two_sided(sft, 1, 1, {(0, 1): 1, (1, 0): 2, (1, 1): 0})
+    def test_an_instance_is_its_potential(self):
+        # an instance file holds one potential, which holds its system
+        data = {"alphabet_size": 2, "transition": [[0, 1], [1, 1]], "lambda": "1/2",
+                "potential": {"side": "one", "range": 1, "entries": {"0": 1, "1": 0}}}
+        one = parse_instance(data)
+        data["potential"] = {"side": "two", "past_depth": 1, "future_depth": 1,
+                             "entries": {"01": 1, "10": 2, "11": 0}}
+        two = parse_instance(data)
+        assert (type(one), type(two)) == (OneSidedPotential, TwoSidedPotential)
+        assert one.sft == two.sft and one.sft.transition == ((0, 1), (1, 1))
         for pot in (one, two):
-            inst = Instance(pot)
-            assert inst.sft is inst.potential.sft is sft
-
-    def test_sft_cannot_be_replaced(self, e1_bundle):
-        inst = Instance(e1_bundle.potential)
-        other = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 2))
-        with pytest.raises(TypeError):
-            replace(inst, sft=other)
-        with pytest.raises(AttributeError):
-            inst.sft = other
+            assert pot.potential is pot
 
     def test_oracle_reads_the_system_from_its_holder(self):
         def params(fn):

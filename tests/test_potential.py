@@ -18,7 +18,7 @@ from ergopt.potential import (
     truncate,
 )
 from ergopt.subactions import SubAction, normalize
-from ergopt.symbolic import build_sft, count_words, refine
+from ergopt.symbolic import build_sft, count_words, lift_to, refine
 from ergopt.tropical import minimizing_value
 
 HALF = Fraction(1, 2)
@@ -60,8 +60,9 @@ class TestTable:
     @pytest.mark.parametrize("entries, message", [
         ({(0, 0): 0, (0,): 1}, "table word (0,) does not have length 2"),
         ({(0, 0): 0, (1, 1): 1}, "table word (1, 1) is not admissible"),
-        ({"01": 0, (0, 1): 1}, "duplicate table word (0, 1)"),
+        ([((0, 1), 0), ((1, 0), 1), ((0, 1), 1)], "duplicate table word (0, 1)"),
         ([((0, 1), 0), ((0, 1), 1)], "duplicate table word (0, 1)"),
+        ({(0, 1): 0, "01": 1}, "table key '01' is not a word, a tuple of symbols"),
     ])
     def test_each_key_is_refused_before_a_missing_word(self, entries, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -69,7 +70,19 @@ class TestTable:
 
     def test_one_symbol_outside_the_alphabet_is_not_admissible(self):
         with pytest.raises(ValueError, match=r"^table word \(2,\) is not admissible$"):
-            build_one_sided(GOLDEN, 1, {"2": 0})
+            build_one_sided(GOLDEN, 1, {(2,): 0})
+
+    @pytest.mark.parametrize("key", ["10", "0,1", [1, 0], 10],
+                             ids=["digits", "commas", "list", "int"])
+    def test_a_key_that_is_not_a_tuple_is_refused(self, key):
+        # a string spells a word only for an alphabet: "10" is the one
+        # symbol 10 beside eleven symbols, the word (1, 0) beside ten
+        full11 = build_sft(11, [[1] * 11] * 11, HALF)
+        with pytest.raises(ValueError, match=rf"^table key {re.escape(repr(key))} is not a "
+                                             r"word, a tuple of symbols$"):
+            build_one_sided(full11, 1, [(key, 0)])
+        with pytest.raises(ValueError, match="is not a word"):
+            build_two_sided(full11, 1, 1, [(key, 0)])
 
     def test_missing_word_is_reported_last(self):
         with pytest.raises(ValueError, match=r"^table is missing admissible words of "
@@ -170,12 +183,11 @@ class TestTruncate:
     @given(st.integers(0, 10**6))
     def test_truncation_sandwich(self, seed):
         rng = random.Random(seed)
-        inst = random_instance(rng)
-        pot = inst.potential
+        pot = random_instance(rng)
         if pot.range < 2:
             return
         trunc, bound = truncate(pot, 1)
-        for w in admissible_words(inst.sft, pot.range):
+        for w in admissible_words(pot.sft, pot.range):
             assert trunc.value(w) <= pot.value(w) <= trunc.value(w) + bound
 
 
@@ -255,20 +267,28 @@ class TestCompileWeights:
         with pytest.raises(IncompatibleOrder):
             compile_weights(f, refine(FULL2, 1))
 
+    def test_rejects_fine_graph(self):
+        f = one_sided(FULL2, 2, {w: 0 for w in admissible_words(FULL2, 2)})
+        with pytest.raises(IncompatibleOrder, match=r"^a range-2 potential compiles onto "
+                                                    r"order 1, not 2$"):
+            compile_weights(f, refine(FULL2, 2))
+
     @given(irreducible_systems(), st.integers(1, 3), st.randoms(use_true_random=False))
     def test_matches_the_table_read_through_edge_words(self, sft, m, rng):
         # entries arrive in a shuffled order; each edge takes the value of
-        # its word's length-m prefix, at order m - 1 and on finer graphs
+        # its word's length-m prefix, at order m - 1 and, lifted, on finer
+        # graphs
         words = admissible_words(sft, m)
         rng.shuffle(words)
         b = one_sided(sft, m, {w: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                for w in words})
+        base = refine(sft, b.working_order)
+        weights = compile_weights(b, base)
         for order in range(b.range - 1, b.range + 3):
             if count_words(sft, order + 1, 2000) > 2000:
                 break
-            graph = refine(sft, order)
-            assert compile_weights(b, graph) == tuple(
-                b.table[e.word[:b.range]] for e in graph.edges)
+            graph, lifted = lift_to(base, weights, order)
+            assert lifted == tuple(b.table[e.word[:b.range]] for e in graph.edges)
 
     def test_rejects_a_table_of_the_wrong_size(self):
         f = one_sided(FULL2, 2, {w: 0 for w in admissible_words(FULL2, 2)})
@@ -280,9 +300,10 @@ class TestCompileWeights:
         # 01, 10, 11 against the golden mean's 00, 01, 10: the sizes agree
         sft = build_sft(2, [[0, 1], [1, 1]], HALF)
         f = one_sided(sft, 2, {(0, 1): 5, (1, 0): 5, (1, 1): 0})
+        base = refine(GOLDEN, 1)
         for order in (1, 2):
             with pytest.raises(IncompatibleOrder, match="transition matrix"):
-                compile_weights(f, refine(GOLDEN, order))
+                lift_to(base, compile_weights(f, base), order)
         # lambda never enters the weights
         other_lambda = build_sft(2, [[0, 1], [1, 1]], Fraction(1, 3))
         assert compile_weights(f, refine(other_lambda, 1)) == (5, 5, 0)
@@ -290,7 +311,6 @@ class TestCompileWeights:
     def test_lifted_graph_same_cycle_values(self):
         f = one_sided(GOLDEN, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 0})
         base = refine(GOLDEN, 1)
-        fine = refine(GOLDEN, 3)
         w_base = compile_weights(f, base)
-        w_fine = compile_weights(f, fine)
+        fine, w_fine = lift_to(base, w_base, 3)
         assert minimizing_value(base, w_base).abar == minimizing_value(fine, w_fine).abar

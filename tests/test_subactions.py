@@ -10,7 +10,7 @@ from conftest import INSTANCE_DIR, irreducible_systems
 from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import load_instance, random_instance, random_two_sided
-from ergopt.pipeline import solve_instance, solve_potential
+from ergopt.pipeline import solve_instance
 from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.subactions import (
     ContactSet,
@@ -132,6 +132,14 @@ class TestDominant:
         u = dominant_calibrated(0, Fraction(0), e1_bundle.crit)
         assert u.values == (0, 0)
 
+    def test_index_past_the_last_component_is_refused(self, e1_bundle, e2_bundle):
+        # one past the end is a ValueError (exit 3), not an IndexError
+        for b in (e1_bundle, e2_bundle):
+            k = len(b.crit.representatives)
+            with pytest.raises(ValueError, match=rf"^component index {k} out of range "
+                                                 rf"0\.\.{k - 1}$"):
+                dominant_calibrated(k, Fraction(0), b.crit)
+
     def test_matches_boundary_construction_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:60]:
             h = b.barriers.h
@@ -158,7 +166,7 @@ class TestContactLocus:
 
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
-        with pytest.raises(NotASubAction):
+        with pytest.raises(NotASubAction, match=r"^edge \(0, 1\) has negative slack -9$"):
             contact_locus(bad, e1_bundle.crit)
 
     def test_lifted_sub_action_is_read_at_its_depth(self, corpus_bundles):
@@ -319,7 +327,7 @@ class TestSeparating:
         # the critical words of the lifted system
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, top) for w in admissible_words(sft, m)}
-        b = solve_potential(build_one_sided(sft, m, entries))
+        b = solve_instance(build_one_sided(sft, m, entries))
         for depth in (b.graph.order, b.graph.order + 1):
             lifted, lw = lift_to(b.graph, b.weights, depth)
             critical = critical_structure(lifted, lw).critical_edges
@@ -416,7 +424,7 @@ class TestLiftCritical:
         # a critical base edge of c (at the base depth, a node keeps its own)
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, 2) for w in admissible_words(sft, m)}
-        crit = solve_potential(build_one_sided(sft, m, entries)).crit
+        crit = solve_instance(build_one_sided(sft, m, entries)).crit
         g, r = crit.graph, crit.graph.order
 
         def component(word):
@@ -449,7 +457,7 @@ class TestLiftCritical:
         # a single cycle has two words at every length; counting them
         # once per level made the lift quadratic in the depth
         sft = build_sft(2, [[0, 1], [1, 0]], Fraction(1, 2))
-        b = solve_potential(build_one_sided(sft, 2, {"01": 0, "10": 1}))
+        b = solve_instance(build_one_sided(sft, 2, {(0, 1): 0, (1, 0): 1}))
         calls = []
         count = symbolic.count_words
         monkeypatch.setattr(symbolic, "count_words",
@@ -461,7 +469,7 @@ class TestLiftCritical:
 
     def test_base_map_carries_values_by_prefix(self):
         sft = build_sft(2, [[1, 1], [1, 1]], Fraction(1, 2))
-        b = solve_potential(build_one_sided(sft, 1, {"0": 0, "1": 1}))
+        b = solve_instance(build_one_sided(sft, 1, {(0,): 0, (1,): 1}))
         base = lift_critical(b.crit, 2)[4]
         values = (Fraction(5), Fraction(7))
         assert tuple(values[i] for i in base) == (
@@ -567,7 +575,7 @@ class TestParentHeldLift:
         assert cert.ok and verify(sub, crit).separating_certificate
         assert contact_locus(sub, crit).tight_words == cert.tight_words
         report = gap_analysis(fixed, sub, crit)
-        assert report.min_on_critical == report.minimum
+        assert min(report.component_constants) == report.minimum
         assert orders and max(orders) == 5
 
     def test_budget_is_checked_before_any_graph_is_built(self, e2_bundle, monkeypatch):
@@ -633,8 +641,10 @@ def reference_gap(u, v, crit, explicit, slacks):
         raise IncompatibleOrder(f"depths differ: {u.depth} vs {v.depth}")
     lifted, nodes = explicit[0], explicit[2]
     for name, sub in (("u", u), ("v", v)):
-        if min(slacks(sub)) < 0:
-            raise NotASubAction(f"{name} violates the sub-action inequality")
+        try:
+            reference_contact(sub, explicit, slacks)
+        except NotASubAction as exc:
+            raise NotASubAction(f"{name} violates the sub-action inequality: {exc}") from None
     if {h for s, h in zip(slacks(u), lifted.heads) if s == 0} != set(range(lifted.n_nodes)):
         raise NotCalibrated("u is not a fixed point of the one-step minimum")
     diff = [a - b for a, b in zip(u.values, v.values)]
@@ -642,7 +652,7 @@ def reference_gap(u, v, crit, explicit, slacks):
                       for i in range(len(crit.components)))
     minimum = min(diff)
     return GapReport(constants, minimum, tuple(n for n, d in enumerate(diff) if d == minimum),
-                     min(constants), constants.index(min(constants)))
+                     constants.index(min(constants)))
 
 
 class TestOneSlackReader:
@@ -782,8 +792,16 @@ class TestGapAnalysis:
         assert report.component_constants == (0, 1)
         assert report.minimum == 0
         assert report.argmin_nodes == (0, 1)
-        assert report.min_on_critical == 0
         assert report.attained_component == 0
+
+    def test_names_the_first_negative_edge(self, e1_bundle):
+        fixed = fixed_sub(e1_bundle)
+        bad = SubAction(1, (Fraction(0), Fraction(5)), "user-supplied")
+        for pair, name in (((bad, fixed), "u"), ((fixed, bad), "v")):
+            with pytest.raises(NotASubAction, match=rf"^{name} violates the sub-action "
+                                                    r"inequality: edge \(0, 1\) has "
+                                                    r"negative slack -5$"):
+                gap_analysis(*pair, e1_bundle.crit)
 
     def test_rejects_uncalibrated_u(self, e1_bundle):
         sep, _ = separating_subaction(e1_bundle.crit, 1)
@@ -806,7 +824,7 @@ class TestGapAnalysis:
                        for i in range(r))
             u = calibrated_from_boundary(bd, b.crit)
             report = gap_analysis(u, fixed_sub(b), b.crit)
-            assert report.min_on_critical == report.minimum
+            assert min(report.component_constants) == report.minimum
 
     def test_against_lifted_separating_candidate(self, e1_bundle):
         b = e1_bundle
@@ -814,4 +832,4 @@ class TestGapAnalysis:
         base = lift_critical(b.crit, 2)[4]
         u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
         report = gap_analysis(u, sep, b.crit)
-        assert report.min_on_critical == report.minimum
+        assert min(report.component_constants) == report.minimum

@@ -74,8 +74,14 @@ class TestBuildSft:
             build_sft(2, [[1, 0], [1, 0]], HALF)
 
     def test_rejects_reducible(self):
-        with pytest.raises(NotIrreducible):
-            build_sft(2, [[1, 1], [0, 1]], HALF)
+        # a sink component cannot reach the component the search returns last
+        for matrix, sink, source in (([[1, 1], [0, 1]], 1, 0),
+                                     ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 0, 2),
+                                     ([[1, 1, 0], [0, 1, 1], [0, 1, 1]], 1, 0)):
+            with pytest.raises(NotIrreducible, match=rf"^transition matrix is not strongly "
+                                                     rf"connected: symbol {sink} cannot "
+                                                     rf"reach symbol {source}$"):
+                build_sft(len(matrix), matrix, HALF)
 
     @pytest.mark.parametrize("lam", [0, 1, 2, Fraction(3, 2), -1])
     def test_rejects_lambda_outside_unit_interval(self, lam):
