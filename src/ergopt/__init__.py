@@ -37,7 +37,7 @@ from .oracle import (
     point_barrier,
     s_epsilon,
 )
-from .pipeline import SolveBundle, solve_instance
+from .pipeline import barrier_matrices, solve_instance
 from .potential import (
     OneSidedPotential,
     TwoSidedPotential,

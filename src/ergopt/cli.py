@@ -38,7 +38,7 @@ from .instances import (
     subaction_csv_text,
 )
 from .oracle import barrier_window, brute_cycles, holonomic_value_brute, path_min_table
-from .pipeline import solve_instance
+from .pipeline import barrier_matrices, solve_instance
 from .potential import TwoSidedPotential
 from .subactions import (
     SubAction,
@@ -48,7 +48,7 @@ from .subactions import (
     verify,
 )
 from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, refine
-from .tropical import constraint_polytope, lax_oleinik_step
+from .tropical import calibrated_fixed_point, constraint_polytope, lax_oleinik_step
 
 
 def _fraction(text: str, where: str = "value") -> Fraction:
@@ -80,10 +80,9 @@ def _yn(flag: bool) -> str:
 
 def cmd_solve(args) -> int:
     pot = load_instance(args.instance)
-    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    crit = solve_instance(pot, node_budget=args.max_nodes)
     s = pot.sft.alphabet_size
-    g = bundle.graph
-    crit = bundle.crit
+    g = crit.graph
     # every listed word is formatted once; the lists below index these
     node_words = g.node_words
     node_text = csv_words(node_words, s)
@@ -96,7 +95,7 @@ def cmd_solve(args) -> int:
     print(f"graph order: {g.order}")
     print("nodes: " + ",".join(node_text))
     print("edges: " + ",".join(edge_text))
-    print(f"abar = {format_fraction(bundle.abar)}")
+    print(f"abar = {format_fraction(crit.abar)}")
     cycle = crit.witness_cycle
     walk = [g.tails[cycle[0]]] + [g.heads[k] for k in cycle]
     print("witness cycle: " + " -> ".join(format_word(node_words[v], s) for v in walk))
@@ -119,9 +118,9 @@ def cmd_solve(args) -> int:
 
 def cmd_barrier(args) -> int:
     pot = load_instance(args.instance)
-    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    crit = solve_instance(pot, node_budget=args.max_nodes)
     s = pot.sft.alphabet_size
-    words, barriers = bundle.graph.node_words, bundle.barriers
+    words, barriers = crit.graph.node_words, barrier_matrices(crit)
     phi_text = matrix_csv_text(words, barriers.phi_ints, s, barriers.big)
     h_text = matrix_csv_text(words, barriers.h_ints, s, barriers.big)
     if args.out:
@@ -141,8 +140,7 @@ def cmd_barrier(args) -> int:
 
 def cmd_calibrate(args) -> int:
     pot = load_instance(args.instance)
-    bundle = solve_instance(pot, node_budget=args.max_nodes)
-    crit = bundle.crit
+    crit = solve_instance(pot, node_budget=args.max_nodes)
     if args.boundary is not None:
         sub = calibrated_from_boundary(args.boundary, crit)
     elif args.dominant is not None:
@@ -153,9 +151,9 @@ def cmd_calibrate(args) -> int:
             )
         sub = dominant_calibrated(index - 1, value, crit)
     else:
-        sub = SubAction(bundle.graph.order, bundle.fixed_point, "calibrated-from-boundary")
+        sub = SubAction(crit.graph.order, calibrated_fixed_point(crit), "calibrated-from-boundary")
     if args.out:  # written first, so a closed stdout cannot stop it
-        text = subaction_csv_text(bundle.graph.node_words, sub.values, pot.sft.alphabet_size)
+        text = subaction_csv_text(crit.graph.node_words, sub.values, pot.sft.alphabet_size)
         Path(args.out).write_text(text, encoding="utf-8")
     print("node values: " + ",".join(format_fraction(v) for v in sub.values))
     if args.out:
@@ -165,10 +163,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_separate(args) -> int:
     pot = load_instance(args.instance)
-    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    crit = solve_instance(pot, node_budget=args.max_nodes)
     s = pot.sft.alphabet_size
-    depth = args.depth if args.depth is not None else bundle.graph.order
-    sub, cert = separating_subaction(bundle.crit, depth, gamma=args.gamma,
+    depth = args.depth if args.depth is not None else crit.graph.order
+    sub, cert = separating_subaction(crit, depth, gamma=args.gamma,
                                      node_budget=args.max_nodes)
     if not cert.ok:
         residual = ", ".join(format_word(w, s) for w in cert.residual_words)
@@ -187,7 +185,7 @@ def cmd_separate(args) -> int:
 
 def cmd_verify(args) -> int:
     pot = load_instance(args.instance)
-    bundle = solve_instance(pot, node_budget=args.max_nodes)
+    crit = solve_instance(pot, node_budget=args.max_nodes)
     words, values = read_subaction_csv(args.subaction, pot.sft.alphabet_size)
     if not words:
         raise InstanceFormatError("sub-action CSV has no rows")
@@ -198,7 +196,7 @@ def cmd_verify(args) -> int:
         word = next(w for w, count in Counter(words).items() if count > 1)
         raise InstanceFormatError(
             f"duplicate word {format_word(word, pot.sft.alphabet_size)!r} in sub-action CSV")
-    order = bundle.graph.order
+    order = crit.graph.order
     if depth < order:
         raise ValueError(f"cannot lower order {order} to {depth}")
     # the lifted graph's nodes, checked against --max-nodes up front
@@ -209,7 +207,7 @@ def cmd_verify(args) -> int:
         )
     by_word = dict(zip(words, values))
     u = SubAction(depth, tuple(by_word[w] for w in node_words), "user-supplied")
-    v = verify(u, bundle.crit, args.max_nodes)
+    v = verify(u, crit, args.max_nodes)
     print(
         f"sub-action: {_yn(v.is_subaction)};"
         f" calibrated: {_yn(v.is_calibrated)};"
@@ -228,13 +226,16 @@ def _check(name: str, got, want) -> None:
 
 
 def _oracle_checks(pot, max_nodes: int) -> None:
-    bundle = solve_instance(pot, node_budget=max_nodes)
-    graph, weights, abar = bundle.graph, bundle.weights, bundle.abar
+    crit = solve_instance(pot, node_budget=max_nodes)
+    graph, weights, abar = crit.graph, crit.weights, crit.abar
     n = graph.n_nodes
 
+    # abar first: the dense matrices are built on it, and an abar above
+    # the true one leaves a negative cycle they cannot be built on
     _check("abar", abar, min(mean for _, mean in brute_cycles(graph, weights)))
 
-    start, stop = barrier_window(graph, weights, abar, bundle.barriers.h)
+    barriers = barrier_matrices(crit)
+    start, stop = barrier_window(graph, weights, abar, barriers.h)
     expected_phi = []
     expected_h = []
     for i in range(n):
@@ -247,15 +248,14 @@ def _oracle_checks(pot, max_nodes: int) -> None:
         expected_h.append(tuple(
             min(row[j] for row in rows[start:stop + 1] if row[j] is not None)
             for j in range(n)))
-    _check("phi", bundle.barriers.phi, tuple(expected_phi))
-    _check("h", bundle.barriers.h, tuple(expected_h))
+    _check("phi", barriers.phi, tuple(expected_phi))
+    _check("h", barriers.h, tuple(expected_h))
 
-    _check("calibration",
-           lax_oleinik_step(bundle.fixed_point, graph, weights, abar),
-           bundle.fixed_point)
+    fixed_point = calibrated_fixed_point(crit)
+    _check("calibration", lax_oleinik_step(fixed_point, graph, weights, abar), fixed_point)
 
-    if isinstance(bundle.potential, TwoSidedPotential):
-        _check("holonomic", abar, holonomic_value_brute(bundle.potential))
+    if isinstance(pot, TwoSidedPotential):
+        _check("holonomic", abar, holonomic_value_brute(pot))
 
 
 def cmd_oracle(args) -> int:

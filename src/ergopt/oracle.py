@@ -345,9 +345,11 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
     return min(candidates)
 
 
-def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> NonwanderingReport:
-    """Two independent verdicts on x being non-wandering, both on the
-    system of the SolveBundle `bundle`.
+def is_nonwandering(x: LassoPoint, crit, potential,
+                    search_budget: int = 16) -> NonwanderingReport:
+    """Two independent verdicts on x being non-wandering, on the system
+    of `potential`: the exact one from `crit`, its solve's critical
+    structure, and the search from `potential` itself.
 
     Exact way: every edge of x's itinerary (preperiod, junction, cycle)
     is critical and all lie in one component. Search way: for each
@@ -362,7 +364,7 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
     reads the potential as given, enumerating a two-sided table's pasts
     itself.
     """
-    crit, sft = bundle.crit, bundle.sft
+    sft = potential.sft
     if not x.admissible(sft):
         raise ValueError("lasso must be admissible")
     x = LassoPoint.make(x.preperiod, x.cycle)
@@ -383,7 +385,7 @@ def is_nonwandering(x: LassoPoint, bundle, search_budget: int = 16) -> Nonwander
         exact = False
     component = comps.pop() if exact and comps else None
 
-    window, table = _step_table(bundle.potential)
+    window, table = _step_table(potential)
     scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
     found: list[tuple[int, int | None]] = []
     for p in range(1, max(5, pre + cyc + r + 1)):

@@ -9,6 +9,7 @@ import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import IncompatibleOrder
@@ -165,18 +166,31 @@ def reduce_two_sided(ahat: TwoSidedPotential) -> OneSidedPotential:
     The minimizing value of the result equals the holonomic minimizing
     value of ahat: every length-k path of the two-sided model picks its
     pasts freely step by step, so minimizing per step loses nothing.
-    The table keys are exactly the admissible words y + w, so one pass
-    over them meets every past of every w, and every w has a past, as
-    every symbol has a predecessor.
+    In word order the (p+q)-words that extend one p-word are, for each
+    successor b of its last symbol in turn, the block of q-words that
+    begin with b, so one pass over `values` takes the minima block by
+    block, and no word is built. Every w has a past, as every symbol
+    has a predecessor.
     """
-    p, q = ahat.past_depth, ahat.future_depth
-    reduced: dict[Word, Fraction] = {}
-    for word, val in ahat.table.items():
-        w = word[p:]
-        if w not in reduced or val < reduced[w]:
-            reduced[w] = val
-    values = [reduced[w] for w in admissible_words(ahat.sft, q)]
-    return build_one_sided(ahat.sft, q, values=values)
+    successors, values = ahat.sft.successors, ahat.values
+    size = [1] * ahat.sft.alphabet_size  # the q-words that begin with each symbol
+    for _ in range(ahat.future_depth - 1):
+        size = [sum(map(size.__getitem__, succ)) for succ in successors]
+    start = list(accumulate(size, initial=0))
+    lasts = range(ahat.sft.alphabet_size)  # the last symbol of each p-word
+    for _ in range(ahat.past_depth - 1):
+        lasts = [b for a in lasts for b in successors[a]]
+    reduced: list = [None] * start[-1]
+    pos = 0
+    for a in lasts:
+        for b in successors[a]:
+            lo, hi = start[b], start[b + 1]
+            block = values[pos:pos + hi - lo]
+            seen = reduced[lo:hi]
+            reduced[lo:hi] = block if seen[0] is None else [
+                u if u <= v else v for u, v in zip(seen, block)]
+            pos += hi - lo
+    return build_one_sided(ahat.sft, ahat.future_depth, values=reduced)
 
 
 def truncate(b: OneSidedPotential, r: int) -> tuple[OneSidedPotential, Fraction]:

@@ -204,6 +204,16 @@ def _path_minima(costs: Sequence[int], first: Sequence[int], out: Sequence[Seque
     return dist
 
 
+def _reaching(source: int, dist: list) -> list:
+    """The path minima `dist` from `source`, once they reach every node;
+    otherwise the ValueError of a graph that is not strongly connected,
+    naming `source` and the first node it cannot reach."""
+    if None in dist:
+        raise ValueError(f"graph is not strongly connected: node {source}"
+                         f" cannot reach node {dist.index(None)}")
+    return dist
+
+
 def _feedback_plan(out: Sequence[Sequence[int]], ends: Sequence[int],
                    n: int) -> tuple[list[int], list[int]]:
     """(F, order): a feedback node set F, which every cycle meets, and
@@ -283,11 +293,11 @@ def _dense_path_minima(costs: Sequence[int], out: Sequence[Sequence[int]],
 
     A reachable negative cycle, or a graph that is not strongly
     connected, raises the ValueError that searches from nodes 0, 1, ...
-    in turn would raise, which node 0's search decides. When every node
-    has an out-arc and every row of F reaches every node, the graph is
-    strongly connected (outside F it is acyclic, so every node reaches
-    F), and a negative cycle, which passes through F, raises in F's
-    searches; otherwise node 0's search runs to give the error.
+    in turn would raise. When every node has an out-arc and every row of
+    F reaches every node, the graph is strongly connected (outside F it
+    is acyclic, so every node reaches F), and a negative cycle, which
+    passes through F, raises in F's searches; otherwise those searches
+    run, in turn, until one fails.
     """
     feedback, order = _feedback_plan(out, ends, n)
     rows: list = [None] * n
@@ -298,8 +308,9 @@ def _dense_path_minima(costs: Sequence[int], out: Sequence[Sequence[int]],
     except ValueError:  # a negative cycle, which node 0 may not reach
         connected = False
     if not connected or any(None in rows[f] for f in feedback):
-        _path_minima(costs, out[0], out, ends, n)
-        raise ValueError("graph is not strongly connected")
+        for v in range(n):
+            _reaching(v, _path_minima(costs, out[v], out, ends, n))
+        raise InternalError("a graph that is not strongly connected passed every search")
     for v in order:
         ks = out[v]
         c = costs[ks[0]]
@@ -324,7 +335,8 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
     it, policy edges first, and moves nodes to strictly better edges."""
     n, tails, heads = graph.n_nodes, graph.tails, graph.heads
     if not all(graph.out_edges):
-        raise ValueError("graph is not strongly connected")
+        dead = list(map(bool, graph.out_edges)).index(False)
+        raise ValueError(f"graph is not strongly connected: node {dead} has no out-edge")
     policy = [min(ks, key=costs.__getitem__) for ks in graph.out_edges]
     tried = set()  # a round depends only on the policy it starts from
     while (key := tuple(policy)) not in tried:
@@ -351,7 +363,8 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
                         seen[t], policy[t] = True, k
                         order.append(t)
         if len(order) < n:
-            raise ValueError("graph is not strongly connected")
+            raise ValueError(f"graph is not strongly connected: node {seen.index(False)}"
+                             f" cannot reach node {root}")
         reduced, x = [m * c - S for c in costs], [0] * n
         for t in order[1:]:
             x[t] = reduced[policy[t]] + x[heads[policy[t]]]
@@ -402,12 +415,7 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
         dense = _dense_path_minima(costs, out, heads, n)
         rows = [tuple(dense[i]) for i in sources]
     else:
-        rows = []
-        for i in sources:
-            dist = _path_minima(costs, out[i], out, heads, n)
-            if None in dist:
-                raise ValueError("graph is not strongly connected")
-            rows.append(tuple(dist))
+        rows = [tuple(_reaching(i, _path_minima(costs, out[i], out, heads, n))) for i in sources]
     return (big, tuple(rows)) if scaled else _unscale(rows, big)
 
 

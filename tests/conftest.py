@@ -36,18 +36,33 @@ SCALING_CASES = {
 
 
 @pytest.fixture(scope="session")
-def e1_bundle():
-    return solve_instance(load_instance(INSTANCE_DIR / "e1.json"))
+def e1_potential():
+    return load_instance(INSTANCE_DIR / "e1.json")
 
 
 @pytest.fixture(scope="session")
-def e2_bundle():
-    return solve_instance(load_instance(INSTANCE_DIR / "e2.json"))
+def e2_potential():
+    return load_instance(INSTANCE_DIR / "e2.json")
 
 
 @pytest.fixture(scope="session")
-def golden_bundle():
-    return solve_instance(load_instance(INSTANCE_DIR / "golden_mean.json"))
+def golden_potential():
+    return load_instance(INSTANCE_DIR / "golden_mean.json")
+
+
+@pytest.fixture(scope="session")
+def e1_bundle(e1_potential):
+    return solve_instance(e1_potential)
+
+
+@pytest.fixture(scope="session")
+def e2_bundle(e2_potential):
+    return solve_instance(e2_potential)
+
+
+@pytest.fixture(scope="session")
+def golden_bundle(golden_potential):
+    return solve_instance(golden_potential)
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +104,7 @@ def tie_heavy_bundles():
 @pytest.fixture(scope="session")
 def multi_component_bundles(tie_heavy_bundles):
     """The tie-heavy systems with two or more critical components."""
-    return [b for b in tie_heavy_bundles if len(b.crit.components) >= 2]
+    return [b for b in tie_heavy_bundles if len(b.components) >= 2]
 
 
 @pytest.fixture(scope="session")

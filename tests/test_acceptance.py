@@ -20,7 +20,7 @@ from ergopt.oracle import (
     is_nonwandering,
     path_min_table,
 )
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.subactions import (
     SubAction,
     calibrated_from_boundary,
@@ -32,7 +32,12 @@ from ergopt.subactions import (
     verify,
 )
 from ergopt.symbolic import lift_to
-from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
+from ergopt.tropical import (
+    calibrated_fixed_point,
+    constraint_polytope,
+    critical_structure,
+    lax_oleinik_step,
+)
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -42,7 +47,7 @@ GOLDEN = str(INSTANCE_DIR / "golden_mean.json")
 def spanned_boundary(bundle, rng):
     """Boundary data inside the constraint set, as a min-plus combination
     of the matrix rows."""
-    poly = constraint_polytope(bundle.crit)
+    poly = constraint_polytope(bundle)
     r = len(poly.representatives)
     c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
     return tuple(min(c[l] + poly.matrix[l][i] for l in range(r)) for i in range(r))
@@ -61,9 +66,10 @@ def test_ac1_barrier_axioms(corpus, e1_bundle, e2_bundle):
     bundles = [solve_instance(inst) for inst in corpus] + [e1_bundle, e2_bundle]
     checked = 0
     for b in bundles:
-        phi, h = b.barriers.phi, b.barriers.h
+        barriers = barrier_matrices(b)
+        phi, h = barriers.phi, barriers.h
         n = b.graph.n_nodes
-        crit_nodes = set(b.crit.critical_nodes)
+        crit_nodes = set(b.critical_nodes)
         for i, j, k in product(range(n), repeat=3):
             assert phi[i][k] <= phi[i][j] + phi[j][k]
             assert h[i][k] <= h[i][j] + h[j][k]
@@ -88,19 +94,20 @@ def test_ac2_oracle_equivalence(corpus, e1_bundle, e2_bundle):
     for b in bundles:
         n = b.graph.n_nodes
         assert b.abar == min(m for _, m in brute_cycles(b.graph, b.weights))
-        start, stop = barrier_window(b.graph, b.weights, b.abar, b.barriers.h)
+        barriers = barrier_matrices(b)
+        start, stop = barrier_window(b.graph, b.weights, b.abar, barriers.h)
         for i in range(n):
             rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
             for j in range(n):
                 phi_min = min(row[j] for row in rows[1:n * n + 1]
                               if row[j] is not None)
-                assert phi_min == b.barriers.phi[i][j]
+                assert phi_min == barriers.phi[i][j]
                 h_min = min(rows[k][j] for k in range(start, stop + 1)
                             if rows[k][j] is not None)
-                assert h_min == b.barriers.h[i][j]
+                assert h_min == barriers.h[i][j]
                 square_min = min(rows[k][j] for k in range(n * n, 2 * n * n + 1)
                                  if rows[k][j] is not None)
-                if square_min != b.barriers.h[i][j]:
+                if square_min != barriers.h[i][j]:
                     square_window_misses += 1
     # the bare n^2..2n^2 window genuinely under-reports h on this corpus,
     # which is why the window is scaled by the cycle gap
@@ -119,19 +126,19 @@ def test_ac3_calibration(corpus_bundles, multi_component_bundles, e1_bundle, e2_
     closures = 0
     for b in [*corpus_bundles, *multi_component_bundles, e1_bundle, e2_bundle, golden_bundle]:
         candidates = [
-            calibrated_from_boundary(spanned_boundary(b, rng), b.crit).values,
-            b.fixed_point,
+            calibrated_from_boundary(spanned_boundary(b, rng), b).values,
+            calibrated_fixed_point(b),
         ]
-        for i0 in range(len(b.crit.components)):
+        for i0 in range(len(b.components)):
             candidates.append(
-                dominant_calibrated(i0, Fraction(0), b.crit).values
+                dominant_calibrated(i0, Fraction(0), b).values
             )
-        reps = b.crit.representatives
+        reps = b.representatives
         for u in candidates:
             assert lax_oleinik_step(u, b.graph, b.weights, b.abar) == u
             fixed_points += 1
             restriction = tuple(u[i] for i in reps)
-            rebuilt = calibrated_from_boundary(restriction, b.crit)
+            rebuilt = calibrated_from_boundary(restriction, b)
             assert rebuilt.values == u
             closures += 1
     print(f"AC-3 PASS: {fixed_points} calibrated outputs are exact "
@@ -141,13 +148,13 @@ def test_ac3_calibration(corpus_bundles, multi_component_bundles, e1_bundle, e2_
 def test_ac4_dominant(corpus_bundles, multi_component_bundles, e2_bundle):
     assert len(multi_component_bundles) > 50, "the tie-heavy systems lost their components"
     multi = [b for b in list(corpus_bundles) + [e2_bundle]
-             if len(b.crit.components) >= 2] + multi_component_bundles
+             if len(b.components) >= 2] + multi_component_bundles
     checked = 0
     for b in multi:
-        reps = b.crit.representatives
-        h = b.barriers.h
+        reps = b.representatives
+        h = barrier_matrices(b).h
         for i0 in range(len(reps)):
-            u = dominant_calibrated(i0, Fraction(2), b.crit)
+            u = dominant_calibrated(i0, Fraction(2), b)
             direct = tuple(Fraction(2) + h[reps[i0]][x]
                            for x in range(b.graph.n_nodes))
             assert u.values == direct
@@ -160,8 +167,8 @@ def test_ac4_dominant(corpus_bundles, multi_component_bundles, e2_bundle):
                 )
                 assert reproduces == (i1 == i0)
             checked += 1
-    a = dominant_calibrated(0, Fraction(0), e2_bundle.crit)
-    c = dominant_calibrated(1, Fraction(0), e2_bundle.crit)
+    a = dominant_calibrated(0, Fraction(0), e2_bundle)
+    c = dominant_calibrated(1, Fraction(0), e2_bundle)
     assert a.values == (0, 1, 1) and c.values == (1, 1, 0)
     print(f"AC-4 PASS: dominant rows verified on {len(multi)} "
           f"multi-component systems ({checked} components), "
@@ -170,26 +177,26 @@ def test_ac4_dominant(corpus_bundles, multi_component_bundles, e2_bundle):
 
 def test_ac5_separating(corpus_bundles, multi_component_bundles, e1_bundle, e2_bundle):
     for b, want in ((e1_bundle, {(0, 0, 0)}), (e2_bundle, {(0, 0, 0), (2, 2, 2)})):
-        _, cert = separating_subaction(b.crit, 2)
+        _, cert = separating_subaction(b, 2)
         assert cert.ok
         assert set(cert.tight_words) == want == critical_words_at(b, 2)
 
     # every corpus system is certified
     for b in corpus_bundles:
         depth = b.graph.n_nodes + 2
-        sub, cert = separating_subaction(b.crit, depth)
+        sub, cert = separating_subaction(b, depth)
         assert cert.ok
         assert set(cert.tight_words) == critical_words_at(b, depth)
-        v = verify(sub, b.crit)
+        v = verify(sub, b)
         assert v.separating_certificate and v.critical_containment
 
     # and every multi-component tie-heavy system, at its order and one above
     for b in multi_component_bundles:
         for depth in (b.graph.order, b.graph.order + 1):
-            sub, cert = separating_subaction(b.crit, depth)
+            sub, cert = separating_subaction(b, depth)
             assert cert.ok
             assert set(cert.tight_words) == critical_words_at(b, depth)
-            assert verify(sub, b.crit).separating_certificate
+            assert verify(sub, b).separating_certificate
     print(f"AC-5 PASS: certificates on {len(corpus_bundles)}/{len(corpus_bundles)} "
           f"random systems and {len(multi_component_bundles)} multi-component "
           f"tie-heavy systems at two depths, no budget failures, tight sets "
@@ -204,8 +211,9 @@ def test_ac5_dense_genericity(corpus_bundles, tie_heavy_bundles):
     rng = random.Random(551)
     checked = 0
     for b in [*corpus_bundles, *tie_heavy_bundles]:
-        crit = b.crit
-        sources = [b.fixed_point, calibrated_from_boundary(spanned_boundary(b, rng), crit).values]
+        crit = b
+        sources = [calibrated_fixed_point(b),
+                   calibrated_from_boundary(spanned_boundary(b, rng), crit).values]
         sources += [dominant_calibrated(i, Fraction(rng.randint(-3, 3)), crit).values
                     for i in range(len(crit.components))]
         for depth in (b.graph.order, b.graph.order + 1):
@@ -228,12 +236,12 @@ def test_ac6_gap_analysis(corpus_bundles, multi_component_bundles, e1_bundle, e2
     rng = random.Random(601)
     pairs = 0
     for b in [*corpus_bundles, *multi_component_bundles]:
-        fixed = SubAction(b.graph.order, b.fixed_point, "user-supplied")
+        fixed = SubAction(b.graph.order, calibrated_fixed_point(b), "user-supplied")
         calibrated = [
             fixed,
-            calibrated_from_boundary(spanned_boundary(b, rng), b.crit),
+            calibrated_from_boundary(spanned_boundary(b, rng), b),
         ]
-        sep, _ = separating_subaction(b.crit, b.graph.order)
+        sep, _ = separating_subaction(b, b.graph.order)
         others = [
             fixed,  # zero sub-action once the system is normalized
             sep,
@@ -241,15 +249,16 @@ def test_ac6_gap_analysis(corpus_bundles, multi_component_bundles, e1_bundle, e2
         ]
         for u in calibrated:
             for v in others:
-                report = gap_analysis(u, v, b.crit)
+                report = gap_analysis(u, v, b)
                 assert min(report.component_constants) == report.minimum
                 pairs += 1
 
     for b in (e1_bundle, e2_bundle):
-        sep, _ = separating_subaction(b.crit, 2)
-        base = lift_critical(b.crit, 2)[4]
-        u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
-        report = gap_analysis(u, sep, b.crit)
+        sep, _ = separating_subaction(b, 2)
+        base = lift_critical(b, 2)[4]
+        fixed = calibrated_fixed_point(b)
+        u = SubAction(2, tuple(fixed[i] for i in base), "user-supplied")
+        report = gap_analysis(u, sep, b)
         assert min(report.component_constants) == report.minimum
         pairs += 1
     print(f"AC-6 PASS: gap analysis exact on {pairs} (u, v) pairs: "
@@ -265,7 +274,7 @@ def test_ac7_holonomic(two_sided_corpus):
         # computed straight from the raw table
         sft = inst.sft
         table = inst.table
-        u = b.fixed_point
+        u = calibrated_fixed_point(b)
         assert b.graph.node_words == tuple((a,) for a in range(sft.alphabet_size))
         for bsym in range(sft.alphabet_size):
             expected = min(
@@ -279,13 +288,16 @@ def test_ac7_holonomic(two_sided_corpus):
           f"{len(two_sided_corpus)} systems")
 
 
-def test_ac8_nonwandering(corpus_bundles, two_sided_bundles, e1_bundle, e2_bundle,
-                          golden_bundle):
-    cases = [e1_bundle, e2_bundle, golden_bundle, *corpus_bundles[:50], *two_sided_bundles]
+def test_ac8_nonwandering(corpus, corpus_bundles, two_sided_corpus, two_sided_bundles,
+                          e1_potential, e2_potential, golden_potential,
+                          e1_bundle, e2_bundle, golden_bundle):
+    cases = [(e1_potential, e1_bundle), (e2_potential, e2_bundle),
+             (golden_potential, golden_bundle),
+             *zip(corpus[:50], corpus_bundles[:50]), *zip(two_sided_corpus, two_sided_bundles)]
     points = 0
-    for b in cases:
-        for x in periodic_lassos(b.sft, 4):
-            rep = is_nonwandering(x, b)
+    for pot, b in cases:
+        for x in periodic_lassos(pot.sft, 4):
+            rep = is_nonwandering(x, b, pot)
             assert rep.exact == rep.search
             points += 1
     print(f"AC-8 PASS: exact and search verdicts agree on {points} "

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from ergopt.errors import InternalError, OracleMismatch
 from ergopt.instances import (dump_instance, load_instance, parse_word,
                               read_matrix_csv, read_subaction_csv)
 from ergopt.oracle import brute_cycles
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.subactions import SeparatingCertificate
 from ergopt.symbolic import DEFAULT_NODE_BUDGET, admissible_words, lift_to
@@ -202,9 +203,10 @@ class TestBarrier:
         assert f"wrote {tmp_path / 'h.csv'}" in res.stdout
         words, phi = read_matrix_csv(tmp_path / "phi.csv", 3)
         assert words == list(e2_bundle.graph.node_words)
-        assert [tuple(r) for r in phi] == [tuple(r) for r in e2_bundle.barriers.phi]
+        barriers = barrier_matrices(e2_bundle)
+        assert [tuple(r) for r in phi] == [tuple(r) for r in barriers.phi]
         _, h = read_matrix_csv(tmp_path / "h.csv", 3)
-        assert [tuple(r) for r in h] == [tuple(r) for r in e2_bundle.barriers.h]
+        assert [tuple(r) for r in h] == [tuple(r) for r in barriers.h]
 
     def test_out_files_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -223,7 +225,8 @@ class TestBarrier:
         nodes, edges = list(bundle.graph.node_words), [e.word for e in bundle.graph.edges]
         assert len(nodes) == 121
         assert main(["barrier", "--instance", str(inst), "--out", str(tmp_path)]) == 0
-        for name, view in (("phi.csv", bundle.barriers.phi), ("h.csv", bundle.barriers.h)):
+        barriers = barrier_matrices(bundle)
+        for name, view in (("phi.csv", barriers.phi), ("h.csv", barriers.h)):
             words, rows = read_matrix_csv(tmp_path / name, n)
             assert words == nodes
             assert [tuple(r) for r in rows] == [tuple(r) for r in view]
@@ -522,6 +525,37 @@ class TestOracle:
         assert main(["oracle", "--instance", E1]) == 5
         assert "error: forced" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["e2", "three_orbits", "two_sided"])
+    @pytest.mark.parametrize("field", ["abar", "phi", "h"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_wrong_solver_value_exits_5(self, monkeypatch, capsys, name, field, delta):
+        # the oracle re-derives what it checks, so a solver abar off by
+        # one, or one phi or h entry off by one unit of L, is a mismatch.
+        # abar is checked before the dense matrices are built on it: an
+        # abar above the true one leaves a negative cycle they cannot be
+        # built on, which would end in exit 3 instead
+        import ergopt.cli as cli
+
+        solve, barriers = cli.solve_instance, cli.barrier_matrices
+
+        def off_abar(*args, **kwargs):
+            crit = solve(*args, **kwargs)
+            return replace(crit, abar=crit.abar + delta)
+
+        def off_entry(crit):
+            b = barriers(crit)
+            (first, *row), *rows = getattr(b, f"{field}_ints")
+            return replace(b, **{f"{field}_ints": ((first + delta, *row), *rows)})
+
+        if field == "abar":
+            monkeypatch.setattr(cli, "solve_instance", off_abar)
+        else:
+            monkeypatch.setattr(cli, "barrier_matrices", off_entry)
+        assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 5
+        out, err = capsys.readouterr()
+        assert out.endswith(f"check {field}: MISMATCH\n")
+        assert err.startswith(f"error: {field}: solver ") and err.count("\n") == 1
+
 
 class TestDenseMatricesOnDemand:
     def test_only_barrier_builds_h(self, tmp_path, monkeypatch):
@@ -531,11 +565,11 @@ class TestDenseMatricesOnDemand:
         def no_h(*args):
             raise AssertionError("the dense h was built")
 
-        bundles = []
+        solves = []
 
         def solve(*args, **kwargs):
-            bundles.append(pipeline.solve_instance(*args, **kwargs))
-            return bundles[-1]
+            solves.append(pipeline.solve_instance(*args, **kwargs))
+            return solves[-1]
 
         monkeypatch.setattr(pipeline, "peierls_matrix", no_h)
         monkeypatch.setattr(cli, "solve_instance", solve)
@@ -544,21 +578,20 @@ class TestDenseMatricesOnDemand:
                      ["calibrate", "--boundary", "0,1"], ["calibrate", "--dominant", "2,0"],
                      ["separate", "--depth", "2"], ["verify", "--subaction", str(u)]):
             assert main([*argv, "--instance", E2]) == 0, argv
-        assert len(bundles) == 6
-        assert all("barriers" not in vars(b) for b in bundles)
+        assert len(solves) == 6
         with pytest.raises(AssertionError, match="dense h"):
             main(["barrier", "--instance", E2])
 
     def test_only_calibrate_and_oracle_build_the_fixed_point(self, tmp_path, monkeypatch):
-        import ergopt.pipeline as pipeline
+        import ergopt.cli as cli
 
-        fixed_point, calls = pipeline.calibrated_fixed_point, []
+        fixed_point, calls = cli.calibrated_fixed_point, []
 
         def spy(crit):
             calls.append(crit)
             return fixed_point(crit)
 
-        monkeypatch.setattr(pipeline, "calibrated_fixed_point", spy)
+        monkeypatch.setattr(cli, "calibrated_fixed_point", spy)
         u = tmp_path / "u.csv"
         for argv, want in ((["separate", "--depth", "2", "--out", str(u)], 0),
                            (["solve"], 0), (["barrier"], 0),
@@ -1116,3 +1149,9 @@ class TestReadmeExamples:
         for command, shown in blocks:
             assert main(shlex.split(command)) == 0
             assert capsys.readouterr().out.splitlines() == shown.splitlines()
+
+    def test_library_block_runs(self, monkeypatch):
+        readme = INSTANCE_DIR.parent / "README.md"
+        [block] = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        monkeypatch.chdir(readme.parent)
+        exec(compile(block, "README.md", "exec"), {})

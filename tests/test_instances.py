@@ -31,7 +31,8 @@ from ergopt.instances import (
     read_subaction_csv,
     subaction_csv_text,
 )
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
+from ergopt.tropical import calibrated_fixed_point
 from ergopt.potential import TwoSidedPotential
 from ergopt.symbolic import admissible_words, build_sft
 
@@ -353,9 +354,9 @@ class TestLoadInstance:
 
 class TestCsv:
     def test_e1_matrix_text(self, e1_bundle):
-        b = e1_bundle.barriers
+        b = barrier_matrices(e1_bundle)
         text = matrix_csv_text(e1_bundle.graph.node_words, b.phi_ints,
-                               e1_bundle.sft.alphabet_size, b.big)
+                               e1_bundle.graph.sft.alphabet_size, b.big)
         assert text == "word,0,1\n0,0,0\n1,1,1\n"
 
     def test_integers_over_a_denominator(self):
@@ -363,32 +364,32 @@ class TestCsv:
         assert text == "word,0,1\n0,1/2,-1/3\n1,0,1\n"
 
     def test_matrix_round_trip(self, e2_bundle, tmp_path):
-        path = tmp_path / "h.csv"
+        path, barriers = tmp_path / "h.csv", barrier_matrices(e2_bundle)
         path.write_text(
-            matrix_csv_text(e2_bundle.graph.node_words, e2_bundle.barriers.h_ints,
-                            e2_bundle.sft.alphabet_size, e2_bundle.barriers.big),
+            matrix_csv_text(e2_bundle.graph.node_words, barriers.h_ints,
+                            e2_bundle.graph.sft.alphabet_size, barriers.big),
             encoding="utf-8",
         )
-        words, rows = read_matrix_csv(path, e2_bundle.sft.alphabet_size)
+        words, rows = read_matrix_csv(path, e2_bundle.graph.sft.alphabet_size)
         assert words == list(e2_bundle.graph.node_words)
-        assert [tuple(r) for r in rows] == [tuple(r) for r in e2_bundle.barriers.h]
+        assert [tuple(r) for r in rows] == [tuple(r) for r in barriers.h]
 
     def test_e2_subaction_text(self, e2_bundle):
-        text = subaction_csv_text(e2_bundle.graph.node_words, e2_bundle.fixed_point,
-                                  e2_bundle.sft.alphabet_size)
+        text = subaction_csv_text(e2_bundle.graph.node_words, calibrated_fixed_point(e2_bundle),
+                                  e2_bundle.graph.sft.alphabet_size)
         assert text == "word,value\n0,0\n1,1\n2,0\n"
 
     def test_subaction_round_trip(self, golden_bundle, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text(
             subaction_csv_text(golden_bundle.graph.node_words,
-                               golden_bundle.fixed_point,
-                               golden_bundle.sft.alphabet_size),
+                               calibrated_fixed_point(golden_bundle),
+                               golden_bundle.graph.sft.alphabet_size),
             encoding="utf-8",
         )
-        words, values = read_subaction_csv(path, golden_bundle.sft.alphabet_size)
+        words, values = read_subaction_csv(path, golden_bundle.graph.sft.alphabet_size)
         assert words == list(golden_bundle.graph.node_words)
-        assert tuple(values) == golden_bundle.fixed_point
+        assert tuple(values) == calibrated_fixed_point(golden_bundle)
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "x.csv"

@@ -19,7 +19,7 @@ from ergopt.oracle import (
     point_barrier,
     s_epsilon,
 )
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to, node_of
 
@@ -35,10 +35,12 @@ def full_shift(size=2):
     return build_sft(size, [[1] * size for _ in range(size)], HALF)
 
 
+def constant_potential(value=3):
+    return build_one_sided(full_shift(), 1, {(0,): value, (1,): value})
+
+
 def constant_bundle(value=3):
-    sft = full_shift()
-    pot = build_one_sided(sft, 1, {(0,): value, (1,): value})
-    return solve_instance(pot)
+    return solve_instance(constant_potential(value))
 
 
 class TestBruteCycles:
@@ -158,18 +160,18 @@ class TestPathMinTable:
 class TestBarrierWindow:
     def test_no_positive_cycles_means_square_window(self):
         b = constant_bundle()
-        assert barrier_window(b.graph, b.weights, b.abar, b.barriers.h) == (4, 8)
+        assert barrier_window(b.graph, b.weights, b.abar, barrier_matrices(b).h) == (4, 8)
 
     def test_e1_window_recovers_h(self, e1_bundle):
-        b = e1_bundle
-        start, stop = barrier_window(b.graph, b.weights, b.abar, b.barriers.h)
+        b, h = e1_bundle, barrier_matrices(e1_bundle).h
+        start, stop = barrier_window(b.graph, b.weights, b.abar, h)
         assert (start, stop) == (5, 9)
         for i in range(2):
             rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
             for j in range(2):
                 got = min(rows[k][j] for k in range(start, stop + 1)
                           if rows[k][j] is not None)
-                assert got == b.barriers.h[i][j]
+                assert got == h[i][j]
 
     def test_expensive_detour_regression(self):
         # Cheap loop off the critical set: h(0,0) is only reached once the
@@ -178,8 +180,9 @@ class TestBarrierWindow:
         sft = full_shift()
         pot = build_one_sided(sft, 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0})
         b = solve_instance(pot)
+        h = barrier_matrices(b).h
         assert b.abar == 0
-        assert b.barriers.h[0][0] == 8
+        assert h[0][0] == 8
 
         naive = min(v for v in (
             path_min_sums(b.graph, b.weights, b.abar, 0, 0, k)
@@ -187,7 +190,7 @@ class TestBarrierWindow:
         ) if v is not None)
         assert naive == 4  # the naive window undercuts the true barrier
 
-        start, stop = barrier_window(b.graph, b.weights, b.abar, b.barriers.h)
+        start, stop = barrier_window(b.graph, b.weights, b.abar, h)
         rows = path_min_table(b.graph, b.weights, b.abar, 0, stop)
         scaled = min(rows[k][0] for k in range(start, stop + 1)
                      if rows[k][0] is not None)
@@ -195,34 +198,33 @@ class TestBarrierWindow:
 
     def test_window_matches_h_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:30]:
-            n = b.graph.n_nodes
-            start, stop = barrier_window(b.graph, b.weights, b.abar, b.barriers.h)
+            n, h = b.graph.n_nodes, barrier_matrices(b).h
+            start, stop = barrier_window(b.graph, b.weights, b.abar, h)
             for i in range(n):
                 rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
                 for j in range(n):
                     got = min(rows[k][j] for k in range(start, stop + 1)
                               if rows[k][j] is not None)
-                    assert got == b.barriers.h[i][j]
+                    assert got == h[i][j]
 
 
 class TestSEpsilon:
-    def test_e1_values(self, e1_bundle):
-        pot = e1_bundle.potential
+    def test_e1_values(self, e1_potential):
+        pot = e1_potential
         assert s_epsilon(SEpsilonQuery(ZERO, ZERO, 2, HALF**2), pot) == 0
         assert s_epsilon(SEpsilonQuery(ONE_ZERO, ZERO, 2, HALF), pot) == 1
 
     def test_constant_potential_vanishes(self):
-        b = constant_bundle()
         q = SEpsilonQuery(ZERO, ONE, 3, HALF)
-        assert s_epsilon(q, b.potential) == 0
+        assert s_epsilon(q, constant_potential()) == 0
 
-    def test_pin_conflict(self, e1_bundle):
+    def test_pin_conflict(self, e1_potential):
         q = SEpsilonQuery(ZERO, ONE, 1, HALF**2)
         with pytest.raises(NoPathExists):
-            s_epsilon(q, e1_bundle.potential)
+            s_epsilon(q, e1_potential)
 
-    def test_validation(self, e1_bundle, golden_bundle):
-        pot = e1_bundle.potential
+    def test_validation(self, e1_potential, golden_potential):
+        pot = e1_potential
         with pytest.raises(ValueError):
             s_epsilon(SEpsilonQuery(ZERO, ZERO, 0, HALF), pot)
         with pytest.raises(ValueError):
@@ -232,35 +234,35 @@ class TestSEpsilon:
         with pytest.raises(TooLarge):
             s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF**2), pot)
         with pytest.raises(ValueError):
-            s_epsilon(SEpsilonQuery(ONE, ONE, 1, HALF), golden_bundle.potential)
+            s_epsilon(SEpsilonQuery(ONE, ONE, 1, HALF), golden_potential)
 
-    def test_the_symbol_budget_is_inclusive(self, e1_bundle):
+    def test_the_symbol_budget_is_inclusive(self, e1_potential):
         # e1's window is 2 and epsilon = lambda gives p = 1: k = 21 spends
         # exactly SYMBOL_BUDGET symbols, one more is refused
-        pot = e1_bundle.potential
+        pot = e1_potential
         assert s_epsilon(SEpsilonQuery(ZERO, ZERO, 21, HALF), pot) == 0
         with pytest.raises(TooLarge, match=r"^p \+ k \+ window = 25 exceeds the budget 24$"):
             s_epsilon(SEpsilonQuery(ZERO, ZERO, 22, HALF), pot)
 
-    def test_shrinking_epsilon_raises_the_minimum(self, e1_bundle, e2_bundle,
-                                                  golden_bundle):
+    def test_shrinking_epsilon_raises_the_minimum(self, e1_potential, e2_potential,
+                                                  golden_potential):
         rng = random.Random(5)
-        for b in (e1_bundle, e2_bundle, golden_bundle):
+        for pot in (e1_potential, e2_potential, golden_potential):
             for _ in range(12):
-                x, y = random_lasso(rng, b.sft), random_lasso(rng, b.sft)
+                x, y = random_lasso(rng, pot.sft), random_lasso(rng, pot.sft)
                 k = rng.randint(1, 4)
                 prev = None
                 for p in (1, 2, 3):
                     try:
-                        cur = s_epsilon(SEpsilonQuery(x, y, k, HALF**p), b.potential)
+                        cur = s_epsilon(SEpsilonQuery(x, y, k, HALF**p), pot)
                     except NoPathExists:
                         break
                     if prev is not None:
                         assert cur >= prev
                     prev = cur
 
-    def test_k_infimum_reaches_the_point_barrier(self, e1_bundle):
-        pot = e1_bundle.potential
+    def test_k_infimum_reaches_the_point_barrier(self, e1_potential, e1_bundle):
+        pot = e1_potential
         for x, y, want in ((ONE_ZERO, ZERO, 1), (ZERO, ONE, 0)):
             got = []
             for k in range(1, 7):
@@ -301,7 +303,7 @@ class TestPointBarrier:
         rng = random.Random(9)
         for b in (e1_bundle, e2_bundle, golden_bundle):
             for _ in range(15):
-                x, y = random_lasso(rng, b.sft), random_lasso(rng, b.sft)
+                x, y = random_lasso(rng, b.graph.sft), random_lasso(rng, b.graph.sft)
                 lo = point_barrier(x, y, "mane", *self.args(b))
                 hi = point_barrier(x, y, "peierls", *self.args(b))
                 assert hi >= lo
@@ -309,7 +311,7 @@ class TestPointBarrier:
     def test_orbit_splitting(self, e1_bundle, e2_bundle, golden_bundle):
         # mane(x, x) splits at every point of a periodic orbit
         for b in (e1_bundle, e2_bundle, golden_bundle):
-            for x in periodic_lassos(b.sft, 4):
+            for x in periodic_lassos(b.graph.sft, 4):
                 whole = point_barrier(x, x, "mane", *self.args(b))
                 z = x
                 for _ in range(len(x.cycle) - 1):
@@ -323,7 +325,7 @@ class TestPointBarrier:
         # from a periodic point on a critical cycle the Peierls barrier is
         # the node-level h, which the oracle computes without the solver
         for b in (e1_bundle, e2_bundle, golden_bundle):
-            h, points = b.barriers.h, periodic_lassos(b.sft, 3)
+            h, points = barrier_matrices(b).h, periodic_lassos(b.graph.sft, 3)
             critical = [x for x in points
                         if point_barrier(x, x, "peierls", *self.args(b)) == 0]
             assert critical
@@ -334,48 +336,52 @@ class TestPointBarrier:
 
 
 class TestIsNonwandering:
-    def test_e1_verdicts(self, e1_bundle):
-        rep = is_nonwandering(ZERO, e1_bundle)
+    def test_e1_verdicts(self, e1_potential, e1_bundle):
+        rep = is_nonwandering(ZERO, e1_bundle, e1_potential)
         assert rep.exact and rep.search and rep.component == 0
         assert all(hit is not None for _, hit in rep.found)
 
         for x in (ONE, ONE_ZERO):
-            rep = is_nonwandering(x, e1_bundle)
+            rep = is_nonwandering(x, e1_bundle, e1_potential)
             assert not rep.exact and not rep.search and rep.component is None
 
-    def test_report_shape(self, e1_bundle):
-        rep = is_nonwandering(ZERO, e1_bundle, search_budget=6)
+    def test_report_shape(self, e1_potential, e1_bundle):
+        rep = is_nonwandering(ZERO, e1_bundle, e1_potential, search_budget=6)
         assert [p for p, _ in rep.found] == [1, 2, 3, 4]
         assert rep.search_budget == 6
 
-    def test_inadmissible_rejected(self, golden_bundle):
+    def test_inadmissible_rejected(self, golden_potential, golden_bundle):
         with pytest.raises(ValueError):
-            is_nonwandering(ONE, golden_bundle)
+            is_nonwandering(ONE, golden_bundle, golden_potential)
 
-    def test_ways_agree_on_fixture_lassos(self, e1_bundle, e2_bundle,
+    def test_ways_agree_on_fixture_lassos(self, e1_potential, e2_potential,
+                                          golden_potential, e1_bundle, e2_bundle,
                                           golden_bundle):
         rng = random.Random(13)
-        for b in (e1_bundle, e2_bundle, golden_bundle):
-            points = periodic_lassos(b.sft, 3)
-            points += [random_lasso(rng, b.sft) for _ in range(8)]
+        for pot, b in ((e1_potential, e1_bundle), (e2_potential, e2_bundle),
+                       (golden_potential, golden_bundle)):
+            points = periodic_lassos(pot.sft, 3)
+            points += [random_lasso(rng, pot.sft) for _ in range(8)]
             for x in points:
-                rep = is_nonwandering(x, b)
+                rep = is_nonwandering(x, b, pot)
                 assert rep.exact == rep.search
 
-    def test_periodic_verdict_matches_the_barrier(self, e1_bundle, e2_bundle,
+    def test_periodic_verdict_matches_the_barrier(self, e1_potential, e2_potential,
+                                                  golden_potential, e1_bundle, e2_bundle,
                                                   golden_bundle):
         # a periodic point is non-wandering exactly when its own Peierls
         # barrier vanishes
-        for b in (e1_bundle, e2_bundle, golden_bundle):
-            for x in periodic_lassos(b.sft, 4):
-                rep = is_nonwandering(x, b)
+        for pot, b in ((e1_potential, e1_bundle), (e2_potential, e2_bundle),
+                       (golden_potential, golden_bundle)):
+            for x in periodic_lassos(pot.sft, 4):
+                rep = is_nonwandering(x, b, pot)
                 pb = point_barrier(x, x, "peierls", b.graph, b.weights, b.abar)
                 assert rep.exact == (pb == 0)
 
 
 class TestHolonomicBrute:
     def test_golden_fixture(self, golden_bundle):
-        ahat = build_two_sided(golden_bundle.sft, 1, 1,
+        ahat = build_two_sided(golden_bundle.graph.sft, 1, 1,
                                {(0, 0): 3, (0, 1): 0, (1, 0): 5})
         assert holonomic_value_brute(ahat) == Fraction(3, 2)
 

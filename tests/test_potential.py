@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from ergopt.potential import (
 )
 from ergopt.subactions import SubAction, normalize
 from ergopt.symbolic import build_sft, count_words, lift_to, refine
-from ergopt.tropical import minimizing_value
+from ergopt.tropical import calibrated_fixed_point, minimizing_value
 
 HALF = Fraction(1, 2)
 FULL2 = build_sft(2, [[1, 1], [1, 1]], HALF)
@@ -218,6 +219,23 @@ class TestTwoSided:
         b = reduce_two_sided(ahat)
         assert b.value((0, 0)) == 4 and b.value((1, 1)) == 9
 
+    def test_reduction_is_the_minimum_over_pasts(self):
+        # at past depths 1-3 and future depths 1-4, against the minimum
+        # over pasts written out from the word-keyed table; on the uneven
+        # system the q-word blocks of the three symbols differ in size
+        uneven = build_sft(3, [[1, 1, 0], [0, 0, 1], [1, 1, 1]], HALF)
+        rng = random.Random(28)
+        for sft, p, q in product((GOLDEN, FULL2, uneven), range(1, 4), range(1, 5)):
+            entries = {w: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for w in admissible_words(sft, p + q)}
+            ahat = build_two_sided(sft, p, q, entries)
+            envelope = {}
+            for word, value in ahat.table.items():
+                envelope[word[p:]] = min(value, envelope.get(word[p:], value))
+            b = reduce_two_sided(ahat)
+            want = build_one_sided(sft, q, envelope)
+            assert (b.declared_range, b.values) == (q, want.values), (sft, p, q)
+
     def test_junction_admissibility_enforced(self):
         with pytest.raises(ValueError):
             build_two_sided(GOLDEN, 1, 1, {
@@ -229,18 +247,18 @@ class TestTwoSided:
 class TestNormalize:
     def test_weights_nonnegative_and_tight_on_critical(self, corpus_bundles):
         for bundle in corpus_bundles[:40]:
-            u = SubAction(bundle.graph.order, bundle.fixed_point, "user-supplied")
-            norm = normalize(u, bundle.crit)
+            u = SubAction(bundle.graph.order, calibrated_fixed_point(bundle), "user-supplied")
+            norm = normalize(u, bundle)
             weights = compile_weights(norm, bundle.graph)
             assert all(w >= 0 for w in weights)
-            assert min(weights[k] for k in bundle.crit.critical_edges) == 0
-            assert all(weights[k] == 0 for k in bundle.crit.critical_edges)
+            assert min(weights[k] for k in bundle.critical_edges) == 0
+            assert all(weights[k] == 0 for k in bundle.critical_edges)
 
     def test_weights_are_the_slacks(self, corpus_bundles):
         for bundle in corpus_bundles[:40]:
-            g, u = bundle.graph, bundle.fixed_point
+            g, u = bundle.graph, calibrated_fixed_point(bundle)
             sub = SubAction(g.order, u, "user-supplied")
-            weights = compile_weights(normalize(sub, bundle.crit), g)
+            weights = compile_weights(normalize(sub, bundle), g)
             assert weights == tuple(
                 w - bundle.abar - u[e.head] + u[e.tail]
                 for w, e in zip(bundle.weights, g.edges)
@@ -250,12 +268,12 @@ class TestNormalize:
         bad = SubAction(1, (Fraction(0), Fraction(5)), "user-supplied")
         with pytest.raises(NotASubAction,
                            match=re.escape("edge (0, 1) has negative normalized weight -5")):
-            normalize(bad, e1_bundle.crit)
+            normalize(bad, e1_bundle)
 
     def test_rejects_depth_mismatch(self, e1_bundle):
         u = SubAction(2, (Fraction(0),) * 4, "user-supplied")
         with pytest.raises(IncompatibleOrder):
-            normalize(u, e1_bundle.crit)
+            normalize(u, e1_bundle)
 
 
 class TestCompileWeights:

@@ -10,7 +10,7 @@ from conftest import INSTANCE_DIR, irreducible_systems
 from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import load_instance, random_instance, random_two_sided
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.subactions import (
     ContactSet,
@@ -30,7 +30,12 @@ from ergopt.subactions import (
     verify,
 )
 from ergopt.symbolic import DeBruijnGraph, admissible_words, build_sft, count_words, lift_to
-from ergopt.tropical import constraint_polytope, critical_structure, lax_oleinik_step
+from ergopt.tropical import (
+    calibrated_fixed_point,
+    constraint_polytope,
+    critical_structure,
+    lax_oleinik_step,
+)
 
 
 # SHA-256 of repr((sub.values, cert)) for separating sub-actions that take
@@ -70,84 +75,84 @@ TWO_PASS_DIGESTS = {
 
 
 def fixed_sub(bundle):
-    return SubAction(bundle.graph.order, bundle.fixed_point, "user-supplied")
+    return SubAction(bundle.graph.order, calibrated_fixed_point(bundle), "user-supplied")
 
 
 def calibrated_family(b, rng):
     """The fixed point, the dominant member of every component and one
     member from random boundary data in the constraint polytope."""
     family = [fixed_sub(b)]
-    for i in range(len(b.crit.components)):
-        family.append(dominant_calibrated(i, Fraction(rng.randint(-3, 3)), b.crit))
-    poly = constraint_polytope(b.crit)
+    for i in range(len(b.components)):
+        family.append(dominant_calibrated(i, Fraction(rng.randint(-3, 3)), b))
+    poly = constraint_polytope(b)
     r = len(poly.representatives)
     c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
     bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r)) for i in range(r))
-    family.append(calibrated_from_boundary(bd, b.crit))
+    family.append(calibrated_from_boundary(bd, b))
     return family
 
 
 class TestCalibratedFromBoundary:
     def test_e2_zero_boundary(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(0)), e2_bundle.crit)
+        u = calibrated_from_boundary((Fraction(0), Fraction(0)), e2_bundle)
         assert u.values == (0, 1, 0)
         assert u.provenance == "calibrated-from-boundary"
 
     def test_e2_shifted_boundary(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle.crit)
+        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle)
         assert u.values == (0, 1, 1)
 
     def test_outputs_are_lax_oleinik_fixed_points(self, corpus_bundles):
         rng = random.Random(11)
         for b in corpus_bundles:
-            poly = constraint_polytope(b.crit)
+            poly = constraint_polytope(b)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
-            u = calibrated_from_boundary(bd, b.crit)
+            u = calibrated_from_boundary(bd, b)
             assert lax_oleinik_step(u.values, b.graph, b.weights, b.abar) == u.values
 
     def test_representation_closure(self, corpus_bundles):
         # a calibrated sub-action is recovered from its boundary restriction
         for b in corpus_bundles:
-            u = b.fixed_point
-            bd = tuple(u[i] for i in b.crit.representatives)
-            rebuilt = calibrated_from_boundary(bd, b.crit)
+            u = calibrated_fixed_point(b)
+            bd = tuple(u[i] for i in b.representatives)
+            rebuilt = calibrated_from_boundary(bd, b)
             assert rebuilt.values == u
 
 
 class TestDominant:
     def test_e2_both_components(self, e2_bundle):
-        crit = e2_bundle.crit
+        crit = e2_bundle
         assert dominant_calibrated(0, Fraction(0), crit).values == (0, 1, 1)
         assert dominant_calibrated(1, Fraction(0), crit).values == (1, 1, 0)
         assert dominant_calibrated(0, Fraction(2), crit).values == (2, 3, 3)
 
     def test_provenance(self, e2_bundle):
-        u = dominant_calibrated(0, Fraction(0), e2_bundle.crit)
+        u = dominant_calibrated(0, Fraction(0), e2_bundle)
         assert u.provenance == "dominant"
 
     def test_single_component_instance(self, e1_bundle):
-        u = dominant_calibrated(0, Fraction(0), e1_bundle.crit)
+        u = dominant_calibrated(0, Fraction(0), e1_bundle)
         assert u.values == (0, 0)
 
     def test_index_past_the_last_component_is_refused(self, e1_bundle, e2_bundle):
         # one past the end is a ValueError (exit 3), not an IndexError
         for b in (e1_bundle, e2_bundle):
-            k = len(b.crit.representatives)
+            k = len(b.representatives)
             with pytest.raises(ValueError, match=rf"^component index {k} out of range "
                                                  rf"0\.\.{k - 1}$"):
-                dominant_calibrated(k, Fraction(0), b.crit)
+                dominant_calibrated(k, Fraction(0), b)
 
     def test_matches_boundary_construction_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:60]:
-            h = b.barriers.h
-            for i0 in range(len(b.crit.components)):
-                direct = dominant_calibrated(i0, Fraction(1), b.crit)
-                reps = b.crit.representatives
+            h = barrier_matrices(b).h
+            for i0 in range(len(b.components)):
+                direct = dominant_calibrated(i0, Fraction(1), b)
+                reps = b.representatives
                 bd = tuple(Fraction(1) + h[reps[i0]][r] for r in reps)
-                assert direct.values == calibrated_from_boundary(bd, b.crit).values
+                assert direct.values == calibrated_from_boundary(bd, b).values
                 # the dense-h formula for the dominant row
                 assert direct.values == tuple(Fraction(1) + v for v in h[reps[i0]])
 
@@ -155,28 +160,29 @@ class TestDominant:
 class TestContactLocus:
     def test_e1_fixed_point(self, e1_bundle):
         u = fixed_sub(e1_bundle)
-        contact = contact_locus(u, e1_bundle.crit)
+        contact = contact_locus(u, e1_bundle)
         assert contact.tight_words == ((0, 0), (0, 1))
 
     def test_contains_critical_edges_for_any_subaction(self, corpus_bundles):
         for b in corpus_bundles[:60]:
             u = fixed_sub(b)
-            contact = contact_locus(u, b.crit)
-            assert set(b.crit.critical_edges) <= set(contact.tight_edges)
+            contact = contact_locus(u, b)
+            assert set(b.critical_edges) <= set(contact.tight_edges)
 
     def test_rejects_non_subaction(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
         with pytest.raises(NotASubAction, match=r"^edge \(0, 1\) has negative slack -9$"):
-            contact_locus(bad, e1_bundle.crit)
+            contact_locus(bad, e1_bundle)
 
     def test_lifted_sub_action_is_read_at_its_depth(self, corpus_bundles):
         # the fixed point lifted through `base` gives each lifted edge the
         # slack of its base edge, so the tight edges are those over tight
         # base edges, and verify reads the same words
         for b in corpus_bundles[:40]:
-            crit, depth = b.crit, b.graph.order + 1
+            crit, depth = b, b.graph.order + 1
             _, edge_base, _, _, base = lift_critical(crit, depth)
-            u = SubAction(depth, tuple(b.fixed_point[v] for v in base), "user-supplied")
+            u = SubAction(depth, tuple(map(calibrated_fixed_point(b).__getitem__, base)),
+                          "user-supplied")
             tight_base = set(contact_locus(fixed_sub(b), crit).tight_edges)
             contact = contact_locus(u, crit)
             assert contact.depth == depth
@@ -186,7 +192,7 @@ class TestContactLocus:
 
     def test_rejects_a_depth_below_the_graph_order(self, e1_bundle):
         with pytest.raises(ValueError, match="cannot lower order 1 to 0"):
-            contact_locus(SubAction(0, (Fraction(0),), "user-supplied"), e1_bundle.crit)
+            contact_locus(SubAction(0, (Fraction(0),), "user-supplied"), e1_bundle)
 
 
 @pytest.mark.parametrize("check", ["verify", "contact_locus", "gap_analysis", "normalize"])
@@ -196,10 +202,10 @@ def test_one_value_short_is_refused(e2_bundle, check):
     u = fixed_sub(e2_bundle)
     short = SubAction(u.depth, u.values[:-1], "user-supplied")
     calls = {
-        "verify": lambda: verify(short, e2_bundle.crit),
-        "contact_locus": lambda: contact_locus(short, e2_bundle.crit),
-        "gap_analysis": lambda: gap_analysis(u, short, e2_bundle.crit),
-        "normalize": lambda: normalize(short, e2_bundle.crit),
+        "verify": lambda: verify(short, e2_bundle),
+        "contact_locus": lambda: contact_locus(short, e2_bundle),
+        "gap_analysis": lambda: gap_analysis(u, short, e2_bundle),
+        "normalize": lambda: normalize(short, e2_bundle),
     }
     with pytest.raises(IncompatibleOrder, match="expected 3 node values, got 2"):
         calls[check]()
@@ -207,7 +213,7 @@ def test_one_value_short_is_refused(e2_bundle, check):
 
 class TestVerify:
     def test_e1_fixed_point_verdict(self, e1_bundle):
-        v = verify(fixed_sub(e1_bundle), e1_bundle.crit)
+        v = verify(fixed_sub(e1_bundle), e1_bundle)
         assert v.is_subaction and v.is_calibrated
         assert not v.separating_certificate
         assert v.critical_containment
@@ -216,12 +222,12 @@ class TestVerify:
 
     def test_non_subaction_reports_instead_of_raising(self, e1_bundle):
         bad = SubAction(1, (Fraction(0), Fraction(9)), "user-supplied")
-        v = verify(bad, e1_bundle.crit)
+        v = verify(bad, e1_bundle)
         assert not v.is_subaction and not v.is_calibrated
 
     def test_deeper_subaction(self, e1_bundle):
-        sub, _ = separating_subaction(e1_bundle.crit, 2)
-        v = verify(sub, e1_bundle.crit)
+        sub, _ = separating_subaction(e1_bundle, 2)
+        v = verify(sub, e1_bundle)
         assert v.is_subaction and v.separating_certificate and v.critical_containment
         assert v.tight_words == ((0, 0, 0),)
 
@@ -232,7 +238,7 @@ class TestCalibration:
         # component i with u(x) = u(x_i) + h(x_i, x)
         rng = random.Random(53)
         for b in corpus_bundles:
-            g, crit = b.graph, b.crit
+            g, crit = b.graph, b
             for u in calibrated_family(b, rng):
                 tight = set(contact_locus(u, crit).tight_edges)
                 for x in range(g.n_nodes):
@@ -251,14 +257,15 @@ class TestCalibration:
         seen = set()
         for b in corpus_bundles[:40]:
             depth = b.graph.order + 1
-            lifted, edge_base, _, _, base = lift_critical(b.crit, depth)
-            lw = tuple(map(b.crit.weights.__getitem__, edge_base))
+            lifted, edge_base, _, _, base = lift_critical(b, depth)
+            lw = tuple(map(b.weights.__getitem__, edge_base))
             family = calibrated_family(b, rng)
-            sep, _ = separating_subaction(b.crit, depth)
-            deep = SubAction(depth, tuple(b.fixed_point[i] for i in base), "user-supplied")
+            sep, _ = separating_subaction(b, depth)
+            deep = SubAction(depth, tuple(map(calibrated_fixed_point(b).__getitem__, base)),
+                             "user-supplied")
             k = next(k for k, e in enumerate(b.graph.edges) if e.tail != e.head)
             e = b.graph.edges[k]
-            bad = list(b.fixed_point)
+            bad = list(calibrated_fixed_point(b))
             bad[e.head] = bad[e.tail] + b.weights[k] - b.abar + 1
             cases = [
                 *family, sep,
@@ -269,44 +276,44 @@ class TestCalibration:
             ]
             for u in cases:
                 g, w = (lifted, lw) if u.depth == depth else (b.graph, b.weights)
-                v = verify(u, b.crit)
+                v = verify(u, b)
                 fixed = lax_oleinik_step(u.values, g, w, b.abar) == u.values
                 assert v.is_calibrated == (v.is_subaction and fixed)
                 seen.add((v.is_subaction, v.is_calibrated))
                 if v.is_subaction and not v.is_calibrated:
                     with pytest.raises(NotCalibrated):
-                        gap_analysis(u, u, b.crit)
+                        gap_analysis(u, u, b)
         assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestSeparating:
     def test_e1_depth_2(self, e1_bundle):
-        sub, cert = separating_subaction(e1_bundle.crit, 2)
+        sub, cert = separating_subaction(e1_bundle, 2)
         assert cert.ok and cert.depth == 2 and cert.gamma == Fraction(1, 2)
         assert cert.tight_words == ((0, 0, 0),)
         assert cert.residual_words == ()
         assert sub.depth == 2 and sub.provenance == "separating"
 
     def test_e2_depth_2(self, e2_bundle):
-        _, cert = separating_subaction(e2_bundle.crit, 2)
+        _, cert = separating_subaction(e2_bundle, 2)
         assert cert.tight_words == ((0, 0, 0), (2, 2, 2))
 
     def test_golden_depth_2(self, golden_bundle):
-        _, cert = separating_subaction(golden_bundle.crit, 2)
+        _, cert = separating_subaction(golden_bundle, 2)
         assert cert.tight_words == ((0, 1, 0), (1, 0, 1))
 
     def test_gamma_validation(self, e1_bundle):
         for gamma in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
             with pytest.raises(ValueError):
-                separating_subaction(e1_bundle.crit, 2, gamma=gamma)
+                separating_subaction(e1_bundle, 2, gamma=gamma)
 
     def test_depth_validation(self, e1_bundle):
         with pytest.raises(ValueError):
-            separating_subaction(e1_bundle.crit, 0)
+            separating_subaction(e1_bundle, 0)
 
     def test_gamma_scales_values_not_tightness(self, e2_bundle):
-        _, cert_half = separating_subaction(e2_bundle.crit, 2)
-        _, cert_tenth = separating_subaction(e2_bundle.crit, 2, gamma=Fraction(1, 10))
+        _, cert_half = separating_subaction(e2_bundle, 2)
+        _, cert_tenth = separating_subaction(e2_bundle, 2, gamma=Fraction(1, 10))
         assert cert_half.tight_words == cert_tenth.tight_words
 
     @pytest.mark.parametrize("seed, depth, gamma", sorted(TWO_PASS_DIGESTS))
@@ -314,7 +321,7 @@ class TestSeparating:
         rng = random.Random(seed)
         inst = (random_two_sided if rng.random() < 0.25 else random_instance)(rng)
         b = solve_instance(inst)
-        sub, cert = separating_subaction(b.crit, depth, Fraction(gamma))
+        sub, cert = separating_subaction(b, depth, Fraction(gamma))
         assert cert.passes == 2
         digest = hashlib.sha256(repr((sub.values, cert)).encode()).hexdigest()
         assert digest == TWO_PASS_DIGESTS[seed, depth, gamma]
@@ -332,15 +339,15 @@ class TestSeparating:
             lifted, lw = lift_to(b.graph, b.weights, depth)
             critical = critical_structure(lifted, lw).critical_edges
             for gamma in (Fraction(1, 2), Fraction(2, 3)):
-                _, cert = separating_subaction(b.crit, depth, gamma)
+                _, cert = separating_subaction(b, depth, gamma)
                 assert cert.ok and cert.residual_words == ()
                 assert cert.tight_words == tuple(map(lifted.edge_word, critical))
 
     def test_result_is_a_subaction_at_depth(self, corpus_bundles):
         for b in corpus_bundles[:40]:
             n = b.graph.n_nodes
-            sub, cert = separating_subaction(b.crit, n + 2)
-            v = verify(sub, b.crit)
+            sub, cert = separating_subaction(b, n + 2)
+            v = verify(sub, b)
             assert v.is_subaction
             assert v.separating_certificate
             assert set(cert.tight_words) == set(v.tight_words)
@@ -349,7 +356,7 @@ class TestSeparating:
 def carried(b, depth):
     """Word -> component of the lifted nodes and of the lifted edges at
     `depth`, as carried up from the base."""
-    lifted, _, nodes, edges, _ = lift_critical(b.crit, depth)
+    lifted, _, nodes, edges, _ = lift_critical(b, depth)
     return (dict(zip(lifted.node_words, nodes)),
             {e.word: c for e, c in zip(lifted.edges, edges)})
 
@@ -403,12 +410,12 @@ class TestLiftCritical:
                    e1_bundle, e2_bundle, golden_bundle]
         lifts = 0
         for b in bundles:
-            check_label_views(b.crit)
+            check_label_views(b)
             for depth in range(b.graph.order, b.graph.order + 4):
                 if count_words(b.graph.sft, depth, 400) > 400:
                     break
-                lifted, edge_base, nodes, edges, _ = lift_critical(b.crit, depth)
-                lw = tuple(map(b.crit.weights.__getitem__, edge_base))
+                lifted, edge_base, nodes, edges, _ = lift_critical(b, depth)
+                lw = tuple(map(b.weights.__getitem__, edge_base))
                 fresh = critical_structure(lifted, lw)
                 assert nodes == fresh.node_component
                 assert edges == fresh.edge_component
@@ -424,7 +431,7 @@ class TestLiftCritical:
         # a critical base edge of c (at the base depth, a node keeps its own)
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, 2) for w in admissible_words(sft, m)}
-        crit = solve_instance(build_one_sided(sft, m, entries)).crit
+        crit = solve_instance(build_one_sided(sft, m, entries))
         g, r = crit.graph, crit.graph.order
 
         def component(word):
@@ -449,7 +456,7 @@ class TestLiftCritical:
         b = solve_instance(random_instance(random.Random(seed)))
         depth = b.graph.order + extra
         assume(count_words(b.graph.sft, depth, 2000) <= 2000)
-        lifted, _, _, _, base = lift_critical(b.crit, depth)
+        lifted, _, _, _, base = lift_critical(b, depth)
         assert list(base) == [b.graph.node_index(w[:b.graph.order])
                               for w in lifted.node_words]
 
@@ -462,7 +469,7 @@ class TestLiftCritical:
         count = symbolic.count_words
         monkeypatch.setattr(symbolic, "count_words",
                             lambda *args: calls.append(args) or count(*args))
-        lifted, _, nodes, edges, base = lift_critical(b.crit, 1024)
+        lifted, _, nodes, edges, base = lift_critical(b, 1024)
         assert (lifted.order, lifted.n_nodes, lifted.n_edges) == (1024, 2, 2)
         assert nodes == (0, 0) and edges == (0, 0) and list(base) == [0, 1]
         assert len(calls) <= 2
@@ -470,7 +477,7 @@ class TestLiftCritical:
     def test_base_map_carries_values_by_prefix(self):
         sft = build_sft(2, [[1, 1], [1, 1]], Fraction(1, 2))
         b = solve_instance(build_one_sided(sft, 1, {(0,): 0, (1,): 1}))
-        base = lift_critical(b.crit, 2)[4]
+        base = lift_critical(b, 2)[4]
         values = (Fraction(5), Fraction(7))
         assert tuple(values[i] for i in base) == (
             Fraction(5), Fraction(5), Fraction(7), Fraction(7),
@@ -480,14 +487,14 @@ class TestLiftCritical:
         # 2**11 admissible 11-words on the full 2-shift: the budget is
         # checked by the lift itself, before any pass runs
         b = e1_bundle
-        assert lift_critical(b.crit, 11, 2**11)[0].n_nodes == 2**11
-        sep, cert = separating_subaction(b.crit, 11, node_budget=2**11)
+        assert lift_critical(b, 11, 2**11)[0].n_nodes == 2**11
+        sep, cert = separating_subaction(b, 11, node_budget=2**11)
         assert cert.ok
-        assert verify(sep, b.crit, node_budget=2**11).separating_certificate
+        assert verify(sep, b, node_budget=2**11).separating_certificate
         for refuse in (
-                lambda: lift_critical(b.crit, 11, 2**11 - 1),
-                lambda: separating_subaction(b.crit, 11, node_budget=2**11 - 1),
-                lambda: verify(sep, b.crit, node_budget=2**11 - 1)):
+                lambda: lift_critical(b, 11, 2**11 - 1),
+                lambda: separating_subaction(b, 11, node_budget=2**11 - 1),
+                lambda: verify(sep, b, node_budget=2**11 - 1)):
             with pytest.raises(BudgetExceeded, match="node budget of 2047"):
                 refuse()
 
@@ -525,8 +532,8 @@ class TestParentHeldLift:
         cases = 0
         for b, depth in parity_cases(corpus_bundles):
             for gamma in (Fraction(1, 2), Fraction(2, 3)):
-                got = separating_subaction(b.crit, depth, gamma)
-                assert got == _separate(explicit(b.crit, depth), gamma)
+                got = separating_subaction(b, depth, gamma)
+                assert got == _separate(explicit(b, depth), gamma)
             cases += 1
         assert cases > 400
 
@@ -538,10 +545,10 @@ class TestParentHeldLift:
         rng = random.Random(71)
         beside = 0
         for b, depth in parity_cases(corpus_bundles):
-            crit = b.crit
+            crit = b
             lifted, edge_base, _, _, base = lift_critical(crit, depth)
             sep, _ = separating_subaction(crit, depth)
-            fixed = [b.fixed_point[v] for v in base]
+            fixed = list(map(calibrated_fixed_point(b).__getitem__, base))
             cases = [sep.values, fixed,
                      [x + rng.choice((0, 0, 0, Fraction(1, 2), -1)) for x in sep.values]]
             for v in range(lifted.n_nodes):
@@ -563,14 +570,15 @@ class TestParentHeldLift:
         assert beside > 300
 
     def test_no_graph_at_the_depth_is_built(self, e2_bundle, monkeypatch):
-        crit, orders = e2_bundle.crit, []
+        crit, orders = e2_bundle, []
         line_graph = DeBruijnGraph.line_graph
         monkeypatch.setattr(DeBruijnGraph, "line_graph",
                             lambda g: orders.append(g.order + 1) or line_graph(g))
         lifted, _, _, _, base = lift_critical(crit, 6)
         assert lifted.order == 6 and orders == [2, 3, 4, 5, 6]
         orders.clear()
-        fixed = SubAction(6, tuple(e2_bundle.fixed_point[v] for v in base), "user-supplied")
+        fixed = SubAction(6, tuple(map(calibrated_fixed_point(e2_bundle).__getitem__, base)),
+                          "user-supplied")
         sub, cert = separating_subaction(crit, 6)
         assert cert.ok and verify(sub, crit).separating_certificate
         assert contact_locus(sub, crit).tight_words == cert.tight_words
@@ -581,7 +589,7 @@ class TestParentHeldLift:
     def test_budget_is_checked_before_any_graph_is_built(self, e2_bundle, monkeypatch):
         built = []
         monkeypatch.setattr(DeBruijnGraph, "line_graph", lambda g: built.append(g))
-        crit, words = e2_bundle.crit, 3 ** 6
+        crit, words = e2_bundle, 3 ** 6
         u = SubAction(6, (Fraction(0),) * words, "user-supplied")
         for refuse in (lambda: separating_subaction(crit, 6, node_budget=words - 1),
                        lambda: verify(u, crit, node_budget=words - 1),
@@ -597,7 +605,7 @@ class TestParentHeldLift:
                 u = SubAction(depth, (Fraction(0),) * count, "user-supplied")
                 with pytest.raises(IncompatibleOrder,
                                    match=f"expected {n} node values, got {count}"):
-                    verify(u, e2_bundle.crit)
+                    verify(u, e2_bundle)
 
 
 def outcome(call, *args):
@@ -664,11 +672,12 @@ class TestOneSlackReader:
         rng = random.Random(83)
         kinds, cases = set(), 0
         for b, depth in parity_cases(corpus_bundles, lowest=0):
-            crit = b.crit
+            crit = b
             explicit = lift_critical(crit, depth)
             lifted, edge_base, _, _, base = explicit
             slacks = reference_slacks(crit, explicit)
-            fixed = SubAction(depth, tuple(b.fixed_point[v] for v in base), "user-supplied")
+            fixed = SubAction(depth, tuple(map(calibrated_fixed_point(b).__getitem__, base)),
+                              "user-supplied")
             sep, _ = separating_subaction(crit, depth)
             nudged = tuple(x + rng.choice((0, 0, 0, Fraction(1, 2), -1)) for x in sep.values)
             subs = [fixed, sep, SubAction(depth, nudged, "user-supplied")]
@@ -704,7 +713,7 @@ class TestOneSlackReader:
         for b, depth in parity_cases(corpus_bundles, lowest=0):
             if depth != b.graph.order:
                 continue
-            crit = b.crit
+            crit = b
             explicit = lift_critical(crit, depth)
             lifted = explicit[0]
             slacks = reference_slacks(crit, explicit)
@@ -727,7 +736,7 @@ class TestOneSlackReader:
         assert kinds == {OneSidedPotential, NotASubAction}
 
     def test_wrong_value_counts_match_the_explicit_lift(self, e2_bundle):
-        crit = e2_bundle.crit
+        crit = e2_bundle
         for depth in (1, 2, 4):
             explicit = lift_critical(crit, depth)
             slacks = reference_slacks(crit, explicit)
@@ -770,25 +779,25 @@ class TestConvexCombination:
     def test_tight_set_is_intersection(self, corpus_bundles):
         rng = random.Random(31)
         for b in corpus_bundles[:60]:
-            poly = constraint_polytope(b.crit)
+            poly = constraint_polytope(b)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
             u1 = fixed_sub(b)
-            u2 = calibrated_from_boundary(bd, b.crit)
+            u2 = calibrated_from_boundary(bd, b)
             mix = convex_combination([u1, u2], [Fraction(1, 3), Fraction(2, 3)])
-            t1 = set(contact_locus(u1, b.crit).tight_edges)
-            t2 = set(contact_locus(u2, b.crit).tight_edges)
-            tm = set(contact_locus(mix, b.crit).tight_edges)
+            t1 = set(contact_locus(u1, b).tight_edges)
+            t2 = set(contact_locus(u2, b).tight_edges)
+            tm = set(contact_locus(mix, b).tight_edges)
             assert tm == t1 & t2
 
 
 class TestGapAnalysis:
     def test_e2_constants_and_location(self, e2_bundle):
-        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle.crit)
+        u = calibrated_from_boundary((Fraction(0), Fraction(1)), e2_bundle)
         v = fixed_sub(e2_bundle)
-        report = gap_analysis(u, v, e2_bundle.crit)
+        report = gap_analysis(u, v, e2_bundle)
         assert report.component_constants == (0, 1)
         assert report.minimum == 0
         assert report.argmin_nodes == (0, 1)
@@ -801,35 +810,36 @@ class TestGapAnalysis:
             with pytest.raises(NotASubAction, match=rf"^{name} violates the sub-action "
                                                     r"inequality: edge \(0, 1\) has "
                                                     r"negative slack -5$"):
-                gap_analysis(*pair, e1_bundle.crit)
+                gap_analysis(*pair, e1_bundle)
 
     def test_rejects_uncalibrated_u(self, e1_bundle):
-        sep, _ = separating_subaction(e1_bundle.crit, 1)
+        sep, _ = separating_subaction(e1_bundle, 1)
         with pytest.raises(NotCalibrated):
-            gap_analysis(sep, sep, e1_bundle.crit)
+            gap_analysis(sep, sep, e1_bundle)
 
     def test_rejects_depth_mismatch(self, e1_bundle):
         u = fixed_sub(e1_bundle)
         v = SubAction(2, (Fraction(0),) * 4, "user-supplied")
         with pytest.raises(IncompatibleOrder):
-            gap_analysis(u, v, e1_bundle.crit)
+            gap_analysis(u, v, e1_bundle)
 
     def test_calibrated_minus_fixed_point_on_corpus(self, corpus_bundles):
         rng = random.Random(47)
         for b in corpus_bundles[:60]:
-            poly = constraint_polytope(b.crit)
+            poly = constraint_polytope(b)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-3, 3)) for _ in range(r)]
             bd = tuple(min(c[l] + poly.matrix[l][i] for l in range(r))
                        for i in range(r))
-            u = calibrated_from_boundary(bd, b.crit)
-            report = gap_analysis(u, fixed_sub(b), b.crit)
+            u = calibrated_from_boundary(bd, b)
+            report = gap_analysis(u, fixed_sub(b), b)
             assert min(report.component_constants) == report.minimum
 
     def test_against_lifted_separating_candidate(self, e1_bundle):
         b = e1_bundle
-        sep, _ = separating_subaction(b.crit, 2)
-        base = lift_critical(b.crit, 2)[4]
-        u = SubAction(2, tuple(b.fixed_point[i] for i in base), "user-supplied")
-        report = gap_analysis(u, sep, b.crit)
+        sep, _ = separating_subaction(b, 2)
+        base = lift_critical(b, 2)[4]
+        u = SubAction(2, tuple(map(calibrated_fixed_point(b).__getitem__, base)),
+                      "user-supplied")
+        report = gap_analysis(u, sep, b)
         assert min(report.component_constants) == report.minimum

@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +11,7 @@ from conftest import SCALING_CASES, SimpleDigraph
 from ergopt.errors import NotInConstraintSet
 from ergopt.instances import random_instance
 from ergopt.oracle import barrier_window, brute_cycles, path_min_table
-from ergopt.pipeline import solve_instance
+from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, compile_weights
 from ergopt.subactions import calibrated_from_boundary
 from ergopt.symbolic import build_sft, refine
@@ -41,6 +40,27 @@ NOT_STRONGLY_CONNECTED = {
     "unreached_source": (3, [(0, 1), (1, 0), (2, 0)]),
     "island_loop": (3, [(0, 1), (1, 0), (2, 2)]),
     "one_way_loops": (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]),
+}
+
+# What the refusal of each shape names after "graph is not strongly
+# connected: ". A solve, with each node in turn the tail of the cheapest
+# edges, names a node with no out-edge, a node the policy's reverse
+# search misses and the root it cannot reach, or a representative and
+# the first node its row misses. The dense phi names the first source
+# whose row misses a node, as one search per node in turn does.
+SOLVE_REFUSALS = {
+    "dead_end": ("node 2 has no out-edge",) * 3,
+    "trap_loop": ("node 2 cannot reach node 0",) * 3,
+    "unreached_source": ("node 0 cannot reach node 2",) * 3,
+    "island_loop": ("node 2 cannot reach node 0",) * 2 + ("node 0 cannot reach node 2",),
+    "one_way_loops": ("node 2 cannot reach node 0",) * 4,
+}
+DENSE_REFUSALS = {
+    "dead_end": "node 2 cannot reach node 0",
+    "trap_loop": "node 2 cannot reach node 0",
+    "unreached_source": "node 0 cannot reach node 2",
+    "island_loop": "node 0 cannot reach node 2",
+    "one_way_loops": "node 2 cannot reach node 0",
 }
 
 
@@ -94,19 +114,19 @@ class TestMinimizingValue:
 
     def test_e1(self, e1_bundle):
         assert e1_bundle.abar == 0
-        cycle = e1_bundle.crit.witness_cycle
+        cycle = e1_bundle.witness_cycle
         assert len(cycle) == 1
         assert e1_bundle.graph.edges[cycle[0]].word == (0, 0)
 
     def test_golden(self, golden_bundle):
         assert golden_bundle.abar == 0
         words = [golden_bundle.graph.edges[k].word
-                 for k in golden_bundle.crit.witness_cycle]
+                 for k in golden_bundle.witness_cycle]
         assert words == [(0, 1), (1, 0)]
 
     def test_witness_mean_on_corpus(self, corpus_bundles):
         for b in corpus_bundles:
-            cycle = b.crit.witness_cycle
+            cycle = b.witness_cycle
             mean = sum(b.weights[k] for k in cycle) / len(cycle)
             assert mean == b.abar
 
@@ -136,9 +156,11 @@ class TestMinimizingValue:
         # every part in turn holds the cheapest cycle
         for cheap in range(n):
             weights = [Fraction(0 if tail == cheap else 1) for tail, _ in pairs]
+            want = "graph is not strongly connected: " + SOLVE_REFUSALS[shape][cheap]
             for solve in (minimizing_value, critical_structure):
-                with pytest.raises(ValueError, match="graph is not strongly connected"):
+                with pytest.raises(ValueError) as refusal:
                     solve(g, weights)
+                assert str(refusal.value) == want, (cheap, solve)
 
     def test_memory_stays_linear_in_the_graph(self):
         # 1024 nodes; Karp's (n+1) x n table peaked at 14.8 MiB on this graph
@@ -164,19 +186,31 @@ class TestBarrierMatrices:
         with pytest.raises(ValueError):
             mane_matrix(g, weights, Fraction(3), range(2))
 
+    @pytest.mark.parametrize("shape", sorted(NOT_STRONGLY_CONNECTED))
+    def test_dense_phi_names_a_node_and_one_it_cannot_reach(self, shape):
+        n, pairs = NOT_STRONGLY_CONNECTED[shape]
+        g = SimpleDigraph(n, pairs)
+        want = "graph is not strongly connected: " + DENSE_REFUSALS[shape]
+        for dense in (lambda: mane_matrix(g, [Fraction(1)] * len(pairs), Fraction(0), range(n)),
+                      lambda: _dense_path_minima([1] * len(pairs), g.out_edges, g.heads, n)):
+            with pytest.raises(ValueError) as refusal:
+                dense()
+            assert str(refusal.value) == want
+
     def test_e1(self, e1_bundle):
-        assert rows(e1_bundle.barriers.phi) == ((0, 0), (1, 1))
-        assert rows(e1_bundle.barriers.h) == ((0, 0), (1, 1))
+        assert rows(barrier_matrices(e1_bundle).phi) == ((0, 0), (1, 1))
+        assert rows(barrier_matrices(e1_bundle).h) == ((0, 0), (1, 1))
 
     def test_e2(self, e2_bundle):
-        assert rows(e2_bundle.barriers.phi) == ((0, 1, 1), (1, 1, 1), (1, 1, 0))
-        assert rows(e2_bundle.barriers.h) == ((0, 1, 1), (1, 2, 1), (1, 1, 0))
+        assert rows(barrier_matrices(e2_bundle).phi) == ((0, 1, 1), (1, 1, 1), (1, 1, 0))
+        assert rows(barrier_matrices(e2_bundle).h) == ((0, 1, 1), (1, 2, 1), (1, 1, 0))
 
     def test_axioms_on_fixtures(self, e1_bundle, e2_bundle, golden_bundle):
         for b in (e1_bundle, e2_bundle, golden_bundle):
-            phi, h = b.barriers.phi, b.barriers.h
+            barriers = barrier_matrices(b)
+            phi, h = barriers.phi, barriers.h
             n = b.graph.n_nodes
-            crit_nodes = set(b.crit.critical_nodes)
+            crit_nodes = set(b.critical_nodes)
             for i, j, k in product(range(n), repeat=3):
                 assert phi[i][k] <= phi[i][j] + phi[j][k]
                 assert h[i][k] <= h[i][j] + h[j][k]
@@ -191,7 +225,7 @@ class TestBarrierMatrices:
 
 class TestCriticalStructure:
     def test_e1(self, e1_bundle):
-        crit = e1_bundle.crit
+        crit = e1_bundle
         g = e1_bundle.graph
         assert [g.edges[k].word for k in crit.critical_edges] == [(0, 0)]
         assert crit.critical_nodes == (0,)
@@ -200,7 +234,7 @@ class TestCriticalStructure:
         assert crit.rows == ((0, 0),)
 
     def test_e2_two_components(self, e2_bundle):
-        crit = e2_bundle.crit
+        crit = e2_bundle
         g = e2_bundle.graph
         assert [g.edges[k].word for k in crit.critical_edges] == [(0, 0), (2, 2)]
         assert crit.representatives == (0, 2)
@@ -223,8 +257,8 @@ class TestCriticalStructure:
         # cycle: (w - abar) + phi[head][tail] == 0; and the relaxation
         # kernel on reversed arcs yields the columns of phi
         for b in corpus_bundles + two_sided_bundles:
-            phi, g = b.barriers.phi, b.graph
-            assert b.crit.critical_edges == tuple(
+            phi, g = barrier_matrices(b).phi, b.graph
+            assert b.critical_edges == tuple(
                 k for k, e in enumerate(g.edges)
                 if (b.weights[k] - b.abar) + phi[e.head][e.tail] == 0
             )
@@ -237,36 +271,36 @@ class TestCriticalStructure:
         # two critical nodes share a component exactly when their
         # round-trip barrier vanishes
         for b in corpus_bundles:
-            h = b.barriers.h
-            for i in b.crit.critical_nodes:
-                for j in b.crit.critical_nodes:
-                    same = b.crit.node_component[i] == b.crit.node_component[j]
+            h = barrier_matrices(b).h
+            for i in b.critical_nodes:
+                for j in b.critical_nodes:
+                    same = b.node_component[i] == b.node_component[j]
                     assert same == (h[i][j] + h[j][i] == 0)
 
     def test_components_are_node_disjoint_on_corpus(self, corpus_bundles):
         for b in corpus_bundles:
             seen = set()
-            for comp in b.crit.components:
+            for comp in b.components:
                 assert not (seen & set(comp.nodes))
                 seen |= set(comp.nodes)
 
 
 class TestCalibratedFixedPoint:
     def test_e1(self, e1_bundle):
-        assert e1_bundle.fixed_point == (0, 0)
+        assert calibrated_fixed_point(e1_bundle) == (0, 0)
 
     def test_e2(self, e2_bundle):
-        assert e2_bundle.fixed_point == (0, 1, 0)
+        assert calibrated_fixed_point(e2_bundle) == (0, 1, 0)
 
     def test_fixed_point_property_on_corpus(self, corpus_bundles):
         for b in corpus_bundles:
-            stepped = lax_oleinik_step(b.fixed_point, b.graph, b.weights, b.abar)
-            assert stepped == b.fixed_point
+            u = calibrated_fixed_point(b)
+            assert lax_oleinik_step(u, b.graph, b.weights, b.abar) == u
 
     def test_dominated_by_phi_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:60]:
-            u = b.fixed_point
-            phi = b.barriers.phi
+            u = calibrated_fixed_point(b)
+            phi = barrier_matrices(b).phi
             n = b.graph.n_nodes
             for i in range(n):
                 for j in range(n):
@@ -275,21 +309,21 @@ class TestCalibratedFixedPoint:
 
 class TestConstraintPolytope:
     def test_constant_vectors_always_inside(self, e2_bundle):
-        poly = constraint_polytope(e2_bundle.crit)
+        poly = constraint_polytope(e2_bundle)
         assert poly.matrix == ((0, 1), (1, 0))
         for c in (0, 5, -3):
             assert poly.contains((Fraction(c), Fraction(c)))
 
     def test_violating_vector_outside(self, e2_bundle):
-        poly = constraint_polytope(e2_bundle.crit)
+        poly = constraint_polytope(e2_bundle)
         assert not poly.contains((Fraction(0), Fraction(2)))
         with pytest.raises(NotInConstraintSet):
-            calibrated_from_boundary((Fraction(0), Fraction(2)), e2_bundle.crit)
+            calibrated_from_boundary((Fraction(0), Fraction(2)), e2_bundle)
 
     def test_min_plus_span_is_inside(self, corpus_bundles):
         rng = random.Random(5)
         for b in corpus_bundles[:40]:
-            poly = constraint_polytope(b.crit)
+            poly = constraint_polytope(b)
             r = len(poly.representatives)
             c = [Fraction(rng.randint(-4, 4)) for _ in range(r)]
             bd = tuple(
@@ -301,12 +335,13 @@ class TestConstraintPolytope:
 class TestRelayFormula:
     def test_h_from_phi_and_critical_nodes(self, corpus_bundles):
         for b in corpus_bundles[:60]:
-            phi, h = b.barriers.phi, b.barriers.h
+            barriers = barrier_matrices(b)
+            phi, h = barriers.phi, barriers.h
             n = b.graph.n_nodes
             for i in range(n):
                 for j in range(n):
                     assert h[i][j] == min(
-                        phi[i][z] + phi[z][j] for z in b.crit.critical_nodes
+                        phi[i][z] + phi[z][j] for z in b.critical_nodes
                     )
 
     def test_recomputation_matches_bundle(self, golden_bundle):
@@ -315,13 +350,14 @@ class TestRelayFormula:
         phi = mane_matrix(b.graph, b.weights, b.abar, range(n))
         crit = critical_structure(b.graph, b.weights)
         h = peierls_matrix(phi, crit)
-        assert rows(phi) == rows(b.barriers.phi)
-        assert crit.critical_edges == b.crit.critical_edges
-        assert rows(h) == rows(b.barriers.h)
-        assert calibrated_fixed_point(crit) == b.fixed_point
+        barriers, fixed = barrier_matrices(b), calibrated_fixed_point(b)
+        assert rows(phi) == rows(barriers.phi)
+        assert crit.critical_edges == b.critical_edges
+        assert rows(h) == rows(barriers.h)
+        assert calibrated_fixed_point(crit) == fixed
         # the dense-h formula for the fixed point
         assert tuple(min(h[r][j] for r in crit.representatives)
-                     for j in range(n)) == b.fixed_point
+                     for j in range(n)) == fixed
 
 
 class TestRepresentativeRows:
@@ -331,14 +367,15 @@ class TestRepresentativeRows:
         # and H keep their dense-h formulas as the reference
         fixtures = [e1_bundle, e2_bundle, golden_bundle]
         for b in corpus_bundles + two_sided_bundles + fixtures:
-            phi, h = b.barriers.phi, b.barriers.h
-            reps = b.crit.representatives
-            assert len(b.crit.rows) == len(reps)
-            for row, r in zip(b.crit.rows, reps):
+            barriers = barrier_matrices(b)
+            phi, h = barriers.phi, barriers.h
+            reps = b.representatives
+            assert len(b.rows) == len(reps)
+            for row, r in zip(b.rows, reps):
                 assert row == phi[r] == h[r]
-            assert b.fixed_point == tuple(
+            assert calibrated_fixed_point(b) == tuple(
                 min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
-            assert constraint_polytope(b.crit).matrix == tuple(
+            assert constraint_polytope(b).matrix == tuple(
                 tuple(h[a][c] for c in reps) for a in reps)
 
 
@@ -408,7 +445,7 @@ class TestIntegerKernel:
             weights = tuple(Fraction(w) for w in SCALING_CASES[case])
             summary = minimizing_value(g, weights)
             abar = summary.abar
-            b = replace(e2_bundle, crit=summary).barriers
+            b = barrier_matrices(summary)
             assert b.big == math.lcm(*((w - abar).denominator for w in weights)), case
             start, stop = barrier_window(g, weights, abar, b.h)
             for i in range(n):
