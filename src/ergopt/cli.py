@@ -15,7 +15,6 @@ import functools
 import os
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .instances import (
     random_instance,
     read_subaction_csv,
     subaction_csv_text,
+    word_texts,
 )
 from .oracle import barrier_window, brute_cycles, holonomic_value_brute, path_min_table
 from .pipeline import barrier_matrices, solve_instance
@@ -138,6 +138,15 @@ def cmd_barrier(args) -> int:
     return 0
 
 
+def _write_subaction(path, sft, sub: SubAction) -> None:
+    """The word,value CSV of `sub`, one row per admissible word of its
+    depth in word order, one word text per value."""
+    texts = word_texts(sft, sub.depth, len(sub.values))
+    if texts is None or len(texts) != len(sub.values):
+        raise InternalError(f"{len(sub.values)} values for the admissible {sub.depth}-words")
+    Path(path).write_text(subaction_csv_text(texts, sub.values), encoding="utf-8")
+
+
 def cmd_calibrate(args) -> int:
     pot = load_instance(args.instance)
     crit = solve_instance(pot, node_budget=args.max_nodes)
@@ -153,8 +162,7 @@ def cmd_calibrate(args) -> int:
     else:
         sub = SubAction(crit.graph.order, calibrated_fixed_point(crit), "calibrated-from-boundary")
     if args.out:  # written first, so a closed stdout cannot stop it
-        text = subaction_csv_text(crit.graph.node_words, sub.values, pot.sft.alphabet_size)
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_subaction(args.out, pot.sft, sub)
     print("node values: " + ",".join(format_fraction(v) for v in sub.values))
     if args.out:
         print(f"wrote {args.out}")
@@ -173,9 +181,7 @@ def cmd_separate(args) -> int:
         print(f"certificate: FAILED; residual words: {residual}")
         return 4
     if args.out:  # written first, so a closed stdout cannot stop it
-        text = subaction_csv_text(admissible_words(pot.sft, depth, args.max_nodes),
-                                  sub.values, s)
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_subaction(args.out, pot.sft, sub)
     tight = ", ".join(format_word(w, s) for w in cert.tight_words)
     print(f"certificate: OK; tight words: {tight}")
     if args.out:
@@ -186,27 +192,20 @@ def cmd_separate(args) -> int:
 def cmd_verify(args) -> int:
     pot = load_instance(args.instance)
     crit = solve_instance(pot, node_budget=args.max_nodes)
-    words, values = read_subaction_csv(args.subaction, pot.sft.alphabet_size)
-    if not words:
-        raise InstanceFormatError("sub-action CSV has no rows")
-    depth = len(words[0])
-    if any(len(w) != depth for w in words):
-        raise InstanceFormatError("sub-action words must all share one length")
-    if len(set(words)) != len(words):
-        word = next(w for w, count in Counter(words).items() if count > 1)
-        raise InstanceFormatError(
-            f"duplicate word {format_word(word, pot.sft.alphabet_size)!r} in sub-action CSV")
+    depth, words, values = read_subaction_csv(args.subaction, pot.sft)
     order = crit.graph.order
     if depth < order:
         raise ValueError(f"cannot lower order {order} to {depth}")
-    # the lifted graph's nodes, checked against --max-nodes up front
-    node_words = admissible_words(pot.sft, depth, args.max_nodes)
-    if sorted(words) != node_words:
-        raise InstanceFormatError(
-            f"sub-action words do not match the admissible length-{depth} words"
-        )
-    by_word = dict(zip(words, values))
-    u = SubAction(depth, tuple(by_word[w] for w in node_words), "user-supplied")
+    if words is not None:  # not the admissible words in word order: match them as words
+        # the lifted graph's nodes, checked against --max-nodes up front
+        node_words = admissible_words(pot.sft, depth, args.max_nodes)
+        if sorted(words) != node_words:
+            raise InstanceFormatError(
+                f"sub-action words do not match the admissible length-{depth} words"
+            )
+        by_word = dict(zip(words, values))
+        values = [by_word[w] for w in node_words]
+    u = SubAction(depth, tuple(values), "user-supplied")
     v = verify(u, crit, args.max_nodes)
     print(
         f"sub-action: {_yn(v.is_subaction)};"
@@ -231,15 +230,17 @@ def _oracle_checks(pot, max_nodes: int) -> None:
     n = graph.n_nodes
 
     # abar first: the dense matrices are built on it, and an abar above
-    # the true one leaves a negative cycle they cannot be built on
-    _check("abar", abar, min(mean for _, mean in brute_cycles(graph, weights)))
+    # the true one leaves a negative cycle they cannot be built on. The
+    # references take abar from brute force, not from the solver
+    brute_abar = min(mean for _, mean in brute_cycles(graph, weights))
+    _check("abar", abar, brute_abar)
 
     barriers = barrier_matrices(crit)
-    start, stop = barrier_window(graph, weights, abar, barriers.h)
+    start, stop = barrier_window(graph, weights, brute_abar, barriers.h)
     expected_phi = []
     expected_h = []
     for i in range(n):
-        rows = path_min_table(graph, weights, abar, i, stop)
+        rows = path_min_table(graph, weights, brute_abar, i, stop)
         # a minimal walk never needs a cycle it could drop, so short
         # lengths already reach every Mane value
         expected_phi.append(tuple(

@@ -11,7 +11,9 @@ import csv
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +48,8 @@ def parse_fraction(value, where: str = "value") -> Fraction:
             if _is_digits(num.removeprefix("-")) and (not slash or _is_digits(den)):
                 # the common forms, without Fraction's regular expression
                 return Fraction(int(num), int(den) if slash else 1)
+            if "_" in value:  # Fraction reads PEP 515 underscores from 3.11 on
+                raise ValueError(value)
             _, e, exponent = value.lower().partition("e")
             if e and abs(int(exponent)) > MAX_EXPONENT:
                 raise InstanceFormatError(
@@ -73,29 +77,26 @@ def csv_word(word: Sequence[int], alphabet_size: int) -> str:
 
 class WordTemplates(dict):
     """Word length -> the `%` template that fills a word (a tuple of
-    ints) of that many symbols as `format_word` writes it or, `quoted`,
-    as `csv_word` does, followed by `tail`; each is made on first use,
-    so a list of words costs one template per length. Beyond ten symbols
-    a word of two or more symbols holds commas, which CSV quotes; a
-    one-symbol word is never quoted."""
+    ints) of that many symbols as `csv_word` writes it; each is made on
+    first use, so a list of words costs one template per length. Beyond
+    ten symbols a word of two or more symbols holds commas, which CSV
+    quotes; a one-symbol word is never quoted."""
 
-    def __init__(self, alphabet_size: int, quoted: bool = False, tail: str = ""):
+    def __init__(self, alphabet_size: int):
         super().__init__()
         self.sep = "" if alphabet_size <= 10 else ","
-        self.quote = '"' if quoted and self.sep else ""
-        self.tail = tail
 
     def __missing__(self, length: int) -> str:
         text = self.sep.join(["%d"] * length)
-        if length > 1:
-            text = self.quote + text + self.quote
-        self[length] = template = text + self.tail
-        return template
+        if length > 1 and self.sep:
+            text = f'"{text}"'
+        self[length] = text
+        return text
 
 
 def csv_words(words: Iterable[Word], alphabet_size: int) -> list[str]:
     """Each word as `csv_word` writes it."""
-    templates = WordTemplates(alphabet_size, quoted=True)
+    templates = WordTemplates(alphabet_size)
     return [templates[len(w)] % w for w in words]
 
 
@@ -141,32 +142,41 @@ def _integer(data: dict, key: str, where: str) -> int:
     return value
 
 
+def word_texts(sft: SftSystem, length: int, cap: int) -> list[str] | None:
+    """`format_word`'s text of every admissible word of `length`, in word
+    order, or None if there are more than `cap` of them or `length` is
+    not in 1..MAX_WORD_LENGTH. No word tuple is built: the words that
+    start with symbol a grow a symbol a step, as a followed by the words
+    of each successor of a in order, and each step's count is summed
+    before its texts are, so no list grows past `cap`."""
+    if not 1 <= length <= MAX_WORD_LENGTH or sft.alphabet_size > cap:
+        return None
+    symbols = list(map(str, range(sft.alphabet_size)))
+    firsts = [a + ("" if sft.alphabet_size <= 10 else ",") for a in symbols]
+    blocks = [[a] for a in symbols]
+    counts = [1] * sft.alphabet_size
+    for _ in range(length - 1):
+        counts = [sum(map(counts.__getitem__, succ)) for succ in sft.successors]
+        if sum(counts) > cap:
+            return None
+        blocks = [[first + w for b in succ for w in blocks[b]]
+                  for first, succ in zip(firsts, sft.successors)]
+    return list(itertools.chain.from_iterable(blocks))
+
+
 def _keys_in_word_order(sft: SftSystem, pot_data: dict, side, entries: dict) -> list | None:
-    """`format_word`'s text of every admissible word of the table's
-    length, in word order, if these are exactly the keys of `entries`,
-    else None. Sizes are read only when well-formed and at most
-    MAX_WORD_LENGTH, and texts grow only while they are no more than the
-    keys, so every other file meets the per-key checks and their errors."""
+    """`word_texts` of the table's length, if these are exactly the keys
+    of `entries`, else None. Sizes are read only when well-formed, and
+    texts are capped at the keys' count, so every other file meets the
+    per-key checks and their errors."""
     sizes = [pot_data.get(k) for k in (("range",) if side == "one" else
                                        ("past_depth", "future_depth") if side == "two" else ())]
     if not sizes or not all(type(k) is int and k >= 1 for k in sizes):
         return None
-    length, n = sum(sizes), len(entries)
-    if length > MAX_WORD_LENGTH:
-        return None
-    # the words that start with symbol a, one symbol longer a step: a,
-    # then the words of each successor of a in order. Every symbol has a
-    # successor, so the count of words never falls as they grow
-    symbols = list(map(str, range(sft.alphabet_size)))
-    firsts = [a + ("" if sft.alphabet_size <= 10 else ",") for a in symbols]
-    blocks = [[a] for a in symbols]
-    for _ in range(length - 1):
-        if sum(map(len, blocks)) > n:
-            return None
-        blocks = [[first + w for b in succ for w in blocks[b]]
-                  for first, succ in zip(firsts, sft.successors)]
-    texts = list(itertools.chain.from_iterable(blocks))
-    return texts if len(texts) == n and all(map(entries.__contains__, texts)) else None
+    texts = word_texts(sft, sum(sizes), len(entries))
+    if texts and len(texts) == len(entries) and all(map(entries.__contains__, texts)):
+        return texts
+    return None
 
 
 def parse_instance(data: dict) -> OneSidedPotential | TwoSidedPotential:
@@ -304,34 +314,68 @@ def read_matrix_csv(path, alphabet_size: int) -> tuple[list[Word], list[list[Fra
     return words, rows
 
 
-def subaction_csv_text(node_words: Sequence[Word], values, alphabet_size: int) -> str:
-    """word,value rows as `format_word` and `format_fraction` write them;
-    each row fills the `WordTemplates` template of its word's length."""
-    templates = WordTemplates(alphabet_size, tail=",%s")
-    lines = ["word,value"]
-    for w, text in zip(node_words, map(format_fraction, values)):
-        lines.append(templates[len(w)] % (*w, text))
-    return "\n".join(lines) + "\n"
+def subaction_csv_text(texts: Sequence[str], values: Sequence[Fraction]) -> str:
+    """word,value rows of word texts (`word_texts`) and their values.
+    Each distinct value is formatted once, keyed on its integer ratio:
+    hashing a Fraction costs more than formatting it."""
+    ratios = [v.as_integer_ratio() for v in values]
+    text = {r: format_fraction(v) for r, v in dict(zip(ratios, values)).items()}
+    return "word,value\n" + "".join([f"{w},{v}\n" for w, v in
+                                     zip(texts, map(text.__getitem__, ratios))])
 
 
-def read_subaction_csv(path, alphabet_size: int) -> tuple[list[Word], list[Fraction]]:
+def read_subaction_csv(path, sft: SftSystem) -> tuple[int, list[Word] | None, list[Fraction]]:
+    """`(depth, words, values)` of a word,value CSV, one row per word and
+    every word of length `depth`. If the word cells are exactly
+    `word_texts` of that length, as `subaction_csv_text` writes them,
+    `words` is None and the values are in word order: no cell is read as
+    a word. Any other file is read row by row, `words` in file order, so
+    it meets every check and its error."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "word,value":
         raise InstanceFormatError("sub-action CSV must start with a 'word,value' header")
+    rows = list(filter(None, lines[1:]))
+    # a word beyond ten symbols has commas of its own; a value has none. A
+    # row with no comma splits to an empty cell here, which no text matches
+    split = list(map(str.rpartition, rows, itertools.repeat(",")))
+    cells = list(map(itemgetter(0), split))
+    first = cells[0] if cells else ""
+    depth = len(first) if sft.alphabet_size <= 10 else first.count(",") + 1
+    if word_texts(sft, depth, len(cells)) != cells:
+        return _subaction_rows(rows, sft.alphabet_size)
+    texts = list(map(itemgetter(2), split))
+    parsed: dict[str, Fraction] = {}  # each distinct value text, parsed at its first row
+    for cell, text in zip(cells, texts):
+        if text not in parsed:
+            parsed[text] = parse_fraction(text, f"value for {cell}")
+    return depth, None, list(map(parsed.__getitem__, texts))
+
+
+def _subaction_rows(rows: list[str], alphabet_size: int) -> tuple[int, list[Word], list[Fraction]]:
+    """`read_subaction_csv` of rows not in word order, read one by one:
+    a row's word, then its value, so the first bad cell in the file is
+    the one named; then the words must be one or more, of one length,
+    with none repeated."""
     words: list[Word] = []
     values: list[Fraction] = []
     parsed: dict[str, Fraction] = {}  # each distinct value text, parsed at its first row
-    for line in lines[1:]:
-        if not line:
-            continue
-        # a word beyond ten symbols has commas of its own; a value has none
+    for line in rows:
         cell, _, text = line.rpartition(",") if "," in line else (line, "", "")
         words.append(_cell_word(cell, alphabet_size))
         value = parsed.get(text)
         if value is None:
             value = parsed[text] = parse_fraction(text, f"value for {cell}")
         values.append(value)
-    return words, values
+    if not words:
+        raise InstanceFormatError("sub-action CSV has no rows")
+    depth = len(words[0])
+    if any(len(w) != depth for w in words):
+        raise InstanceFormatError("sub-action words must all share one length")
+    if len(set(words)) != len(words):
+        word = next(w for w, count in Counter(words).items() if count > 1)
+        raise InstanceFormatError(
+            f"duplicate word {format_word(word, alphabet_size)!r} in sub-action CSV")
+    return depth, words, values
 
 
 def _random_sft(rng: random.Random) -> SftSystem:

@@ -263,9 +263,7 @@ class TestCalibrate:
         res = run_cli("calibrate", "--instance", E1, "--out", str(out))
         assert res.returncode == 0
         assert res.stdout == f"node values: 0,0\nwrote {out}\n"
-        words, values = read_subaction_csv(out, 2)
-        assert words == [(0,), (1,)]
-        assert values == [0, 0]
+        assert read_subaction_csv(out, load_instance(E1).sft) == (1, None, [0, 0])
 
     def test_boundary_outside_constraints(self):
         res = run_cli("calibrate", "--instance", E2, "--boundary", "0,2")
@@ -365,7 +363,9 @@ class TestSeparate:
             "sub-action: yes; calibrated: no;"
             " separating certificate: yes; critical containment: yes\n"
         )
-        words, values = read_subaction_csv(out, 3)
+        depth, in_file_order, values = read_subaction_csv(out, e2_bundle.graph.sft)
+        assert (depth, in_file_order) == (4, None)  # the rows are in word order
+        words = admissible_words(e2_bundle.graph.sft, 4)
         assert any(v.denominator % 13 == 0 for v in values)
         g = e2_bundle.graph
         abar = min(m for _, m in brute_cycles(g, e2_bundle.weights))
@@ -398,8 +398,9 @@ class TestVerify:
             assert main([*make, "--instance", str(inst)]) == 0, make
             assert main(["verify", "--instance", str(inst), "--subaction", make[-1]]) == 0
             assert check in capsys.readouterr().out
-        words, _ = read_subaction_csv(sep, n)
-        assert words[10] == (0, 10) and words[-1] == (10, 10)
+        rows = Path(sep).read_text(encoding="utf-8").splitlines()
+        assert rows[11].startswith("0,10,") and rows[-1].startswith("10,10,")
+        assert read_subaction_csv(sep, load_instance(inst).sft)[:2] == (2, None)
 
     def test_calibrated_fixed_point(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -470,6 +471,46 @@ class TestVerify:
         assert res.returncode == 4
         assert "budget" in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+    def test_rows_out_of_word_order_give_the_same_verdict(self, tmp_path, capsys, name):
+        # the rows separate --out writes are matched as text; the same rows
+        # reversed are read row by row, and the verdict is the same
+        inst = str(INSTANCE_DIR / f"{name}.json")
+        order = solve_instance(load_instance(inst)).graph.order
+        out, back = tmp_path / "u.csv", tmp_path / "back.csv"
+        for depth in range(order, order + 3):
+            assert main(["separate", "--instance", inst, "--depth", str(depth),
+                         "--out", str(out)]) == 0
+            header, *rows = out.read_text(encoding="utf-8").splitlines()
+            back.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            lines = []
+            for path in (out, back):
+                assert main(["verify", "--instance", inst, "--subaction", str(path)]) == 0
+                lines.append(capsys.readouterr().out)
+            assert lines[0] == lines[1]
+            assert "separating certificate: yes" in lines[0]
+
+    @pytest.mark.parametrize("rows", ["1,x\n0y,0\n", "0,x\n1y,0\n"])
+    def test_a_bad_value_before_a_bad_word_is_named(self, tmp_path, capsys, rows):
+        # rows are read in file order: row 1's value fails before row 2's word
+        out = tmp_path / "u.csv"
+        out.write_text("word,value\n" + rows, encoding="utf-8")
+        assert main(["verify", "--instance", E1, "--subaction", str(out)]) == 2
+        cell = rows.partition(",")[0]
+        assert capsys.readouterr() == ("", f"error: value for {cell}: not a rational: 'x'\n")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_budget_refusal_in_and_out_of_word_order(self, tmp_path, capsys, reverse):
+        rows = [f"{k:011b},0\n" for k in range(2**11)]
+        out = tmp_path / "u.csv"
+        out.write_text("word,value\n" + "".join(rows[::-1] if reverse else rows),
+                       encoding="utf-8")
+        assert main(["verify", "--instance", E1, "--subaction", str(out),
+                     "--max-nodes", "100"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: admissible 11-words exceed the node budget of 100\n")
 
 
 class TestOracle:
@@ -924,6 +965,31 @@ class TestExitCodes:
     def test_huge_exponent_gamma(self):
         res = run_cli("separate", "--instance", E1, "--gamma", HUGE, timeout=30)
         assert res.returncode == 2
+
+    def test_underscores_are_refused_in_every_input(self, tmp_path, capsys):
+        # Fraction reads "1_0" as 10 from Python 3.11 on; every version
+        # refuses it, as 3.10 did
+        data = json.loads(Path(E1).read_text(encoding="utf-8"))
+        data["potential"]["entries"]["1"] = "1_0"
+        inst = tmp_path / "x.json"
+        inst.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "u.csv"
+        out.write_text("word,value\n0,0\n1,1.5e1_0\n", encoding="utf-8")
+        for argv, err in (
+                (["solve", "--instance", str(inst)], "error: entry '1': not a rational: '1_0'\n"),
+                (["verify", "--instance", E1, "--subaction", str(out)],
+                 "error: value for 1: not a rational: '1.5e1_0'\n")):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", err)
+        for argv, err in ((["calibrate", "--instance", E2, "--boundary", "0,1_0"],
+                           "argument --boundary: boundary value: not a rational: '1_0'\n"),
+                          (["separate", "--instance", E1, "--gamma", "1_0"],
+                           "argument --gamma: value: not a rational: '1_0'\n")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out_text, err_text = capsys.readouterr()
+            assert out_text == "" and err_text.endswith(err)
 
     def test_huge_exponent_subaction_cell(self, tmp_path):
         out = tmp_path / "u.csv"

@@ -30,11 +30,13 @@ from ergopt.instances import (
     read_matrix_csv,
     read_subaction_csv,
     subaction_csv_text,
+    word_texts,
 )
 from ergopt.pipeline import barrier_matrices, solve_instance
+from ergopt.subactions import separating_subaction
 from ergopt.tropical import calibrated_fixed_point
 from ergopt.potential import TwoSidedPotential
-from ergopt.symbolic import admissible_words, build_sft
+from ergopt.symbolic import MAX_WORD_LENGTH, admissible_words, build_sft
 
 
 def e1_data():
@@ -44,6 +46,21 @@ def e1_data():
         "lambda": "1/2",
         "potential": {"side": "one", "range": 1, "entries": {"0": 0, "1": 1}},
     }
+
+
+def table_data(size: int, matrix, sides: dict, sep: str) -> dict:
+    """Instance data with one value per admissible word, each key spelt
+    with `sep` between its symbols."""
+    sft = build_sft(size, matrix, Fraction(1, 2))
+    length = sides.get("range") or sides["past_depth"] + sides["future_depth"]
+    entries = {sep.join(map(str, w)): f"{i % 7}/{1 + i % 3}"
+               for i, w in enumerate(admissible_words(sft, length))}
+    return {"alphabet_size": size, "transition": matrix, "lambda": "1/2",
+            "potential": {**sides, "entries": entries}}
+
+
+FULL2 = [[1, 1], [1, 1]]
+ELEVEN = [[1 if (a + b) % 3 else 0 for b in range(11)] for a in range(11)]
 
 
 class TestParseFraction:
@@ -78,12 +95,22 @@ class TestParseFraction:
         # pass MAX_EXPONENT, which is refused before Fraction sees it.
         assume(len(text.lower().partition("e")[2].lstrip("+-")) < 4)
         try:
+            if "_" in text:  # refused on every version, as Python 3.10 refuses it
+                raise ValueError(text)
             want = Fraction(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(InstanceFormatError, match="not a rational"):
                 parse_fraction(text)
         else:
             assert parse_fraction(text) == want
+
+    @pytest.mark.parametrize("text", ["1_0", "1.5e1_0", "1e9999_99999", "1_0/3", "_1"])
+    def test_underscores_are_refused(self, text):
+        # Fraction reads PEP 515 underscores from Python 3.11 on, so "1_0"
+        # was 10 there and refused on 3.10; it is refused before the
+        # exponent bound, so "1e9999_99999" is not a rational either
+        with pytest.raises(InstanceFormatError, match=rf"^value: not a rational: {re.escape(repr(text))}$"):
+            parse_fraction(text)
 
     def test_formatting(self):
         assert format_fraction(Fraction(1, 2)) == "1/2"
@@ -116,6 +143,26 @@ class TestWords:
         # one template per word length, words of several lengths mixed
         size, words = case
         assert csv_words(words, size) == [csv_word(w, size) for w in words]
+
+    @pytest.mark.parametrize("size, matrix", [
+        (2, FULL2), (2, [[1, 1], [1, 0]]), (3, [[1, 0, 1], [1, 1, 0], [0, 1, 1]]),
+        (11, ELEVEN)])
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_word_texts_spell_the_admissible_words(self, size, matrix, length):
+        # the full 2-shift, the golden mean, a 3-symbol system with
+        # forbidden pairs and an 11-symbol alphabet, whose words hold commas
+        sft = build_sft(size, matrix, Fraction(1, 2))
+        words = admissible_words(sft, length)
+        want = [format_word(w, size) for w in words]
+        assert word_texts(sft, length, len(words)) == want
+        assert word_texts(sft, length, len(words) - 1) is None
+
+    def test_word_texts_past_the_word_length_cap(self):
+        # a single cycle has two words at every length
+        sft = build_sft(2, [[0, 1], [1, 0]], Fraction(1, 2))
+        assert word_texts(sft, MAX_WORD_LENGTH, 2) == ["01" * 512, "10" * 512]
+        assert word_texts(sft, MAX_WORD_LENGTH + 1, 2) is None
+        assert word_texts(sft, 0, 2) is None
 
     def test_malformed(self):
         with pytest.raises(InstanceFormatError):
@@ -263,21 +310,6 @@ class TestParseInstance:
             parse_instance(data)
 
 
-def table_data(size: int, matrix, sides: dict, sep: str) -> dict:
-    """Instance data with one value per admissible word, each key spelt
-    with `sep` between its symbols."""
-    sft = build_sft(size, matrix, Fraction(1, 2))
-    length = sides.get("range") or sides["past_depth"] + sides["future_depth"]
-    entries = {sep.join(map(str, w)): f"{i % 7}/{1 + i % 3}"
-               for i, w in enumerate(admissible_words(sft, length))}
-    return {"alphabet_size": size, "transition": matrix, "lambda": "1/2",
-            "potential": {**sides, "entries": entries}}
-
-
-FULL2 = [[1, 1], [1, 1]]
-ELEVEN = [[1 if (a + b) % 3 else 0 for b in range(11)] for a in range(11)]
-
-
 class TestKeyLookup:
     """When the keys are exactly the admissible words as format_word
     spells them, parse_instance reads the values by lookup; every other
@@ -352,6 +384,24 @@ class TestLoadInstance:
             load_instance(path)
 
 
+def full_shift(size: int):
+    return build_sft(size, [[1] * size] * size, Fraction(1, 2))
+
+
+def template_subaction_csv_text(words, values, alphabet_size: int) -> str:
+    """The word,value CSV as the earlier writer built it, the reference
+    for `subaction_csv_text`: one `%` template per word length, filled
+    with the word's symbols and the value's `format_fraction` text."""
+    sep = "" if alphabet_size <= 10 else ","
+    templates: dict[int, str] = {}
+    lines = ["word,value"]
+    for w, text in zip(words, map(format_fraction, values)):
+        if len(w) not in templates:
+            templates[len(w)] = sep.join(["%d"] * len(w)) + ",%s"
+        lines.append(templates[len(w)] % (*w, text))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
     def test_e1_matrix_text(self, e1_bundle):
         b = barrier_matrices(e1_bundle)
@@ -375,21 +425,16 @@ class TestCsv:
         assert [tuple(r) for r in rows] == [tuple(r) for r in barriers.h]
 
     def test_e2_subaction_text(self, e2_bundle):
-        text = subaction_csv_text(e2_bundle.graph.node_words, calibrated_fixed_point(e2_bundle),
-                                  e2_bundle.graph.sft.alphabet_size)
+        text = subaction_csv_text(word_texts(e2_bundle.graph.sft, 1, 3),
+                                  calibrated_fixed_point(e2_bundle))
         assert text == "word,value\n0,0\n1,1\n2,0\n"
 
     def test_subaction_round_trip(self, golden_bundle, tmp_path):
-        path = tmp_path / "u.csv"
-        path.write_text(
-            subaction_csv_text(golden_bundle.graph.node_words,
-                               calibrated_fixed_point(golden_bundle),
-                               golden_bundle.graph.sft.alphabet_size),
-            encoding="utf-8",
-        )
-        words, values = read_subaction_csv(path, golden_bundle.graph.sft.alphabet_size)
-        assert words == list(golden_bundle.graph.node_words)
-        assert tuple(values) == calibrated_fixed_point(golden_bundle)
+        path, graph = tmp_path / "u.csv", golden_bundle.graph
+        values = calibrated_fixed_point(golden_bundle)
+        path.write_text(subaction_csv_text(word_texts(graph.sft, graph.order, graph.n_nodes),
+                                           values), encoding="utf-8")
+        assert read_subaction_csv(path, graph.sft) == (graph.order, None, list(values))
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "x.csv"
@@ -397,22 +442,43 @@ class TestCsv:
         with pytest.raises(InstanceFormatError):
             read_matrix_csv(bad, 2)
         with pytest.raises(InstanceFormatError):
-            read_subaction_csv(bad, 2)
+            read_subaction_csv(bad, full_shift(2))
 
     def test_repeated_values_read_back_equal(self, tmp_path):
-        # each distinct value text is parsed once and shared by its rows
+        # each distinct value text is parsed once and shared by its rows,
+        # in word order and out of it
         path = tmp_path / "u.csv"
         path.write_text("word,value\n00,1/2\n01,-3\n10,1/2\n11,-3\n", encoding="utf-8")
-        words, values = read_subaction_csv(path, 2)
-        assert words == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert values == [Fraction(1, 2), Fraction(-3), Fraction(1, 2), Fraction(-3)]
+        values = [Fraction(1, 2), Fraction(-3), Fraction(1, 2), Fraction(-3)]
+        assert read_subaction_csv(path, full_shift(2)) == (2, None, values)
+        path.write_text("word,value\n11,-3\n10,1/2\n01,-3\n00,1/2\n", encoding="utf-8")
+        assert read_subaction_csv(path, full_shift(2)) == (
+            2, [(1, 1), (1, 0), (0, 1), (0, 0)], values[::-1])
 
     def test_malformed_value_is_reported_at_its_first_row(self, tmp_path):
+        # in word order and out of it
         path = tmp_path / "u.csv"
-        path.write_text("word,value\n00,0\n01,x/2\n10,x/2\n11,x/2\n", encoding="utf-8")
-        with pytest.raises(InstanceFormatError,
-                           match=r"^value for 01: not a rational: 'x/2'$"):
-            read_subaction_csv(path, 2)
+        for rows in ("00,0\n01,x/2\n10,x/2\n11,x/2\n", "11,0\n01,x/2\n10,x/2\n00,x/2\n"):
+            path.write_text("word,value\n" + rows, encoding="utf-8")
+            with pytest.raises(InstanceFormatError,
+                               match=r"^value for 01: not a rational: 'x/2'$"):
+                read_subaction_csv(path, full_shift(2))
+
+    @pytest.mark.parametrize("size, matrix", [(2, FULL2), (11, ELEVEN)])
+    def test_rows_in_word_order_are_not_read_as_words(self, monkeypatch, tmp_path, size,
+                                                      matrix):
+        sft = build_sft(size, matrix, Fraction(1, 2))
+        texts = word_texts(sft, 3, 10**4)
+        rows = [f"{t},{i % 5}/3\n" for i, t in enumerate(texts)]
+        path = tmp_path / "u.csv"
+        path.write_text("word,value\n" + "".join(rows), encoding="utf-8")
+        want = read_subaction_csv(path, sft)
+        monkeypatch.setattr(instances, "_cell_word", None)
+        assert read_subaction_csv(path, sft) == want
+        assert want[:2] == (3, None)
+        path.write_text("word,value\n" + "".join(rows[::-1]), encoding="utf-8")
+        with pytest.raises(TypeError):  # the row-by-row path reads each cell as a word
+            read_subaction_csv(path, sft)
 
     @given(st.sampled_from((3, 10, 11)), st.text(alphabet="0129,+- a\u0663\uff11", max_size=4))
     @example(3, "")
@@ -428,21 +494,42 @@ class TestCsv:
             want = [parse_word(cell, size)]
         except InstanceFormatError as exc:
             with pytest.raises(InstanceFormatError, match=rf"^{re.escape(str(exc))}$"):
-                read_subaction_csv(path, size)
+                read_subaction_csv(path, full_shift(size))
         else:
-            assert read_subaction_csv(path, size)[0] == want
+            assert read_subaction_csv(path, full_shift(size))[1] == want
 
     @pytest.mark.parametrize("size", (2, 10, 11))
     def test_subaction_text_matches_the_row_formats(self, size):
-        # words of several lengths, each with its own template, and beyond
-        # ten symbols the two-digit symbol 10
+        # words of several lengths, and beyond ten symbols the two-digit
+        # symbol 10, with repeated values
         rng = random.Random(size)
         words = [(size - 1, 0)] + [tuple(rng.randrange(size) for _ in range(rng.randint(1, 4)))
                                    for _ in range(40)]
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in words]
-        rows = "".join(f"{format_word(w, size)},{format_fraction(v)}\n"
-                       for w, v in zip(words, values))
-        assert subaction_csv_text(words, values, size) == "word,value\n" + rows
+        texts = [format_word(w, size) for w in words]
+        assert subaction_csv_text(texts, values) == template_subaction_csv_text(words, values,
+                                                                                size)
+
+    def test_e2_depth_six_text_is_the_template_writers(self, e2_bundle):
+        sub, cert = separating_subaction(e2_bundle, 6)
+        assert cert.ok
+        sft = e2_bundle.graph.sft
+        assert subaction_csv_text(word_texts(sft, 6, len(sub.values)), sub.values) == (
+            template_subaction_csv_text(admissible_words(sft, 6), sub.values, 3))
+
+    @pytest.mark.parametrize("matrix", [[[1] * 11] * 11, ELEVEN])
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_eleven_symbol_round_trip(self, tmp_path, matrix, length):
+        # words with commas, one-symbol words such as 10, and values of
+        # both signs repeated across rows, some of them ints
+        sft = build_sft(11, matrix, Fraction(1, 2))
+        words = admissible_words(sft, length)
+        values = [Fraction(i % 7 - 3, 1 + i % 4) if i % 3 else i % 5 for i in range(len(words))]
+        text = subaction_csv_text(word_texts(sft, length, len(words)), values)
+        assert text == template_subaction_csv_text(words, values, 11)
+        path = tmp_path / "u.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_subaction_csv(path, sft) == (length, None, values)
 
 
 class TestRandomInstances:
