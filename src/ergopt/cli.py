@@ -26,7 +26,7 @@ from .errors import (
     OracleMismatch,
 )
 from .instances import (
-    csv_words,
+    csv_field,
     format_fraction,
     format_word,
     load_instance,
@@ -58,6 +58,18 @@ def _fraction(text: str, where: str = "value") -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int(text: str) -> int:
+    """`int(text)` without the digit-group underscores that `int` takes
+    and `parse_fraction` refuses, reported as argparse reports any text
+    that is not an int."""
+    try:
+        if "_" in text:
+            raise ValueError(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _boundary(text: str) -> tuple[Fraction, ...]:
     return tuple(_fraction(part, "boundary value") for part in text.split(","))
 
@@ -67,8 +79,8 @@ def _dominant(text: str) -> tuple[int, Fraction]:
     try:
         if not sep:
             raise ValueError
-        return int(head), parse_fraction(tail)
-    except (ValueError, InstanceFormatError) as exc:
+        return _int(head), parse_fraction(tail)
+    except (ValueError, argparse.ArgumentTypeError, InstanceFormatError) as exc:
         raise argparse.ArgumentTypeError(
             "expected COMPONENT,VALUE (1-based index, rational value)"
         ) from exc
@@ -83,30 +95,30 @@ def cmd_solve(args) -> int:
     crit = solve_instance(pot, node_budget=args.max_nodes)
     s = pot.sft.alphabet_size
     g = crit.graph
-    # every listed word is formatted once; the lists below index these
-    node_words = g.node_words
-    node_text = csv_words(node_words, s)
-    edge_text = csv_words(admissible_words(pot.sft, g.order + 1, g.n_edges), s)
+    # every listed word is spelt once; the lists below index these texts
+    node_text = word_texts(pot.sft, g.order, g.n_nodes)
+    node_field = list(map(csv_field, node_text))
+    edge_field = list(map(csv_field, word_texts(pot.sft, g.order + 1, g.n_edges)))
 
     def words(texts, indices):
         return ",".join(map(texts.__getitem__, indices))
 
     print(f"alphabet size: {s}")
     print(f"graph order: {g.order}")
-    print("nodes: " + ",".join(node_text))
-    print("edges: " + ",".join(edge_text))
+    print("nodes: " + ",".join(node_field))
+    print("edges: " + ",".join(edge_field))
     print(f"abar = {format_fraction(crit.abar)}")
     cycle = crit.witness_cycle
     walk = [g.tails[cycle[0]]] + [g.heads[k] for k in cycle]
-    print("witness cycle: " + " -> ".join(format_word(node_words[v], s) for v in walk))
-    print("critical edges: " + words(edge_text, crit.critical_edges))
+    print("witness cycle: " + " -> ".join(map(node_text.__getitem__, walk)))
+    print("critical edges: " + words(edge_field, crit.critical_edges))
     print(f"components: {len(crit.components)}")
     for comp in crit.components:
         print(
             f"component {comp.index + 1}:"
-            f" representative {format_word(node_words[comp.representative], s)};"
-            f" nodes {words(node_text, comp.nodes)};"
-            f" edges {words(edge_text, comp.edges)}"
+            f" representative {node_text[comp.representative]};"
+            f" nodes {words(node_field, comp.nodes)};"
+            f" edges {words(edge_field, comp.edges)}"
         )
     if len(crit.components) >= 2:
         poly = constraint_polytope(crit)
@@ -119,10 +131,10 @@ def cmd_solve(args) -> int:
 def cmd_barrier(args) -> int:
     pot = load_instance(args.instance)
     crit = solve_instance(pot, node_budget=args.max_nodes)
-    s = pot.sft.alphabet_size
-    words, barriers = crit.graph.node_words, barrier_matrices(crit)
-    phi_text = matrix_csv_text(words, barriers.phi_ints, s, barriers.big)
-    h_text = matrix_csv_text(words, barriers.h_ints, s, barriers.big)
+    texts = word_texts(pot.sft, crit.graph.order, crit.graph.n_nodes)
+    barriers = barrier_matrices(crit)
+    phi_text = matrix_csv_text(texts, barriers.phi_ints, barriers.big)
+    h_text = matrix_csv_text(texts, barriers.h_ints, barriers.big)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance_required=True):
         p.add_argument("--instance", required=instance_required,
                        help="instance JSON file")
-        p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--max-nodes", type=_int, default=DEFAULT_NODE_BUDGET,
                        help="abort refinement past this many nodes")
 
     p = sub.add_parser("solve", help="minimizing value and critical structure")
@@ -338,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separate", help="separating sub-action with certificate")
     common(p)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_int, default=None,
                    help="working word length (default: the graph order)")
     p.add_argument("--gamma", type=_fraction, default=Fraction(1, 2),
                    help="averaging weight in (0,1)")
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="re-derive the solve by brute force")
     common(p, instance_required=False)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int, default=None,
                    help="check twenty generated instances instead")
     p.set_defaults(func=cmd_oracle)
 

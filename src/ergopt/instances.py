@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ErgoptError, InstanceFormatError
 from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
@@ -69,35 +69,9 @@ def format_word(word: Sequence[int], alphabet_size: int) -> str:
     return ("" if alphabet_size <= 10 else ",").join(map(str, word))
 
 
-def csv_word(word: Sequence[int], alphabet_size: int) -> str:
-    """The word as one CSV field, quoted as CSV quotes one with commas."""
-    text = format_word(word, alphabet_size)
+def csv_field(text: str) -> str:
+    """A word's text as one CSV field, quoted if it holds a comma."""
     return f'"{text}"' if "," in text else text
-
-
-class WordTemplates(dict):
-    """Word length -> the `%` template that fills a word (a tuple of
-    ints) of that many symbols as `csv_word` writes it; each is made on
-    first use, so a list of words costs one template per length. Beyond
-    ten symbols a word of two or more symbols holds commas, which CSV
-    quotes; a one-symbol word is never quoted."""
-
-    def __init__(self, alphabet_size: int):
-        super().__init__()
-        self.sep = "" if alphabet_size <= 10 else ","
-
-    def __missing__(self, length: int) -> str:
-        text = self.sep.join(["%d"] * length)
-        if length > 1 and self.sep:
-            text = f'"{text}"'
-        self[length] = text
-        return text
-
-
-def csv_words(words: Iterable[Word], alphabet_size: int) -> list[str]:
-    """Each word as `csv_word` writes it."""
-    templates = WordTemplates(alphabet_size)
-    return [templates[len(w)] % w for w in words]
 
 
 def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
@@ -109,23 +83,6 @@ def parse_word(text: str, alphabet_size: int, where: str = "word") -> Word:
         return tuple(map(int, text.split(",") if "," in text or alphabet_size > 10 else text))
     except ValueError as exc:
         raise InstanceFormatError(f"{where}: malformed word {text!r}") from exc
-
-
-_DIGITS = {str(d): d for d in range(10)}
-
-
-def _cell_word(cell: str, alphabet_size: int) -> Word:
-    """The word of a CSV cell, as `parse_word` reads it. Up to ten
-    symbols, a cell of ASCII digits alone is read through one digit
-    table; any other cell (commas, a sign, digits that are not ASCII,
-    which `int` takes too, or no character at all) goes to `parse_word`,
-    so every cell gives the same word or the same error."""
-    if alphabet_size <= 10 and cell:
-        try:
-            return tuple(map(_DIGITS.__getitem__, cell))
-        except KeyError:
-            pass
-    return parse_word(cell, alphabet_size)
 
 
 def _require(data: dict, key: str, where: str):
@@ -292,12 +249,11 @@ def dump_instance(pot: OneSidedPotential | TwoSidedPotential) -> dict:
     return data
 
 
-def matrix_csv_text(node_words: Sequence[Word], matrix, alphabet_size: int,
-                    big: int) -> str:
-    """The matrix of integers over `big` as word-labelled CSV; each
-    distinct integer is formatted once."""
+def matrix_csv_text(texts: Sequence[str], matrix, big: int) -> str:
+    """The matrix of integers over `big` as CSV labelled by the node word
+    texts (`word_texts`); each distinct integer is formatted once."""
     text = {v: format_fraction(Fraction(v, big)) for v in set().union(*matrix)}
-    fields = csv_words(node_words, alphabet_size)
+    fields = list(map(csv_field, texts))
     lines = ["word," + ",".join(fields)]
     for field, row in zip(fields, matrix):
         lines.append(field + "," + ",".join(map(text.__getitem__, row)))
@@ -361,7 +317,7 @@ def _subaction_rows(rows: list[str], alphabet_size: int) -> tuple[int, list[Word
     parsed: dict[str, Fraction] = {}  # each distinct value text, parsed at its first row
     for line in rows:
         cell, _, text = line.rpartition(",") if "," in line else (line, "", "")
-        words.append(_cell_word(cell, alphabet_size))
+        words.append(parse_word(cell, alphabet_size))
         value = parsed.get(text)
         if value is None:
             value = parsed[text] = parse_fraction(text, f"value for {cell}")

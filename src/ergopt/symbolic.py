@@ -272,7 +272,8 @@ class DeBruijnGraph:
     the out-edges of node v are the index range `out_edges[v]`, and
     `lasts[v]` is the last symbol of v's word. No word is stored:
     `node_words` and `edges` take theirs from `admissible_words` on
-    demand, and `edge_word` reads one edge's word off a backward walk.
+    demand for the oracle and the tests, and `edge_word` reads one
+    edge's word off a backward walk.
     Irreducibility makes the graph strongly connected at every order.
     """
 

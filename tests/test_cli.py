@@ -984,12 +984,23 @@ class TestExitCodes:
         for argv, err in ((["calibrate", "--instance", E2, "--boundary", "0,1_0"],
                            "argument --boundary: boundary value: not a rational: '1_0'\n"),
                           (["separate", "--instance", E1, "--gamma", "1_0"],
-                           "argument --gamma: value: not a rational: '1_0'\n")):
+                           "argument --gamma: value: not a rational: '1_0'\n"),
+                          # int() reads digit-group underscores too
+                          (["separate", "--instance", E1, "--depth", "0_2"],
+                           "argument --depth: invalid int value: '0_2'\n"),
+                          (["info", "--instance", E1, "--max-nodes", "1_000"],
+                           "argument --max-nodes: invalid int value: '1_000'\n"),
+                          (["calibrate", "--instance", E2, "--dominant", "0_2,0"],
+                           "argument --dominant: expected COMPONENT,VALUE"
+                           " (1-based index, rational value)\n"),
+                          (["oracle", "--seed", "0_1"],
+                           "argument --seed: invalid int value: '0_1'\n")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             out_text, err_text = capsys.readouterr()
             assert out_text == "" and err_text.endswith(err)
+            assert err_text.count("argument --") == 1
 
     def test_huge_exponent_subaction_cell(self, tmp_path):
         out = tmp_path / "u.csv"

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import re
@@ -15,8 +16,7 @@ from ergopt.errors import (
     NotIrreducible,
 )
 from ergopt.instances import (
-    csv_word,
-    csv_words,
+    csv_field,
     dump_instance,
     format_fraction,
     format_word,
@@ -132,17 +132,9 @@ class TestWords:
         assert parse_word("10", 10) == (1, 0)
 
     def test_csv_field_quotes_only_words_with_commas(self):
-        assert csv_word((0, 1), 10) == "01"
-        assert csv_word((10,), 11) == "10"
-        assert csv_word((0, 10), 11) == '"0,10"'
-
-    @given(st.integers(1, 64).flatmap(lambda size: st.tuples(
-        st.just(size), st.lists(st.lists(st.integers(0, size - 1), min_size=1, max_size=5)
-                                .map(tuple), max_size=12))))
-    def test_templates_write_each_word_as_csv_word(self, case):
-        # one template per word length, words of several lengths mixed
-        size, words = case
-        assert csv_words(words, size) == [csv_word(w, size) for w in words]
+        assert csv_field("01") == "01"
+        assert csv_field(format_word((10,), 11)) == "10"
+        assert csv_field(format_word((0, 10), 11)) == '"0,10"'
 
     @pytest.mark.parametrize("size, matrix", [
         (2, FULL2), (2, [[1, 1], [1, 0]]), (3, [[1, 0, 1], [1, 1, 0], [0, 1, 1]]),
@@ -402,24 +394,38 @@ def template_subaction_csv_text(words, values, alphabet_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def node_texts(bundle) -> list[str]:
+    graph = bundle.graph
+    return word_texts(graph.sft, graph.order, graph.n_nodes)
+
+
 class TestCsv:
     def test_e1_matrix_text(self, e1_bundle):
         b = barrier_matrices(e1_bundle)
-        text = matrix_csv_text(e1_bundle.graph.node_words, b.phi_ints,
-                               e1_bundle.graph.sft.alphabet_size, b.big)
+        text = matrix_csv_text(node_texts(e1_bundle), b.phi_ints, b.big)
         assert text == "word,0,1\n0,0,0\n1,1,1\n"
 
     def test_integers_over_a_denominator(self):
-        text = matrix_csv_text([(0,), (1,)], [(3, -2), (0, 6)], 2, 6)
+        text = matrix_csv_text(["0", "1"], [(3, -2), (0, 6)], 6)
         assert text == "word,0,1\n0,1/2,-1/3\n1,0,1\n"
+
+    @pytest.mark.parametrize("size, matrix", [
+        (2, FULL2), (2, [[1, 1], [1, 0]]), (3, [[1, 0, 1], [1, 1, 0], [0, 1, 1]]),
+        (11, ELEVEN)])
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_matrix_header_reads_back_as_the_admissible_words(self, size, matrix, length):
+        # the header's fields, read back by csv.reader, are format_word of
+        # each admissible word in word order, quoted where they hold commas
+        sft = build_sft(size, matrix, Fraction(1, 2))
+        words = admissible_words(sft, length)
+        text = matrix_csv_text(word_texts(sft, length, len(words)), [], 1)
+        [header] = csv.reader(text.splitlines())
+        assert header == ["word"] + [format_word(w, size) for w in words]
 
     def test_matrix_round_trip(self, e2_bundle, tmp_path):
         path, barriers = tmp_path / "h.csv", barrier_matrices(e2_bundle)
-        path.write_text(
-            matrix_csv_text(e2_bundle.graph.node_words, barriers.h_ints,
-                            e2_bundle.graph.sft.alphabet_size, barriers.big),
-            encoding="utf-8",
-        )
+        path.write_text(matrix_csv_text(node_texts(e2_bundle), barriers.h_ints, barriers.big),
+                        encoding="utf-8")
         words, rows = read_matrix_csv(path, e2_bundle.graph.sft.alphabet_size)
         assert words == list(e2_bundle.graph.node_words)
         assert [tuple(r) for r in rows] == [tuple(r) for r in barriers.h]
@@ -473,7 +479,7 @@ class TestCsv:
         path = tmp_path / "u.csv"
         path.write_text("word,value\n" + "".join(rows), encoding="utf-8")
         want = read_subaction_csv(path, sft)
-        monkeypatch.setattr(instances, "_cell_word", None)
+        monkeypatch.setattr(instances, "parse_word", None)
         assert read_subaction_csv(path, sft) == want
         assert want[:2] == (3, None)
         path.write_text("word,value\n" + "".join(rows[::-1]), encoding="utf-8")
@@ -484,9 +490,9 @@ class TestCsv:
     @example(3, "")
     @example(3, "\u0663")
     def test_cells_read_as_parse_word_reads_them(self, tmp_path_factory, size, cell):
-        # ASCII digit cells go through a digit table; every other cell,
-        # non-ASCII digits that int() takes included, gives parse_word's
-        # word or parse_word's error
+        # a cell read row by row is read by parse_word, the one word
+        # reader: every cell, non-ASCII digits that int() takes included,
+        # gives parse_word's word or parse_word's error
         assume("\n" not in cell and "\r" not in cell)
         path = tmp_path_factory.mktemp("cells") / "u.csv"
         path.write_text(f"word,value\n{cell},0\n", encoding="utf-8")
