@@ -37,7 +37,8 @@ from .instances import (
     subaction_csv_text,
     word_texts,
 )
-from .oracle import barrier_window, brute_cycles, holonomic_value_brute, path_min_table
+from .oracle import (barrier_window, brute_cycles, edge_weights, holonomic_value_brute,
+                     path_min_table)
 from .pipeline import barrier_matrices, solve_instance
 from .potential import TwoSidedPotential
 from .subactions import (
@@ -238,14 +239,16 @@ def _check(name: str, got, want) -> None:
 
 def _oracle_checks(pot, max_nodes: int) -> None:
     crit = solve_instance(pot, node_budget=max_nodes)
-    graph, weights, abar = crit.graph, crit.weights, crit.abar
+    graph = crit.graph
     n = graph.n_nodes
 
     # abar first: the dense matrices are built on it, and an abar above
     # the true one leaves a negative cycle they cannot be built on. The
-    # references take abar from brute force, not from the solver
+    # references take abar from brute force and the weights from the
+    # potential's table, not from the solver
+    weights = edge_weights(pot, graph)
     brute_abar = min(mean for _, mean in brute_cycles(graph, weights))
-    _check("abar", abar, brute_abar)
+    _check("abar", crit.abar, brute_abar)
 
     barriers = barrier_matrices(crit)
     start, stop = barrier_window(graph, weights, brute_abar, barriers.h)
@@ -265,10 +268,10 @@ def _oracle_checks(pot, max_nodes: int) -> None:
     _check("h", barriers.h, tuple(expected_h))
 
     fixed_point = calibrated_fixed_point(crit)
-    _check("calibration", lax_oleinik_step(fixed_point, graph, weights, abar), fixed_point)
+    _check("calibration", lax_oleinik_step(fixed_point, graph, weights, brute_abar), fixed_point)
 
     if isinstance(pot, TwoSidedPotential):
-        _check("holonomic", abar, holonomic_value_brute(pot))
+        _check("holonomic", crit.abar, holonomic_value_brute(pot))
 
 
 def cmd_oracle(args) -> int:

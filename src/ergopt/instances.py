@@ -7,7 +7,6 @@ symbols and comma-separated integers beyond that.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import random
@@ -258,16 +257,6 @@ def matrix_csv_text(texts: Sequence[str], matrix, big: int) -> str:
     for field, row in zip(fields, matrix):
         lines.append(field + "," + ",".join(map(text.__getitem__, row)))
     return "\n".join(lines) + "\n"
-
-
-def read_matrix_csv(path, alphabet_size: int) -> tuple[list[Word], list[list[Fraction]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("word,"):
-        raise InstanceFormatError("matrix CSV must start with a 'word,...' header")
-    header, *body = csv.reader(filter(None, lines))
-    words = [parse_word(cell, alphabet_size) for cell in header[1:]]
-    rows = [[parse_fraction(c, "matrix cell") for c in cells[1:]] for cells in body]
-    return words, rows
 
 
 def subaction_csv_text(texts: Sequence[str], values: Sequence[Fraction]) -> str:

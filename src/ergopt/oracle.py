@@ -196,17 +196,23 @@ def _step_table(potential) -> tuple[int, Mapping]:
     raise TypeError(f"not a potential: {type(potential).__name__}")
 
 
-def _brute_abar(sft: SftSystem, window: int, table: Mapping) -> Fraction:
-    graph = DeBruijnGraph(sft, max(window - 1, 1))
-    weights = [table[e.word[:window]] for e in graph.edges]
-    return min(mean for _, mean in brute_cycles(graph, weights))
+def edge_weights(potential, graph) -> list[Fraction]:
+    """The weight of each edge of `graph`, read off the potential's own
+    table: the value of the edge word's first window symbols. The
+    references run on these, not on the weights the solver compiled."""
+    window, table = _step_table(potential)
+    return [table[e.word[:window]] for e in graph.edges]
+
+
+def _brute_abar(potential) -> Fraction:
+    graph = DeBruijnGraph(potential.sft, max(_step_table(potential)[0] - 1, 1))
+    return min(mean for _, mean in brute_cycles(graph, edge_weights(potential, graph)))
 
 
 def holonomic_value_brute(ahat: TwoSidedPotential) -> Fraction:
     """Minimum mean over simple cycles of the two-sided model, pasts
     chosen freely at every step."""
-    window, table = _step_table(ahat)
-    return _brute_abar(ahat.sft, window, table)
+    return _brute_abar(ahat)
 
 
 def _epsilon_power(epsilon, lam: Fraction) -> int:
@@ -280,7 +286,7 @@ def s_epsilon(query: SEpsilonQuery, potential) -> Fraction:
         raise TooLarge(
             f"p + k + window = {p + k + window} exceeds the budget {SYMBOL_BUDGET}"
         )
-    scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
+    scale, costs = _scaled_costs(table, _brute_abar(potential))
     pins = _pins(x, y, k, p)
     if pins is None:
         raise NoPathExists("endpoint cylinders pin contradictory symbols")
@@ -386,7 +392,7 @@ def is_nonwandering(x: LassoPoint, crit, potential,
     component = comps.pop() if exact and comps else None
 
     window, table = _step_table(potential)
-    scale, costs = _scaled_costs(table, _brute_abar(sft, window, table))
+    scale, costs = _scaled_costs(table, _brute_abar(potential))
     found: list[tuple[int, int | None]] = []
     for p in range(1, max(5, pre + cyc + r + 1)):
         bound = sft.lam**p * scale  # |sum| < eps, in units of 1/L

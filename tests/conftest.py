@@ -1,3 +1,4 @@
+import csv
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ergopt.errors import ErgoptError
-from ergopt.instances import load_instance, random_instance, random_two_sided
+from ergopt.instances import (load_instance, parse_fraction, parse_word, random_instance,
+                              random_two_sided)
 from ergopt.pipeline import solve_instance
 from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.symbolic import Edge, LassoPoint, admissible_words, build_sft
@@ -163,6 +165,15 @@ def random_lasso(rng, sft, max_preperiod=4):
         for i, s in enumerate(walk[:-1]):
             if s == walk[-1] and i <= max_preperiod:
                 return LassoPoint.make(walk[:i], walk[i:-1])
+
+
+def read_matrix_csv(path, alphabet_size):
+    """The node words and the rows of a matrix CSV as `barrier --out`
+    writes it: a 'word,...' header of node words, then one row a node."""
+    header, *body = csv.reader(filter(None, Path(path).read_text(encoding="utf-8").splitlines()))
+    assert header[0] == "word"
+    words = [parse_word(cell, alphabet_size) for cell in header[1:]]
+    return words, [[parse_fraction(c, "matrix cell") for c in cells[1:]] for cells in body]
 
 
 class SimpleDigraph:

@@ -16,12 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, read_matrix_csv
 from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import InternalError, OracleMismatch
-from ergopt.instances import (dump_instance, load_instance, parse_word,
-                              read_matrix_csv, read_subaction_csv)
+from ergopt.instances import dump_instance, load_instance, parse_word, read_subaction_csv
 from ergopt.oracle import brute_cycles
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
@@ -596,6 +595,18 @@ class TestOracle:
         out, err = capsys.readouterr()
         assert out.endswith(f"check {field}: MISMATCH\n")
         assert err.startswith(f"error: {field}: solver ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["e1", "golden_mean", "two_sided"])
+    def test_wrong_solver_weights_exit_5(self, monkeypatch, capsys, name):
+        # the oracle reads each edge's weight off the potential's table, so
+        # a solve on compiled weights in reverse order is a mismatch
+        import ergopt.pipeline as pipeline
+
+        compile_weights = pipeline.compile_weights
+        monkeypatch.setattr(pipeline, "compile_weights",
+                            lambda b, graph: compile_weights(b, graph)[::-1])
+        assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 5
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 class TestDenseMatricesOnDemand:

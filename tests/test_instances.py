@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, read_matrix_csv
 from ergopt import instances
 from ergopt.errors import (
     InstanceFormatError,
@@ -27,7 +27,6 @@ from ergopt.instances import (
     parse_word,
     random_instance,
     random_two_sided,
-    read_matrix_csv,
     read_subaction_csv,
     subaction_csv_text,
     word_texts,
@@ -445,8 +444,6 @@ class TestCsv:
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "x.csv"
         bad.write_text("node,0,1\n", encoding="utf-8")
-        with pytest.raises(InstanceFormatError):
-            read_matrix_csv(bad, 2)
         with pytest.raises(InstanceFormatError):
             read_subaction_csv(bad, full_shift(2))
 

@@ -461,13 +461,14 @@ class TestIntegerKernel:
 
 class TestFeedbackRows:
     @pytest.mark.parametrize("matrix, order", [
-        ([[1, 1], [1, 1]], 7), ([[1, 1, 1]] * 3, 4), ([[1, 1], [1, 0]], 10)],
-        ids=["full2-7", "full3-4", "golden-10"])
+        ([[1, 1], [1, 1]], 7), ([[1, 1], [1, 1]], 8), ([[1, 1, 1]] * 3, 4),
+        ([[1, 1], [1, 0]], 10)],
+        ids=["full2-7", "full2-8", "full3-4", "golden-10"])
     def test_dense_phi_is_the_per_source_rows(self, matrix, order):
-        # past the oracle's 10 nodes: full-2 (128 nodes), full-3 (81) and
-        # golden-mean (144) systems with weights in thirds, solved; the
-        # dense phi searches from under a third of the nodes and relays
-        # the other rows, and must equal one search per node
+        # past the oracle's 10 nodes: full-2 (128 and 256 nodes), full-3
+        # (81) and golden-mean (144) systems with weights in thirds,
+        # solved; the dense phi searches from under a third of the nodes
+        # and relays the other rows, and must equal one search per node
         graph = refine(build_sft(len(matrix), matrix, HALF), order)
         n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
         rng = random.Random(order)
