@@ -28,8 +28,10 @@ from .instances import (
     random_two_sided,
 )
 from .oracle import (
+    Edge,
     NonwanderingReport,
     SEpsilonQuery,
+    WordGraph,
     brute_cycles,
     holonomic_value_brute,
     is_nonwandering,
@@ -64,14 +66,12 @@ from .subactions import (
 )
 from .symbolic import (
     DeBruijnGraph,
-    Edge,
     LassoPoint,
     SftSystem,
     build_sft,
     lasso_distance,
     lasso_shift,
     lift_to,
-    node_of,
     refine,
 )
 from .tropical import (

@@ -37,8 +37,8 @@ from .instances import (
     subaction_csv_text,
     word_texts,
 )
-from .oracle import (barrier_window, brute_cycles, edge_weights, holonomic_value_brute,
-                     path_min_table)
+from .oracle import (WordGraph, barrier_window, brute_cycles, edge_weights,
+                     holonomic_value_brute, path_min_table)
 from .pipeline import barrier_matrices, solve_instance
 from .potential import TwoSidedPotential
 from .subactions import (
@@ -239,7 +239,9 @@ def _check(name: str, got, want) -> None:
 
 def _oracle_checks(pot, max_nodes: int) -> None:
     crit = solve_instance(pot, node_budget=max_nodes)
-    graph = crit.graph
+    # the references' own graph, wired from the words (the solve has
+    # already fit its nodes into the budget)
+    graph = WordGraph(pot.sft, crit.graph.order, max_nodes)
     n = graph.n_nodes
 
     # abar first: the dense matrices are built on it, and an abar above
@@ -268,7 +270,8 @@ def _oracle_checks(pot, max_nodes: int) -> None:
     _check("h", barriers.h, tuple(expected_h))
 
     fixed_point = calibrated_fixed_point(crit)
-    _check("calibration", lax_oleinik_step(fixed_point, graph, weights, brute_abar), fixed_point)
+    _check("calibration", lax_oleinik_step(fixed_point, crit.graph, weights, brute_abar),
+           fixed_point)
 
     if isinstance(pot, TwoSidedPotential):
         _check("holonomic", crit.abar, holonomic_value_brute(pot))

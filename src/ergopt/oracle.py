@@ -1,9 +1,11 @@
 """Brute-force cross-checks, independent of the graph solvers.
 
-Cycle enumeration, fixed-length path minima, the finite-window action
-sums S^eps with pinned endpoint cylinders (pasts enumerated explicitly
-for two-sided observables), point-level barriers for lasso points, and
-the non-wandering test run both exactly and by search.
+They run on `WordGraph`, wired from the admissible words alone, so a
+fault in the solver's wiring shows as a mismatch. Cycle enumeration,
+fixed-length path minima, the finite-window action sums S^eps with
+pinned endpoint cylinders (pasts enumerated explicitly for two-sided
+observables), point-level barriers for lasso points, and the
+non-wandering test run both exactly and by search.
 
 Everything here is allowed to be exponential at ten nodes and below;
 minimizing values are recomputed by simple-cycle enumeration rather than
@@ -15,15 +17,56 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalError, NoPathExists, TooLarge
 from .potential import OneSidedPotential, TwoSidedPotential
-from .symbolic import (DeBruijnGraph, LassoPoint, SftSystem, admissible_words, lasso_shift,
-                       node_of)
+from .symbolic import (DEFAULT_NODE_BUDGET, LassoPoint, SftSystem, Word, admissible_words,
+                       lasso_shift)
 
 BRUTE_NODE_LIMIT = 10
 SYMBOL_BUDGET = 24
+
+
+class Edge(NamedTuple):
+    tail: int
+    head: int
+    word: Word
+
+
+class WordGraph:
+    """The order-r refinement of an SFT, wired from words alone.
+
+    Node i is the i-th admissible r-word and edge k the k-th admissible
+    (r+1)-word, both in lexicographic order; an edge runs from its
+    prefix's node to its suffix's node, each found by word. Only the
+    nodes count against `node_budget`: the edges are their extensions.
+    """
+
+    def __init__(self, sft: SftSystem, order: int, node_budget: int = DEFAULT_NODE_BUDGET):
+        self.sft, self.order = sft, order
+        self.nodes: tuple[Word, ...] = tuple(admissible_words(sft, order, node_budget))
+        self.n_nodes = len(self.nodes)
+        self._node_index = {w: i for i, w in enumerate(self.nodes)}
+        words = [w + (b,) for w in self.nodes for b in sft.successors[w[-1]]]
+        self.edges = tuple(Edge(self._node_index[w[:-1]], self._node_index[w[1:]], w)
+                           for w in words)
+        self._edge_index = {w: k for k, w in enumerate(words)}
+        self.out_edges: list[list[int]] = [[] for _ in self.nodes]
+        for k, e in enumerate(self.edges):
+            self.out_edges[e.tail].append(k)
+
+    def node_index(self, word: Sequence[int]) -> int:
+        try:
+            return self._node_index[tuple(word)]
+        except KeyError:
+            raise ValueError(f"not an admissible node word: {tuple(word)}") from None
+
+    def edge_index(self, word: Sequence[int]) -> int:
+        try:
+            return self._edge_index[tuple(word)]
+        except KeyError:
+            raise ValueError(f"not an admissible edge word: {tuple(word)}") from None
 
 
 @dataclass(frozen=True)
@@ -205,7 +248,7 @@ def edge_weights(potential, graph) -> list[Fraction]:
 
 
 def _brute_abar(potential) -> Fraction:
-    graph = DeBruijnGraph(potential.sft, max(_step_table(potential)[0] - 1, 1))
+    graph = WordGraph(potential.sft, max(_step_table(potential)[0] - 1, 1))
     return min(mean for _, mean in brute_cycles(graph, edge_weights(potential, graph)))
 
 
@@ -297,7 +340,7 @@ def s_epsilon(query: SEpsilonQuery, potential) -> Fraction:
     return Fraction(min(sums), scale)
 
 
-def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
+def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: WordGraph,
                   weights: Sequence[Fraction], abar: Fraction):
     """Mane potential or Peierls barrier between two lasso points.
 
@@ -342,7 +385,7 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: DeBruijnGraph,
         start = graph.node_index(expand[pre : pre + r])
         if start != graph.node_index(expand[pre + cyc : pre + cyc + r]):
             raise InternalError("the lasso's cycle does not return to its break point")
-        target = node_of(y, graph)
+        target = graph.node_index(y.expansion(r))
         rows = path_min_table(graph, weights, abar, start, graph.n_nodes)[1:]
         candidates.append(cum[pre] + min(row[target] for row in rows
                                          if row[target] is not None))
@@ -357,39 +400,31 @@ def is_nonwandering(x: LassoPoint, crit, potential,
     of `potential`: the exact one from `crit`, its solve's critical
     structure, and the search from `potential` itself.
 
-    Exact way: every edge of x's itinerary (preperiod, junction, cycle)
-    is critical and all lie in one component. Search way: for each
-    epsilon = lambda^p, p = 1..P, hunt for a k <= search_budget and a
-    path from x's cylinder of length p back to itself with |normalized
-    sum| below epsilon, enumerating achievable sums exactly. P is the
-    larger of 4 and the symbols x's itinerary edges span (preperiod plus
-    cycle plus graph order): a shorter cylinder misses an edge of x, and
-    a return along a critical cycle through the others passes. A finer
-    cylinder returns only where a coarser one does, so every p after the
-    first without a return is recorded as None unsearched. The search
-    reads the potential as given, enumerating a two-sided table's pasts
-    itself.
+    Exact way: every edge of x's itinerary (preperiod, junction, cycle),
+    found by its word, is critical and all lie in one component. Search
+    way: for each epsilon = lambda^p, p = 1..P, hunt for a k <=
+    search_budget and a path from x's cylinder of length p back to
+    itself with |normalized sum| below epsilon, enumerating achievable
+    sums exactly. P is the larger of 4 and the symbols x's itinerary
+    edges span (preperiod plus cycle plus graph order): a shorter
+    cylinder misses an edge of x, and a return along a critical cycle
+    through the others passes. A finer cylinder returns only where a
+    coarser one does, so every p after the first without a return is
+    recorded as None unsearched. The search reads the potential as
+    given, enumerating a two-sided table's pasts itself.
     """
     sft = potential.sft
     if not x.admissible(sft):
         raise ValueError("lasso must be admissible")
     x = LassoPoint.make(x.preperiod, x.cycle)
-    graph: DeBruijnGraph = crit.graph
+    graph = WordGraph(crit.graph.sft, crit.graph.order)
     r = graph.order
     pre, cyc = len(x.preperiod), len(x.cycle)
     expand = x.expansion(pre + cyc + r + 1)
-    comps = set()
-    exact = True
-    for t in range(pre + cyc):
-        k = graph.edge_index(expand[t : t + r + 1])
-        c = crit.edge_component[k]
-        if c is None:
-            exact = False
-            break
-        comps.add(c)
-    if len(comps) > 1:
-        exact = False
-    component = comps.pop() if exact and comps else None
+    comps = {crit.edge_component[graph.edge_index(expand[t : t + r + 1])]
+             for t in range(pre + cyc)}
+    exact = len(comps) == 1 and None not in comps
+    component = next(iter(comps)) if exact else None
 
     window, table = _step_table(potential)
     scale, costs = _scaled_costs(table, _brute_abar(potential))

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -255,12 +255,6 @@ def lasso_distance(x: LassoPoint, y: LassoPoint, sft: SftSystem) -> Fraction:
     raise InternalError("distinct canonical lassos agree past the periodicity bound")
 
 
-class Edge(NamedTuple):
-    tail: int
-    head: int
-    word: Word
-
-
 class DeBruijnGraph:
     """Order-r refinement of an SFT, held as int arrays.
 
@@ -270,10 +264,10 @@ class DeBruijnGraph:
     above is the line graph of the one below (`line_graph`): node i one
     order up is edge i here. Edge k runs from `tails[k]` to `heads[k]`,
     the out-edges of node v are the index range `out_edges[v]`, and
-    `lasts[v]` is the last symbol of v's word. No word is stored:
-    `node_words` and `edges` take theirs from `admissible_words` on
-    demand for the oracle and the tests, and `edge_word` reads one
-    edge's word off a backward walk.
+    `lasts[v]` is the last symbol of v's word. No word is stored, and
+    none is looked up: `edge_word` reads one edge's word off a backward
+    walk. The oracle's `WordGraph` wires the same graph from the words
+    themselves, so the two check each other.
     Irreducibility makes the graph strongly connected at every order.
     """
 
@@ -319,16 +313,6 @@ class DeBruijnGraph:
             ins[head].append(k)
         return tuple(map(tuple, ins))
 
-    @functools.cached_property
-    def node_words(self) -> tuple[Word, ...]:
-        """Every node's word; the graph's own size is the budget."""
-        return tuple(admissible_words(self.sft, self.order, self.n_nodes))
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(map(Edge, self.tails, self.heads,
-                         admissible_words(self.sft, self.order + 1, self.n_edges)))
-
     def edge_word(self, k: int) -> Word:
         """Edge k's word, read off a backward walk from its head."""
         symbols, v = [self.lasts[self.heads[k]]], self.tails[k]
@@ -337,10 +321,6 @@ class DeBruijnGraph:
             v = self.tails[self.in_edges[v][0]]
         return tuple(reversed(symbols))
 
-    @functools.cached_property
-    def _node_index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.node_words)}
-
     @property
     def n_nodes(self) -> int:
         return len(self.lasts)
@@ -348,21 +328,6 @@ class DeBruijnGraph:
     @property
     def n_edges(self) -> int:
         return len(self.heads)
-
-    def node_index(self, word: Sequence[int]) -> int:
-        try:
-            return self._node_index[tuple(word)]
-        except KeyError:
-            raise ValueError(f"not an admissible node word: {tuple(word)}") from None
-
-    def edge_index(self, word: Sequence[int]) -> int:
-        """The out-edge of the word's prefix that ends in its last symbol."""
-        word = tuple(word)
-        tail = self._node_index.get(word[:-1])
-        for k in () if tail is None else self.out_edges[tail]:
-            if self.lasts[self.heads[k]] == word[-1]:
-                return k
-        raise ValueError(f"not an admissible edge word: {word}")
 
 
 def refine(sft: SftSystem, r: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DeBruijnGraph:
@@ -385,8 +350,3 @@ def lift_to(graph: DeBruijnGraph, weights: Sequence[Fraction], order: int,
         graph = graph.line_graph()
         weights = tuple(map(weights.__getitem__, graph.tails))
     return graph, weights
-
-
-def node_of(x: LassoPoint, graph: DeBruijnGraph) -> int:
-    """Node holding the cylinder of x at the graph's resolution."""
-    return graph.node_index(x.expansion(graph.order))

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, settings, strategies as st
 from ergopt.errors import ErgoptError
 from ergopt.instances import (load_instance, parse_fraction, parse_word, random_instance,
                               random_two_sided)
+from ergopt.oracle import Edge
 from ergopt.pipeline import solve_instance
 from ergopt.potential import OneSidedPotential, build_one_sided
-from ergopt.symbolic import Edge, LassoPoint, admissible_words, build_sft
+from ergopt.symbolic import LassoPoint, admissible_words, build_sft
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -98,9 +99,14 @@ def tie_heavy_instance(rng: random.Random) -> OneSidedPotential:
 
 
 @pytest.fixture(scope="session")
-def tie_heavy_bundles():
+def tie_heavy_corpus():
     rng = random.Random(CORPUS_SEED + 2)
-    return [solve_instance(tie_heavy_instance(rng)) for _ in range(N_TIE_HEAVY)]
+    return [tie_heavy_instance(rng) for _ in range(N_TIE_HEAVY)]
+
+
+@pytest.fixture(scope="session")
+def tie_heavy_bundles(tie_heavy_corpus):
+    return [solve_instance(pot) for pot in tie_heavy_corpus]
 
 
 @pytest.fixture(scope="session")

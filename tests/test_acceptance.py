@@ -14,6 +14,7 @@ from itertools import product
 
 from conftest import INSTANCE_DIR, periodic_lassos
 from ergopt.oracle import (
+    WordGraph,
     barrier_window,
     brute_cycles,
     holonomic_value_brute,
@@ -58,7 +59,8 @@ def critical_words_at(bundle, depth):
     pass rather than from components carried up from the base."""
     lifted, lw = lift_to(bundle.graph, bundle.weights, depth)
     crit = critical_structure(lifted, lw)
-    return {lifted.edges[k].word for k in crit.critical_edges}
+    words = WordGraph(lifted.sft, lifted.order)
+    return {words.edges[k].word for k in crit.critical_edges}
 
 
 def test_ac1_barrier_axioms(corpus, e1_bundle, e2_bundle):
@@ -92,12 +94,12 @@ def test_ac2_oracle_equivalence(corpus, e1_bundle, e2_bundle):
     bundles = [solve_instance(inst) for inst in corpus] + [e1_bundle, e2_bundle]
     square_window_misses = 0
     for b in bundles:
-        n = b.graph.n_nodes
-        assert b.abar == min(m for _, m in brute_cycles(b.graph, b.weights))
+        n, g = b.graph.n_nodes, WordGraph(b.graph.sft, b.graph.order)
+        assert b.abar == min(m for _, m in brute_cycles(g, b.weights))
         barriers = barrier_matrices(b)
-        start, stop = barrier_window(b.graph, b.weights, b.abar, barriers.h)
+        start, stop = barrier_window(g, b.weights, b.abar, barriers.h)
         for i in range(n):
-            rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
+            rows = path_min_table(g, b.weights, b.abar, i, stop)
             for j in range(n):
                 phi_min = min(row[j] for row in rows[1:n * n + 1]
                               if row[j] is not None)
@@ -275,7 +277,7 @@ def test_ac7_holonomic(two_sided_corpus):
         sft = inst.sft
         table = inst.table
         u = calibrated_fixed_point(b)
-        assert b.graph.node_words == tuple((a,) for a in range(sft.alphabet_size))
+        assert b.graph.order == 1  # node a is the symbol a
         for bsym in range(sft.alphabet_size):
             expected = min(
                 u[a] + table[(y, a)] - b.abar

@@ -21,11 +21,11 @@ from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import InternalError, OracleMismatch
 from ergopt.instances import dump_instance, load_instance, parse_word, read_subaction_csv
-from ergopt.oracle import brute_cycles
+from ergopt.oracle import WordGraph, brute_cycles
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
 from ergopt.subactions import SeparatingCertificate
-from ergopt.symbolic import DEFAULT_NODE_BUDGET, admissible_words, lift_to
+from ergopt.symbolic import DEFAULT_NODE_BUDGET, DeBruijnGraph, admissible_words, lift_to
 
 E1 = str(INSTANCE_DIR / "e1.json")
 E2 = str(INSTANCE_DIR / "e2.json")
@@ -201,7 +201,7 @@ class TestBarrier:
         assert f"wrote {tmp_path / 'phi.csv'}" in res.stdout
         assert f"wrote {tmp_path / 'h.csv'}" in res.stdout
         words, phi = read_matrix_csv(tmp_path / "phi.csv", 3)
-        assert words == list(e2_bundle.graph.node_words)
+        assert words == list(WordGraph(e2_bundle.graph.sft, e2_bundle.graph.order).nodes)
         barriers = barrier_matrices(e2_bundle)
         assert [tuple(r) for r in phi] == [tuple(r) for r in barriers.phi]
         _, h = read_matrix_csv(tmp_path / "h.csv", 3)
@@ -221,7 +221,8 @@ class TestBarrier:
         n = 11
         inst = write_wide_instance(tmp_path / "wide.json", 2)
         bundle = solve_instance(load_instance(inst))
-        nodes, edges = list(bundle.graph.node_words), [e.word for e in bundle.graph.edges]
+        words = WordGraph(bundle.graph.sft, bundle.graph.order)
+        nodes, edges = list(words.nodes), [e.word for e in words.edges]
         assert len(nodes) == 121
         assert main(["barrier", "--instance", str(inst), "--out", str(tmp_path)]) == 0
         barriers = barrier_matrices(bundle)
@@ -367,11 +368,11 @@ class TestSeparate:
         words = admissible_words(e2_bundle.graph.sft, 4)
         assert any(v.denominator % 13 == 0 for v in values)
         g = e2_bundle.graph
-        abar = min(m for _, m in brute_cycles(g, e2_bundle.weights))
+        abar = min(m for _, m in brute_cycles(WordGraph(g.sft, g.order), e2_bundle.weights))
         lifted, lw = lift_to(g, e2_bundle.weights, 4)
         u = dict(zip(words, values))
         slack = {e.word: w - abar - u[e.word[1:]] + u[e.word[:-1]]
-                 for e, w in zip(lifted.edges, lw)}
+                 for e, w in zip(WordGraph(lifted.sft, lifted.order).edges, lw)}
         assert min(slack.values()) == 0
         assert sorted(w for w, s in slack.items() if s == 0) == [(0,) * 5, (2,) * 5]
 
@@ -607,6 +608,45 @@ class TestOracle:
                             lambda b, graph: compile_weights(b, graph)[::-1])
         assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 5
         assert "MISMATCH" in capsys.readouterr().out
+
+
+    def test_miswired_graph_exits_5(self, monkeypatch, capsys):
+        # the references run on the oracle's own graph, wired from the
+        # words, so a line step that numbers each node's out-edges in
+        # reverse order reaches the solver alone
+        line_step = DeBruijnGraph._line_step
+
+        def reversed_step(graph):
+            order, lasts, successors = line_step(graph)
+            return order, lasts, [s[::-1] for s in successors]
+
+        monkeypatch.setattr(DeBruijnGraph, "_line_step", reversed_step)
+        assert main(["oracle", "--instance", str(INSTANCE_DIR / "three_orbits.json")]) == 5
+        assert "check phi: MISMATCH" in capsys.readouterr().out.splitlines()
+
+    def test_past_the_brute_force_limit_exits_3(self, tmp_path, capsys):
+        # 16 nodes and 32 edges under a budget of 16: the oracle's graph
+        # counts its nodes only, as the solve did, so the size guard speaks
+        entries = {"".join(map(str, w)): sum(w) for w in itertools.product((0, 1), repeat=5)}
+        path = tmp_path / "full2_r5.json"
+        path.write_text(json.dumps({
+            "alphabet_size": 2, "transition": [[1, 1], [1, 1]], "lambda": "1/2",
+            "potential": {"side": "one", "range": 5, "entries": entries},
+        }), encoding="utf-8")
+        assert main(["oracle", "--instance", str(path), "--max-nodes", "16"]) == 3
+        assert capsys.readouterr().err == "error: brute cycle enumeration is limited to 10 nodes\n"
+
+    def test_tie_heavy_systems_of_order_two(self, tie_heavy_corpus, capsys):
+        # `oracle --seed` draws order-1 graphs only, which take no line
+        # step; these systems take one, and every check passes on them
+        import ergopt.cli as cli
+
+        order_two = [pot for pot in tie_heavy_corpus if pot.working_order == 2]
+        assert len(order_two) == 84
+        for pot in order_two:
+            cli._oracle_checks(pot, DEFAULT_NODE_BUDGET)
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == [f"check {name}: ok" for name in ("abar", "phi", "h", "calibration")]
 
 
 class TestDenseMatricesOnDemand:

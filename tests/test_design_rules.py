@@ -135,7 +135,9 @@ def test_oracle_off_the_solver(sources):
     solver, so the closure of the relative imports of oracle, potential
     and instances holds none of tropical, subactions, pipeline or cli;
     and the solve reads no file format, so the closure of tropical,
-    subactions and pipeline holds neither instances nor cli."""
+    subactions and pipeline holds neither instances nor cli. The oracle
+    wires its own graph from words: it names no solver graph builder and
+    reads no int array of a solver graph."""
     imports = {name: {node.module for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
                for name, (_, tree) in sources.items()}
@@ -151,6 +153,16 @@ def test_oracle_off_the_solver(sources):
                     todo.append(dep)
             if closure & banned:
                 found.append(f"{root} imports {sorted(closure)}")
+    builders = {"DeBruijnGraph", "refine", "line_graph", "lift_to"}
+    arrays = {"tails", "heads", "lasts", "in_edges"}
+    for node in ast.walk(sources["oracle"][1]):
+        named = {getattr(node, "id", None), getattr(node, "name", None)}
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            if node.attr in arrays:
+                found.append(f"oracle reads .{node.attr} (line {node.lineno})")
+        found += [f"oracle names {name} (line {node.lineno})"
+                  for name in sorted(named & builders)]
     assert not found, "\n".join(found)
 
 

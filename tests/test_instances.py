@@ -31,6 +31,7 @@ from ergopt.instances import (
     subaction_csv_text,
     word_texts,
 )
+from ergopt.oracle import WordGraph
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.subactions import separating_subaction
 from ergopt.tropical import calibrated_fixed_point
@@ -426,7 +427,7 @@ class TestCsv:
         path.write_text(matrix_csv_text(node_texts(e2_bundle), barriers.h_ints, barriers.big),
                         encoding="utf-8")
         words, rows = read_matrix_csv(path, e2_bundle.graph.sft.alphabet_size)
-        assert words == list(e2_bundle.graph.node_words)
+        assert words == list(WordGraph(e2_bundle.graph.sft, e2_bundle.graph.order).nodes)
         assert [tuple(r) for r in rows] == [tuple(r) for r in barriers.h]
 
     def test_e2_subaction_text(self, e2_bundle):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SCALING_CASES, SimpleDigraph, periodic_lassos, random_lasso
-from ergopt.errors import NoPathExists, TooLarge
+from ergopt.errors import BudgetExceeded, NoPathExists, TooLarge
 from ergopt.instances import random_instance
 from ergopt.oracle import (
     SEpsilonQuery,
+    WordGraph,
     barrier_window,
     brute_cycles,
     holonomic_value_brute,
@@ -21,7 +22,7 @@ from ergopt.oracle import (
 )
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
-from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to, node_of
+from ergopt.symbolic import LassoPoint, build_sft, lasso_shift, lift_to
 
 
 HALF = Fraction(1, 2)
@@ -43,6 +44,20 @@ def constant_bundle(value=3):
     return solve_instance(constant_potential(value))
 
 
+def words_of(graph):
+    """The oracle's graph of a solver graph's system and order."""
+    return WordGraph(graph.sft, graph.order)
+
+
+class TestWordGraph:
+    def test_only_the_nodes_count_against_the_budget(self):
+        g = WordGraph(full_shift(), 4, node_budget=16)
+        assert (g.n_nodes, len(g.edges)) == (16, 32)
+        assert g.out_edges == [[2 * v, 2 * v + 1] for v in range(16)]
+        with pytest.raises(BudgetExceeded):
+            WordGraph(full_shift(), 4, node_budget=15)
+
+
 class TestBruteCycles:
     def test_single_loop(self):
         g = SimpleDigraph(1, [(0, 0)])
@@ -55,17 +70,17 @@ class TestBruteCycles:
         assert sorted(c for c, _ in cycles) == [(0, 1), (2,)]
 
     def test_e1_means(self, e1_bundle):
-        cycles = brute_cycles(e1_bundle.graph, e1_bundle.weights)
+        cycles = brute_cycles(words_of(e1_bundle.graph), e1_bundle.weights)
         assert len(cycles) == 3
         assert {m for _, m in cycles} == {0, 1, HALF}
 
     def test_full_three_shift_count(self, e2_bundle):
         # 3 loops, 3 two-cycles, 2 three-cycles
-        assert len(brute_cycles(e2_bundle.graph, e2_bundle.weights)) == 8
+        assert len(brute_cycles(words_of(e2_bundle.graph), e2_bundle.weights)) == 8
 
     def test_means_recompute(self, corpus_bundles):
         for b in corpus_bundles[:40]:
-            for cycle, mean in brute_cycles(b.graph, b.weights):
+            for cycle, mean in brute_cycles(words_of(b.graph), b.weights):
                 assert sum(b.weights[k] for k in cycle) == mean * len(cycle)
 
     def test_acyclic_graph_rejected(self):
@@ -76,40 +91,40 @@ class TestBruteCycles:
         lifted, lw = lift_to(e1_bundle.graph, e1_bundle.weights, 4)
         assert lifted.n_nodes == 16
         with pytest.raises(TooLarge):
-            brute_cycles(lifted, lw)
+            brute_cycles(words_of(lifted), lw)
 
 
 class TestPathMinSums:
     def test_e1_values(self, e1_bundle):
-        g, w = e1_bundle.graph, e1_bundle.weights
+        g, w = words_of(e1_bundle.graph), e1_bundle.weights
         assert path_min_sums(g, w, e1_bundle.abar, 1, 0, 1) == 1
         assert path_min_sums(g, w, e1_bundle.abar, 0, 0, 5) == 0
         assert path_min_sums(g, w, e1_bundle.abar, 0, 1, 1) == 0
 
     def test_no_walk_is_none(self, golden_bundle):
-        g, w = golden_bundle.graph, golden_bundle.weights
+        g, w = words_of(golden_bundle.graph), golden_bundle.weights
         assert path_min_sums(g, w, golden_bundle.abar, 1, 1, 1) is None
 
     def test_guards(self, e1_bundle):
         g, w, a = e1_bundle.graph, e1_bundle.weights, e1_bundle.abar
         with pytest.raises(ValueError):
-            path_min_sums(g, w, a, 0, 0, 0)
+            path_min_sums(words_of(g), w, a, 0, 0, 0)
         with pytest.raises(TooLarge):
-            path_min_sums(g, w, a, 0, 0, 9)
+            path_min_sums(words_of(g), w, a, 0, 0, 9)
         lifted, lw = lift_to(g, w, 4)
         with pytest.raises(TooLarge):
-            path_min_sums(lifted, lw, a, 0, 0, 1)
+            path_min_sums(words_of(lifted), lw, a, 0, 0, 1)
 
     @given(st.integers(0, 10**6), st.integers(1, 18))
     def test_agrees_with_table(self, seed, k):
         rng = random.Random(seed)
         b = solve_instance(random_instance(rng))
-        n = b.graph.n_nodes
+        g, n = words_of(b.graph), b.graph.n_nodes
         k = min(k, 2 * n * n)
         i = rng.randrange(n)
-        rows = path_min_table(b.graph, b.weights, b.abar, i, k)
+        rows = path_min_table(g, b.weights, b.abar, i, k)
         for j in range(n):
-            assert rows[k][j] == path_min_sums(b.graph, b.weights, b.abar, i, j, k)
+            assert rows[k][j] == path_min_sums(g, b.weights, b.abar, i, j, k)
 
 
 def assert_table_matches_sums(graph, weights):
@@ -130,7 +145,7 @@ class TestPathMinTable:
     @pytest.mark.parametrize("case", sorted(SCALING_CASES))
     def test_integer_rows_match_the_fraction_reference(self, e2_bundle, case):
         weights = [Fraction(w) for w in SCALING_CASES[case]]
-        assert_table_matches_sums(e2_bundle.graph, weights)
+        assert_table_matches_sums(words_of(e2_bundle.graph), weights)
 
     def test_missing_walks_stay_none(self):
         # a bare two-cycle: no walk of odd length returns, and abar brings
@@ -143,31 +158,32 @@ class TestPathMinTable:
         assert [row[0] for row in rows] == [0, None, Fraction(589801, 9973 * 10007), None]
 
     def test_row_zero_is_the_empty_walk(self, e2_bundle):
-        rows = path_min_table(e2_bundle.graph, e2_bundle.weights,
+        rows = path_min_table(words_of(e2_bundle.graph), e2_bundle.weights,
                               e2_bundle.abar, 1, 3)
         assert rows[0] == [None, Fraction(0), None]
         assert len(rows) == 4
 
     def test_guards(self, e1_bundle):
         with pytest.raises(TooLarge):
-            path_min_table(e1_bundle.graph, e1_bundle.weights, e1_bundle.abar,
+            path_min_table(words_of(e1_bundle.graph), e1_bundle.weights, e1_bundle.abar,
                            0, 5001)
         lifted, lw = lift_to(e1_bundle.graph, e1_bundle.weights, 4)
         with pytest.raises(TooLarge):
-            path_min_table(lifted, lw, e1_bundle.abar, 0, 1)
+            path_min_table(words_of(lifted), lw, e1_bundle.abar, 0, 1)
 
 
 class TestBarrierWindow:
     def test_no_positive_cycles_means_square_window(self):
         b = constant_bundle()
-        assert barrier_window(b.graph, b.weights, b.abar, barrier_matrices(b).h) == (4, 8)
+        h = barrier_matrices(b).h
+        assert barrier_window(words_of(b.graph), b.weights, b.abar, h) == (4, 8)
 
     def test_e1_window_recovers_h(self, e1_bundle):
-        b, h = e1_bundle, barrier_matrices(e1_bundle).h
-        start, stop = barrier_window(b.graph, b.weights, b.abar, h)
+        b, h, g = e1_bundle, barrier_matrices(e1_bundle).h, words_of(e1_bundle.graph)
+        start, stop = barrier_window(g, b.weights, b.abar, h)
         assert (start, stop) == (5, 9)
         for i in range(2):
-            rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
+            rows = path_min_table(g, b.weights, b.abar, i, stop)
             for j in range(2):
                 got = min(rows[k][j] for k in range(start, stop + 1)
                           if rows[k][j] is not None)
@@ -180,28 +196,28 @@ class TestBarrierWindow:
         sft = full_shift()
         pot = build_one_sided(sft, 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0})
         b = solve_instance(pot)
-        h = barrier_matrices(b).h
+        g, h = words_of(b.graph), barrier_matrices(b).h
         assert b.abar == 0
         assert h[0][0] == 8
 
         naive = min(v for v in (
-            path_min_sums(b.graph, b.weights, b.abar, 0, 0, k)
+            path_min_sums(g, b.weights, b.abar, 0, 0, k)
             for k in range(4, 9)
         ) if v is not None)
         assert naive == 4  # the naive window undercuts the true barrier
 
-        start, stop = barrier_window(b.graph, b.weights, b.abar, h)
-        rows = path_min_table(b.graph, b.weights, b.abar, 0, stop)
+        start, stop = barrier_window(g, b.weights, b.abar, h)
+        rows = path_min_table(g, b.weights, b.abar, 0, stop)
         scaled = min(rows[k][0] for k in range(start, stop + 1)
                      if rows[k][0] is not None)
         assert scaled == 8
 
     def test_window_matches_h_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:30]:
-            n, h = b.graph.n_nodes, barrier_matrices(b).h
-            start, stop = barrier_window(b.graph, b.weights, b.abar, h)
+            g, n, h = words_of(b.graph), b.graph.n_nodes, barrier_matrices(b).h
+            start, stop = barrier_window(g, b.weights, b.abar, h)
             for i in range(n):
-                rows = path_min_table(b.graph, b.weights, b.abar, i, stop)
+                rows = path_min_table(g, b.weights, b.abar, i, stop)
                 for j in range(n):
                     got = min(rows[k][j] for k in range(start, stop + 1)
                               if rows[k][j] is not None)
@@ -271,14 +287,14 @@ class TestSEpsilon:
                 except NoPathExists:
                     continue
             assert min(got) == want
-            direct = point_barrier(x, y, "mane", e1_bundle.graph,
+            direct = point_barrier(x, y, "mane", words_of(e1_bundle.graph),
                                    e1_bundle.weights, e1_bundle.abar)
             assert direct == want
 
 
 class TestPointBarrier:
     def args(self, b):
-        return b.graph, b.weights, b.abar
+        return words_of(b.graph), b.weights, b.abar
 
     def test_e1_values(self, e1_bundle):
         a = self.args(e1_bundle)
@@ -326,13 +342,14 @@ class TestPointBarrier:
         # the node-level h, which the oracle computes without the solver
         for b in (e1_bundle, e2_bundle, golden_bundle):
             h, points = barrier_matrices(b).h, periodic_lassos(b.graph.sft, 3)
+            g = words_of(b.graph)
             critical = [x for x in points
                         if point_barrier(x, x, "peierls", *self.args(b)) == 0]
             assert critical
             for x in critical:
                 for y in points:
-                    want = h[node_of(x, b.graph)][node_of(y, b.graph)]
-                    assert point_barrier(x, y, "peierls", *self.args(b)) == want
+                    i, j = (g.node_index(z.expansion(g.order)) for z in (x, y))
+                    assert point_barrier(x, y, "peierls", *self.args(b)) == h[i][j]
 
 
 class TestIsNonwandering:
@@ -375,7 +392,7 @@ class TestIsNonwandering:
                        (golden_potential, golden_bundle)):
             for x in periodic_lassos(pot.sft, 4):
                 rep = is_nonwandering(x, b, pot)
-                pb = point_barrier(x, x, "peierls", b.graph, b.weights, b.abar)
+                pb = point_barrier(x, x, "peierls", words_of(b.graph), b.weights, b.abar)
                 assert rep.exact == (pb == 0)
 
 

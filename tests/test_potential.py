@@ -10,6 +10,7 @@ from conftest import irreducible_systems
 from ergopt.errors import (BudgetExceeded, IncompatibleOrder, InstanceFormatError,
                            NotASubAction)
 from ergopt.instances import parse_instance, random_instance
+from ergopt.oracle import WordGraph
 from ergopt.potential import (
     admissible_words,
     build_one_sided,
@@ -260,8 +261,8 @@ class TestNormalize:
             sub = SubAction(g.order, u, "user-supplied")
             weights = compile_weights(normalize(sub, bundle), g)
             assert weights == tuple(
-                w - bundle.abar - u[e.head] + u[e.tail]
-                for w, e in zip(bundle.weights, g.edges)
+                w - bundle.abar - u[head] + u[tail]
+                for w, tail, head in zip(bundle.weights, g.tails, g.heads)
             )
 
     def test_rejects_non_subaction(self, e1_bundle):
@@ -306,7 +307,8 @@ class TestCompileWeights:
             if count_words(sft, order + 1, 2000) > 2000:
                 break
             graph, lifted = lift_to(base, weights, order)
-            assert lifted == tuple(b.table[e.word[:b.range]] for e in graph.edges)
+            edges = WordGraph(graph.sft, graph.order).edges
+            assert lifted == tuple(b.table[e.word[:b.range]] for e in edges)
 
     def test_rejects_a_table_of_the_wrong_size(self):
         f = one_sided(FULL2, 2, {w: 0 for w in admissible_words(FULL2, 2)})

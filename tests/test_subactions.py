@@ -10,6 +10,7 @@ from conftest import INSTANCE_DIR, irreducible_systems
 from ergopt import symbolic
 from ergopt.errors import BudgetExceeded, IncompatibleOrder, NotASubAction, NotCalibrated
 from ergopt.instances import load_instance, random_instance, random_two_sided
+from ergopt.oracle import WordGraph
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import OneSidedPotential, build_one_sided
 from ergopt.subactions import (
@@ -246,7 +247,7 @@ class TestCalibration:
                     for _ in range(g.n_nodes):
                         if crit.node_component[y] is not None:
                             break
-                        y = g.edges[min(k for k in g.in_edges[y] if k in tight)].tail
+                        y = g.tails[min(k for k in g.in_edges[y] if k in tight)]
                     i = crit.node_component[y]
                     assert i is not None
                     rep = crit.components[i].representative
@@ -263,10 +264,10 @@ class TestCalibration:
             sep, _ = separating_subaction(b, depth)
             deep = SubAction(depth, tuple(map(calibrated_fixed_point(b).__getitem__, base)),
                              "user-supplied")
-            k = next(k for k, e in enumerate(b.graph.edges) if e.tail != e.head)
-            e = b.graph.edges[k]
+            g = b.graph
+            k = next(k for k in range(g.n_edges) if g.tails[k] != g.heads[k])
             bad = list(calibrated_fixed_point(b))
-            bad[e.head] = bad[e.tail] + b.weights[k] - b.abar + 1
+            bad[g.heads[k]] = bad[g.tails[k]] + b.weights[k] - b.abar + 1
             cases = [
                 *family, sep,
                 convex_combination([family[0], family[-1]],
@@ -357,8 +358,9 @@ def carried(b, depth):
     """Word -> component of the lifted nodes and of the lifted edges at
     `depth`, as carried up from the base."""
     lifted, _, nodes, edges, _ = lift_critical(b, depth)
-    return (dict(zip(lifted.node_words, nodes)),
-            {e.word: c for e, c in zip(lifted.edges, edges)})
+    words = WordGraph(lifted.sft, lifted.order)
+    return (dict(zip(words.nodes, nodes)),
+            {e.word: c for e, c in zip(words.edges, edges)})
 
 
 class TestItineraryComponent:
@@ -432,7 +434,7 @@ class TestLiftCritical:
         assume(count_words(sft, m, 60) <= 60)
         entries = {w: rng.randint(0, 2) for w in admissible_words(sft, m)}
         crit = solve_instance(build_one_sided(sft, m, entries))
-        g, r = crit.graph, crit.graph.order
+        g, r = WordGraph(crit.graph.sft, crit.graph.order), crit.graph.order
 
         def component(word):
             if len(word) == r:
@@ -445,7 +447,7 @@ class TestLiftCritical:
             if count_words(sft, depth + 1, 2000) > 2000:
                 break
             lifted, edge_base, nodes, edges, _ = lift_critical(crit, depth)
-            assert nodes == tuple(map(component, lifted.node_words))
+            assert nodes == tuple(map(component, WordGraph(sft, depth).nodes))
             for k in range(lifted.n_edges):
                 word = lifted.edge_word(k)
                 assert g.edge_index(word[:r + 1]) == edge_base[k]
@@ -457,8 +459,9 @@ class TestLiftCritical:
         depth = b.graph.order + extra
         assume(count_words(b.graph.sft, depth, 2000) <= 2000)
         lifted, _, _, _, base = lift_critical(b, depth)
-        assert list(base) == [b.graph.node_index(w[:b.graph.order])
-                              for w in lifted.node_words]
+        g = WordGraph(b.graph.sft, b.graph.order)
+        assert list(base) == [g.node_index(w[:g.order])
+                              for w in WordGraph(lifted.sft, lifted.order).nodes]
 
     def test_one_budget_check_for_a_deep_lift(self, monkeypatch):
         # a single cycle has two words at every length; counting them

@@ -13,18 +13,15 @@ from ergopt.errors import (
     NotIrreducible,
 )
 from ergopt.instances import random_instance
+from ergopt.oracle import Edge, WordGraph
 from ergopt.symbolic import (
-    DeBruijnGraph,
-    Edge,
     LassoPoint,
     MAX_WORD_LENGTH,
-    admissible_words,
     build_sft,
     count_words,
     lasso_distance,
     lasso_shift,
     lift_to,
-    node_of,
     refine,
     strongly_connected_components,
 )
@@ -36,6 +33,8 @@ HALF = Fraction(1, 2)
 FULL2 = build_sft(2, [[1, 1], [1, 1]], HALF)
 GOLDEN = build_sft(2, [[1, 1], [1, 0]], HALF)
 FULL3 = build_sft(3, [[1] * 3] * 3, HALF)
+FORBIDDEN3 = build_sft(3, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], HALF)
+ELEVEN = build_sft(11, [[1 if (a + b) % 3 else 0 for b in range(11)] for a in range(11)], HALF)
 
 # the corpus generator's systems, and sparse to full ones on up to 4 symbols
 SYSTEMS = st.one_of(
@@ -120,11 +119,23 @@ class TestBuildSft:
             assert sft.admissible(tuple(walk))
 
 
+def assert_wired_by_words(g):
+    """The solver graph's int arrays and edge words are those of the
+    oracle's graph, wired from the words alone, of its system and order."""
+    words = WordGraph(g.sft, g.order)
+    assert g.lasts == [w[-1] for w in words.nodes]
+    assert g.tails == [e.tail for e in words.edges]
+    assert g.heads == [e.head for e in words.edges]
+    assert list(map(list, g.out_edges)) == words.out_edges
+    assert [Edge(g.tails[k], g.heads[k], g.edge_word(k)) for k in range(g.n_edges)] == list(
+        words.edges)
+
+
 class TestRefine:
     def test_full_shift_order_1(self):
         g = refine(FULL2, 1)
         assert g.n_nodes == 2 and g.n_edges == 4
-        assert g.node_words == ((0,), (1,))
+        assert g.lasts == [0, 1]
 
     def test_full_shift_order_2(self):
         g = refine(FULL2, 2)
@@ -132,17 +143,17 @@ class TestRefine:
 
     def test_golden_mean_order_2(self):
         g = refine(GOLDEN, 2)
-        assert g.node_words == ((0, 0), (0, 1), (1, 0))
-        assert tuple(e.word for e in g.edges) == (
+        assert g.lasts == [0, 1, 0]
+        assert tuple(map(g.edge_word, range(g.n_edges))) == (
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1),
         )
 
     def test_edge_endpoints_follow_the_shift(self):
         for g in (refine(FULL2, 2), refine(GOLDEN, 3)):
-            r = g.order
-            for e in g.edges:
-                assert g.node_words[e.tail] == e.word[:r]
-                assert g.node_words[e.head] == e.word[1:]
+            r, nodes = g.order, WordGraph(g.sft, g.order).nodes
+            for k in range(g.n_edges):
+                assert nodes[g.tails[k]] == g.edge_word(k)[:r]
+                assert nodes[g.heads[k]] == g.edge_word(k)[1:]
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
@@ -156,44 +167,42 @@ class TestRefine:
 
     def test_node_and_edge_lookup(self):
         g = refine(GOLDEN, 2)
-        assert g.node_index((0, 1)) == 1
-        assert g.edge_index((1, 0, 1)) == 4
-        with pytest.raises(ValueError):
-            g.node_index((1, 1))
-        with pytest.raises(ValueError):
-            g.edge_index((0, 1, 1))
+        words = WordGraph(g.sft, g.order)
+        assert words.node_index((0, 1)) == 1
+        assert words.edge_index((1, 0, 1)) == 4 and g.edge_word(4) == (1, 0, 1)
+        with pytest.raises(ValueError, match=r"^not an admissible node word: \(1, 1\)$"):
+            words.node_index((1, 1))
+        with pytest.raises(ValueError, match=r"^not an admissible edge word: \(0, 1, 1\)$"):
+            words.edge_index((0, 1, 1))
 
     @pytest.mark.parametrize("word", [(1, 1), (0,), (0, 0, 0), (), (0, 2), (2, 0), (0, -1)])
     def test_edge_index_rejects_non_edges(self, word):
         # a forbidden transition, wrong lengths, out-of-range symbols
         with pytest.raises(ValueError, match="not an admissible edge word"):
-            refine(GOLDEN, 1).edge_index(word)
+            WordGraph(GOLDEN, 1).edge_index(word)
 
     def test_edge_index_round_trips(self):
         for g in (refine(GOLDEN, 3), refine(FULL3, 2)):
-            assert [g.edge_index(e.word) for e in g.edges] == list(range(g.n_edges))
+            words = WordGraph(g.sft, g.order)
+            assert [words.edge_index(g.edge_word(k)) for k in range(g.n_edges)] == list(
+                range(g.n_edges))
 
     @given(SYSTEMS, st.integers(1, 5))
     def test_next_order_is_the_line_graph(self, sft, r):
         r = order_within(sft, r, 2)
         low, up = refine(sft, r), refine(sft, r + 1)
-        assert up.node_words == tuple(e.word for e in low.edges)
-        for e in up.edges:
-            first, second = low.edges[e.tail], low.edges[e.head]
-            assert first.head == second.tail
-            assert e.word == first.word + second.word[-1:]
-        assert up.n_edges == sum(len(low.out_edges[e.head]) for e in low.edges)
+        assert up.lasts == [low.edge_word(k)[-1] for k in range(low.n_edges)]
+        for k in range(up.n_edges):
+            first, second = up.tails[k], up.heads[k]
+            assert low.heads[first] == low.tails[second]
+            assert up.edge_word(k) == low.edge_word(first) + low.edge_word(second)[-1:]
+        assert up.n_edges == sum(len(low.out_edges[head]) for head in low.heads)
 
     @given(SYSTEMS, st.integers(1, 5))
     def test_int_arrays_match_the_words(self, sft, r):
         r = order_within(sft, r, 1)
         g = refine(sft, r)
-        assert g.node_words == tuple(admissible_words(sft, r))
-        assert g.lasts == [w[-1] for w in g.node_words]
-        for k in range(g.n_edges):
-            word = g.edge_word(k)
-            assert g.edges[k] == Edge(g.tails[k], g.heads[k], word)
-            assert word == g.node_words[g.tails[k]] + g.node_words[g.heads[k]][-1:]
+        assert_wired_by_words(g)
         # out-edges are numbered consecutively by tail
         assert [k for ks in g.out_edges for k in ks] == list(range(g.n_edges))
         for v, ks in enumerate(g.out_edges):
@@ -215,9 +224,27 @@ class TestRefine:
         inst = random_instance(random.Random(seed))
         g = refine(inst.sft, r)
         succ = [[] for _ in range(g.n_nodes)]
-        for e in g.edges:
-            succ[e.tail].append(e.head)
+        for tail, head in zip(g.tails, g.heads):
+            succ[tail].append(head)
         assert len(strongly_connected_components(succ)) == 1
+
+
+class TestWiring:
+    """The solver's line-step wiring against the oracle's word wiring."""
+
+    @pytest.mark.parametrize("sft", [FULL2, GOLDEN, FORBIDDEN3, ELEVEN],
+                             ids=["full2", "golden", "forbidden3", "eleven"])
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_refine_line_graph_and_lift_to(self, sft, r):
+        g = refine(sft, r)
+        assert_wired_by_words(g)
+        base = refine(sft, 1)
+        lifted, _ = lift_to(base, [Fraction(0)] * base.n_edges, r)
+        graphs = [lifted] + ([refine(sft, r - 1).line_graph()] if r > 1 else [])
+        for other in graphs:
+            assert other.order == r
+            assert (other.tails, other.heads, other.lasts) == (g.tails, g.heads, g.lasts)
+            assert other.out_edges == g.out_edges
 
 
 def check_components(succ, ours):
@@ -344,8 +371,9 @@ class TestLift:
         weights = tuple(Fraction(i) for i in range(g.n_edges))
         lifted, lw = lift_to(g, weights, 2)
         assert lifted.order == 2
-        for e, w in zip(lifted.edges, lw):
-            assert w == weights[g.edge_index(e.word[:2])]
+        base, words = WordGraph(g.sft, g.order), WordGraph(lifted.sft, lifted.order)
+        for e, w in zip(words.edges, lw):
+            assert w == weights[base.edge_index(e.word[:2])]
 
     def test_lift_to_matches_iterated_lift(self):
         g = refine(FULL2, 1)
@@ -353,7 +381,8 @@ class TestLift:
         once, w_once = lift_to(g, weights, 2)
         twice, w_twice = lift_to(once, w_once, 3)
         direct, w_direct = lift_to(g, weights, 3)
-        assert direct.node_words == twice.node_words
+        assert (direct.tails, direct.heads, direct.lasts) == (twice.tails, twice.heads,
+                                                              twice.lasts)
         assert w_direct == w_twice
 
     def test_lift_to_same_order_is_identity(self):
@@ -380,6 +409,7 @@ class TestLift:
         g = refine(GOLDEN, 1)
         weights = (Fraction(3), Fraction(1), Fraction(4))
         lifted, lw = lift_to(g, weights, 3)
+        g, lifted = WordGraph(g.sft, g.order), WordGraph(lifted.sft, lifted.order)
         word = (0, 1, 0, 0, 0, 1, 0)
         base = sum(weights[g.edge_index(word[i:i + 2])] for i in range(len(word) - 1))
         upstairs = sum(
@@ -392,7 +422,8 @@ class TestLift:
             g.edge_index(word[-2:])]
 
     def test_node_of(self):
-        g = refine(GOLDEN, 2)
-        assert node_of(LassoPoint.make((), (0,)), g) == 0
-        assert node_of(LassoPoint.make((), (0, 1)), g) == 1
-        assert node_of(LassoPoint.make((1,), (0,)), g) == 2
+        # the node holding a point's cylinder, looked up by its first r symbols
+        g = WordGraph(GOLDEN, 2)
+        assert g.node_index(LassoPoint.make((), (0,)).expansion(2)) == 0
+        assert g.node_index(LassoPoint.make((), (0, 1)).expansion(2)) == 1
+        assert g.node_index(LassoPoint.make((1,), (0,)).expansion(2)) == 2

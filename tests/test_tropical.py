@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import SCALING_CASES, SimpleDigraph
 from ergopt.errors import NotInConstraintSet
 from ergopt.instances import random_instance
-from ergopt.oracle import barrier_window, brute_cycles, path_min_table
+from ergopt.oracle import WordGraph, barrier_window, brute_cycles, path_min_table
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, compile_weights
 from ergopt.subactions import calibrated_from_boundary
@@ -108,7 +108,7 @@ class TestMinimizingValue:
         summary = minimizing_value(g, weights)
         assert summary.abar == 2
         cycle = summary.witness_cycle
-        assert [g.edges[k].tail for k in cycle] in ([0, 1], [1, 0])
+        assert [g.tails[k] for k in cycle] in ([0, 1], [1, 0])
         mean = sum(weights[k] for k in cycle) / len(cycle)
         assert mean == 2
 
@@ -116,11 +116,13 @@ class TestMinimizingValue:
         assert e1_bundle.abar == 0
         cycle = e1_bundle.witness_cycle
         assert len(cycle) == 1
-        assert e1_bundle.graph.edges[cycle[0]].word == (0, 0)
+        g = e1_bundle.graph
+        assert WordGraph(g.sft, g.order).edges[cycle[0]].word == (0, 0)
 
     def test_golden(self, golden_bundle):
         assert golden_bundle.abar == 0
-        words = [golden_bundle.graph.edges[k].word
+        g = golden_bundle.graph
+        words = [WordGraph(g.sft, g.order).edges[k].word
                  for k in golden_bundle.witness_cycle]
         assert words == [(0, 1), (1, 0)]
 
@@ -134,7 +136,8 @@ class TestMinimizingValue:
     def test_karp_agrees_with_brute_enumeration(self, seed):
         inst = random_instance(random.Random(seed))
         b = solve_instance(inst)
-        assert b.abar == min(m for _, m in brute_cycles(b.graph, b.weights))
+        g = WordGraph(b.graph.sft, b.graph.order)
+        assert b.abar == min(m for _, m in brute_cycles(g, b.weights))
 
     @settings(max_examples=300)
     @given(strongly_connected_systems())
@@ -166,7 +169,7 @@ class TestMinimizingValue:
         # 1024 nodes; Karp's (n+1) x n table peaked at 14.8 MiB on this graph
         graph = refine(build_sft(2, [[1, 1], [1, 1]], HALF), 10)
         rng = random.Random(0)
-        weights = [Fraction(rng.randint(0, 8)) for _ in graph.edges]
+        weights = [Fraction(rng.randint(0, 8)) for _ in graph.heads]
         tracemalloc.start()
         try:
             minimizing_value(graph, weights)
@@ -226,7 +229,7 @@ class TestBarrierMatrices:
 class TestCriticalStructure:
     def test_e1(self, e1_bundle):
         crit = e1_bundle
-        g = e1_bundle.graph
+        g = WordGraph(e1_bundle.graph.sft, e1_bundle.graph.order)
         assert [g.edges[k].word for k in crit.critical_edges] == [(0, 0)]
         assert crit.critical_nodes == (0,)
         assert len(crit.components) == 1
@@ -235,7 +238,7 @@ class TestCriticalStructure:
 
     def test_e2_two_components(self, e2_bundle):
         crit = e2_bundle
-        g = e2_bundle.graph
+        g = WordGraph(e2_bundle.graph.sft, e2_bundle.graph.order)
         assert [g.edges[k].word for k in crit.critical_edges] == [(0, 0), (2, 2)]
         assert crit.representatives == (0, 2)
         assert crit.node_component == (0, None, 1)
@@ -259,8 +262,8 @@ class TestCriticalStructure:
         for b in corpus_bundles + two_sided_bundles:
             phi, g = barrier_matrices(b).phi, b.graph
             assert b.critical_edges == tuple(
-                k for k, e in enumerate(g.edges)
-                if (b.weights[k] - b.abar) + phi[e.head][e.tail] == 0
+                k for k, (tail, head) in enumerate(zip(g.tails, g.heads))
+                if (b.weights[k] - b.abar) + phi[head][tail] == 0
             )
             normalized = [w - b.abar for w in b.weights]
             for j in range(g.n_nodes):
@@ -411,9 +414,10 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("case", sorted(SCALING_CASES))
     def test_scaled_kernels_match_the_oracle(self, e2_bundle, case):
         g = e2_bundle.graph
+        words = WordGraph(g.sft, g.order)
         weights = [Fraction(w) for w in SCALING_CASES[case]]
         n = g.n_nodes
-        cycles = brute_cycles(g, weights)
+        cycles = brute_cycles(words, weights)
         abar = min(m for _, m in cycles)
         summary = minimizing_value(g, weights)
         assert summary.abar == abar
@@ -422,9 +426,9 @@ class TestIntegerKernel:
             k for cycle, m in cycles if m == abar for k in cycle}
         phi = mane_matrix(g, weights, abar, range(n))
         h = peierls_matrix(phi, crit)
-        start, stop = barrier_window(g, weights, abar, h)
+        start, stop = barrier_window(words, weights, abar, h)
         for i in range(n):
-            table = path_min_table(g, weights, abar, i, stop)
+            table = path_min_table(words, weights, abar, i, stop)
             for j in range(n):
                 assert phi[i][j] == min(table[k][j] for k in range(1, n + 1))
                 assert h[i][j] == min(table[k][j] for k in range(start, stop + 1))
@@ -441,15 +445,16 @@ class TestIntegerKernel:
         # denominators of w - abar; their Fraction views are those
         # integers over L and equal the oracle's path minima
         g, n = e2_bundle.graph, e2_bundle.graph.n_nodes
+        words = WordGraph(g.sft, g.order)
         for case in sorted(SCALING_CASES):
             weights = tuple(Fraction(w) for w in SCALING_CASES[case])
             summary = minimizing_value(g, weights)
             abar = summary.abar
             b = barrier_matrices(summary)
             assert b.big == math.lcm(*((w - abar).denominator for w in weights)), case
-            start, stop = barrier_window(g, weights, abar, b.h)
+            start, stop = barrier_window(words, weights, abar, b.h)
             for i in range(n):
-                table = path_min_table(g, weights, abar, i, stop)
+                table = path_min_table(words, weights, abar, i, stop)
                 for j in range(n):
                     for view, ints in ((b.phi, b.phi_ints), (b.h, b.h_ints)):
                         assert type(ints[i][j]) is int
