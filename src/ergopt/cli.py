@@ -49,7 +49,7 @@ from .subactions import (
     verify,
 )
 from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, refine
-from .tropical import calibrated_fixed_point, constraint_polytope, lax_oleinik_step
+from .tropical import calibrated_fixed_point, constraint_polytope
 
 
 def _fraction(text: str, where: str = "value") -> Fraction:
@@ -253,25 +253,25 @@ def _oracle_checks(pot, max_nodes: int) -> None:
     _check("abar", crit.abar, brute_abar)
 
     barriers = barrier_matrices(crit)
-    start, stop = barrier_window(graph, weights, brute_abar, barriers.h)
-    expected_phi = []
-    expected_h = []
-    for i in range(n):
-        rows = path_min_table(graph, weights, brute_abar, i, stop)
-        # a minimal walk never needs a cycle it could drop, so short
-        # lengths already reach every Mane value
-        expected_phi.append(tuple(
-            min(row[j] for row in rows[1:n * n + 1] if row[j] is not None)
-            for j in range(n)))
-        expected_h.append(tuple(
-            min(row[j] for row in rows[start:stop + 1] if row[j] is not None)
-            for j in range(n)))
-    _check("phi", barriers.phi, tuple(expected_phi))
-    _check("h", barriers.h, tuple(expected_h))
+    # each source's walk minima: one period of their recurrence holds h,
+    # and n*n steps reach every Mane value (no minimal walk needs a cycle)
+    start, stop = barrier_window(graph, weights, brute_abar)
+    tables = [path_min_table(graph, weights, brute_abar, i, max(stop, n * n))
+              for i in range(n)]
 
+    def least(lengths):
+        return tuple(tuple(min(rows[k][j] for k in lengths if rows[k][j] is not None)
+                           for j in range(n)) for rows in tables)
+
+    _check("phi", barriers.phi, least(range(1, n * n + 1)))
+    _check("h", barriers.h, least(range(start, stop + 1)))
+
+    # the Lax-Oleinik step read off the one-step rows:
+    # (Lu)(j) = min over i of u(i) + D_1(i, j)
     fixed_point = calibrated_fixed_point(crit)
-    _check("calibration", lax_oleinik_step(fixed_point, crit.graph, weights, brute_abar),
-           fixed_point)
+    _check("calibration", tuple(
+        min(u + rows[1][j] for u, rows in zip(fixed_point, tables) if rows[1][j] is not None)
+        for j in range(n)), fixed_point)
 
     if isinstance(pot, TwoSidedPotential):
         _check("holonomic", crit.abar, holonomic_value_brute(pot))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import ErgoptError, InstanceFormatError
 from .potential import OneSidedPotential, TwoSidedPotential, build_one_sided, build_two_sided
-from .symbolic import MAX_WORD_LENGTH, SftSystem, Word, admissible_words, build_sft
+from .symbolic import MAX_WORD_LENGTH, SftSystem, Word, admissible_words, build_sft, count_words
 
 
 # Python's default limit on the digits of an integer string; a larger
@@ -101,20 +101,16 @@ def _integer(data: dict, key: str, where: str) -> int:
 def word_texts(sft: SftSystem, length: int, cap: int) -> list[str] | None:
     """`format_word`'s text of every admissible word of `length`, in word
     order, or None if there are more than `cap` of them or `length` is
-    not in 1..MAX_WORD_LENGTH. No word tuple is built: the words that
-    start with symbol a grow a symbol a step, as a followed by the words
-    of each successor of a in order, and each step's count is summed
-    before its texts are, so no list grows past `cap`."""
-    if not 1 <= length <= MAX_WORD_LENGTH or sft.alphabet_size > cap:
+    not in 1..MAX_WORD_LENGTH. The words are counted first, and counts
+    never fall as the length grows, so no list grows past `cap`. No word
+    tuple is built: the words that start with symbol a grow a symbol a
+    step, as a followed by the words of each successor of a in order."""
+    if not 1 <= length <= MAX_WORD_LENGTH or count_words(sft, length, cap) > cap:
         return None
     symbols = list(map(str, range(sft.alphabet_size)))
     firsts = [a + ("" if sft.alphabet_size <= 10 else ",") for a in symbols]
     blocks = [[a] for a in symbols]
-    counts = [1] * sft.alphabet_size
     for _ in range(length - 1):
-        counts = [sum(map(counts.__getitem__, succ)) for succ in sft.successors]
-        if sum(counts) > cap:
-            return None
         blocks = [[first + w for b in succ for w in blocks[b]]
                   for first, succ in zip(firsts, sft.successors)]
     return list(itertools.chain.from_iterable(blocks))

@@ -26,6 +26,7 @@ from .symbolic import (DEFAULT_NODE_BUDGET, LassoPoint, SftSystem, Word, admissi
 
 BRUTE_NODE_LIMIT = 10
 SYMBOL_BUDGET = 24
+WALK_CAP = 5000
 
 
 class Edge(NamedTuple):
@@ -153,37 +154,45 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _scaled_arcs(graph, weights: Sequence[Fraction],
+                 abar: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
+    """The lcm L of the denominators of w - abar, and each edge as
+    (tail, head, (w - abar) * L)."""
+    if graph.n_nodes > BRUTE_NODE_LIMIT:
+        raise TooLarge(f"path enumeration is limited to {BRUTE_NODE_LIMIT} nodes")
+    scale, costs = _over_lcm([Fraction(w) - abar for w in weights])
+    return scale, [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
+
+
+def _walk_step(arcs: Sequence[tuple[int, int, int]], row: Sequence[float]) -> list[float]:
+    """The minimal integer sums of the walks one arc longer than those
+    `row` holds, by one relaxation sweep; inf where no walk ends."""
+    nxt = [math.inf] * len(row)
+    for tail, head, c in arcs:
+        cand = row[tail] + c
+        if cand < nxt[head]:
+            nxt[head] = cand
+    return nxt
+
+
 def path_min_table(graph, weights: Sequence[Fraction], abar: Fraction,
                    i: int, k_max: int) -> list[list[Fraction | None]]:
     """Rows D_k(i, .) of minimal normalized walk sums for k = 0..k_max.
 
-    One relaxation sweep per step, on integer sums over the lcm L of the
+    One `_walk_step` per step, on integer sums over the lcm L of the
     denominators of w - abar; row 0 is the degenerate empty walk and is
     only meaningful at the source itself.
     """
-    n = graph.n_nodes
-    if n > BRUTE_NODE_LIMIT:
-        raise TooLarge(f"path enumeration is limited to {BRUTE_NODE_LIMIT} nodes")
-    if k_max > 5000:
+    scale, arcs = _scaled_arcs(graph, weights, abar)
+    if k_max > WALK_CAP:
         raise TooLarge(f"path table length {k_max} is past the enumeration cap")
-    scale, costs = _over_lcm([Fraction(w) - abar for w in weights])
-    arcs = [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
-    cur: list[int | None] = [None] * n
+    cur = [math.inf] * graph.n_nodes
     cur[i] = 0
     sums = [cur]
     for _ in range(k_max):
-        nxt: list[int | None] = [None] * n
-        for tail, head, c in arcs:
-            d = cur[tail]
-            if d is None:
-                continue
-            cand = d + c
-            best = nxt[head]
-            if best is None or cand < best:
-                nxt[head] = cand
-        sums.append(nxt)
-        cur = nxt
-    exact: dict[int | None, Fraction | None] = {None: None}
+        cur = _walk_step(arcs, cur)
+        sums.append(cur)
+    exact: dict[float, Fraction | None] = {math.inf: None}
     for row in sums:
         for v in row:
             if v not in exact:
@@ -191,33 +200,28 @@ def path_min_table(graph, weights: Sequence[Fraction], abar: Fraction,
     return [[exact[v] for v in row] for row in sums]
 
 
-def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction,
-                   h: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
+def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[int, int]:
     """Walk lengths [start, stop] whose minimum sum recovers the barrier.
 
-    A walk that touches a critical node already costs at least the relay
-    value, so only walks clear of the critical set can undercut h, and
-    each of their cycles adds at least the smallest positive cycle sum
-    delta. Past start >= n - 1 + n*(max h + (n-1)*spread)/delta that
-    surplus has outrun every relay value; a width of n*n then always
-    contains a length realized by looping at a critical cycle. The start
-    scales with the weight spread: an expensive loop off the critical
-    set keeps beating the barrier well past n*n steps otherwise.
+    At the least cycle mean abar the walk minima D_k of a strongly
+    connected graph are eventually periodic in k (the cyclicity
+    theorem), so h, their liminf, is their minimum over one period. The
+    tables of every source are stepped together until one comes back:
+    start is the first length whose table recurs, stop the last length
+    before it does. A wrong abar drifts and never recurs; past
+    WALK_CAP steps this raises TooLarge.
     """
     n = graph.n_nodes
-    start = n * n
-    positive = [
-        (mean - abar) * len(cycle)
-        for cycle, mean in brute_cycles(graph, weights)
-        if mean > abar
-    ]
-    if positive:
-        delta = min(positive)
-        h_max = max(max(row) for row in h)
-        spread = max(abs(Fraction(w) - abar) for w in weights)
-        needed = n - 1 + math.ceil(Fraction(n) * (h_max + (n - 1) * spread) / delta)
-        start = max(start, needed)
-    return start, start + n * n
+    _, arcs = _scaled_arcs(graph, weights, abar)
+    rows = [[0 if j == i else math.inf for j in range(n)] for i in range(n)]
+    seen: dict[tuple, int] = {}
+    for k in range(WALK_CAP + 1):
+        table = tuple(v for row in rows for v in row)
+        if table in seen:
+            return seen[table], k - 1
+        seen[table] = k
+        rows = [_walk_step(arcs, row) for row in rows]
+    raise TooLarge(f"walk minima do not recur within {WALK_CAP} steps")
 
 
 def _step_table(potential) -> tuple[int, Mapping]:

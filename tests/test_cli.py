@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -20,7 +21,8 @@ from conftest import INSTANCE_DIR, read_matrix_csv
 from ergopt import subactions
 from ergopt.cli import main
 from ergopt.errors import InternalError, OracleMismatch
-from ergopt.instances import dump_instance, load_instance, parse_word, read_subaction_csv
+from ergopt.instances import (dump_instance, load_instance, parse_word, random_instance,
+                              read_subaction_csv)
 from ergopt.oracle import WordGraph, brute_cycles
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
@@ -635,6 +637,48 @@ class TestOracle:
         }), encoding="utf-8")
         assert main(["oracle", "--instance", str(path), "--max-nodes", "16"]) == 3
         assert capsys.readouterr().err == "error: brute cycle enumeration is limited to 10 nodes\n"
+
+    def test_a_lowered_solver_h_leaves_the_reference(self, monkeypatch, capsys):
+        # the window is where the oracle's own walk minima recur, so a
+        # solver h lowered by 8 leaves the expected h alone; on this
+        # instance the minima over shorter walk lengths undercut the
+        # true h
+        import ergopt.cli as cli
+
+        rng = random.Random(7)
+        pot = [random_instance(rng) for _ in range(16)][-1]
+        true_h = barrier_matrices(solve_instance(pot)).h
+        barriers = cli.barrier_matrices
+
+        def lowered(crit):
+            b = barriers(crit)
+            return replace(b, h_ints=tuple(tuple(v - 8 * b.big for v in row)
+                                           for row in b.h_ints))
+
+        monkeypatch.setattr(cli, "barrier_matrices", lowered)
+        with pytest.raises(OracleMismatch) as exc:
+            cli._oracle_checks(pot, DEFAULT_NODE_BUDGET)
+        assert str(exc.value).endswith(f" != brute force {true_h!r}")
+        assert capsys.readouterr().out.endswith("check h: MISMATCH\n")
+
+    @pytest.mark.parametrize("name", ["e1", "golden_mean", "two_sided"])
+    def test_wrong_fixed_point_and_step_exit_5(self, monkeypatch, capsys, name):
+        # the calibration reference is the Lax-Oleinik step read off the
+        # oracle's one-step walk minima, so a solver step that returns
+        # its input cannot hide a fixed point that is not calibrated
+        import ergopt.cli as cli
+
+        fixed_point = cli.calibrated_fixed_point
+
+        def raised(crit):
+            first, *rest = fixed_point(crit)
+            return (first + 1, *rest)
+
+        monkeypatch.setattr(cli, "calibrated_fixed_point", raised)
+        monkeypatch.setattr(cli, "lax_oleinik_step", lambda u, *args: tuple(u),
+                            raising=False)
+        assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 5
+        assert capsys.readouterr().out.endswith("check calibration: MISMATCH\n")
 
     def test_tie_heavy_systems_of_order_two(self, tie_heavy_corpus, capsys):
         # `oracle --seed` draws order-1 graphs only, which take no line

@@ -39,6 +39,12 @@ def grep(sources, pattern, names=None):
             if regex.search(line)]
 
 
+def mentions(node):
+    """The names `node` itself holds: a name, an attribute, a definition
+    or an imported name."""
+    return {getattr(node, field, None) for field in ("id", "attr", "name")} - {None}
+
+
 def test_no_bare_asserts(sources):
     """No bare asserts in the package: python -O strips assert
     statements, so invariant checks raise InternalError, which the CLI
@@ -49,17 +55,36 @@ def test_no_bare_asserts(sources):
 
 def test_no_word_lists_in_the_solver_layers(sources):
     """No word lists in the solver layers: words are built only where
-    they are printed or parsed."""
-    found = grep(sources, r"\.(node_words|edges)\b", (*SOLVE, "potential"))
+    they are printed or parsed, so the solver layers read no graph's
+    edges, name neither the oracle's WordGraph nor its Edge, and read no
+    edge's word."""
+    found = grep(sources, r"\.edges\b", (*SOLVE, "potential"))
+    for name in (*SOLVE, "potential"):
+        for node in ast.walk(sources[name][1]):
+            found += [f"{name}: names {word} (line {node.lineno})"
+                      for word in sorted(mentions(node) & {"WordGraph", "Edge"})]
+            if isinstance(node, ast.Attribute) and node.attr == "word":
+                found.append(f"{name}: reads .word (line {node.lineno})")
     assert not found, "\n".join(found)
 
 
 def test_one_word_speller(sources):
     """One word speller: instances.word_texts spells every word list the
     CLI prints or writes and instances.parse_word reads every word cell,
-    so cli reads no graph's node_words and no second speller or cell
-    reader is defined in the package."""
-    found = grep(sources, r"\.node_words\b", ["cli"])
+    so cli uses the oracle's WordGraph only in _oracle_checks, reads no
+    edge's word, and no second speller or cell reader is defined in the
+    package."""
+    found = []
+    tree = sources["cli"][1]
+    [checks] = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_oracle_checks"]
+    inside = set(map(id, ast.walk(checks)))
+    for node in ast.walk(tree):
+        if ("WordGraph" in mentions(node) and id(node) not in inside
+                and not isinstance(node, ast.alias)):
+            found.append(f"cli: names WordGraph outside _oracle_checks (line {node.lineno})")
+        if isinstance(node, ast.Attribute) and node.attr == "word":
+            found.append(f"cli: reads .word (line {node.lineno})")
     banned = {"WordTemplates", "csv_words", "_cell_word"}
     for name, (_, tree) in sources.items():
         for node in ast.walk(tree):
@@ -156,13 +181,10 @@ def test_oracle_off_the_solver(sources):
     builders = {"DeBruijnGraph", "refine", "line_graph", "lift_to"}
     arrays = {"tails", "heads", "lasts", "in_edges"}
     for node in ast.walk(sources["oracle"][1]):
-        named = {getattr(node, "id", None), getattr(node, "name", None)}
-        if isinstance(node, ast.Attribute):
-            named.add(node.attr)
-            if node.attr in arrays:
-                found.append(f"oracle reads .{node.attr} (line {node.lineno})")
+        if isinstance(node, ast.Attribute) and node.attr in arrays:
+            found.append(f"oracle reads .{node.attr} (line {node.lineno})")
         found += [f"oracle names {name} (line {node.lineno})"
-                  for name in sorted(named & builders)]
+                  for name in sorted(mentions(node) & builders)]
     assert not found, "\n".join(found)
 
 

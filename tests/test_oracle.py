@@ -44,6 +44,13 @@ def constant_bundle(value=3):
     return solve_instance(constant_potential(value))
 
 
+def detour_bundle():
+    """Full 2-shift, range 2: a loop of weight 1 at 0, a free loop at 1,
+    and a detour 0 -> 1 -> 0 of weight 8."""
+    return solve_instance(build_one_sided(
+        full_shift(), 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0}))
+
+
 def words_of(graph):
     """The oracle's graph of a solver graph's system and order."""
     return WordGraph(graph.sft, graph.order)
@@ -173,15 +180,14 @@ class TestPathMinTable:
 
 
 class TestBarrierWindow:
-    def test_no_positive_cycles_means_square_window(self):
+    def test_constant_system_recurs_at_once(self):
         b = constant_bundle()
-        h = barrier_matrices(b).h
-        assert barrier_window(words_of(b.graph), b.weights, b.abar, h) == (4, 8)
+        assert barrier_window(words_of(b.graph), b.weights, b.abar) == (1, 1)
 
     def test_e1_window_recovers_h(self, e1_bundle):
         b, h, g = e1_bundle, barrier_matrices(e1_bundle).h, words_of(e1_bundle.graph)
-        start, stop = barrier_window(g, b.weights, b.abar, h)
-        assert (start, stop) == (5, 9)
+        start, stop = barrier_window(g, b.weights, b.abar)
+        assert (start, stop) == (1, 1)
         for i in range(2):
             rows = path_min_table(g, b.weights, b.abar, i, stop)
             for j in range(2):
@@ -191,11 +197,10 @@ class TestBarrierWindow:
 
     def test_expensive_detour_regression(self):
         # Cheap loop off the critical set: h(0,0) is only reached once the
-        # loop's surplus has outrun the detour through node 1, far past the
-        # n^2..2n^2 range a naive window scan would use.
-        sft = full_shift()
-        pot = build_one_sided(sft, 2, {(0, 0): 1, (0, 1): 4, (1, 0): 4, (1, 1): 0})
-        b = solve_instance(pot)
+        # loop's surplus has outrun the detour through node 1, past the
+        # n^2..2n^2 range a naive window scan would use; the walk minima
+        # recur only from there on.
+        b = detour_bundle()
         g, h = words_of(b.graph), barrier_matrices(b).h
         assert b.abar == 0
         assert h[0][0] == 8
@@ -206,16 +211,25 @@ class TestBarrierWindow:
         ) if v is not None)
         assert naive == 4  # the naive window undercuts the true barrier
 
-        start, stop = barrier_window(g, b.weights, b.abar, h)
+        start, stop = barrier_window(g, b.weights, b.abar)
+        assert (start, stop) == (8, 8)
         rows = path_min_table(g, b.weights, b.abar, 0, stop)
         scaled = min(rows[k][0] for k in range(start, stop + 1)
                      if rows[k][0] is not None)
         assert scaled == 8
 
+    @pytest.mark.parametrize("offset", [HALF, -HALF])
+    def test_a_wrong_abar_never_recurs(self, offset):
+        # off the least cycle mean the walk minima drift, down with a
+        # negative cycle or up with none at zero, and no table comes back
+        b = detour_bundle()
+        with pytest.raises(TooLarge):
+            barrier_window(words_of(b.graph), b.weights, b.abar + offset)
+
     def test_window_matches_h_on_corpus(self, corpus_bundles):
         for b in corpus_bundles[:30]:
             g, n, h = words_of(b.graph), b.graph.n_nodes, barrier_matrices(b).h
-            start, stop = barrier_window(g, b.weights, b.abar, h)
+            start, stop = barrier_window(g, b.weights, b.abar)
             for i in range(n):
                 rows = path_min_table(g, b.weights, b.abar, i, stop)
                 for j in range(n):
