@@ -37,8 +37,7 @@ from .instances import (
     subaction_csv_text,
     word_texts,
 )
-from .oracle import (WordGraph, barrier_window, brute_cycles, edge_weights,
-                     holonomic_value_brute, path_min_table)
+from .oracle import WordGraph, brute_cycles, edge_weights, holonomic_value_brute, walk_minima
 from .pipeline import barrier_matrices, solve_instance
 from .potential import TwoSidedPotential
 from .subactions import (
@@ -253,24 +252,17 @@ def _oracle_checks(pot, max_nodes: int) -> None:
     _check("abar", crit.abar, brute_abar)
 
     barriers = barrier_matrices(crit)
-    # each source's walk minima: one period of their recurrence holds h,
-    # and n*n steps reach every Mane value (no minimal walk needs a cycle)
-    start, stop = barrier_window(graph, weights, brute_abar)
-    tables = [path_min_table(graph, weights, brute_abar, i, max(stop, n * n))
-              for i in range(n)]
-
-    def least(lengths):
-        return tuple(tuple(min(rows[k][j] for k in lengths if rows[k][j] is not None)
-                           for j in range(n)) for rows in tables)
-
-    _check("phi", barriers.phi, least(range(1, n * n + 1)))
-    _check("h", barriers.h, least(range(start, stop + 1)))
+    # phi over walk lengths 1..n, h over one period of the walk minima's
+    # recurrence and the one-step rows, from one run of the walk tables
+    phi, h, step = walk_minima(graph, weights, brute_abar)
+    _check("phi", barriers.phi, phi)
+    _check("h", barriers.h, h)
 
     # the Lax-Oleinik step read off the one-step rows:
     # (Lu)(j) = min over i of u(i) + D_1(i, j)
     fixed_point = calibrated_fixed_point(crit)
     _check("calibration", tuple(
-        min(u + rows[1][j] for u, rows in zip(fixed_point, tables) if rows[1][j] is not None)
+        min(u + row[j] for u, row in zip(fixed_point, step) if row[j] is not None)
         for j in range(n)), fixed_point)
 
     if isinstance(pot, TwoSidedPotential):

@@ -128,8 +128,8 @@ def path_min_sums(graph, weights: Sequence[Fraction], abar: Fraction,
     n = graph.n_nodes
     if n > BRUTE_NODE_LIMIT:
         raise TooLarge(f"path enumeration is limited to {BRUTE_NODE_LIMIT} nodes")
-    if k > 2 * n * n:
-        raise TooLarge(f"path length {k} exceeds the window bound {2 * n * n}")
+    if k > WALK_CAP:
+        raise TooLarge(f"path length {k} is past the enumeration cap")
     if k < 1:
         raise ValueError("path length must be >= 1")
     normalized = [Fraction(w) - abar for w in weights]
@@ -192,36 +192,62 @@ def path_min_table(graph, weights: Sequence[Fraction], abar: Fraction,
     for _ in range(k_max):
         cur = _walk_step(arcs, cur)
         sums.append(cur)
+    return _exact(sums, scale)
+
+
+def _exact(rows, scale: int) -> list[list[Fraction | None]]:
+    """Integer sums over L as Fractions, None for inf; each distinct sum
+    is converted once."""
     exact: dict[float, Fraction | None] = {math.inf: None}
-    for row in sums:
-        for v in row:
-            if v not in exact:
-                exact[v] = Fraction(v, scale)
-    return [[exact[v] for v in row] for row in sums]
+    return [[exact[v] if v in exact else exact.setdefault(v, Fraction(v, scale)) for v in row]
+            for row in rows]
 
 
-def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[int, int]:
-    """Walk lengths [start, stop] whose minimum sum recovers the barrier.
+def _recurring_tables(arcs, n: int) -> tuple[list[tuple], int]:
+    """Every source's integer walk minima D_0, D_1, ..., each table
+    flattened row by row, stepped together until one recurs; and start,
+    the first length whose table recurs.
 
-    At the least cycle mean abar the walk minima D_k of a strongly
-    connected graph are eventually periodic in k (the cyclicity
-    theorem), so h, their liminf, is their minimum over one period. The
-    tables of every source are stepped together until one comes back:
-    start is the first length whose table recurs, stop the last length
-    before it does. A wrong abar drifts and never recurs; past
-    WALK_CAP steps this raises TooLarge.
+    At the least cycle mean abar the walk minima of a strongly connected
+    graph are eventually periodic in the length (the cyclicity theorem),
+    so the tables from start on repeat with period len(tables) - start.
+    A wrong abar drifts and never recurs; past WALK_CAP steps this
+    raises TooLarge.
     """
-    n = graph.n_nodes
-    _, arcs = _scaled_arcs(graph, weights, abar)
     rows = [[0 if j == i else math.inf for j in range(n)] for i in range(n)]
     seen: dict[tuple, int] = {}
     for k in range(WALK_CAP + 1):
         table = tuple(v for row in rows for v in row)
         if table in seen:
-            return seen[table], k - 1
+            return list(seen), seen[table]
         seen[table] = k
         rows = [_walk_step(arcs, row) for row in rows]
     raise TooLarge(f"walk minima do not recur within {WALK_CAP} steps")
+
+
+def barrier_window(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[int, int]:
+    """Walk lengths [start, stop] whose minimum sum recovers the barrier
+    h, the liminf of the walk minima: one period of their recurrence."""
+    tables, start = _recurring_tables(_scaled_arcs(graph, weights, abar)[1], graph.n_nodes)
+    return start, len(tables) - 1
+
+
+def walk_minima(graph, weights: Sequence[Fraction], abar: Fraction) -> tuple[tuple, ...]:
+    """phi, h and the one-step rows D_1 as n x n tuples (None where no
+    walk exists), from one run of the recurring tables: phi over lengths
+    1..n, as a minimal walk drops any cycle, and h over the window. A
+    length past the last table reads its image in the period."""
+    n = graph.n_nodes
+    scale, arcs = _scaled_arcs(graph, weights, abar)
+    tables, start = _recurring_tables(arcs, n)
+    stop, period = len(tables) - 1, len(tables) - start
+
+    def least(lengths):
+        flat = list(map(min, zip(*(tables[k if k <= stop else start + (k - start) % period]
+                                   for k in lengths))))
+        return tuple(map(tuple, _exact([flat[i : i + n] for i in range(0, n * n, n)], scale)))
+
+    return least(range(1, n + 1)), least(range(start, stop + 1)), least([1])
 
 
 def _step_table(potential) -> tuple[int, Mapping]:

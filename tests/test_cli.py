@@ -680,6 +680,27 @@ class TestOracle:
         assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 5
         assert capsys.readouterr().out.endswith("check calibration: MISMATCH\n")
 
+    @pytest.mark.parametrize("name", ["e1", "e2", "golden_mean", "three_orbits", "two_sided"])
+    def test_one_walk_of_the_tables(self, monkeypatch, capsys, name):
+        # phi, h and the calibration step come from one run of the walk
+        # tables to their recurrence, stop + 1 steps of n sweeps; the bound
+        # leaves room for a run to length n, but no source's table is
+        # walked again on its own
+        import ergopt.oracle as oracle
+
+        pot = load_instance(INSTANCE_DIR / f"{name}.json")
+        graph = WordGraph(pot.sft, solve_instance(pot).graph.order)
+        weights = oracle.edge_weights(pot, graph)
+        abar = min(m for _, m in brute_cycles(graph, weights))
+        n, (_, stop) = graph.n_nodes, oracle.barrier_window(graph, weights, abar)
+        sweeps = []
+        walk_step = oracle._walk_step
+        monkeypatch.setattr(oracle, "_walk_step",
+                            lambda *args: sweeps.append(1) or walk_step(*args))
+        assert main(["oracle", "--instance", str(INSTANCE_DIR / f"{name}.json")]) == 0
+        assert capsys.readouterr().out.count(": ok") >= 4
+        assert 0 < len(sweeps) <= n * (max(stop + 1, n) + 1)
+
     def test_tie_heavy_systems_of_order_two(self, tie_heavy_corpus, capsys):
         # `oracle --seed` draws order-1 graphs only, which take no line
         # step; these systems take one, and every check passes on them

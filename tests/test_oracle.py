@@ -9,6 +9,7 @@ from conftest import SCALING_CASES, SimpleDigraph, periodic_lassos, random_lasso
 from ergopt.errors import BudgetExceeded, NoPathExists, TooLarge
 from ergopt.instances import random_instance
 from ergopt.oracle import (
+    WALK_CAP,
     SEpsilonQuery,
     WordGraph,
     barrier_window,
@@ -19,6 +20,7 @@ from ergopt.oracle import (
     path_min_table,
     point_barrier,
     s_epsilon,
+    walk_minima,
 )
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, build_two_sided
@@ -117,7 +119,7 @@ class TestPathMinSums:
         with pytest.raises(ValueError):
             path_min_sums(words_of(g), w, a, 0, 0, 0)
         with pytest.raises(TooLarge):
-            path_min_sums(words_of(g), w, a, 0, 0, 9)
+            path_min_sums(words_of(g), w, a, 0, 0, WALK_CAP + 1)
         lifted, lw = lift_to(g, w, 4)
         with pytest.raises(TooLarge):
             path_min_sums(words_of(lifted), lw, a, 0, 0, 1)
@@ -236,6 +238,64 @@ class TestBarrierWindow:
                     got = min(rows[k][j] for k in range(start, stop + 1)
                               if rows[k][j] is not None)
                     assert got == h[i][j]
+
+
+def assert_walk_minima_match_tables(b):
+    """walk_minima against each source's path_min_table: phi the minimum
+    over lengths 1..2n^2, h over barrier_window's window, the step row 1."""
+    graph, weights, abar = words_of(b.graph), b.weights, b.abar
+    n = graph.n_nodes
+    start, stop = barrier_window(graph, weights, abar)
+    tables = [path_min_table(graph, weights, abar, i, max(2 * n * n, stop)) for i in range(n)]
+
+    def least(lengths):
+        return tuple(tuple(min(rows[k][j] for k in lengths if rows[k][j] is not None)
+                           for j in range(n)) for rows in tables)
+
+    phi, h, step = walk_minima(graph, weights, abar)
+    assert phi == least(range(1, 2 * n * n + 1))
+    assert h == least(range(start, stop + 1))
+    assert step == tuple(tuple(rows[1]) for rows in tables)
+
+
+class TestWalkMinima:
+    @given(st.integers(0, 10**6))
+    def test_random_instances(self, seed):
+        assert_walk_minima_match_tables(solve_instance(random_instance(random.Random(seed))))
+
+    def test_corpus(self, corpus_bundles, two_sided_bundles):
+        for b in corpus_bundles + two_sided_bundles:
+            assert_walk_minima_match_tables(b)
+
+    def test_expensive_detour(self):
+        # the tables run to length 8, far past n = 2: the loop at 0 gives
+        # phi and the step, the detour through 1 the barrier
+        b = detour_bundle()
+        assert_walk_minima_match_tables(b)
+        phi, h, step = walk_minima(words_of(b.graph), b.weights, b.abar)
+        assert (phi[0][0], h[0][0], step[0][0]) == (1, 8, 1)
+
+    def test_tie_heavy_systems_of_order_two(self, tie_heavy_bundles):
+        order_two = [b for b in tie_heavy_bundles if b.graph.order == 2]
+        assert len(order_two) == 84
+        for b in order_two:
+            assert_walk_minima_match_tables(b)
+
+    @pytest.mark.parametrize("case", sorted(SCALING_CASES))
+    def test_fraction_reference(self, e2_bundle, case):
+        # against path_min_sums, walk by walk, on weights over large primes
+        graph = words_of(e2_bundle.graph)
+        weights = [Fraction(w) for w in SCALING_CASES[case]]
+        abar = min(m for _, m in brute_cycles(graph, weights))
+        n = graph.n_nodes
+        start, stop = barrier_window(graph, weights, abar)
+
+        def least(lengths):
+            return tuple(tuple(min(path_min_sums(graph, weights, abar, i, j, k) for k in lengths)
+                               for j in range(n)) for i in range(n))
+
+        assert walk_minima(graph, weights, abar) == (
+            least(range(1, 2 * n * n + 1)), least(range(start, stop + 1)), least([1]))
 
 
 class TestSEpsilon:
