@@ -148,19 +148,20 @@ def path_min_sums(graph, weights: Sequence[Fraction], abar: Fraction,
     return dist[j]
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm L of the values' denominators, and each value times L."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _over_lcm(values: Sequence[Fraction], shift: Fraction) -> tuple[int, list[int]]:
+    """L, the lcm of all the denominators, and each (v - shift) * L, in ints."""
+    scale = math.lcm(shift.denominator, *(v.denominator for v in values))
+    s = shift.numerator * (scale // shift.denominator)
+    return scale, [v.numerator * (scale // v.denominator) - s for v in values]
 
 
 def _scaled_arcs(graph, weights: Sequence[Fraction],
                  abar: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
-    """The lcm L of the denominators of w - abar, and each edge as
+    """The lcm L of the denominators of w and abar, and each edge as
     (tail, head, (w - abar) * L)."""
     if graph.n_nodes > BRUTE_NODE_LIMIT:
         raise TooLarge(f"path enumeration is limited to {BRUTE_NODE_LIMIT} nodes")
-    scale, costs = _over_lcm([Fraction(w) - abar for w in weights])
+    scale, costs = _over_lcm(weights, abar)
     return scale, [(e.tail, e.head, c) for e, c in zip(graph.edges, costs)]
 
 
@@ -310,8 +311,8 @@ def _pins(x: LassoPoint, y: LassoPoint, k: int, p: int) -> dict[int, int] | None
 
 
 def _scaled_costs(table: Mapping, abar: Fraction) -> tuple[int, dict]:
-    """The step costs table - abar as integers over their lcm L."""
-    scale, costs = _over_lcm([table[w] - abar for w in table])
+    """The step costs table - abar as integers over one denominator L."""
+    scale, costs = _over_lcm(table.values(), abar)
     return scale, dict(zip(table, costs))
 
 

@@ -26,6 +26,7 @@ from .symbolic import DEFAULT_NODE_BUDGET, Word, check_budget
 from .tropical import (
     CriticalStructure,
     _path_minima,
+    _relay,
     _scale,
     _unscale,
     calibrated_fixed_point,
@@ -408,8 +409,7 @@ def calibrated_from_boundary(bd, crit: CriticalStructure) -> SubAction:
         i, j = pair
         raise NotInConstraintSet(f"boundary data violates u[{j}] - u[{i}] <= "
                                  f"h(rep {i}, rep {j}) = {poly.matrix[i][j]}")
-    u = tuple(min(v + row[x] for v, row in zip(values, crit.rows))
-              for x in range(crit.graph.n_nodes))
+    u = tuple(_relay(zip(values, crit.rows)))
     return SubAction(crit.graph.order, u, "calibrated-from-boundary")
 
 

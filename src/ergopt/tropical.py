@@ -5,12 +5,12 @@ structure with irreducible components, and calibrated sub-action vectors.
 Inputs and outputs are Fractions. The kernels (the policy iteration that
 gives abar and a potential certifying it, `_path_minima`, the one
 queue-based Bellman-Ford behind every phi row and column that is
-searched, the row relay of the dense phi, the Peierls relay) run on
-Python ints: the costs are scaled by one common denominator L, so sums
-and comparisons are exact integer operations, and results become
-Fractions over L only at the public boundary. The dense barrier
-matrices stay integer rows over L (`BarrierMatrices`) and are turned
-into Fractions only when read.
+searched, and `_relay`, the one min-plus relay of rows behind the dense
+phi and h) run on Python ints: the costs are scaled by one common
+denominator L, so sums and comparisons are exact integer operations,
+and results become Fractions over L only at the public boundary. The
+dense barrier matrices stay integer rows over L (`BarrierMatrices`) and
+are turned into Fractions only when read.
 Determinism comes from ascending index order in every tie-break.
 """
 
@@ -214,11 +214,25 @@ def _reaching(source: int, dist: list) -> list:
     return dist
 
 
-def _feedback_plan(out: Sequence[Sequence[int]], ends: Sequence[int],
-                   n: int) -> tuple[list[int], list[int]]:
-    """(F, order): a feedback node set F, which every cycle meets, and
-    the other nodes in an order where each comes after its successors
-    outside F; arcs as in `_path_minima`.
+def _relay(pairs) -> list:
+    """The elementwise minimum of c + row over the (c, row) pairs, the
+    earlier pair kept on ties: the one min-plus combination of rows
+    behind the dense phi's relayed rows, h (`peierls_matrix`) and the
+    calibrated family (`subactions.calibrated_from_boundary`). It only
+    adds and compares, so int rows give ints and Fraction rows
+    Fractions. At least one pair."""
+    pairs = iter(pairs)
+    c, row = next(pairs)
+    best = [c + v for v in row]
+    for c, row in pairs:
+        best = [b if b <= c + v else c + v for b, v in zip(best, row)]
+    return best
+
+
+def _feedback_plan(graph) -> tuple[list[int], list[int]]:
+    """(F, order): a feedback node set F of the graph, which every cycle
+    meets, and the other nodes in an order where each comes after its
+    successors outside F.
 
     A greedy peel removes one node at a time. A node with no remaining
     successor joins the order as it is removed; one with no remaining
@@ -229,12 +243,8 @@ def _feedback_plan(out: Sequence[Sequence[int]], ends: Sequence[int],
     pick scans one list of products, so the peel is O(E + n·|F|), below
     the O(n·E) of the row relay it plans.
     """
-    succ = [[ends[k] for k in ks] for ks in out]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v, hs in enumerate(succ):
-        for h in hs:
-            pred[h].append(v)
-    outdeg, indeg = list(map(len, succ)), list(map(len, pred))
+    n, heads, tails = graph.n_nodes, graph.heads, graph.tails
+    outdeg, indeg = list(map(len, graph.out_edges)), list(map(len, graph.in_edges))
     product = [i * o for i, o in zip(indeg, outdeg)]  # -1 once removed
     stack = [v for v in range(n) if not indeg[v] or not outdeg[v]]
     feedback: list[int] = []
@@ -252,13 +262,13 @@ def _feedback_plan(out: Sequence[Sequence[int]], ends: Sequence[int],
             feedback.append(v)
         product[v] = -1
         left -= 1
-        for h in succ[v]:
+        for h in map(heads.__getitem__, graph.out_edges[v]):
             if product[h] >= 0:
                 indeg[h] -= 1
                 product[h] = indeg[h] * outdeg[h]
                 if not indeg[h]:
                     stack.append(h)
-        for t in pred[v]:
+        for t in map(tails.__getitem__, graph.in_edges[v]):
             if product[t] >= 0:
                 outdeg[t] -= 1
                 product[t] = indeg[t] * outdeg[t]
@@ -277,19 +287,17 @@ def _feedback_plan(out: Sequence[Sequence[int]], ends: Sequence[int],
 _RELAY_MIN_NODES = 16
 
 
-def _dense_path_minima(costs: Sequence[int], out: Sequence[Sequence[int]],
-                       ends: Sequence[int], n: int) -> list[list[int]]:
-    """The path minima from every node, rows[v] those of the paths that
-    begin with an arc out of v, on a strongly connected graph; arcs as
-    in `_path_minima`.
+def _dense_path_minima(costs: Sequence[int], graph) -> list[list[int]]:
+    """The path minima from every node of a strongly connected graph,
+    rows[v] those of the paths that begin with an arc out of v.
 
     A nonempty path from v is one arc k out of v, then a path from
-    ends[k] that may be empty. So rows[v][j] is the least of
-    costs[k] + rows[ends[k]][j] and, where ends[k] is j, costs[k] alone;
-    with no negative cycle rows[j][j] >= 0, so the minimum is exact.
-    `_path_minima` gives the rows of a feedback set F (`_feedback_plan`),
-    and every other row is relayed from its successors' rows, which
-    are built before it.
+    heads[k] that may be empty. So rows[v][j] is the least of
+    costs[k] + rows[heads[k]][j] (`_relay`) and, where heads[k] is j,
+    costs[k] alone; with no negative cycle rows[j][j] >= 0, so the
+    minimum is exact. `_path_minima` gives the rows of a feedback set F
+    (`_feedback_plan`), and every other row is relayed from its
+    successors' rows, which are built before it.
 
     A reachable negative cycle, or a graph that is not strongly
     connected, raises the ValueError that searches from nodes 0, 1, ...
@@ -299,28 +307,24 @@ def _dense_path_minima(costs: Sequence[int], out: Sequence[Sequence[int]],
     passes through F, raises in F's searches; otherwise those searches
     run, in turn, until one fails.
     """
-    feedback, order = _feedback_plan(out, ends, n)
+    n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
+    feedback, order = _feedback_plan(graph)
     rows: list = [None] * n
     connected = all(out)
     try:
         for f in feedback:
-            rows[f] = _path_minima(costs, out[f], out, ends, n)
+            rows[f] = _path_minima(costs, out[f], out, heads, n)
     except ValueError:  # a negative cycle, which node 0 may not reach
         connected = False
     if not connected or any(None in rows[f] for f in feedback):
         for v in range(n):
-            _reaching(v, _path_minima(costs, out[v], out, ends, n))
+            _reaching(v, _path_minima(costs, out[v], out, heads, n))
         raise InternalError("a graph that is not strongly connected passed every search")
     for v in order:
-        ks = out[v]
-        c = costs[ks[0]]
-        row = [c + d for d in rows[ends[ks[0]]]]
-        for k in ks[1:]:
-            c = costs[k]
-            row = [a if a <= c + b else c + b for a, b in zip(row, rows[ends[k]])]
-        for k in ks:
-            if costs[k] < row[ends[k]]:
-                row[ends[k]] = costs[k]
+        row = _relay((costs[k], rows[heads[k]]) for k in out[v])
+        for k in out[v]:
+            if costs[k] < row[heads[k]]:
+                row[heads[k]] = costs[k]
         rows[v] = row
     return rows
 
@@ -412,7 +416,7 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
     n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
     big, costs = _scale(weights, abar)
     if n >= _RELAY_MIN_NODES and len(sources) >= n and set(sources) == set(range(n)):
-        dense = _dense_path_minima(costs, out, heads, n)
+        dense = _dense_path_minima(costs, graph)
         rows = [tuple(dense[i]) for i in sources]
     else:
         rows = [tuple(_reaching(i, _path_minima(costs, out[i], out, heads, n))) for i in sources]
@@ -475,22 +479,13 @@ def peierls_matrix(phi: Sequence[Sequence], crit: CriticalStructure) -> tuple[tu
     One node per critical component suffices: for z and the
     representative r of its component, phi[z][r] + phi[r][z] = 0, so
     phi[i][r] + phi[r][j] <= phi[i][z] + phi[z][j] and relaying through
-    z never beats relaying through r.
-
-    The relay only adds and compares, so integer rows over L give h
-    over the same L, and Fraction rows give Fractions.
+    z never beats relaying through r. Integer rows over L give h over
+    the same L (`_relay`), and Fraction rows give Fractions.
     """
     reps = crit.representatives
     if not reps:
         raise InternalError("no critical node: witness cycle must produce one")
-    rows = []
-    for row in phi:
-        best = [row[reps[0]] + v for v in phi[reps[0]]]
-        for r in reps[1:]:
-            a = row[r]
-            best = [b if b <= a + v else a + v for b, v in zip(best, phi[r])]
-        rows.append(tuple(best))
-    return tuple(rows)
+    return tuple(tuple(_relay((row[r], phi[r]) for r in reps)) for row in phi)
 
 
 def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],

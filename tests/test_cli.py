@@ -547,6 +547,20 @@ class TestOracle:
             "check holonomic: ok\n"
         )
 
+    def test_one_cycle_enumeration_per_job(self, monkeypatch, capsys):
+        # the holonomic check reuses the abar check's brute-force value
+        # rather than enumerating the envelope's cycles again
+        import ergopt.cli as cli
+        import ergopt.oracle as oracle
+
+        calls = []
+        counted = lambda *args: calls.append(1) or brute_cycles(*args)
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "brute_cycles", counted)
+        assert main(["oracle", "--instance", TWO_SIDED]) == 0
+        assert capsys.readouterr().out.endswith("check holonomic: ok\n")
+        assert len(calls) == 1
+
     def test_seeded_batch(self):
         res = run_cli("oracle", "--seed", "7")
         assert res.returncode == 0

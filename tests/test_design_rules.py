@@ -130,6 +130,29 @@ def test_one_path_minima_kernel(sources):
     assert not found, "\n".join(found)
 
 
+def test_one_min_plus_relay(sources):
+    """One min-plus relay: the elementwise minimum of c + row over
+    (c, row) pairs, behind the dense phi's relayed rows, h and the
+    calibrated family, is tropical._relay, so no comprehension of the
+    form `x if x <= c + y else c + y` appears in tropical or subactions
+    outside it."""
+    found = []
+    for name in ("tropical", "subactions"):
+        tree = sources[name][1]
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, FUNCTIONS) and fn.name == "_relay" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.IfExp) and id(node) not in allowed
+                    and isinstance(node.test, ast.Compare)
+                    and [type(op) for op in node.test.ops] == [ast.LtE]
+                    and isinstance(node.test.comparators[0], ast.BinOp)
+                    and isinstance(node.test.comparators[0].op, ast.Add)
+                    and ast.dump(node.body) == ast.dump(node.test.left)
+                    and ast.dump(node.orelse) == ast.dump(node.test.comparators[0])):
+                found.append(f"{name}: a min-plus relay outside _relay (line {node.lineno})")
+    assert not found, "\n".join(found)
+
+
 def test_one_solved_system(sources):
     """One solved system: a solve returns its critical structure, which
     holds the graph, weights and abar, and a solve and the oracle read

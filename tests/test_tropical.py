@@ -195,7 +195,7 @@ class TestBarrierMatrices:
         g = SimpleDigraph(n, pairs)
         want = "graph is not strongly connected: " + DENSE_REFUSALS[shape]
         for dense in (lambda: mane_matrix(g, [Fraction(1)] * len(pairs), Fraction(0), range(n)),
-                      lambda: _dense_path_minima([1] * len(pairs), g.out_edges, g.heads, n)):
+                      lambda: _dense_path_minima([1] * len(pairs), g)):
             with pytest.raises(ValueError) as refusal:
                 dense()
             assert str(refusal.value) == want
@@ -482,7 +482,7 @@ class TestFeedbackRows:
         big, costs = _scale(weights, abar)
         per_source = tuple(tuple(_path_minima(costs, out[i], out, heads, n)) for i in range(n))
         assert mane_matrix(graph, weights, abar, range(n), scaled=True) == (big, per_source)
-        assert len(_feedback_plan(out, heads, n)[0]) < n // 3
+        assert len(_feedback_plan(graph)[0]) < n // 3
 
     @pytest.mark.parametrize("matrix, order, size", [
         ([[1, 1], [1, 1]], 7, 32), ([[1, 1, 1]] * 3, 4, 24), ([[1, 1], [1, 0]], 10, 23)],
@@ -492,7 +492,7 @@ class TestFeedbackRows:
         # node is built once, after each of its successors outside F
         graph = refine(build_sft(len(matrix), matrix, HALF), order)
         n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
-        feedback, build = _feedback_plan(out, heads, n)
+        feedback, build = _feedback_plan(graph)
         assert len(feedback) == size
         assert sorted(feedback + build) == list(range(n))
         place = {v: i for i, v in enumerate(build)}
@@ -590,6 +590,6 @@ class TestPathMinima:
             want.append(row)
         if error:
             with pytest.raises(ValueError, match=error):
-                _dense_path_minima(costs, g.out_edges, g.heads, n)
+                _dense_path_minima(costs, g)
         else:
-            assert _dense_path_minima(costs, g.out_edges, g.heads, n) == want
+            assert _dense_path_minima(costs, g) == want
