@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     IncompatibleOrder,
@@ -242,8 +242,8 @@ class _EdgeLift(_Lift):
                        in zip(self.costs, graph.tails, graph.heads)]
         return min(self.slacks) >= 0, [k for k, s in enumerate(self.slacks) if s == 0]
 
-    def residual(self, tight: list[int]) -> list[int]:
-        return [k for k in tight if self.edge_comp[k] is None]
+    def residual(self, tight: list[int]) -> Iterator[int]:
+        return (k for k in tight if self.edge_comp[k] is None)
 
     def negative(self) -> tuple[int, int]:
         return next((k, s) for k, s in enumerate(self.slacks) if s < 0)
@@ -309,15 +309,13 @@ class _NodeLift(_Lift):
         top = [max(u[b]) for b in self.blocks]
         reach = list(map(operator.add, self.costs, u))
         tops = list(map(top.__getitem__, heads))
-        tight = []
-        for v in [v for v, a, t in zip(range(len(u)), reach, tops) if a <= t]:
-            a = reach[v]
-            tight.extend((v, x) for x in out[heads[v]] if u[x] == a)
+        tight = [(v, x) for v, a, t in zip(range(len(u)), reach, tops) if a <= t
+                 for x in out[heads[v]] if u[x] == a]
         return all(map(operator.ge, reach, tops)), tight
 
-    def residual(self, tight: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    def residual(self, tight: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         nodes = self.nodes
-        return [(v, x) for v, x in tight if nodes[v] is None or nodes[v] != nodes[x]]
+        return ((v, x) for v, x in tight if nodes[v] is None or nodes[v] != nodes[x])
 
     def negative(self) -> tuple[tuple[int, int], int]:
         u, costs, out, heads = self.values, self.costs, self.parent.out_edges, self.parent.heads
@@ -347,6 +345,15 @@ class _NodeLift(_Lift):
         """`_EdgeLift.members`, from P and summed there. With g_0 = -u and
         g_j(V) = W[V] + least_{j-1}[P.heads[V]], least_j[h] the minimum
         of g_j over the out-block of h, the forward minima are g_j + u.
+        When P's order is above the graph order r, every edge out of h
+        begins with h's base edge, so all cost C[h], and P is a line
+        graph, so their heads are one range of P's nodes, the out-range
+        of h's head one order down, which every h of that head shares.
+        A step is then least_j[h] = C[h] + the minimum of least_{j-1}
+        over h's range, one minimum per range: about n + n/s values of
+        P's n nodes of out-degree s, not 3 per edge. At depth r + 1, P
+        is the graph itself, its costs differ inside an out-block, and
+        the step takes the minimum of g_j per block.
         A lifted path V_0 .. V_m costs W[V_0] + .. + W[V_{m-1}] + u(V_0)
         - u(V_m), which is the cost of the P-path of arcs V_0 .. V_{m-1}
         to P.tails[V_m]. So the row of rep is u(rep) - u(X) plus P's row
@@ -364,9 +371,23 @@ class _NodeLift(_Lift):
         out, ins, tails, heads = parent.out_edges, parent.in_edges, parent.tails, parent.heads
         least = [-max(b) for b in map(u.__getitem__, self.blocks)]
         leasts = least
+        if parent.order > self.crit.graph.order:
+            # the head ranges tile P's nodes in order
+            first = [heads[b.start] for b in out]
+            starts = sorted(set(first))
+            group = list(map(dict(zip(starts, itertools.count())).__getitem__, first))
+            spans = list(map(slice, starts, [*starts[1:], parent.n_nodes]))
+            cost = [costs[b.start] for b in out]
+
+            def step(least):
+                least = list(map(min, map(least.__getitem__, spans)))
+                return list(map(operator.add, cost, map(least.__getitem__, group)))
+        else:
+            def step(least):
+                via = list(map(operator.add, costs, map(least.__getitem__, heads)))
+                return list(map(min, map(via.__getitem__, self.blocks)))
         for _ in range(depth - 1):
-            via = list(map(operator.add, costs, map(least.__getitem__, heads)))
-            least = list(map(min, map(via.__getitem__, self.blocks)))
+            least = step(least)
             leasts = list(map(operator.add, leasts, least))
         rows = cols = [0] * parent.n_nodes
         for rep in self.reps:
@@ -545,7 +566,7 @@ def _separate(lift: _Lift, gamma: Fraction) -> tuple[SubAction, SeparatingCertif
             raise InternalError("perturbation broke the sub-action bound")
         if prev_zero is not None and not set(zero).issubset(prev_zero):
             raise InternalError("a pass made a positive slack tight")
-        if not lift.residual(zero) or zero == prev_zero:
+        if next(lift.residual(zero), None) is None or zero == prev_zero:
             break
         prev_zero = zero
         passes += 1

@@ -18,6 +18,8 @@ from ergopt.subactions import (
     GapReport,
     SubAction,
     _EdgeLift,
+    _NodeLift,
+    _parent_lift,
     _separate,
     _verdict,
     calibrated_from_boundary,
@@ -30,7 +32,14 @@ from ergopt.subactions import (
     separating_subaction,
     verify,
 )
-from ergopt.symbolic import DeBruijnGraph, admissible_words, build_sft, count_words, lift_to
+from ergopt.symbolic import (
+    DEFAULT_NODE_BUDGET,
+    DeBruijnGraph,
+    admissible_words,
+    build_sft,
+    count_words,
+    lift_to,
+)
 from ergopt.tropical import (
     calibrated_fixed_point,
     constraint_polytope,
@@ -537,6 +546,26 @@ class TestParentHeldLift:
             for gamma in (Fraction(1, 2), Fraction(2, 3)):
                 got = separating_subaction(b, depth, gamma)
                 assert got == _separate(explicit(b, depth), gamma)
+            cases += 1
+        assert cases > 400
+
+    def test_members_match_the_per_edge_pass(self, corpus_bundles):
+        # at depth order+1, P is the graph itself and the edges of one
+        # out-block may cost differently; higher up each out-block has one
+        # cost and the forward minima are taken per range of heads
+        cases = 0
+        for b, depth in parity_cases(corpus_bundles):
+            node = _NodeLift(b, _parent_lift(b, depth, DEFAULT_NODE_BUDGET))
+            edge = explicit(b, depth)
+            fixed = list(map(calibrated_fixed_point(b).__getitem__, node.base))
+            for lift in (node, edge):
+                lift.read(fixed)
+            assert node.members() == edge.members()
+            for lift in (node, edge):
+                lift.average(Fraction(1, 2))
+                lift.scan()
+            assert node.values == edge.values
+            assert node.members() == edge.members()
             cases += 1
         assert cases > 400
 
