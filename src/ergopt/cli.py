@@ -47,7 +47,7 @@ from .subactions import (
     separating_subaction,
     verify,
 )
-from .symbolic import DEFAULT_NODE_BUDGET, admissible_words, refine
+from .symbolic import DEFAULT_NODE_BUDGET, check_budget, count_words, refine
 from .tropical import calibrated_fixed_point, constraint_polytope
 
 
@@ -208,15 +208,14 @@ def cmd_verify(args) -> int:
     order = crit.graph.order
     if depth < order:
         raise ValueError(f"cannot lower order {order} to {depth}")
-    if words is not None:  # not the admissible words in word order: match them as words
-        # the lifted graph's nodes, checked against --max-nodes up front
-        node_words = admissible_words(pot.sft, depth, args.max_nodes)
-        if sorted(words) != node_words:
+    if words is not None:  # not in word order: --max-nodes first, then match them as words
+        check_budget(pot.sft, depth, args.max_nodes)
+        # distinct and of one length: the admissible words if as many and each admissible
+        if (len(words) != count_words(pot.sft, depth, len(words))
+                or not all(map(pot.sft.admissible, words))):
             raise InstanceFormatError(
-                f"sub-action words do not match the admissible length-{depth} words"
-            )
-        by_word = dict(zip(words, values))
-        values = [by_word[w] for w in node_words]
+                f"sub-action words do not match the admissible length-{depth} words")
+        values = [v for _, v in sorted(zip(words, values))]
     u = SubAction(depth, tuple(values), "user-supplied")
     v = verify(u, crit, args.max_nodes)
     print(

@@ -116,21 +116,6 @@ def word_texts(sft: SftSystem, length: int, cap: int) -> list[str] | None:
     return list(itertools.chain.from_iterable(blocks))
 
 
-def _keys_in_word_order(sft: SftSystem, pot_data: dict, side, entries: dict) -> list | None:
-    """`word_texts` of the table's length, if these are exactly the keys
-    of `entries`, else None. Sizes are read only when well-formed, and
-    texts are capped at the keys' count, so every other file meets the
-    per-key checks and their errors."""
-    sizes = [pot_data.get(k) for k in (("range",) if side == "one" else
-                                       ("past_depth", "future_depth") if side == "two" else ())]
-    if not sizes or not all(type(k) is int and k >= 1 for k in sizes):
-        return None
-    texts = word_texts(sft, sum(sizes), len(entries))
-    if texts and len(texts) == len(entries) and all(map(entries.__contains__, texts)):
-        return texts
-    return None
-
-
 def parse_instance(data: dict) -> OneSidedPotential | TwoSidedPotential:
     """The validated potential of decoded JSON, which holds its system.
 
@@ -156,13 +141,22 @@ def parse_instance(data: dict) -> OneSidedPotential | TwoSidedPotential:
     raw_entries = _require(pot_data, "entries", "potential")
     if not isinstance(raw_entries, dict):
         raise InstanceFormatError("potential entries must be an object")
+    if side == "one":
+        sizes = (_integer(pot_data, "range", "potential"),)
+    elif side == "two":
+        sizes = (_integer(pot_data, "past_depth", "potential"),
+                 _integer(pot_data, "future_depth", "potential"))
+    else:
+        raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")
     # Keys in word order give the values by lookup and fail no check;
     # else each key is read as a word, so two spellings of one word ("01",
-    # "0,1") reach the table's duplicate check. Each distinct value is
-    # parsed at its first entry; only ints and strings are looked up, as
-    # 1, 1.0 and true are one dict key and a list is none, and
-    # parse_fraction refuses every other JSON type
-    keys = _keys_in_word_order(sft, pot_data, side, raw_entries)
+    # "0,1") reach the table's duplicate check. Texts are capped at the
+    # keys' count. Each distinct value is parsed at its first entry; only
+    # ints and strings are looked up, as 1, 1.0 and true are one dict key
+    # and a list is none, and parse_fraction refuses every other JSON type
+    keys = word_texts(sft, sum(sizes), len(raw_entries))
+    if keys and (len(keys) != len(raw_entries) or not all(map(raw_entries.__contains__, keys))):
+        keys = None
     words: list[Word] = []
     parsed: dict[int | str, Fraction] = {}
     for key, val in raw_entries.items():
@@ -173,27 +167,20 @@ def parse_instance(data: dict) -> OneSidedPotential | TwoSidedPotential:
     values = None if keys is None else [parsed[raw_entries[k]] for k in keys]
     entries = zip(words, map(parsed.__getitem__, raw_entries.values()))
     try:
-        if side == "one":
-            m = _integer(pot_data, "range", "potential")
-            holder = {} if data.get("holder") is None else data["holder"]
-            if not isinstance(holder, dict):
-                raise InstanceFormatError("holder must be a JSON object")
-            theta = holder.get("theta")
-            const = holder.get("const")
-            potential = build_one_sided(
-                sft, m, entries, values=values,
-                holder_theta=None if theta is None else parse_fraction(theta, "holder.theta"),
-                holder_const=None if const is None else parse_fraction(const, "holder.const"),
-            )
-        elif side == "two":
-            p = _integer(pot_data, "past_depth", "potential")
-            q = _integer(pot_data, "future_depth", "potential")
-            potential = build_two_sided(sft, p, q, entries, values=values)
-        else:
-            raise InstanceFormatError(f"potential side must be 'one' or 'two', got {side!r}")
+        if side == "two":
+            return build_two_sided(sft, *sizes, entries, values=values)
+        holder = {} if data.get("holder") is None else data["holder"]
+        if not isinstance(holder, dict):
+            raise InstanceFormatError("holder must be a JSON object")
+        theta = holder.get("theta")
+        const = holder.get("const")
+        return build_one_sided(
+            sft, *sizes, entries, values=values,
+            holder_theta=None if theta is None else parse_fraction(theta, "holder.theta"),
+            holder_const=None if const is None else parse_fraction(const, "holder.const"),
+        )
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"potential: {exc}") from exc
-    return potential
 
 
 def load_instance(path) -> OneSidedPotential | TwoSidedPotential:

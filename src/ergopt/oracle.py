@@ -384,8 +384,9 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: WordGraph,
     the matrix term and survives at every depth, Mane case only.
 
     On a critical cycle the break point is critical, so its h and phi
-    rows agree: walks of 1..n steps reach the minimum, as a longer walk
-    repeats a node after its first step and can drop that cycle.
+    rows agree: `walk_minima`'s phi, over walks of 1..n steps, is the
+    minimum, as a longer walk repeats a node after its first step and
+    can drop that cycle.
     """
     if kind not in ("mane", "peierls"):
         raise ValueError(f"kind must be 'mane' or 'peierls', got {kind!r}")
@@ -417,9 +418,7 @@ def point_barrier(x: LassoPoint, y: LassoPoint, kind: str, graph: WordGraph,
         if start != graph.node_index(expand[pre + cyc : pre + cyc + r]):
             raise InternalError("the lasso's cycle does not return to its break point")
         target = graph.node_index(y.expansion(r))
-        rows = path_min_table(graph, weights, abar, start, graph.n_nodes)[1:]
-        candidates.append(cum[pre] + min(row[target] for row in rows
-                                         if row[target] is not None))
+        candidates.append(cum[pre] + walk_minima(graph, weights, abar)[0][start][target])
     if not candidates:
         return math.inf
     return min(candidates)

@@ -434,6 +434,14 @@ class TestVerify:
         res = run_cli("verify", "--instance", E1, "--subaction", str(out))
         assert res.returncode == 2
 
+    def test_inadmissible_word_at_the_admissible_count(self, tmp_path, capsys):
+        # three rows, as many as the admissible 2-words, but 11 is not one
+        out = tmp_path / "u.csv"
+        out.write_text("word,value\n10,0\n11,0\n00,0\n", encoding="utf-8")
+        assert main(["verify", "--instance", GOLDEN, "--subaction", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: sub-action words do not match the admissible length-2 words\n")
+
     def test_duplicate_word(self, tmp_path):
         out = tmp_path / "u.csv"
         out.write_text("word,value\n0,0\n0,1\n1,0\n", encoding="utf-8")

@@ -72,8 +72,9 @@ def test_one_word_speller(sources):
     """One word speller: instances.word_texts spells every word list the
     CLI prints or writes and instances.parse_word reads every word cell,
     so cli uses the oracle's WordGraph only in _oracle_checks, reads no
-    edge's word, and no second speller or cell reader is defined in the
-    package."""
+    edge's word, names no admissible_words (verify matches out-of-order
+    rows by count and admissibility, with no word list), and no second
+    speller or cell reader is defined in the package."""
     found = []
     tree = sources["cli"][1]
     [checks] = [f for f in tree.body
@@ -85,6 +86,8 @@ def test_one_word_speller(sources):
             found.append(f"cli: names WordGraph outside _oracle_checks (line {node.lineno})")
         if isinstance(node, ast.Attribute) and node.attr == "word":
             found.append(f"cli: reads .word (line {node.lineno})")
+        if "admissible_words" in mentions(node):
+            found.append(f"cli: names admissible_words (line {node.lineno})")
     banned = {"WordTemplates", "csv_words", "_cell_word"}
     for name, (_, tree) in sources.items():
         for node in ast.walk(tree):

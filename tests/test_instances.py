@@ -284,6 +284,21 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match=f"^{key} must be an integer$"):
             parse_instance(data)
 
+    # the side and sizes are read before any key, so a shape fault is
+    # named ahead of a malformed key beside it
+    @pytest.mark.parametrize("shape, message", [
+        ({"range": True}, "range must be an integer"),
+        ({"side": "two", "past_depth": 1, "future_depth": "1"}, "future_depth must be an integer"),
+        ({"side": "two"}, "potential: missing key 'past_depth'"),
+        ({"side": "both"}, "potential side must be 'one' or 'two', got 'both'"),
+    ])
+    def test_shape_faults_come_before_entry_faults(self, shape, message):
+        data = e1_data()
+        data["potential"]["entries"] = {"0x": 0, "1": 1}
+        data["potential"].update(shape)
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            parse_instance(data)
+
     def test_domain_errors_keep_their_types(self):
         data = e1_data()
         data["transition"] = [[1, 0], [0, 1]]
