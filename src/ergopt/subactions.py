@@ -214,8 +214,8 @@ class _Lift:
         q * big each value gains its delta, the costs only scale, and all
         are reduced by their gcd with the new denominator."""
         count, total = self.members()
-        q = count * gamma.denominator
-        self.values = [q * x + gamma.numerator * t for x, t in zip(self.values, total)]
+        p, q = gamma.numerator, count * gamma.denominator
+        self.values = [q * x + p * t for x, t in zip(self.values, total)]
         self.costs = [q * c for c in self.costs]
         self.big *= q
         g = math.gcd(self.big, *self.values, *self.costs)
@@ -304,9 +304,9 @@ class _NodeLift(_Lift):
     def scan(self) -> tuple[bool, list[tuple[int, int]]]:
         """On a sub-action only the top of an out-block can be tight, but
         the scan reads every edge whose slack is 0, beside a negative one
-        too."""
+        too. It keeps the tops, for `members` to read."""
         u, out, heads = self.values, self.parent.out_edges, self.parent.heads
-        top = [max(u[b]) for b in self.blocks]
+        self.top = top = [max(u[b]) for b in self.blocks]
         reach = list(map(operator.add, self.costs, u))
         tops = list(map(top.__getitem__, heads))
         tight = [(v, x) for v, a, t in zip(range(len(u)), reach, tops) if a <= t
@@ -344,11 +344,12 @@ class _NodeLift(_Lift):
     def members(self) -> tuple[int, list[int]]:
         """`_EdgeLift.members`, from P and summed there. With g_0 = -u and
         g_j(V) = W[V] + least_{j-1}[P.heads[V]], least_j[h] the minimum
-        of g_j over the out-block of h, the forward minima are g_j + u.
-        When P's order is above the graph order r, every edge out of h
-        begins with h's base edge, so all cost C[h], and P is a line
-        graph, so their heads are one range of P's nodes, the out-range
-        of h's head one order down, which every h of that head shares.
+        of g_j over the out-block of h (least_0 is minus the scan's
+        `top`), the forward minima are g_j + u. When P's order is above
+        the graph order r, every edge out of h begins with h's base
+        edge, so all cost C[h], and P is a line graph, so their heads
+        are one range of P's nodes, the out-range of h's head one order
+        down, which every h of that head shares.
         A step is then least_j[h] = C[h] + the minimum of least_{j-1}
         over h's range, one minimum per range: about n + n/s values of
         P's n nodes of out-degree s, not 3 per edge. At depth r + 1, P
@@ -369,7 +370,7 @@ class _NodeLift(_Lift):
         columns and least_0 .. least_{D-1}, each held on P's nodes."""
         parent, u, costs, depth = self.parent, self.values, self.costs, self.depth
         out, ins, tails, heads = parent.out_edges, parent.in_edges, parent.tails, parent.heads
-        least = [-max(b) for b in map(u.__getitem__, self.blocks)]
+        least = [-t for t in self.top]
         leasts = least
         if parent.order > self.crit.graph.order:
             # the head ranges tile P's nodes in order

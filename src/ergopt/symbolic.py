@@ -265,9 +265,9 @@ class DeBruijnGraph:
     order up is edge i here. Edge k runs from `tails[k]` to `heads[k]`,
     the out-edges of node v are the index range `out_edges[v]`, and
     `lasts[v]` is the last symbol of v's word. No word is stored, and
-    none is looked up: `edge_word` reads one edge's word off a backward
-    walk. The oracle's `WordGraph` wires the same graph from the words
-    themselves, so the two check each other.
+    none is looked up: `edge_word` unranks one edge's word from counts
+    of admissible words. The oracle's `WordGraph` wires the same graph
+    from the words themselves, so the two check each other.
     Irreducibility makes the graph strongly connected at every order.
     """
 
@@ -313,13 +313,27 @@ class DeBruijnGraph:
             ins[head].append(k)
         return tuple(map(tuple, ins))
 
-    def edge_word(self, k: int) -> Word:
-        """Edge k's word, read off a backward walk from its head."""
-        symbols, v = [self.lasts[self.heads[k]]], self.tails[k]
+    @functools.cached_property
+    def _completions(self) -> list[list[int]]:
+        """[j][a]: the admissible (j+1)-words beginning with a, counted."""
+        counts = [[1] * self.sft.alphabet_size]
         for _ in range(self.order):
-            symbols.append(self.lasts[v])
-            v = self.tails[self.in_edges[v][0]]
-        return tuple(reversed(symbols))
+            counts.append([sum(map(counts[-1].__getitem__, s)) for s in self.sft.successors])
+        return counts
+
+    def edge_word(self, k: int) -> Word:
+        """Edge k's word. Edges are numbered in word order, so k is its
+        rank among the admissible (order+1)-words: each symbol in turn is
+        the first whose completions, counted, pass what is left of k."""
+        word, choices = [], range(self.sft.alphabet_size)
+        for counts in reversed(self._completions):
+            for a in choices:
+                if k < counts[a]:
+                    break
+                k -= counts[a]
+            word.append(a)
+            choices = self.sft.successors[a]
+        return tuple(word)
 
     @property
     def n_nodes(self) -> int:

@@ -9,8 +9,9 @@ searched, and `_relay`, the one min-plus relay of rows behind the dense
 phi and h) run on Python ints: the costs are scaled by one common
 denominator L, so sums and comparisons are exact integer operations,
 and results become Fractions over L only at the public boundary. The
-dense barrier matrices stay integer rows over L (`BarrierMatrices`) and
-are turned into Fractions only when read.
+representatives' barrier rows (`CriticalStructure`) and the dense
+barrier matrices (`BarrierMatrices`) stay integer rows over L and are
+turned into Fractions only when read.
 Determinism comes from ascending index order in every tie-break.
 """
 
@@ -61,8 +62,10 @@ class CriticalStructure:
     """The critical partition as the component of every node and edge,
     None off the critical edges (those on a zero-mean cycle of normalized
     weight) and their nodes; the components are their SCCs, numbered by
-    smallest node. With the inputs and rows[i] = h(rep_i, .); the rest is
-    read off the labels.
+    smallest node. With the inputs and the barrier rows h(rep_i, .) as
+    integer rows over one denominator L, as `BarrierMatrices` holds
+    them: rows[i][j] is Fraction(row_ints[i][j], big), a view built on
+    first read. The rest is read off the labels.
 
     On a critical r, phi(r, r) = 0 gives h(r, .) <= phi(r, .); a relay
     r -> z -> j is itself a path from r, so h(r, .) >= phi(r, .).
@@ -73,7 +76,12 @@ class CriticalStructure:
     abar: Fraction
     node_component: tuple[int | None, ...]
     edge_component: tuple[int | None, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    big: int
+    row_ints: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _unscale(self.row_ints, self.big)
 
     @cached_property
     def critical_edges(self) -> tuple[int, ...]:
@@ -86,7 +94,7 @@ class CriticalStructure:
     @cached_property
     def components(self) -> tuple[Component, ...]:
         # one barrier row per component
-        nodes, edges = [[] for _ in self.rows], [[] for _ in self.rows]
+        nodes, edges = [[] for _ in self.row_ints], [[] for _ in self.row_ints]
         for v in self.critical_nodes:
             nodes[self.node_component[v]].append(v)
         for k in self.critical_edges:
@@ -336,8 +344,12 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
     A policy is one out-edge per node, at first the cheapest (lowest
     index on ties). A round takes the policy cycle of least mean (the
     first found on ties), sets x by a reverse breadth-first search from
-    it, policy edges first, and moves nodes to strictly better edges."""
-    n, tails, heads = graph.n_nodes, graph.tails, graph.heads
+    it, and moves nodes to strictly better edges, in place. The search
+    walks the policy tree, each node's children in in-edge order (a
+    node's in-edges ascend, so that is policy edge order): n children a
+    round, not every in-edge. Only nodes the tree misses are grafted on,
+    each by its first in-edge from a node reached."""
+    n, tails, heads, ins = graph.n_nodes, graph.tails, graph.heads, graph.in_edges
     if not all(graph.out_edges):
         dead = list(map(bool, graph.out_edges)).index(False)
         raise ValueError(f"graph is not strongly connected: node {dead} has no out-edge")
@@ -358,12 +370,21 @@ def _policy_iteration(graph, costs: Sequence[int]) -> tuple[int, int, list[int]]
                 if best is None or total * best[1] < best[0] * len(cycle):
                     best = (total, len(cycle), v)
         S, m, root = best
-        seen, order = [v == root for v in range(n)], [root]
-        for any_edge in (False, True):  # the cycle's policy tree, then the rest
-            for v in order:  # the list grows while it is walked
-                for k in graph.in_edges[v]:
-                    t = tails[k]
-                    if not seen[t] and (any_edge or policy[t] == k):
+        up = list(map(heads.__getitem__, policy))
+        children: list[list[int]] = [[] for _ in range(n)]
+        for t in sorted(range(n), key=policy.__getitem__):
+            children[up[t]].append(t)
+        children[up[root]].remove(root)
+        order = [root]
+        for v in order:  # the list grows while it is walked
+            order += children[v]
+        if len(order) < n:
+            seen = [False] * n
+            for v in order:
+                seen[v] = True
+            for v in order:
+                for k in ins[v]:
+                    if not seen[t := tails[k]]:
                         seen[t], policy[t] = True, k
                         order.append(t)
         if len(order) < n:
@@ -411,7 +432,9 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
 
     Scaled, the result is (L, rows) with L the common denominator of the
     costs w - abar and the rows the integers phi[i] * L, the form the
-    dense barrier matrices keep; otherwise the rows are Fractions.
+    dense barrier matrices keep; otherwise the rows are Fractions. The
+    solve's own rows, those of the representatives, are searched in
+    `critical_structure` on the policy iteration's integers, not here.
     """
     n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
     big, costs = _scale(weights, abar)
@@ -430,22 +453,27 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     so an edge is on a zero-mean cycle exactly when its reduced cost is
     zero and both ends share an SCC of the zero-cost subgraph. The SCCs
     with a critical edge are the components, numbered by smallest node,
-    the representative, and label their nodes and edges. A graph that is
-    not strongly connected raises ValueError, here or in the
-    representatives' rows. Weights that are all Fractions already are
-    kept as they are."""
-    n = graph.n_nodes
+    the representative, and label their nodes and edges.
+
+    The representatives' rows are searched on the same integers: m*c - S
+    over m*L is w - abar, and dividing both by their gcd leaves the
+    least common denominator of w - abar and its integers, those of
+    `_scale(weights, abar)`. The rows stay ints over it. A graph that is
+    not strongly connected raises ValueError, here or in those rows.
+    Weights that are all Fractions already are kept as they are."""
+    n, tails, heads, out = graph.n_nodes, graph.tails, graph.heads, graph.out_edges
     weights = tuple(weights)
     if set(map(type, weights)) != {Fraction}:
         weights = tuple(map(Fraction, weights))
     big, costs = _scale(weights)
     S, m, x = _policy_iteration(graph, costs)
     abar = Fraction(S, m * big)
-    reduced = [m * c - S + x[h] - x[t] for c, t, h in zip(costs, graph.tails, graph.heads)]
+    costs = [m * c - S for c in costs]  # (w - abar) * m * big
+    reduced = [c + x[h] - x[t] for c, t, h in zip(costs, tails, heads)]
     if any(r < 0 for r in reduced):
         raise InternalError("negative reduced cost: policy iteration did not converge")
     succ: list[list[int]] = [[] for _ in range(n)]
-    for t, h, r in zip(graph.tails, graph.heads, reduced):
+    for t, h, r in zip(tails, heads, reduced):
         if r == 0:
             succ[t].append(h)
     scc_of = [0] * n
@@ -454,19 +482,23 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
             scc_of[v] = ci
     # an SCC of the zero-cost subgraph is critical when a zero edge stays in it
     edge_scc = [scc_of[t] if r == 0 and scc_of[t] == scc_of[h] else None
-                for t, h, r in zip(graph.tails, graph.heads, reduced)]
+                for t, h, r in zip(tails, heads, reduced)]
     cyclic, label, reps = set(edge_scc), {}, []
     for v, ci in enumerate(scc_of):  # numbered by smallest node
         if ci in cyclic and ci not in label:
             label[ci] = len(reps)
             reps.append(v)
+    g = math.gcd(m * big, *costs)
+    costs = [c // g for c in costs]
     return CriticalStructure(
         graph=graph,
         weights=weights,
         abar=abar,
         node_component=tuple(map(label.get, scc_of)),
         edge_component=tuple(map(label.get, edge_scc)),
-        rows=mane_matrix(graph, weights, abar, reps),
+        big=m * big // g,
+        row_ints=tuple(tuple(_reaching(r, _path_minima(costs, out[r], out, heads, n)))
+                       for r in reps),
     )
 
 
@@ -479,13 +511,25 @@ def peierls_matrix(phi: Sequence[Sequence], crit: CriticalStructure) -> tuple[tu
     One node per critical component suffices: for z and the
     representative r of its component, phi[z][r] + phi[r][z] = 0, so
     phi[i][r] + phi[r][j] <= phi[i][z] + phi[z][j] and relaying through
-    z never beats relaying through r. Integer rows over L give h over
-    the same L (`_relay`), and Fraction rows give Fractions.
+    z never beats relaying through r.
+
+    With r_0 the first representative, h[i] is phi[i][r_0] plus the
+    relay of phi[r] by the offsets phi[i][r] - phi[i][r_0]: a common
+    shift changes no comparison. Rows with the same offsets share one
+    `_relay`, so each entry of h is one add. Integer rows over L give h
+    over the same L, and Fraction rows give Fractions.
     """
     reps = crit.representatives
     if not reps:
         raise InternalError("no critical node: witness cycle must produce one")
-    return tuple(tuple(_relay((row[r], phi[r]) for r in reps)) for row in phi)
+    r0, bases, relayed, h = reps[0], [phi[r] for r in reps], {}, []
+    for row in phi:
+        c = row[r0]
+        key = tuple(row[r] - c for r in reps[1:])
+        if key not in relayed:
+            relayed[key] = _relay(zip((0, *key), bases))
+        h.append(tuple([c + v for v in relayed[key]]))
+    return tuple(h)
 
 
 def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],
@@ -502,8 +546,9 @@ def lax_oleinik_step(u: Sequence[Fraction], graph, weights: Sequence[Fraction],
 
 def calibrated_fixed_point(crit: CriticalStructure) -> tuple[Fraction, ...]:
     """The pointwise minimum of the barrier rows of the component
-    representatives: an exact fixed point of lax_oleinik_step."""
-    return tuple(min(column) for column in zip(*crit.rows))
+    representatives: an exact fixed point of lax_oleinik_step, taken on
+    the integer rows."""
+    return tuple(Fraction(min(column), crit.big) for column in zip(*crit.row_ints))
 
 
 @dataclass(frozen=True)
@@ -529,5 +574,5 @@ class ConstraintPolytope:
 
 def constraint_polytope(crit: CriticalStructure) -> ConstraintPolytope:
     reps = crit.representatives
-    matrix = tuple(tuple(row[b] for b in reps) for row in crit.rows)
+    matrix = tuple(tuple(Fraction(row[b], crit.big) for b in reps) for row in crit.row_ints)
     return ConstraintPolytope(reps, matrix)

@@ -34,6 +34,7 @@ FULL2 = build_sft(2, [[1, 1], [1, 1]], HALF)
 GOLDEN = build_sft(2, [[1, 1], [1, 0]], HALF)
 FULL3 = build_sft(3, [[1] * 3] * 3, HALF)
 FORBIDDEN3 = build_sft(3, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], HALF)
+CYCLIC3 = build_sft(3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], HALF)
 ELEVEN = build_sft(11, [[1 if (a + b) % 3 else 0 for b in range(11)] for a in range(11)], HALF)
 
 # the corpus generator's systems, and sparse to full ones on up to 4 symbols
@@ -154,6 +155,19 @@ class TestRefine:
             for k in range(g.n_edges):
                 assert nodes[g.tails[k]] == g.edge_word(k)[:r]
                 assert nodes[g.heads[k]] == g.edge_word(k)[1:]
+
+    @pytest.mark.parametrize("sft, order", [(FULL2, 7), (GOLDEN, 10), (FULL3, 5), (CYCLIC3, 6)],
+                             ids=["full2-7", "golden-10", "full3-5", "cyclic3-6"])
+    def test_edge_word_is_the_backward_walk(self, sft, order):
+        # unranked from word counts, an edge's word is the one a walk back
+        # from its head through first in-edges spells
+        g = refine(sft, order)
+        for k in range(g.n_edges):
+            symbols, v = [g.lasts[g.heads[k]]], g.tails[k]
+            for _ in range(order):
+                symbols.append(g.lasts[v])
+                v = g.tails[g.in_edges[v][0]]
+            assert g.edge_word(k) == tuple(reversed(symbols)), k
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SCALING_CASES, SimpleDigraph
+from conftest import INSTANCE_DIR, SCALING_CASES, SimpleDigraph
+from ergopt import tropical
 from ergopt.errors import NotInConstraintSet
-from ergopt.instances import random_instance
+from ergopt.instances import load_instance, random_instance
 from ergopt.oracle import WordGraph, barrier_window, brute_cycles, path_min_table
 from ergopt.pipeline import barrier_matrices, solve_instance
 from ergopt.potential import build_one_sided, compile_weights
@@ -19,6 +20,8 @@ from ergopt.tropical import (
     _dense_path_minima,
     _feedback_plan,
     _path_minima,
+    _policy_iteration,
+    _relay,
     _scale,
     calibrated_fixed_point,
     constraint_polytope,
@@ -101,6 +104,109 @@ def rows(matrix):
     return tuple(tuple(v for v in row) for row in matrix)
 
 
+# the benchmark ladder's systems and orders, 27 to 144 nodes
+LADDER = [([[1, 1], [1, 1]], 5), ([[1, 1], [1, 1]], 6), ([[1, 1], [1, 1]], 7),
+          ([[1] * 3] * 3, 3), ([[1] * 3] * 3, 4),
+          ([[1, 1], [1, 0]], 8), ([[1, 1], [1, 0]], 9), ([[1, 1], [1, 0]], 10)]
+
+
+def planted_ladder(seed):
+    """The ladder's graphs with weights drawn from 1..8 and up to two
+    node-disjoint cycles of weight 1/2 planted by random walks, so the
+    first policy has several cycles and its tree misses nodes."""
+    rng = random.Random(seed)
+    systems = []
+    for matrix, order in LADDER:
+        graph = refine(build_sft(len(matrix), matrix, HALF), order)
+        out, heads, tails = graph.out_edges, graph.heads, graph.tails
+        weights = [Fraction(rng.randint(1, 8)) for _ in heads]
+        used: set = set()
+        for _ in range(2):
+            v = rng.choice([v for v in range(graph.n_nodes) if v not in used])
+            path, at = [], {}
+            while v not in at:
+                at[v] = len(path)
+                ks = [k for k in out[v] if heads[k] not in used]
+                if not ks:
+                    break
+                path.append(rng.choice(ks))
+                v = heads[path[-1]]
+            else:
+                for k in path[at[v]:]:
+                    weights[k] = HALF
+                used |= {tails[k] for k in path[at[v]:]}
+        systems.append((graph, weights))
+    return systems
+
+
+def two_pass_policy_iteration(graph, costs):
+    """`_policy_iteration` with the reverse search it replaced, which
+    read the in-edges of every node twice a round: once for the policy
+    tree, once for the rest. (S, m, x), the policy of each round and
+    the number of rounds whose policy tree missed a node."""
+    n, tails, heads = graph.n_nodes, graph.tails, graph.heads
+    policy = [min(ks, key=costs.__getitem__) for ks in graph.out_edges]
+    tried: list = []
+    missed = 0
+    while tuple(policy) not in tried:
+        tried.append(tuple(policy))
+        mark, best = [-1] * n, None
+        for start in range(n):
+            v = start
+            while mark[v] < 0:
+                mark[v], v = start, heads[policy[v]]
+            if mark[v] == start:
+                cycle = [policy[v]]
+                while heads[cycle[-1]] != v:
+                    cycle.append(policy[heads[cycle[-1]]])
+                total = sum(map(costs.__getitem__, cycle))
+                if best is None or total * best[1] < best[0] * len(cycle):
+                    best = (total, len(cycle), v)
+        S, m, root = best
+        seen, order = [v == root for v in range(n)], [root]
+        for any_edge in (False, True):
+            for v in order:
+                for k in graph.in_edges[v]:
+                    t = tails[k]
+                    if not seen[t] and (any_edge or policy[t] == k):
+                        seen[t], policy[t] = True, k
+                        order.append(t)
+            missed += not any_edge and len(order) < n
+        reduced, x = [m * c - S for c in costs], [0] * n
+        for t in order[1:]:
+            x[t] = reduced[policy[t]] + x[heads[policy[t]]]
+        switched = False
+        for t in range(n):
+            for k in graph.out_edges[t]:
+                if reduced[k] + x[heads[k]] < x[t]:
+                    x[t], policy[t], switched = reduced[k] + x[heads[k]], k, True
+        if not switched:
+            return (S, m, x), tried, missed
+    raise AssertionError("came back to a policy")
+
+
+def rounds_of_policy_iteration(graph, costs):
+    """`_policy_iteration`'s (S, m, x) and the policy each round started
+    from, read off the set of tried policies."""
+    tried: list = []
+
+    class Tried(set):
+        def add(self, key):
+            tried.append(key)
+            super().add(key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tropical, "set", Tried, raising=False)
+        return _policy_iteration(graph, costs), tried
+
+
+def per_row_relay(phi, crit):
+    """h relayed row by row through every representative, as
+    `peierls_matrix` did before it relayed once per distinct offset."""
+    reps = crit.representatives
+    return tuple(tuple(_relay((row[r], phi[r]) for r in reps)) for row in phi)
+
+
 class TestMinimizingValue:
     def test_two_node_example(self):
         g = SimpleDigraph(2, [(0, 1), (1, 0), (1, 1)])
@@ -164,6 +270,27 @@ class TestMinimizingValue:
                 with pytest.raises(ValueError) as refusal:
                     solve(g, weights)
                 assert str(refusal.value) == want, (cheap, solve)
+
+    @settings(max_examples=200)
+    @given(strongly_connected_systems())
+    def test_policy_tree_walk_keeps_the_two_pass_rounds(self, system):
+        # the policy tree walked by children lists visits the nodes in
+        # the order of the in-edge scans it replaced, so every round
+        # starts from the same policy and x comes out the same
+        g, weights = system
+        costs = _scale(weights)[1]
+        assert rounds_of_policy_iteration(g, costs) == two_pass_policy_iteration(g, costs)[:2]
+
+    def test_policy_tree_walk_on_the_ladder(self):
+        # 27-144 nodes; a first policy with several cycles leaves nodes
+        # off the tree, which are grafted on by their in-edges
+        missed = 0
+        for g, weights in planted_ladder(0) + planted_ladder(1):
+            costs = _scale(weights)[1]
+            want, tried, misses = two_pass_policy_iteration(g, costs)
+            assert rounds_of_policy_iteration(g, costs) == (want, tried)
+            missed += misses
+        assert missed >= 8
 
     def test_memory_stays_linear_in_the_graph(self):
         # 1024 nodes; Karp's (n+1) x n table peaked at 14.8 MiB on this graph
@@ -347,6 +474,22 @@ class TestRelayFormula:
                         phi[i][z] + phi[z][j] for z in b.critical_nodes
                     )
 
+    def test_one_relay_per_distinct_offset(self, multi_component_bundles):
+        # rows with the same offsets to the representatives share a relay;
+        # three components give two offsets per key
+        three = solve_instance(load_instance(INSTANCE_DIR / "three_orbits.json"))
+        assert len(three.components) == 3
+        ladder = [critical_structure(g, w) for g, w in planted_ladder(0)]
+        assert sum(len(b.components) == 2 for b in ladder) >= 6
+        for b in multi_component_bundles + ladder + [three]:
+            n = b.graph.n_nodes
+            big, ints = mane_matrix(b.graph, b.weights, b.abar, range(n), scaled=True)
+            for phi, kind in ((ints, int), (mane_matrix(b.graph, b.weights, b.abar, range(n)),
+                                            Fraction)):
+                h = peierls_matrix(phi, b)
+                assert h == per_row_relay(phi, b)
+                assert all(type(v) is kind for row in h for v in row)
+
     def test_recomputation_matches_bundle(self, golden_bundle):
         b = golden_bundle
         n = b.graph.n_nodes
@@ -380,6 +523,20 @@ class TestRepresentativeRows:
                 min(h[r][j] for r in reps) for j in range(b.graph.n_nodes))
             assert constraint_polytope(b).matrix == tuple(
                 tuple(h[a][c] for c in reps) for a in reps)
+
+
+    def test_rows_are_searched_on_the_policy_integers(self, corpus_bundles, two_sided_bundles,
+                                                      multi_component_bundles):
+        # the policy iteration's integers reduced by their gcd are the L
+        # and the integers of the weights less abar, scaled on their own
+        ladder = [critical_structure(g, w) for g, w in planted_ladder(0)]
+        for b in corpus_bundles + two_sided_bundles + multi_component_bundles + ladder:
+            reps = b.representatives
+            assert b.big == _scale(b.weights, b.abar)[0]
+            assert (b.big, b.row_ints) == mane_matrix(b.graph, b.weights, b.abar, reps,
+                                                      scaled=True)
+            assert all(type(v) is int for row in b.row_ints for v in row)
+            assert b.rows == mane_matrix(b.graph, b.weights, b.abar, reps)
 
 
 def scale_by_subtraction(values, shift):
