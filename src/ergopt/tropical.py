@@ -413,7 +413,8 @@ def minimizing_value(graph, weights: Sequence[Fraction]) -> CriticalStructure:
 
 
 def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
-                sources: Sequence[int], *, scaled: bool = False):
+                sources: Sequence[int], *, scaled: bool = False,
+                scale: tuple[int, Sequence[int]] | None = None):
     """The rows phi[i] of the sources i, in order, where phi[i][j] is the
     minimum over nonempty paths i -> j of sum(w - abar).
 
@@ -432,12 +433,13 @@ def mane_matrix(graph, weights: Sequence[Fraction], abar: Fraction,
 
     Scaled, the result is (L, rows) with L the common denominator of the
     costs w - abar and the rows the integers phi[i] * L, the form the
-    dense barrier matrices keep; otherwise the rows are Fractions. The
-    solve's own rows, those of the representatives, are searched in
-    `critical_structure` on the policy iteration's integers, not here.
+    dense barrier matrices keep; otherwise the rows are Fractions. A
+    caller that holds that scaling already, L and the integers
+    (w - abar) * L, passes it as `scale`, and the weights are not scaled
+    again: `critical_structure` passes the policy iteration's integers.
     """
     n, out, heads = graph.n_nodes, graph.out_edges, graph.heads
-    big, costs = _scale(weights, abar)
+    big, costs = scale or _scale(weights, abar)
     if n >= _RELAY_MIN_NODES and len(sources) >= n and set(sources) == set(range(n)):
         dense = _dense_path_minima(costs, graph)
         rows = [tuple(dense[i]) for i in sources]
@@ -458,10 +460,11 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
     The representatives' rows are searched on the same integers: m*c - S
     over m*L is w - abar, and dividing both by their gcd leaves the
     least common denominator of w - abar and its integers, those of
-    `_scale(weights, abar)`. The rows stay ints over it. A graph that is
-    not strongly connected raises ValueError, here or in those rows.
-    Weights that are all Fractions already are kept as they are."""
-    n, tails, heads, out = graph.n_nodes, graph.tails, graph.heads, graph.out_edges
+    `_scale(weights, abar)`, which `mane_matrix` takes as its `scale`.
+    The rows stay ints over it. A graph that is not strongly connected
+    raises ValueError, here or in those rows. Weights that are all
+    Fractions already are kept as they are."""
+    n, tails, heads = graph.n_nodes, graph.tails, graph.heads
     weights = tuple(weights)
     if set(map(type, weights)) != {Fraction}:
         weights = tuple(map(Fraction, weights))
@@ -489,16 +492,16 @@ def critical_structure(graph, weights: Sequence[Fraction]) -> CriticalStructure:
             label[ci] = len(reps)
             reps.append(v)
     g = math.gcd(m * big, *costs)
-    costs = [c // g for c in costs]
+    big, row_ints = mane_matrix(graph, weights, abar, reps, scaled=True,
+                                scale=(m * big // g, [c // g for c in costs]))
     return CriticalStructure(
         graph=graph,
         weights=weights,
         abar=abar,
         node_component=tuple(map(label.get, scc_of)),
         edge_component=tuple(map(label.get, edge_scc)),
-        big=m * big // g,
-        row_ints=tuple(tuple(_reaching(r, _path_minima(costs, out[r], out, heads, n)))
-                       for r in reps),
+        big=big,
+        row_ints=row_ints,
     )
 
 
